@@ -18,7 +18,10 @@ import argparse
 import os
 import sys
 import time
+from dataclasses import fields
 from pathlib import Path
+
+from .config import ModelConfig, TrainConfig
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -27,27 +30,27 @@ EXIT_NUMERIC = 4
 
 COMMANDS = ("train", "eval", "ablate", "saliency", "gradcheck", "synth")
 
+# config dataclass field type -> CLI kind
+_KINDS = {"int": "int", "float": "float", "str": "str", "bool": "bool",
+          "int | None": "batch", "tuple | None": "weights"}
+
+
+def _keys(cls) -> dict:
+    """key -> (kind, default) for the fields of a config dataclass.
+    num_classes and eps are not options; checkpoint is the CLI's name for
+    checkpoint_path."""
+    return {f.name: (_KINDS[f.type], f.default) for f in fields(cls)
+            if f.name not in ("num_classes", "eps", "checkpoint_path")}
+
+
+MODEL_KEYS = _keys(ModelConfig)
+TRAIN_KEYS = _keys(TrainConfig)
+
 # key -> (kind, default). Kinds: int, float, bool, str, batch (int or
 # "auto"), weights ("none" or three comma-separated floats).
 SCHEMA = {
-    # model
-    "widening_factor": ("int", 1),
-    "norm": ("str", "instance"),
-    "first_layer": ("str", "K1S1"),
-    "extra_blocks": ("int", 0),
-    "age_mode": ("str", "none"),
-    "crop_extent": ("int", 96),
-    "d_model": ("int", 128),
-    # training
-    "max_epochs": ("int", 100),
-    "learning_rate": ("float", 0.01),
-    "momentum": ("float", 0.9),
-    "batch_size": ("batch", None),
-    "seed": ("int", 0),
-    "class_weights": ("weights", None),
-    "normalize": ("bool", True),
-    "blur_hi": ("float", 1.5),
-    "timing": ("bool", False),
+    **MODEL_KEYS,
+    **TRAIN_KEYS,
     "subsample_rate": ("float", 1.0),
     # paths and data
     "manifest": ("str", ""),
@@ -193,26 +196,13 @@ def _echo_config(cfg: dict, run_dir: Path) -> None:
 
 
 def _model_config(cfg):
-    from .model import ModelConfig
-    return ModelConfig(widening_factor=cfg["widening_factor"],
-                       norm=cfg["norm"], first_layer=cfg["first_layer"],
-                       extra_blocks=cfg["extra_blocks"],
-                       age_mode=cfg["age_mode"],
-                       crop_extent=cfg["crop_extent"],
-                       d_model=cfg["d_model"])
+    return ModelConfig(**{k: cfg[k] for k in MODEL_KEYS})
 
 
 def _train_config(cfg, run_dir: Path):
-    from .optim import TrainConfig
     ckpt = cfg["checkpoint"] or str(run_dir / "best.ckpt")
-    return TrainConfig(max_epochs=cfg["max_epochs"],
-                       learning_rate=cfg["learning_rate"],
-                       momentum=cfg["momentum"],
-                       batch_size=cfg["batch_size"], seed=cfg["seed"],
-                       checkpoint_path=ckpt,
-                       class_weights=cfg["class_weights"],
-                       normalize=cfg["normalize"], blur_hi=cfg["blur_hi"],
-                       timing=cfg["timing"])
+    return TrainConfig(checkpoint_path=ckpt,
+                       **{k: cfg[k] for k in TRAIN_KEYS})
 
 
 def _load_manifest(cfg):
@@ -280,7 +270,7 @@ def _evaluate(cfg: dict, run_dir: Path):
     artifacts (report.txt, logits.csv, per-class ROC CSVs)."""
     from .metrics import (build_report, export_roc, write_logits_csv,
                           write_report)
-    from .optim import evaluate_samples, resolve_batch_size, TrainConfig
+    from .optim import evaluate_samples, resolve_batch_size
     from .tensor import Rng
 
     net, _, _ = _load_checkpoint(cfg)
@@ -390,7 +380,7 @@ def parse_views(spec: str):
 
 
 def cmd_saliency(cfg: dict, run_dir: Path) -> int:
-    from .data import center_crop, intensity_normalize
+    from .optim import _batch_tensors
     from .saliency import aggregate, export_slices, saliency, smooth
 
     views = parse_views(cfg["views"])
@@ -402,10 +392,7 @@ def cmd_saliency(cfg: dict, run_dir: Path) -> int:
 
     maps = []
     for s in samples:
-        vol = s.volume.data[0]
-        if cfg["normalize"]:
-            vol = intensity_normalize(vol)
-        vol = center_crop(vol, crop)
+        vol = _batch_tensors([s], crop, cfg["normalize"]).data[0, 0]
         smap = saliency(net, vol, s.label, age=s.age)
         export_slices(smap, views, out_dir / s.subject_id,
                       with_volume=False)

@@ -1,0 +1,85 @@
+"""Model and training configuration: the one place their defaults live.
+
+The CLI builds its model and training keys from these fields, and reads
+them before --threads pins the BLAS pool, so this module never imports
+numpy. Field types stay strings (postponed annotations): the CLI maps them
+to its value kinds and checkpoints parse their config lines with them.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+
+FIRST_LAYER_VARIANTS = {
+    # name: (kernel, stride, padding, dilation)
+    "K1S1": (1, 1, 0, 1),
+    "K3S2": (3, 2, 0, 1),
+    "K7S4": (7, 4, 3, 1),
+}
+
+
+@dataclass(frozen=True)
+class ModelConfig:
+    widening_factor: int = 1
+    norm: str = "instance"       # instance | batch
+    first_layer: str = "K1S1"
+    extra_blocks: int = 0
+    age_mode: str = "none"       # none | encoded | concat
+    crop_extent: int = 96
+    num_classes: int = 3
+    d_model: int = 128
+    eps: float = 1e-5
+
+    def __post_init__(self):
+        if self.widening_factor < 1:
+            raise ValueError(f"widening_factor must be >= 1, got {self.widening_factor}")
+        if self.norm not in ("instance", "batch"):
+            raise ValueError(f"norm must be instance or batch, got {self.norm!r}")
+        if self.first_layer not in FIRST_LAYER_VARIANTS:
+            raise ValueError(
+                f"first_layer must be one of {sorted(FIRST_LAYER_VARIANTS)}, "
+                f"got {self.first_layer!r}")
+        if self.extra_blocks < 0:
+            raise ValueError(f"extra_blocks must be >= 0, got {self.extra_blocks}")
+        if self.age_mode not in ("none", "encoded", "concat"):
+            raise ValueError(f"unknown age_mode {self.age_mode!r}")
+        if self.crop_extent < 1:
+            raise ValueError(f"crop_extent must be >= 1, got {self.crop_extent}")
+        if self.num_classes < 2:
+            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
+        if self.d_model < 2 or self.d_model % 2:
+            raise ValueError(f"d_model must be even and >= 2, got {self.d_model}")
+
+
+@dataclass(frozen=True)
+class TrainConfig:
+    max_epochs: int = 100
+    learning_rate: float = 0.01
+    momentum: float = 0.9
+    batch_size: int | None = None   # None: 4, or 16 for batch norm
+    seed: int = 0
+    checkpoint_path: str | None = None
+    class_weights: tuple | None = None
+    normalize: bool = True          # per-volume z-score before augmentation
+    blur_hi: float = 1.5
+    # wall time in the log breaks byte-level run reproducibility, so the
+    # seconds column stays 0.000 unless explicitly requested
+    timing: bool = False
+
+    def __post_init__(self):
+        if self.max_epochs < 1:
+            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        if self.learning_rate <= 0.0:
+            raise ValueError(
+                f"learning_rate must be > 0, got {self.learning_rate}")
+        if not 0.0 <= self.momentum < 1.0:
+            raise ValueError(
+                f"momentum must be in [0, 1), got {self.momentum}")
+        if self.batch_size is not None and self.batch_size < 1:
+            raise ValueError(
+                f"batch_size must be >= 1, got {self.batch_size}")
+        if self.class_weights is not None:
+            if len(self.class_weights) != 3 or min(self.class_weights) <= 0:
+                raise ValueError("class_weights must be 3 positive values")
+        if self.blur_hi < 0.0:
+            raise ValueError(f"blur_hi must be >= 0, got {self.blur_hi}")

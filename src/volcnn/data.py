@@ -85,6 +85,8 @@ def read_nifti1(path) -> np.ndarray:
     if rank != 3:
         raise BadRank(f"{path}: rank {rank}, only rank-3 volumes supported")
     d1, d2, d3 = struct.unpack_from(f"{endian}3h", raw, 42)
+    if min(d1, d2, d3) < 1:
+        raise VolumeFormatError(f"{path}: dims {(d1, d2, d3)} must be >= 1")
     (datatype,) = struct.unpack_from(f"{endian}h", raw, 70)
     if datatype not in _NIFTI_DTYPES:
         raise UnsupportedVoxelType(f"{path}: datatype code {datatype}")
@@ -93,6 +95,9 @@ def read_nifti1(path) -> np.ndarray:
     slope, inter = struct.unpack_from(f"{endian}2f", raw, 112)
 
     if magic == b"n+1\x00":
+        if not (math.isfinite(vox_offset) and vox_offset >= 352):
+            raise VolumeFormatError(
+                f"{path}: vox_offset {vox_offset} must be finite and >= 352")
         payload = raw
         offset = int(vox_offset)
     else:
@@ -141,7 +146,7 @@ def read_native(path) -> np.ndarray:
     if version != NATIVE_VERSION:
         raise VolumeFormatError(f"{path}: unsupported version {version}")
     shape = struct.unpack_from("<3Q", raw, 12)
-    count = int(np.prod(shape))
+    count = math.prod(shape)
     if len(raw) != 36 + 4 * count:
         raise TruncatedVolume(
             f"{path}: payload is {len(raw) - 36} bytes, extents "
@@ -182,18 +187,6 @@ class Manifest:
             if split is None or r.split == split:
                 seen.setdefault(r.subject_id, r.label)
         return seen
-
-    def class_counts(self) -> dict[str, dict[str, tuple[int, int]]]:
-        """Per split and class: (subject count, scan count)."""
-        out = {s: {n: (0, 0) for n in LABEL_NAMES} for s in SPLITS}
-        seen = set()
-        for r in self.rows:
-            name = LABEL_NAMES[r.label]
-            subj, scans = out[r.split][name]
-            fresh = (r.split, r.subject_id) not in seen
-            seen.add((r.split, r.subject_id))
-            out[r.split][name] = (subj + (1 if fresh else 0), scans + 1)
-        return out
 
 
 def check_leakage(manifest: Manifest) -> list[str]:
@@ -306,11 +299,6 @@ def intensity_normalize(volume: np.ndarray) -> np.ndarray:
     return ((volume - mean) / std).astype(volume.dtype)
 
 
-def _subject_classes(manifest: Manifest, split: str) -> dict[str, int]:
-    """Subject -> class, from each subject's first row in the split."""
-    return manifest.subjects(split)
-
-
 def subsample(manifest: Manifest, rate: float, rng: Rng) -> Manifest:
     """Keep a stratified fraction of TRAIN subjects; scans follow their
     subject, val/test stay untouched. Counts round half up per class."""
@@ -319,7 +307,7 @@ def subsample(manifest: Manifest, rate: float, rng: Rng) -> Manifest:
     if rate == 1.0:
         return Manifest(list(manifest.rows), manifest.base_dir)
     by_class: dict[int, list[str]] = {}
-    for subject, label in sorted(_subject_classes(manifest, "train").items()):
+    for subject, label in sorted(manifest.subjects("train").items()):
         by_class.setdefault(label, []).append(subject)
     kept: set[str] = set()
     for label, subjects in sorted(by_class.items()):

@@ -24,57 +24,20 @@ never triggers any adaptation.
 
 from __future__ import annotations
 
+import math
+import os
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import ops, tensor
+from .config import FIRST_LAYER_VARIANTS, ModelConfig
 from .tensor import Rng, ShapeError, Tensor
-
-FIRST_LAYER_VARIANTS = {
-    # name: (kernel, stride, padding, dilation)
-    "K1S1": (1, 1, 0, 1),
-    "K3S2": (3, 2, 0, 1),
-    "K7S4": (7, 4, 3, 1),
-}
 
 FC1_WIDTH = 1024
 AGE_HIDDEN = 512
 AGE_DIVISOR = 120.0
-
-
-@dataclass(frozen=True)
-class ModelConfig:
-    widening_factor: int = 1
-    norm: str = "instance"       # instance | batch
-    first_layer: str = "K1S1"
-    extra_blocks: int = 0
-    age_mode: str = "none"       # none | encoded | concat
-    crop_extent: int = 96
-    num_classes: int = 3
-    d_model: int = 128
-    eps: float = 1e-5
-
-    def __post_init__(self):
-        if self.widening_factor < 1:
-            raise ValueError(f"widening_factor must be >= 1, got {self.widening_factor}")
-        if self.norm not in ("instance", "batch"):
-            raise ValueError(f"norm must be instance or batch, got {self.norm!r}")
-        if self.first_layer not in FIRST_LAYER_VARIANTS:
-            raise ValueError(
-                f"first_layer must be one of {sorted(FIRST_LAYER_VARIANTS)}, "
-                f"got {self.first_layer!r}")
-        if self.extra_blocks < 0:
-            raise ValueError(f"extra_blocks must be >= 0, got {self.extra_blocks}")
-        if self.age_mode not in ("none", "encoded", "concat"):
-            raise ValueError(f"unknown age_mode {self.age_mode!r}")
-        if self.crop_extent < 1:
-            raise ValueError(f"crop_extent must be >= 1, got {self.crop_extent}")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.d_model < 2 or self.d_model % 2:
-            raise ValueError(f"d_model must be even and >= 2, got {self.d_model}")
 
 
 @dataclass(frozen=True)
@@ -438,6 +401,7 @@ def load_checkpoint(path) -> tuple[Model, dict[str, str], dict[str, Tensor]]:
     entries, momentum state). The tensor set must match the architecture
     recorded in the config exactly."""
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 8, "magic") != CKPT_MAGIC:
             raise ValueError(f"{path}: not a checkpoint file")
         version, cfg_len = struct.unpack("<II", _read_exact(fh, 8, "header"))
@@ -452,8 +416,13 @@ def load_checkpoint(path) -> tuple[Model, dict[str, str], dict[str, Tensor]]:
             name = _read_exact(fh, nlen, "tensor name").decode()
             (rank,) = struct.unpack("<B", _read_exact(fh, 1, name))
             shape = struct.unpack(f"<{rank}Q", _read_exact(fh, 8 * rank, name))
-            n_items = int(np.prod(shape)) if rank else 1
-            raw = _read_exact(fh, 4 * n_items, f"tensor {name!r} payload")
+            n_bytes = 4 * math.prod(shape)
+            left = size - fh.tell()
+            if n_bytes > left:
+                raise ValueError(
+                    f"{path}: checkpoint truncated: tensor {name!r} extents "
+                    f"{shape} need {n_bytes} bytes, {left} left in the file")
+            raw = _read_exact(fh, n_bytes, f"tensor {name!r} payload")
             tensors[name] = Tensor(
                 np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
         if fh.read(1):

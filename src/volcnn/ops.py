@@ -12,7 +12,7 @@ Output extent per spatial axis:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,19 +45,6 @@ class ConvSpec:
     @property
     def effective_k(self) -> int:
         return self.d * (self.k - 1) + 1
-
-
-@dataclass(frozen=True)
-class NormKind:
-    variant: str  # instance | batch | layer
-    eps: float = 1e-5
-    affine: bool = True
-
-    def __post_init__(self):
-        if self.variant not in ("instance", "batch", "layer"):
-            raise ValueError(f"unknown normalization variant {self.variant!r}")
-        if self.eps <= 0:
-            raise ValueError(f"eps must be positive, got {self.eps}")
 
 
 def _tap_slices(k: int, s: int, d: int, out_extents: tuple[int, ...], tap):

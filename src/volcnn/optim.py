@@ -23,6 +23,7 @@ import numpy as np
 from . import metrics
 from . import model as network
 from . import ops, tensor
+from .config import TrainConfig
 from .data import (LeakageError, center_crop, gaussian_blur,
                    intensity_normalize, random_crop)
 from .tensor import Rng, Tensor
@@ -33,40 +34,6 @@ class NumericError(RuntimeError):
 
 
 LOG_HEADER = "epoch,train_loss,val_loss,val_bal_acc,seconds,checkpointed"
-
-
-@dataclass(frozen=True)
-class TrainConfig:
-    max_epochs: int = 100
-    learning_rate: float = 0.01
-    momentum: float = 0.9
-    batch_size: int | None = None   # None: 4, or 16 for batch norm
-    seed: int = 0
-    checkpoint_path: str | None = None
-    class_weights: tuple | None = None
-    normalize: bool = True          # per-volume z-score before augmentation
-    blur_hi: float = 1.5
-    # wall time in the log breaks byte-level run reproducibility, so the
-    # seconds column stays 0.000 unless explicitly requested
-    timing: bool = False
-
-    def __post_init__(self):
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.learning_rate <= 0.0:
-            raise ValueError(
-                f"learning_rate must be > 0, got {self.learning_rate}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(
-                f"momentum must be in [0, 1), got {self.momentum}")
-        if self.batch_size is not None and self.batch_size < 1:
-            raise ValueError(
-                f"batch_size must be >= 1, got {self.batch_size}")
-        if self.class_weights is not None:
-            if len(self.class_weights) != 3 or min(self.class_weights) <= 0:
-                raise ValueError("class_weights must be 3 positive values")
-        if self.blur_hi < 0.0:
-            raise ValueError(f"blur_hi must be >= 0, got {self.blur_hi}")
 
 
 def resolve_batch_size(cfg: TrainConfig, model_config) -> int:

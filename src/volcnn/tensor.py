@@ -8,7 +8,7 @@ Volumes follow the channel-first convention [N, C, D, H, W].
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -163,95 +163,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
-
-
-def _as_array(x, like: Tensor) -> np.ndarray:
-    """Coerce a Tensor or scalar operand to an array matching ``like``."""
-    if isinstance(x, Tensor):
-        if x.shape != like.shape:
-            raise ShapeError(f"shape mismatch: {like.shape} vs {x.shape}")
-        if x.dtype != like.dtype:
-            raise TypeError(f"dtype mismatch: {like.dtype} vs {x.dtype}")
-        return x.data
-    return np.asarray(x, dtype=like.dtype)
-
-
-def add(a: Tensor, b) -> Tensor:
-    return Tensor(a.data + _as_array(b, a))
-
-
-def sub(a: Tensor, b) -> Tensor:
-    return Tensor(a.data - _as_array(b, a))
-
-
-def mul(a: Tensor, b) -> Tensor:
-    return Tensor(a.data * _as_array(b, a))
-
-
-def scale(a: Tensor, s: float) -> Tensor:
-    return Tensor(a.data * a.dtype.type(s))
-
-
-def max_with_scalar(a: Tensor, s: float) -> Tensor:
-    return Tensor(np.maximum(a.data, a.dtype.type(s)))
-
-
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ShapeError(f"matmul needs rank-2 operands, got {a.shape} x {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions disagree: {a.shape} x {b.shape}")
-    if a.dtype != b.dtype:
-        raise TypeError(f"dtype mismatch: {a.dtype} vs {b.dtype}")
-    return Tensor(a.data @ b.data)
-
-
-def _check_axes(x: Tensor, axes: Iterable[int]) -> tuple[int, ...]:
-    axes = tuple(axes)
-    for ax in axes:
-        if not 0 <= ax < x.data.ndim:
-            raise ShapeError(f"axis {ax} out of range for shape {x.shape}")
-    if len(set(axes)) != len(axes):
-        raise ShapeError(f"duplicate axes in {axes}")
-    return axes
-
-
-def reduce_sum(x: Tensor, axes: Iterable[int], keepdims: bool = False) -> Tensor:
-    axes = _check_axes(x, axes)
-    if not axes:
-        return x.copy()
-    return Tensor(x.data.sum(axis=axes, keepdims=keepdims, dtype=x.dtype))
-
-
-def reduce_mean(x: Tensor, axes: Iterable[int], keepdims: bool = False) -> Tensor:
-    axes = _check_axes(x, axes)
-    if not axes:
-        return x.copy()
-    return Tensor(x.data.mean(axis=axes, keepdims=keepdims, dtype=x.dtype))
-
-
-def reduce_max(x: Tensor, axes: Iterable[int], keepdims: bool = False,
-               return_argmax: bool = False):
-    """Max over ``axes``; optionally the argmax as a row-major flat index
-    into the reduced subspace (first occurrence wins on ties)."""
-    axes = _check_axes(x, axes)
-    if not axes:
-        out = x.copy()
-        return (out, np.zeros(x.shape, dtype=np.int64)) if return_argmax else out
-    kept = tuple(i for i in range(x.data.ndim) if i not in axes)
-    moved = np.transpose(x.data, kept + axes)
-    flat = moved.reshape(moved.shape[: len(kept)] + (-1,))
-    values = flat.max(axis=-1)
-    if keepdims:
-        shape = tuple(1 if i in axes else e for i, e in enumerate(x.shape))
-        values = values.reshape(shape)
-    out = Tensor(values)
-    if return_argmax:
-        idx = flat.argmax(axis=-1)
-        if keepdims:
-            idx = idx.reshape(values.shape)
-        return out, idx
-    return out
 
 
 def zeros(shape: Sequence[int], dtype=F32) -> Tensor:

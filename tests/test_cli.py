@@ -2,12 +2,15 @@
 
 import csv
 import os
+import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import volcnn.ops
-from volcnn.cli import main
+from volcnn.cli import SCHEMA, format_config, main
 from volcnn.optim import LOG_HEADER
 
 
@@ -58,7 +61,84 @@ class TestSynth:
             assert fa.read_bytes() == fb.read_bytes()
 
 
+# format_config of the SCHEMA defaults: every key, with its default
+DEFAULT_CONFIG_LINES = [
+    "# effective configuration",
+    "age_mode = none",
+    "allow_leakage = false",
+    "alpha = 0.05",
+    "axis = ",
+    "batch_size = auto",
+    "blur_hi = 1.5",
+    "checkpoint = ",
+    "class_weights = none",
+    "crop_extent = 96",
+    "d_model = 128",
+    "extent = 32",
+    "extra_blocks = 0",
+    "first_layer = K1S1",
+    "learning_rate = 0.01",
+    "manifest = ",
+    "max_epochs = 100",
+    "momentum = 0.9",
+    "n_per_class = 8",
+    "n_resamples = 1000",
+    "noise = 0.1",
+    "norm = instance",
+    "normalize = true",
+    "run_dir = ",
+    "scope = all",
+    "seed = 0",
+    "smooth_sigma = 0.8",
+    "split = val",
+    "subsample_rate = 1.0",
+    "threads = 0",
+    "timing = false",
+    "values = ",
+    "views = axial:50,axial:26,coronal:56,sagittal:26",
+    "widening_factor = 1",
+]
+
+KEY_KINDS = {
+    "batch": ["batch_size"],
+    "bool": ["allow_leakage", "normalize", "timing"],
+    "float": ["alpha", "blur_hi", "learning_rate", "momentum", "noise",
+              "smooth_sigma", "subsample_rate"],
+    "int": ["crop_extent", "d_model", "extent", "extra_blocks", "max_epochs",
+            "n_per_class", "n_resamples", "seed", "threads",
+            "widening_factor"],
+    "str": ["age_mode", "axis", "checkpoint", "first_layer", "manifest",
+            "norm", "run_dir", "scope", "split", "values", "views"],
+    "weights": ["class_weights"],
+}
+
+
 class TestConfigHandling:
+    def test_key_table_pinned(self):
+        defaults = {k: default for k, (_, default) in SCHEMA.items()}
+        assert format_config(defaults) == "\n".join(DEFAULT_CONFIG_LINES) + "\n"
+        kinds = {}
+        for key, (kind, _) in sorted(SCHEMA.items()):
+            kinds.setdefault(kind, []).append(key)
+        assert kinds == KEY_KINDS
+
+    def test_config_leaves_numpy_unloaded(self, tmp_path):
+        # --threads pins the BLAS pool, so numpy must not load before it
+        script = (
+            "import sys\n"
+            "from volcnn.cli import build_parser, effective_config\n"
+            "args, extra = build_parser().parse_known_args(\n"
+            "    ['train', '--threads', '1', '--learning_rate', '0.5'])\n"
+            "effective_config(args, extra)\n"
+            "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+        env = dict(os.environ)
+        src = str(Path(volcnn.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_unknown_override_rejected(self, capsys):
         assert main(["train", "--bogus_key", "1"]) == 2
         assert "unknown option" in capsys.readouterr().err
@@ -244,6 +324,20 @@ class TestEval:
         assert main(["eval", "--run_dir", str(tmp_path / "e"),
                      "--manifest", str(dataset),
                      "--checkpoint", str(tmp_path / "nope.ckpt")]) == 3
+
+    def test_oversized_extent_is_a_data_error(self, dataset, trained,
+                                              tmp_path, capsys):
+        raw = bytearray((trained / "best.ckpt").read_bytes())
+        (cfg_len,) = struct.unpack_from("<I", raw, 12)
+        name_at = 8 + 8 + cfg_len + 4
+        (nlen,) = struct.unpack_from("<H", raw, name_at)
+        struct.pack_into("<Q", raw, name_at + 2 + nlen + 1, 2**63)
+        ckpt = tmp_path / "huge.ckpt"
+        ckpt.write_bytes(bytes(raw))
+        assert main(["eval", "--run_dir", str(tmp_path / "e"),
+                     "--manifest", str(dataset),
+                     "--checkpoint", str(ckpt)]) == 3
+        assert "truncated" in capsys.readouterr().err
 
 
 class TestAblate:

@@ -110,6 +110,25 @@ class TestNifti:
         with pytest.raises(data.TruncatedVolume):
             data.read_nifti1(p)
 
+    @pytest.mark.parametrize("field, values", [
+        ("dims", (4, 4, -4)),
+        ("dims", (-1, 4, 4)),
+        ("dims", (-4, -4, 4)),
+        ("dims", (0, 4, 4)),
+        ("vox_offset", (math.nan,)),
+        ("vox_offset", (math.inf,)),
+        ("vox_offset", (0.0,)),
+        ("vox_offset", (348.0,)),
+    ])
+    def test_hostile_header_rejected(self, tmp_path, field, values):
+        offset, fmt = {"dims": (42, "<3h"), "vox_offset": (108, "<f")}[field]
+        raw = bytearray(nifti_bytes(np.zeros((4, 4, 4), np.float32), 16))
+        struct.pack_into(fmt, raw, offset, *values)
+        p = tmp_path / "h.nii"
+        p.write_bytes(bytes(raw))
+        with pytest.raises(data.VolumeFormatError, match=field):
+            data.read_nifti1(p)
+
 
 class TestNative:
     def test_round_trip_bit_exact(self, tmp_path):
@@ -134,6 +153,13 @@ class TestNative:
         data.write_native(p, np.zeros((3, 3, 3), np.float32))
         with open(p, "ab") as fh:
             fh.write(b"\x00\x00")
+        with pytest.raises(data.TruncatedVolume):
+            data.read_native(p)
+
+    def test_extents_whose_product_wraps_int64(self, tmp_path):
+        p = tmp_path / "z.vol"
+        header = struct.pack("<I3Q", data.NATIVE_VERSION, 2**32, 2**32, 1)
+        p.write_bytes(data.NATIVE_MAGIC + header)
         with pytest.raises(data.TruncatedVolume):
             data.read_native(p)
 
@@ -164,11 +190,8 @@ class TestManifest:
         ])
         man = data.load_manifest(p)
         assert len(man.rows) == 4
-        counts = man.class_counts()
-        assert counts["train"]["CN"] == (1, 2)    # one subject, two scans
-        assert counts["train"]["MCI"] == (1, 1)
-        assert counts["val"]["AD"] == (1, 1)
-        assert counts["test"]["CN"] == (0, 0)
+        assert man.subjects("train") == {"s1": 0, "s2": 1}
+        assert man.subjects("val") == {"s3": 2}
 
     def test_leakage_is_fatal_by_default(self, tmp_path):
         p = tmp_path / "leak.csv"

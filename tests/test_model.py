@@ -1,6 +1,8 @@
 """Architecture tests: shape progression, config handling, checkpoint
 round trips, and end-to-end gradient flow."""
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -259,6 +261,20 @@ class TestCheckpoint:
         m.save_checkpoint(path, net)
         raw = path.read_bytes()
         path.write_bytes(raw[: int(len(raw) * 0.6)])
+        with pytest.raises(ValueError, match="truncated"):
+            m.load_checkpoint(path)
+
+    @pytest.mark.parametrize("extent", [2**40, 2**63, 2**64 - 1])
+    def test_oversized_extent_rejected(self, tmp_path, extent):
+        _, net, path = self.make_net(tmp_path)
+        m.save_checkpoint(path, net)
+        raw = bytearray(path.read_bytes())
+        (cfg_len,) = struct.unpack_from("<I", raw, 12)
+        name_at = 8 + 8 + cfg_len + 4
+        (nlen,) = struct.unpack_from("<H", raw, name_at)
+        # the first extent of the first tensor, after its name and rank
+        struct.pack_into("<Q", raw, name_at + 2 + nlen + 1, extent)
+        path.write_bytes(bytes(raw))
         with pytest.raises(ValueError, match="truncated"):
             m.load_checkpoint(path)
 

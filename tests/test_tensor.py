@@ -1,115 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from volcnn import tensor as T
-
-
-class TestElementwise:
-    def test_add(self):
-        out = T.add(T.Tensor([1.0, 2.0]), T.Tensor([3.0, 4.0]))
-        assert np.array_equal(out.data, [4.0, 6.0])
-
-    def test_scale_identity(self):
-        x = T.Tensor(np.arange(6.0, dtype=np.float32).reshape(2, 3))
-        assert np.array_equal(T.scale(x, 1.0).data, x.data)
-
-    def test_max_with_scalar(self):
-        out = T.max_with_scalar(T.Tensor([-1.0, 2.0]), 0.0)
-        assert np.array_equal(out.data, [0.0, 2.0])
-
-    def test_shape_mismatch_reports_both_shapes(self):
-        with pytest.raises(T.ShapeError, match=r"\(2,\).*\(3,\)"):
-            T.add(T.Tensor([1.0, 2.0]), T.Tensor([1.0, 2.0, 3.0]))
-
-    def test_inputs_unmodified(self):
-        a = T.Tensor([1.0, 2.0])
-        b = T.Tensor([3.0, 4.0])
-        T.add(a, b)
-        T.mul(a, b)
-        assert np.array_equal(a.data, [1.0, 2.0])
-        assert np.array_equal(b.data, [3.0, 4.0])
-
-    @pytest.mark.parametrize("dtype", [T.F32, T.F64])
-    def test_dtype_preserved(self, dtype):
-        a = T.Tensor(np.ones(4, dtype=dtype))
-        assert T.add(a, a).dtype == dtype
-        assert T.scale(a, 2.0).dtype == dtype
-        assert T.max_with_scalar(a, 0.5).dtype == dtype
-
-
-class TestMatmul:
-    def test_identity(self):
-        x = T.Tensor(np.arange(9.0).reshape(3, 3), dtype=T.F64)
-        eye = T.Tensor(np.eye(3), dtype=T.F64)
-        assert np.array_equal(T.matmul(eye, x).data, x.data)
-
-    def test_small_case(self):
-        a = T.Tensor([[1.0, 2.0], [3.0, 4.0]])
-        b = T.Tensor([[1.0], [1.0]])
-        assert np.array_equal(T.matmul(a, b).data, [[3.0], [7.0]])
-
-    def test_against_triple_loop_oracle(self):
-        rng = T.Rng(11)
-        a = rng.normal((8, 8))
-        b = rng.normal((8, 8))
-        got = T.matmul(T.Tensor(a), T.Tensor(b)).data
-        want = np.zeros((8, 8))
-        for i in range(8):
-            for j in range(8):
-                for k in range(8):
-                    want[i, j] += a[i, k] * b[k, j]
-        assert np.max(np.abs(got - want)) / np.max(np.abs(want)) < 1e-6
-
-    def test_inner_dim_mismatch(self):
-        with pytest.raises(T.ShapeError):
-            T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((4, 2))))
-
-    @given(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5),
-           st.integers(1, 5), st.integers(0, 2**32 - 1))
-    @settings(max_examples=30, deadline=None)
-    def test_associativity(self, m, k, l, n, seed):
-        rng = T.Rng(seed)
-        a = T.Tensor(rng.normal((m, k)))
-        b = T.Tensor(rng.normal((k, l)))
-        c = T.Tensor(rng.normal((l, n)))
-        left = T.matmul(T.matmul(a, b), c).data
-        right = T.matmul(a, T.matmul(b, c)).data
-        denom = max(np.max(np.abs(left)), 1.0)
-        assert np.max(np.abs(left - right)) / denom < 1e-5
-
-
-class TestReduce:
-    def test_mean(self):
-        out = T.reduce_mean(T.Tensor([1.0, 2.0, 3.0]), axes=(0,))
-        assert out.item() == pytest.approx(2.0)
-
-    def test_sum_empty_axes_is_identity(self):
-        x = T.Tensor(np.arange(6.0).reshape(2, 3))
-        out = T.reduce_sum(x, axes=())
-        assert np.array_equal(out.data, x.data)
-        assert out.data is not x.data
-
-    def test_max_with_argmax(self):
-        x = T.Tensor([[1.0, 5.0], [2.0, 0.0]])
-        out, idx = T.reduce_max(x, axes=(1,), return_argmax=True)
-        assert np.array_equal(out.data, [5.0, 2.0])
-        assert np.array_equal(idx, [1, 0])
-
-    def test_argmax_tie_takes_first(self):
-        x = T.Tensor([[3.0, 3.0, 1.0]])
-        _, idx = T.reduce_max(x, axes=(1,), return_argmax=True)
-        assert idx[0] == 0
-
-    def test_keepdims(self):
-        x = T.Tensor(np.ones((2, 3, 4)))
-        assert T.reduce_sum(x, axes=(1,), keepdims=True).shape == (2, 1, 4)
-        assert T.reduce_sum(x, axes=(1,)).shape == (2, 4)
-
-    def test_axis_out_of_range(self):
-        with pytest.raises(T.ShapeError):
-            T.reduce_sum(T.Tensor([1.0]), axes=(1,))
 
 
 class TestInit:
