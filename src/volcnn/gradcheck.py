@@ -65,6 +65,7 @@ def check_conv(seed: int = 0) -> list[CheckResult]:
         ("conv k3 s2 p1", 2, 2, 6, ops.ConvSpec(k=3, c_out=3, p=1, s=2)),
         ("conv k3 d2", 1, 2, 7, ops.ConvSpec(k=3, c_out=2, d=2)),
         ("conv k5 p2", 2, 1, 7, ops.ConvSpec(k=5, c_out=2, p=2)),
+        ("conv k5 p2 d2", 1, 2, 6, ops.ConvSpec(k=5, c_out=2, p=2, d=2)),
         ("conv k1 s2", 1, 3, 6, ops.ConvSpec(k=1, c_out=4, s=2)),
         ("conv k3 s2 p2 d2", 2, 2, 9, ops.ConvSpec(k=3, c_out=2, p=2, s=2, d=2)),
     ]
@@ -229,7 +230,8 @@ def check_model(seed: int = 0, n_coords: int = 20) -> list[CheckResult]:
     A coordinate whose activation pattern differs between the two probe
     points straddles a kink, where a centered secant is not a derivative
     estimate, so such coordinates are redrawn. The analytic gradient is
-    still exercised everywhere through the surviving coordinates.
+    still exercised everywhere through the surviving coordinates. If no
+    coordinate survives, the check fails with an infinite error.
     """
     from .model import ModelConfig, build, forward, backward
 
@@ -271,6 +273,8 @@ def check_model(seed: int = 0, n_coords: int = 20) -> list[CheckResult]:
             continue
         num.append((fp - fm) / (2.0 * STEP))
         ana.append(float(grads[name].data.reshape(-1)[i]))
+    if not ana:
+        return [CheckResult("model end-to-end", float("inf"), MODEL_TOL)]
     err = rel_error(np.asarray(ana), np.asarray(num))
     return [CheckResult("model end-to-end", err, MODEL_TOL)]
 

@@ -1,6 +1,7 @@
 """Architecture tests: shape progression, config handling, checkpoint
 round trips, and end-to-end gradient flow."""
 
+import itertools
 import struct
 
 import numpy as np
@@ -215,6 +216,24 @@ class TestForwardBackward:
     def test_end_to_end_gradients(self):
         for res in gradcheck.check_model():
             assert res.passed, f"{res.name}: rel err {res.rel_err:.3e}"
+
+    def test_no_surviving_coordinate_fails_the_check(self, monkeypatch):
+        real = m.forward
+        calls = itertools.count()
+
+        def forward(model, x, ages=None, mode="train"):
+            logits, tape = real(model, x, ages, mode)
+            if next(calls):  # every probe after the backward's own forward
+                # a pooling pattern that differs on every call, so each
+                # coordinate looks like it straddles a kink
+                tape.entries.append(("pool", np.array([next(calls)]), None))
+            return logits, tape
+
+        monkeypatch.setattr(m, "forward", forward)
+        (res,) = gradcheck.check_model(n_coords=1)
+        assert res.rel_err == float("inf")
+        assert not res.passed
+        assert "FAIL" in gradcheck.format_report([res])
 
 
 class TestCheckpoint:

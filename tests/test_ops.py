@@ -1,16 +1,20 @@
 """Layer kernel tests: shape laws, a direct-loop convolution oracle,
 finite-difference gradients, and normalization semantics."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, assume, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from volcnn import gradcheck, ops
 from volcnn.tensor import Rng, Tensor, ShapeError
 
 
 def naive_conv3d(x, w, b, spec):
-    """Direct six-loop cross-correlation. Oracle for the tap-loop kernel."""
+    """Direct-loop cross-correlation, one multiply-add at a time. Oracle for
+    the im2col kernel."""
     n, c, dd, hh, ww = x.shape
     o = w.shape[0]
     k, p, s, d = spec.k, spec.p, spec.s, spec.d
@@ -91,6 +95,9 @@ class TestConv:
         (2, 2, 6, ops.ConvSpec(k=3, c_out=3, p=1, s=2)),
         (1, 2, 7, ops.ConvSpec(k=3, c_out=2, p=2, s=2, d=2)),
         (2, 1, 5, ops.ConvSpec(k=1, c_out=2)),
+        (2, 3, 7, ops.ConvSpec(k=3, c_out=2, p=1, s=2)),
+        (1, 4, 7, ops.ConvSpec(k=3, c_out=3, d=2)),          # block2 form
+        (2, 3, 9, ops.ConvSpec(k=5, c_out=4, p=2, d=2)),     # block3 form
     ])
     def test_matches_direct_loop(self, n, c, e, spec):
         rng = Rng(42).stream("conv-oracle", spec.k, spec.p, spec.s, spec.d)
@@ -126,6 +133,27 @@ class TestConv:
     def test_gradients(self):
         for res in gradcheck.check_conv():
             assert res.passed, f"{res.name}: rel err {res.rel_err:.3e}"
+
+    def test_column_buffer_stays_below_full_im2col(self):
+        # A full [C*k^3, P] column matrix for one sample would take 13.8 MB;
+        # at widening factor 8 the same lowering of block3 needs 629 MB.
+        n, c, e, spec = 2, 16, 12, ops.ConvSpec(k=5, c_out=8, p=2)
+        k, o = spec.k, spec.c_out
+        rng = Rng(5).stream("conv-memory")
+        x = Tensor(rng.stream("x").normal((n, c, e, e, e)).astype(np.float32))
+        w = Tensor(rng.stream("w").normal((o, c, k, k, k)).astype(np.float32))
+        b = Tensor(np.zeros(o, dtype=np.float32))
+        g = Tensor(np.ones((n, o, e, e, e), dtype=np.float32))
+        full = c * k ** 3 * e ** 3 * 4
+        for run in (lambda: ops.conv3d_forward(x, w, b, spec),
+                    lambda: ops.conv3d_backward(g, x, w, spec)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < full, f"traced peak {peak} B >= {full} B"
 
 
 class TestMaxPool:
@@ -168,6 +196,42 @@ class TestMaxPool:
         gx = ops.maxpool3d_backward(g, idx, x.shape)
         assert gx.data[0, 0, 1, 1, 1] == 8.0
         assert gx.data.sum() == 8.0
+
+    @given(
+        k=st.integers(1, 4), s=st.integers(1, 3), n=st.integers(1, 2),
+        c=st.integers(1, 2), grow=st.tuples(*[st.integers(0, 4)] * 3),
+        data=st.data(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_first_argmax_loop(self, k, s, n, c, grow, data):
+        shape = (n, c) + tuple(k + g for g in grow)
+        # Few distinct integer values, so most windows hold ties.
+        x = data.draw(hnp.arrays(np.float32, shape,
+                                 elements=st.integers(0, 3).map(float)))
+        out, idx = ops.maxpool3d_forward(Tensor(x), k, s)
+        hh, ww = shape[3], shape[4]
+        for pos in np.ndindex(*out.shape):
+            ni, ci, z, y, xx = pos
+            win = x[ni, ci, z * s:z * s + k, y * s:y * s + k, xx * s:xx * s + k]
+            t = int(np.argmax(win))  # first maximum in row-major order
+            i, j, l = np.unravel_index(t, win.shape)
+            assert out.data[pos] == win.flat[t]
+            assert idx[pos] == ((z * s + i) * hh + y * s + j) * ww + xx * s + l
+
+    def test_nan_propagates_and_index_stays_in_window(self):
+        x = np.zeros((1, 1, 4, 4, 4), dtype=np.float32)
+        x[0, 0, 1, 1, 1] = np.nan  # not the first tap of window (0, 0, 0)
+        x[0, 0, 0, 0, 2] = 5.0
+        out, idx = ops.maxpool3d_forward(Tensor(x), 2, 2)
+        assert np.isnan(out.data[0, 0, 0, 0, 0])
+        assert out.data[0, 0, 0, 0, 1] == 5.0
+        assert np.isnan(out.data).sum() == 1
+        window0 = {(a * 4 + bb) * 4 + cc for a in (0, 1) for bb in (0, 1)
+                   for cc in (0, 1)}
+        assert idx[0, 0, 0, 0, 0] in window0
+        gx = ops.maxpool3d_backward(Tensor(np.ones(out.shape, dtype=np.float32)),
+                                    idx, x.shape)
+        assert gx.data.sum() == out.size
 
     def test_gradients(self):
         for res in gradcheck.check_pool():
