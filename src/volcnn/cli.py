@@ -212,12 +212,20 @@ def _load_manifest(cfg):
     return load_manifest(cfg["manifest"], allow_leakage=cfg["allow_leakage"])
 
 
-def _split_samples(manifest, split: str):
+def _split_samples(manifest, split: str, loaded: dict | None = None):
+    """The samples of one split, in manifest order. `loaded` maps manifest
+    rows to samples already read, so that the runs of one ablate sweep read
+    each volume once; the rows read here are added to it."""
     from .data import load_sample
     rows = [r for r in manifest.rows if r.split == split]
     if not rows:
         raise DataError(f"split {split!r} has no rows in the manifest")
-    return [load_sample(manifest, r) for r in rows]
+    if loaded is None:
+        loaded = {}
+    for r in rows:
+        if r not in loaded:
+            loaded[r] = load_sample(manifest, r)
+    return [loaded[r] for r in rows]
 
 
 def _load_checkpoint(cfg):
@@ -231,7 +239,7 @@ def _load_checkpoint(cfg):
             f"cannot load checkpoint {cfg['checkpoint']}: {exc}") from None
 
 
-def cmd_train(cfg: dict, run_dir: Path) -> int:
+def cmd_train(cfg: dict, run_dir: Path, loaded: dict | None = None) -> int:
     from . import data as data_mod
     from .data import LABEL_NAMES
     from .model import build
@@ -248,8 +256,8 @@ def cmd_train(cfg: dict, run_dir: Path) -> int:
         for idx, name in enumerate(LABEL_NAMES))
     print(f"train_subjects = {counts}")
 
-    train_samples = _split_samples(manifest, "train")
-    val_samples = _split_samples(manifest, "val")
+    train_samples = _split_samples(manifest, "train", loaded)
+    val_samples = _split_samples(manifest, "val", loaded)
     model_cfg = _model_config(cfg)
     train_cfg = _train_config(cfg, run_dir)
     print(f"resolved batch_size = {resolve_batch_size(train_cfg, model_cfg)}")
@@ -265,7 +273,7 @@ HEADLINE_METRICS = ("accuracy", "balanced_accuracy", "micro_auc",
                     "macro_auc")
 
 
-def _evaluate(cfg: dict, run_dir: Path):
+def _evaluate(cfg: dict, run_dir: Path, loaded: dict | None = None):
     """Shared by eval and ablate: returns the report after writing the
     artifacts (report.txt, logits.csv, per-class ROC CSVs)."""
     from .metrics import (build_report, export_roc, write_logits_csv,
@@ -275,7 +283,7 @@ def _evaluate(cfg: dict, run_dir: Path):
 
     net, _, _ = _load_checkpoint(cfg)
     manifest = _load_manifest(cfg)
-    samples = _split_samples(manifest, cfg["split"])
+    samples = _split_samples(manifest, cfg["split"], loaded)
     bs = resolve_batch_size(TrainConfig(batch_size=cfg["batch_size"]),
                             net.config)
     loss, records = evaluate_samples(net, samples, bs, cfg["normalize"])
@@ -327,6 +335,7 @@ def cmd_ablate(cfg: dict, run_dir: Path) -> int:
               "macro_lo,macro_hi")
     rows = [header]
     first_failure = EXIT_OK
+    loaded = {}  # manifest row -> sample, shared by every run of the sweep
     for value in values:
         sub = dict(cfg)
         sub[key] = value
@@ -335,9 +344,9 @@ def cmd_ablate(cfg: dict, run_dir: Path) -> int:
         sub_dir = _ensure_run_dir(sub)
         _echo_config(sub, sub_dir)
         try:
-            code = cmd_train(sub, sub_dir)
+            code = cmd_train(sub, sub_dir, loaded)
             sub["checkpoint"] = str(sub_dir / "best.ckpt")
-            report, _ = _evaluate(sub, sub_dir)
+            report, _ = _evaluate(sub, sub_dir, loaded)
         except Exception as exc:  # sub-run failures recorded, sweep goes on
             code = _code_for(exc)
             if code is None:

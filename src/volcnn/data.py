@@ -1,4 +1,5 @@
-"""Volume ingestion, manifests, augmentation, and synthetic data.
+"""Volume ingestion, manifests, augmentation, synthetic data, and the
+atomic file write used for checkpoints and evaluation artifacts.
 
 Volumes travel as rank-3 float32 numpy arrays in file voxel order
 (sagittal, coronal, axial for registered scans). Batching into network
@@ -9,8 +10,10 @@ from __future__ import annotations
 
 import csv
 import math
+import os
 import struct
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,6 +26,23 @@ LABELS = {name: i for i, name in enumerate(LABEL_NAMES)}
 SPLITS = ("train", "val", "test")
 
 MANIFEST_HEADER = ["subject_id", "path", "label", "age", "split"]
+
+
+@contextmanager
+def atomic_write(path, mode: str = "w"):
+    """Open a temporary file next to `path` and, when the block ends
+    without an exception, move it over `path` with os.replace. A crash or
+    an exception mid-write leaves the previous file (or none) in place and
+    removes the temporary file; readers never see a partial artifact."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, mode) as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class VolumeFormatError(ValueError):

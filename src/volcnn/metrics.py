@@ -7,6 +7,11 @@ CSVs, per-sample probability CSV).
 
 AUC is computed with the rank statistic using midranks for ties, which
 equals the pairwise count (#concordant + 0.5 * #tied) / (P * N) exactly.
+One helper, `_rank_auc`, computes it for the point estimates (every sample
+counted once) and for the bootstrap (every sample counted as often as the
+resample drew it), so the report's intervals never rebuild a record list:
+`build_report` resamples indices and weighs fixed sorted arrays by the
+draw counts.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LABEL_NAMES
+from .data import LABEL_NAMES, atomic_write
 from .tensor import Rng
 
 NUM_CLASSES = len(LABEL_NAMES)
@@ -63,6 +68,34 @@ def balanced_accuracy(preds, labels) -> float:
     return float(np.mean(recalls))
 
 
+def _tie_groups(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable ascending sort order of the scores, and for each sorted
+    position the id of its tie group (0, 1, ... in ascending score)."""
+    order = np.argsort(scores, kind="stable")
+    ss = scores[order]
+    return order, np.r_[0, np.cumsum(ss[1:] != ss[:-1])]
+
+
+def _rank_auc(gid: np.ndarray, weight: np.ndarray,
+              positive: np.ndarray) -> float:
+    """Mann-Whitney AUC of sorted samples, each counted `weight` times.
+
+    gid is the tie-group id of each sorted position (from `_tie_groups`),
+    positive its 0/1 label. A group of total weight g after E earlier
+    copies holds ranks E+1 .. E+g, so each copy gets the midrank
+    E + (g + 1) / 2. Weights are integer counts, so every sum below is of
+    integers and half-integers and float64 holds it exactly.
+    """
+    g_all = np.bincount(gid, weights=weight)
+    g_pos = np.bincount(gid, weights=weight * positive)
+    pos = g_pos.sum()
+    neg = g_all.sum() - pos
+    if pos == 0 or neg == 0:
+        raise ValueError("AUC undefined: labels contain a single class")
+    midrank = np.cumsum(g_all) - g_all + (g_all + 1.0) / 2.0
+    return float((g_pos @ midrank - pos * (pos + 1.0) / 2.0) / (pos * neg))
+
+
 def roc_auc(scores, labels) -> tuple[float, list[tuple[float, float, float]]]:
     """Binary AUC plus the ROC polyline.
 
@@ -84,29 +117,21 @@ def roc_auc(scores, labels) -> tuple[float, list[tuple[float, float, float]]]:
     if pos == 0 or neg == 0:
         raise ValueError("AUC undefined: labels contain a single class")
 
-    n = s.size
-    order = np.argsort(s, kind="stable")
-    ss = s[order]
-    run_ends = np.r_[np.flatnonzero(ss[1:] != ss[:-1]) + 1, n]
-    ranks = np.empty(n, dtype=np.float64)
-    lo = 0
-    for hi in run_ends:
-        # midrank: mean of the 1-based ranks lo+1 .. hi
-        ranks[order[lo:hi]] = 0.5 * (lo + hi + 1)
-        lo = int(hi)
-    auc = (ranks[y == 1].sum() - pos * (pos + 1) / 2.0) / (pos * neg)
+    order, gid = _tie_groups(s)
+    auc = _rank_auc(gid, np.ones(s.size), y[order])
 
+    # descending thresholds: the last position of each tie run, read from
+    # the high end, is where the ROC takes its next point
     desc = order[::-1]
     yy = y[desc]
-    sd = ss[::-1]
-    tp = np.cumsum(yy == 1)
-    fp = np.cumsum(yy == 0)
-    last = np.r_[sd[1:] != sd[:-1], True]
+    sd = s[desc]
+    last = np.flatnonzero(np.r_[sd[1:] != sd[:-1], True])
+    fpr = np.cumsum(yy == 0)[last] / neg
+    tpr = np.cumsum(yy == 1)[last] / pos
     points = [(0.0, 0.0, ROC_START)]
-    for i in np.flatnonzero(last):
-        points.append((fp[i] / neg, tp[i] / pos, float(sd[i])))
+    points += zip(fpr.tolist(), tpr.tolist(), sd[last].tolist())
     points.append((1.0, 1.0, ROC_END))
-    return float(auc), points
+    return auc, points
 
 
 @dataclass(frozen=True)
@@ -164,10 +189,12 @@ def bootstrap_ci(records, metric_fn, rng: Rng, n_resamples: int = 1000,
                  alpha: float = 0.05) -> tuple[float, float]:
     """Percentile bootstrap interval for metric_fn over the records.
 
-    Resamples with replacement; a resample on which metric_fn raises
-    ValueError (undefined metric, e.g. a single-class draw) is redrawn.
-    Each draw consumes its own RNG substream so the interval does not
-    depend on evaluation order.
+    Resamples with replacement; metric_fn receives the list of drawn
+    records. The records may be anything indexable, such as the indices
+    range(n), in which case metric_fn receives the drawn indices. A
+    resample on which metric_fn raises ValueError (undefined metric, e.g. a
+    single-class draw) is redrawn. Each draw consumes its own RNG substream
+    so the interval does not depend on evaluation order.
     """
     if n_resamples < 1:
         raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
@@ -188,7 +215,7 @@ def bootstrap_ci(records, metric_fn, rng: Rng, n_resamples: int = 1000,
         idx = rng.stream("bootstrap", counter).integers(n, (n,))
         counter += 1
         try:
-            vals.append(float(metric_fn([recs[i] for i in idx])))
+            vals.append(float(metric_fn([recs[i] for i in idx.tolist()])))
         except ValueError:
             continue
     lo, hi = np.percentile(vals, [50.0 * alpha, 100.0 - 50.0 * alpha])
@@ -229,14 +256,6 @@ def _rec_arrays(recs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return y, pred, probs
 
 
-def _quiet(fn):
-    def wrapped(recs):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return fn(recs)
-    return wrapped
-
-
 def build_report(records, rng: Rng, n_resamples: int = 1000,
                  alpha: float = 0.05) -> EvalReport:
     """Point metrics plus bootstrap intervals.
@@ -245,6 +264,11 @@ def build_report(records, rng: Rng, n_resamples: int = 1000,
     class appears in the records, auc_<class> per class and macro_auc.
     Per-class/macro intervals are omitted otherwise because resamples could
     never cover the missing class.
+
+    The intervals resample the indices range(n). Each metric turns a draw
+    into per-sample counts w and weighs arrays built once here by them, so
+    it gives exactly the value the same function would give on the list of
+    drawn records, and is undefined (redrawn) on the same draws.
     """
     recs = tuple(records)
     if not recs:
@@ -255,31 +279,44 @@ def build_report(records, rng: Rng, n_resamples: int = 1000,
     mc = multiclass_auc(probs, y)
     all_defined = all(a is not None for a in mc.per_class)
 
-    def acc_fn(rs):
-        ly, lp, _ = _rec_arrays(rs)
-        return accuracy(lp, ly)
+    n = len(recs)
+    correct = (pred == y).astype(np.int64)
+    onehot = (y[:, None] == np.arange(NUM_CLASSES)).astype(np.int64)
+    ranked = [_tie_groups(probs[:, c]) for c in range(NUM_CLASSES)]
+    # micro: the 3n pooled (probability, indicator) pairs, class-major
+    micro_order, micro_gid = _tie_groups(probs.T.ravel())
+    micro_sample = micro_order % n
+    micro_pos = onehot.T.ravel()[micro_order]
 
-    def bal_fn(rs):
-        ly, lp, _ = _rec_arrays(rs)
-        return balanced_accuracy(lp, ly)
+    def counts(idx):
+        return np.bincount(idx, minlength=n)
 
-    def micro_fn(rs):
-        ly, _, lpr = _rec_arrays(rs)
-        return multiclass_auc(lpr, ly).micro
+    def class_auc(w, c):
+        order, gid = ranked[c]
+        return _rank_auc(gid, w[order], onehot[order, c])
 
-    def macro_fn(rs):
-        ly, _, lpr = _rec_arrays(rs)
-        out = multiclass_auc(lpr, ly)
-        if any(a is None for a in out.per_class):
-            raise ValueError("resample misses a class")  # redrawn
-        return out.macro
+    def acc_fn(idx):
+        return int(counts(idx) @ correct) / n
+
+    def bal_fn(idx):
+        w = counts(idx)
+        drawn = w @ onehot
+        hits = (w * correct) @ onehot
+        return float(np.mean([hits[c] / drawn[c]
+                              for c in range(NUM_CLASSES) if drawn[c]]))
+
+    def micro_fn(idx):
+        w = counts(idx)
+        if np.count_nonzero(w @ onehot) < 2:
+            raise ValueError("resample holds one class")  # redrawn
+        return _rank_auc(micro_gid, w[micro_sample], micro_pos)
+
+    def macro_fn(idx):
+        w = counts(idx)
+        return float(np.mean([class_auc(w, c) for c in range(NUM_CLASSES)]))
 
     def class_fn(c):
-        def fn(rs):
-            ly, _, lpr = _rec_arrays(rs)
-            a, _ = roc_auc(lpr[:, c], (ly == c).astype(np.int64))
-            return a
-        return fn
+        return lambda idx: class_auc(counts(idx), c)
 
     plan = [("accuracy", acc_fn), ("balanced_accuracy", bal_fn),
             ("micro_auc", micro_fn)]
@@ -289,7 +326,7 @@ def build_report(records, rng: Rng, n_resamples: int = 1000,
             plan.append((f"auc_{LABEL_NAMES[c].lower()}", class_fn(c)))
     intervals = {}
     for key, fn in plan:
-        intervals[key] = bootstrap_ci(recs, _quiet(fn), rng.stream(key),
+        intervals[key] = bootstrap_ci(range(n), fn, rng.stream(key),
                                       n_resamples, alpha)
     return EvalReport(acc, bal, mc.per_class, mc.micro, mc.macro,
                       intervals, recs, mc.roc_points)
@@ -324,7 +361,8 @@ def format_report(report: EvalReport) -> str:
 
 def write_report(report: EvalReport, path) -> Path:
     path = Path(path)
-    path.write_text(format_report(report))
+    with atomic_write(path) as fh:
+        fh.write(format_report(report))
     return path
 
 
@@ -341,7 +379,8 @@ def export_roc(report: EvalReport, out_dir, prefix: str = "roc") -> list[Path]:
         lines = ["fpr,tpr,threshold"]
         lines += [f"{fpr:.6f},{tpr:.6f},{thr!r}" for fpr, tpr, thr in pts]
         path = out_dir / f"{prefix}_{LABEL_NAMES[c].lower()}.csv"
-        path.write_text("\n".join(lines) + "\n")
+        with atomic_write(path) as fh:
+            fh.write("\n".join(lines) + "\n")
         written.append(path)
     return written
 
@@ -355,5 +394,6 @@ def write_logits_csv(records, path) -> Path:
         lines.append(f"{r.subject_id},{LABEL_NAMES[r.label]},{probs},"
                      f"{LABEL_NAMES[r.pred]}")
     path = Path(path)
-    path.write_text("\n".join(lines) + "\n")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
     return path

@@ -33,6 +33,7 @@ import numpy as np
 
 from . import ops, tensor
 from .config import FIRST_LAYER_VARIANTS, ModelConfig
+from .data import atomic_write
 from .tensor import Rng, ShapeError, Tensor
 
 FC1_WIDTH = 1024
@@ -366,7 +367,8 @@ def save_checkpoint(path, model: Model, extra: dict[str, str] | None = None,
                     velocity: dict[str, Tensor] | None = None) -> None:
     """Serialize config, parameters, buffers, and optional momentum state.
     Byte-identical for identical inputs: tensors are sorted by name and the
-    payload is always little-endian float32."""
+    payload is always little-endian float32. Written atomically, so an
+    interrupted save leaves the previous checkpoint intact."""
     named: dict[str, Tensor] = {}
     named.update(model.params)
     named.update(model.buffers)
@@ -374,7 +376,7 @@ def save_checkpoint(path, model: Model, extra: dict[str, str] | None = None,
         for k, t in velocity.items():
             named[f"velocity/{k}"] = t
     cfg_bytes = _config_text(model.config, extra or {}).encode()
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
         fh.write(struct.pack("<II", CKPT_VERSION, len(cfg_bytes)))
         fh.write(cfg_bytes)

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import volcnn.data
 import volcnn.ops
 from volcnn.cli import SCHEMA, format_config, main
 from volcnn.optim import LOG_HEADER
@@ -360,7 +361,15 @@ class TestAblate:
             assert (run / sub / "best.ckpt").exists()
             assert (run / sub / "report.txt").exists()
 
-    def test_subsample_axis(self, dataset, tmp_path, capsys):
+    def test_subsample_axis(self, dataset, tmp_path, capsys, monkeypatch):
+        loads = []
+        real = volcnn.data.load_sample
+
+        def counted(manifest, row):
+            loads.append(row)
+            return real(manifest, row)
+
+        monkeypatch.setattr(volcnn.data, "load_sample", counted)
         run = tmp_path / "ab"
         code = main(["ablate", "--run_dir", str(run),
                      "--manifest", str(dataset), "--crop_extent", "32",
@@ -371,6 +380,8 @@ class TestAblate:
         assert "train_subjects = CN:2 MCI:2 AD:2" in out
         assert "train_subjects = CN:3 MCI:3 AD:3" in out
         assert len((run / "summary.csv").read_text().splitlines()) == 3
+        # each of the 9 train and 3 val volumes is read once per sweep
+        assert len(loads) == len(set(loads)) == 12
 
     def test_failed_value_recorded_and_sweep_continues(self, dataset,
                                                        tmp_path, capsys):

@@ -468,3 +468,23 @@ class TestSynthetic:
         sample = data.load_sample(man, man.rows[0])
         assert sample.volume.shape == (1, 16, 16, 16)
         assert np.isfinite(sample.volume.data).all()
+
+
+class TestAtomicWrite:
+    def test_replaces_whole_file(self, tmp_path):
+        path = tmp_path / "report.txt"
+        path.write_text("old\n")
+        with data.atomic_write(path) as fh:
+            fh.write("new\n")
+        assert path.read_text() == "new\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+    def test_error_mid_write_keeps_previous(self, tmp_path):
+        path = tmp_path / "best.ckpt"
+        path.write_bytes(b"old")
+        with pytest.raises(RuntimeError, match="killed"):
+            with data.atomic_write(path, "wb") as fh:
+                fh.write(b"partial")
+                raise RuntimeError("killed")
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]

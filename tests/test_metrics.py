@@ -1,3 +1,6 @@
+import os
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -339,3 +342,133 @@ class TestReport:
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
             metrics.build_report([], Rng(0))
+
+    def test_interrupted_write_keeps_previous_report(self, tmp_path,
+                                                     monkeypatch):
+        path = metrics.write_report(
+            metrics.build_report(fake_records(6), Rng(0), n_resamples=50),
+            tmp_path / "report.txt")
+        before = path.read_bytes()
+        other = metrics.build_report(fake_records(6, seed=1), Rng(0),
+                                     n_resamples=50)
+
+        def crash(src, dst):
+            raise OSError("killed before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="killed"):
+            metrics.write_report(other, path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["report.txt"]
+
+
+REAL_BOOTSTRAP = metrics.bootstrap_ci
+
+
+def counting_bootstrap(calls: list):
+    """bootstrap_ci that appends one entry per metric_fn call."""
+    def bootstrap_ci(records, metric_fn, *args, **kwargs):
+        def counted(drawn):
+            calls.append(len(drawn))
+            return metric_fn(drawn)
+        return REAL_BOOTSTRAP(records, counted, *args, **kwargs)
+    return bootstrap_ci
+
+
+def record_list_intervals(records, rng, n_resamples, alpha, calls):
+    """Reference for build_report's intervals: every draw rebuilds the list
+    of drawn records and reruns the public metric functions on it."""
+    recs = tuple(records)
+
+    def arrays(rs):
+        return (np.array([r.label for r in rs]),
+                np.array([r.pred for r in rs]),
+                np.array([r.probs for r in rs]))
+
+    def acc_fn(rs):
+        y, p, _ = arrays(rs)
+        return metrics.accuracy(p, y)
+
+    def bal_fn(rs):
+        y, p, _ = arrays(rs)
+        return metrics.balanced_accuracy(p, y)
+
+    def micro_fn(rs):
+        y, _, pr = arrays(rs)
+        return metrics.multiclass_auc(pr, y).micro
+
+    def macro_fn(rs):
+        y, _, pr = arrays(rs)
+        out = metrics.multiclass_auc(pr, y)
+        if any(a is None for a in out.per_class):
+            raise ValueError("resample misses a class")
+        return out.macro
+
+    def class_fn(c):
+        def fn(rs):
+            y, _, pr = arrays(rs)
+            return metrics.roc_auc(pr[:, c], (y == c).astype(int))[0]
+        return fn
+
+    def quiet(fn):
+        def wrapped(rs):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                return fn(rs)
+        return wrapped
+
+    plan = [("accuracy", acc_fn), ("balanced_accuracy", bal_fn),
+            ("micro_auc", micro_fn)]
+    if {r.label for r in recs} == set(range(metrics.NUM_CLASSES)):
+        plan.append(("macro_auc", macro_fn))
+        plan += [(f"auc_{name.lower()}", class_fn(c))
+                 for c, name in enumerate(metrics.LABEL_NAMES)]
+    bootstrap = counting_bootstrap(calls)
+    return {key: bootstrap(recs, quiet(fn), rng.stream(key), n_resamples,
+                           alpha)
+            for key, fn in plan}
+
+
+def grid_records(n, seed):
+    """Probabilities on a coarse grid, so scores tie within and across
+    classes."""
+    g = np.random.default_rng(seed)
+    recs = []
+    for i in range(n):
+        k = g.integers(1, 4, size=3).astype(np.float64)
+        recs.append(metrics.make_record(f"g{i}", i % 3, k / k.sum()))
+    return recs
+
+
+class TestReportIntervals:
+    @pytest.mark.parametrize("name, records, n_resamples", [
+        ("random n=300", fake_records(100, seed=5), 100),
+        ("tied scores", grid_records(24, seed=6), 300),
+        ("n=5, redraws", fake_records(2, seed=7)[:5], 300),
+        ("class missing", fake_records(6, seed=8, classes=(0, 2)), 200),
+    ])
+    def test_equal_to_record_list_resampling(self, name, records,
+                                             n_resamples, monkeypatch):
+        ref_calls, calls = [], []
+        expected = record_list_intervals(records, Rng(3), n_resamples, 0.05,
+                                         ref_calls)
+        monkeypatch.setattr(metrics, "bootstrap_ci", counting_bootstrap(calls))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            rep = metrics.build_report(records, Rng(3), n_resamples)
+        assert rep.intervals == expected
+        assert len(calls) == len(ref_calls)
+        if name.startswith("n=5"):
+            assert len(calls) > len(expected) * n_resamples  # redraws ran
+
+    def test_roc_auc_only_for_point_estimates(self, monkeypatch):
+        calls = []
+        real = metrics.roc_auc
+
+        def counted(scores, labels):
+            calls.append(len(scores))
+            return real(scores, labels)
+
+        monkeypatch.setattr(metrics, "roc_auc", counted)
+        metrics.build_report(fake_records(10), Rng(0), n_resamples=200)
+        assert len(calls) <= metrics.NUM_CLASSES + 1

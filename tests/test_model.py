@@ -266,6 +266,22 @@ class TestCheckpoint:
         m.save_checkpoint(path, loaded, extra)
         assert path.read_bytes() == first
 
+    def test_interrupted_save_keeps_previous(self, tmp_path):
+        _, net, path = self.make_net(tmp_path)
+        m.save_checkpoint(path, net, {"val_loss": "1.0"})
+        before = path.read_bytes()
+
+        class Unreadable:  # sorts after every parameter, so fails mid-file
+            @property
+            def data(self):
+                raise RuntimeError("killed mid-write")
+
+        with pytest.raises(RuntimeError, match="mid-write"):
+            m.save_checkpoint(path, net, {"val_loss": "0.5"},
+                              velocity={"x": Unreadable()})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
     def test_bad_magic_rejected(self, tmp_path):
         _, net, path = self.make_net(tmp_path)
         m.save_checkpoint(path, net)
