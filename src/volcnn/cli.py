@@ -37,10 +37,9 @@ _KINDS = {"int": "int", "float": "float", "str": "str", "bool": "bool",
 
 def _keys(cls) -> dict:
     """key -> (kind, default) for the fields of a config dataclass.
-    num_classes and eps are not options; checkpoint is the CLI's name for
-    checkpoint_path."""
+    checkpoint is the CLI's name for checkpoint_path."""
     return {f.name: (_KINDS[f.type], f.default) for f in fields(cls)
-            if f.name not in ("num_classes", "eps", "checkpoint_path")}
+            if f.name != "checkpoint_path"}
 
 
 MODEL_KEYS = _keys(ModelConfig)
@@ -189,10 +188,16 @@ def _ensure_run_dir(cfg: dict) -> Path:
     return run_dir
 
 
+def _write_text(path: Path, text: str) -> None:
+    from .data import atomic_write
+    with atomic_write(path) as fh:
+        fh.write(text)
+
+
 def _echo_config(cfg: dict, run_dir: Path) -> None:
     text = format_config(cfg)
     sys.stdout.write(text)
-    (run_dir / "config.txt").write_text(text)
+    _write_text(run_dir / "config.txt", text)
 
 
 def _model_config(cfg):
@@ -365,7 +370,7 @@ def cmd_ablate(cfg: dict, run_dir: Path) -> int:
             cells += [f"{lo:.6f}", f"{hi:.6f}"]
         rows.append(",".join(cells))
     summary = "\n".join(rows) + "\n"
-    (run_dir / "summary.csv").write_text(summary)
+    _write_text(run_dir / "summary.csv", summary)
     sys.stdout.write(summary)
     return first_failure
 
@@ -425,7 +430,7 @@ def cmd_gradcheck(cfg: dict, run_dir: Path) -> int:
         results = [r for r in results if r.name.startswith("model")]
     table = format_report(results)
     sys.stdout.write(table)
-    (run_dir / "gradcheck.txt").write_text(table)
+    _write_text(run_dir / "gradcheck.txt", table)
     failing = [r.name for r in results if not r.passed]
     if failing:
         print(f"FAILED: {', '.join(failing)}", file=sys.stderr)

@@ -26,9 +26,7 @@ class ModelConfig:
     extra_blocks: int = 0
     age_mode: str = "none"       # none | encoded | concat
     crop_extent: int = 96
-    num_classes: int = 3
     d_model: int = 128
-    eps: float = 1e-5
 
     def __post_init__(self):
         if self.widening_factor < 1:
@@ -45,8 +43,6 @@ class ModelConfig:
             raise ValueError(f"unknown age_mode {self.age_mode!r}")
         if self.crop_extent < 1:
             raise ValueError(f"crop_extent must be >= 1, got {self.crop_extent}")
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.d_model < 2 or self.d_model % 2:
             raise ValueError(f"d_model must be even and >= 2, got {self.d_model}")
 

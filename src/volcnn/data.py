@@ -22,6 +22,7 @@ import numpy as np
 from .tensor import Rng, Tensor
 
 LABEL_NAMES = ("CN", "MCI", "AD")
+NUM_CLASSES = len(LABEL_NAMES)
 LABELS = {name: i for i, name in enumerate(LABEL_NAMES)}
 SPLITS = ("train", "val", "test")
 
@@ -29,7 +30,7 @@ MANIFEST_HEADER = ["subject_id", "path", "label", "age", "split"]
 
 
 @contextmanager
-def atomic_write(path, mode: str = "w"):
+def atomic_write(path, mode: str = "w", newline: str | None = None):
     """Open a temporary file next to `path` and, when the block ends
     without an exception, move it over `path` with os.replace. A crash or
     an exception mid-write leaves the previous file (or none) in place and
@@ -37,7 +38,7 @@ def atomic_write(path, mode: str = "w"):
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, mode) as fh:
+        with open(tmp, mode, newline=newline) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -149,7 +150,7 @@ def write_native(path, volume: np.ndarray) -> None:
     vol = np.ascontiguousarray(volume, dtype="<f4")
     if vol.ndim != 3:
         raise BadRank(f"native volumes are rank 3, got rank {vol.ndim}")
-    with open(path, "wb") as fh:
+    with atomic_write(path, "wb") as fh:
         fh.write(NATIVE_MAGIC)
         fh.write(struct.pack("<I", NATIVE_VERSION))
         fh.write(struct.pack("<3Q", *vol.shape))
@@ -421,7 +422,7 @@ def write_synthetic_dataset(samples: list[SyntheticSample], out_dir) -> Path:
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest_path = out_dir / "manifest.csv"
-    with open(manifest_path, "w", newline="") as fh:
+    with atomic_write(manifest_path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(MANIFEST_HEADER)
         for s in samples:

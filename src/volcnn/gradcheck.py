@@ -3,7 +3,8 @@
 Each layer kernel runs on small float64 instances. The probe loss is
 sum(output * R) for a fixed random projection R, so the loss gradient
 w.r.t. the output is exactly R and the kernel's backward can be compared
-against central differences coordinate by coordinate.
+against central differences coordinate by coordinate. Every layer kernel
+goes through check_op, one call per case.
 
 Relative error metric: max|analytic - numeric| / max(max|numeric|, 1e-8).
 """
@@ -59,6 +60,22 @@ def _probe(out: Tensor, r: np.ndarray) -> float:
     return float((out.data * r).sum())
 
 
+def check_op(name: str, r_rng: Rng, fwd, bwd, inputs: dict) -> list[CheckResult]:
+    """Check one op instance: run fwd() -> (output, saved state), draw R of
+    the output's shape from r_rng, take bwd(R, state) -> one gradient per
+    entry of `inputs` (label -> Tensor, in order), and compare each with
+    central differences of sum(fwd()[0] * R)."""
+    out, state = fwd()
+    r = r_rng.normal(out.shape)
+    grads = bwd(Tensor(r), state)
+    results = []
+    for (label, t), g in zip(inputs.items(), grads):
+        num = central_diff(lambda: _probe(fwd()[0], r), t.data)
+        results.append(
+            CheckResult(f"{name} d{label}", rel_error(g.data, num), OP_TOL))
+    return results
+
+
 def check_conv(seed: int = 0) -> list[CheckResult]:
     cases = [
         ("conv k3 plain", 1, 1, 5, ops.ConvSpec(k=3, c_out=2)),
@@ -75,13 +92,11 @@ def check_conv(seed: int = 0) -> list[CheckResult]:
         x = Tensor(rng.stream("x").normal((n, c, e, e, e)))
         w = Tensor(rng.stream("w").normal((spec.c_out, c, spec.k, spec.k, spec.k)) * 0.3)
         b = Tensor(rng.stream("b").normal((spec.c_out,)))
-        out = ops.conv3d_forward(x, w, b, spec)
-        r = rng.stream("r").normal(out.shape)
-        gx, gw, gb = ops.conv3d_backward(Tensor(r), x, w, spec)
-        loss = lambda: _probe(ops.conv3d_forward(x, w, b, spec), r)
-        for label, t, g in (("x", x, gx), ("w", w, gw), ("b", b, gb)):
-            num = central_diff(loss, t.data)
-            results.append(CheckResult(f"{name} d{label}", rel_error(g.data, num), OP_TOL))
+        results += check_op(
+            name, rng.stream("r"),
+            lambda: (ops.conv3d_forward(x, w, b, spec), None),
+            lambda g, _: ops.conv3d_backward(g, x, w, spec),
+            {"x": x, "w": w, "b": b})
     return results
 
 
@@ -100,16 +115,10 @@ def check_pool(seed: int = 0) -> list[CheckResult]:
         # so the argmax cannot flip under the finite-difference perturbation.
         vals = rng.permutation(n * c * e ** 3).astype(np.float64) * 0.05
         x = Tensor(vals.reshape(n, c, e, e, e))
-        out, idx = ops.maxpool3d_forward(x, k, s)
-        r = rng.stream("r").normal(out.shape)
-        gx = ops.maxpool3d_backward(Tensor(r), idx, x.shape)
-
-        def loss():
-            o, _ = ops.maxpool3d_forward(x, k, s)
-            return _probe(o, r)
-
-        num = central_diff(loss, x.data)
-        results.append(CheckResult(f"{name} dx", rel_error(gx.data, num), OP_TOL))
+        results += check_op(
+            name, rng.stream("r"), lambda: ops.maxpool3d_forward(x, k, s),
+            lambda g, idx: (ops.maxpool3d_backward(g, idx, x.shape),),
+            {"x": x})
     return results
 
 
@@ -122,13 +131,9 @@ def check_norm(seed: int = 0) -> list[CheckResult]:
     results = []
 
     def run(name, rng, fwd, tensors):
-        out, cache = fwd()
-        r = rng.stream(name, "r").normal(out.shape)
-        grads = ops.norm_backward(Tensor(r), cache)
-        for label, t, g in zip(("x", "gamma", "beta"), tensors, grads):
-            num = central_diff(lambda: _probe(fwd()[0], r), t.data)
-            results.append(
-                CheckResult(f"{name} d{label}", rel_error(g.data, num), OP_TOL))
+        results.extend(check_op(name, rng.stream(name, "r"), fwd,
+                                ops.norm_backward,
+                                dict(zip(("x", "gamma", "beta"), tensors))))
 
     for i, shape in enumerate(NORM_SHAPES):
         rng = Rng(seed).stream("gradcheck", "norm", i)
@@ -174,14 +179,11 @@ def check_linear(seed: int = 0) -> list[CheckResult]:
         x = Tensor(rng.stream("x").normal((n, d_in)))
         w = Tensor(rng.stream("w").normal((d_out, d_in)) * 0.5)
         b = Tensor(rng.stream("b").normal((d_out,)))
-        out = ops.linear_forward(x, w, b)
-        r = rng.stream("r").normal(out.shape)
-        gx, gw, gb = ops.linear_backward(Tensor(r), x, w)
-        loss = lambda: _probe(ops.linear_forward(x, w, b), r)
-        for label, t, g in (("x", x, gx), ("w", w, gw), ("b", b, gb)):
-            num = central_diff(loss, t.data)
-            results.append(CheckResult(f"linear #{i} d{label}",
-                                       rel_error(g.data, num), OP_TOL))
+        results += check_op(
+            f"linear #{i}", rng.stream("r"),
+            lambda: (ops.linear_forward(x, w, b), None),
+            lambda g, _: ops.linear_backward(g, x, w),
+            {"x": x, "w": w, "b": b})
     return results
 
 
@@ -196,11 +198,9 @@ def check_relu(seed: int = 0) -> list[CheckResult]:
         sign = np.where(rng.stream("sign").raw(size).reshape(shape)
                         & np.uint64(1), 1.0, -1.0)
         x = Tensor(mag * sign)
-        r = rng.stream("r").normal(x.shape)
-        gx = ops.relu_backward(Tensor(r), x)
-        num = central_diff(lambda: _probe(ops.relu(x), r), x.data)
-        results.append(CheckResult(f"relu #{i} dx",
-                                   rel_error(gx.data, num), OP_TOL))
+        results += check_op(
+            f"relu #{i}", rng.stream("r"), lambda: (ops.relu(x), None),
+            lambda g, _: (ops.relu_backward(g, x),), {"x": x})
     return results
 
 
@@ -233,13 +233,13 @@ def check_model(seed: int = 0, n_coords: int = 20) -> list[CheckResult]:
     still exercised everywhere through the surviving coordinates. If no
     coordinate survives, the check fails with an infinite error.
     """
-    from .model import ModelConfig, build, forward, backward
+    from .model import NUM_CLASSES, ModelConfig, build, forward, backward
 
     cfg = ModelConfig(crop_extent=32)
     rng = Rng(seed).stream("gradcheck", "model")
     model = build(cfg, rng.stream("params"), dtype=np.float64)
     x = Tensor(rng.stream("x").normal((2, 1, 32, 32, 32)) * 0.5)
-    r = rng.stream("r").normal((2, cfg.num_classes))
+    r = rng.stream("r").normal((2, NUM_CLASSES))
 
     def probe():
         logits, tape = forward(model, x, None, "eval")

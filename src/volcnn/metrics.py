@@ -22,10 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .data import LABEL_NAMES, atomic_write
+from .data import LABEL_NAMES, NUM_CLASSES, atomic_write
 from .tensor import Rng
 
-NUM_CLASSES = len(LABEL_NAMES)
 
 # sentinel thresholds for the synthetic ROC endpoints
 ROC_START = float("inf")
@@ -154,6 +153,8 @@ def multiclass_auc(probs, labels) -> MulticlassAuc:
         raise ValueError("labels must match probs rows and be non-empty")
     if y.min() < 0 or y.max() >= NUM_CLASSES:
         raise ValueError(f"labels outside [0, {NUM_CLASSES})")
+    if not np.isfinite(p).all():
+        raise ValueError("probabilities must be finite")
     if np.abs(p.sum(axis=1) - 1.0).max() > 1e-4:
         raise ValueError("probability rows must sum to 1 within 1e-4")
 

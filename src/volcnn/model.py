@@ -33,7 +33,7 @@ import numpy as np
 
 from . import ops, tensor
 from .config import FIRST_LAYER_VARIANTS, ModelConfig
-from .data import atomic_write
+from .data import NUM_CLASSES, atomic_write
 from .tensor import Rng, ShapeError, Tensor
 
 FC1_WIDTH = 1024
@@ -55,8 +55,6 @@ class BlockPlan:
 @dataclass(frozen=True)
 class ModelPlan:
     blocks: tuple[BlockPlan, ...]
-    final_channels: int
-    final_extent: int
     flat_features: int
     fc1_in: int
 
@@ -108,7 +106,7 @@ def layer_plan(config: ModelConfig) -> ModelPlan:
 
     flat = c * e ** 3
     fc1_in = flat + (1 if config.age_mode == "concat" else 0)
-    return ModelPlan(tuple(blocks), c, e, flat, fc1_in)
+    return ModelPlan(tuple(blocks), flat, fc1_in)
 
 
 def infer_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
@@ -128,7 +126,7 @@ def infer_shapes(config: ModelConfig) -> list[tuple[str, tuple[int, ...]]]:
         rows.append(("age.fc1", (AGE_HIDDEN,)))
         rows.append(("age.fc2", (FC1_WIDTH,)))
     rows.append(("fc1", (FC1_WIDTH,)))
-    rows.append(("fc2", (config.num_classes,)))
+    rows.append(("fc2", (NUM_CLASSES,)))
     return rows
 
 
@@ -176,8 +174,8 @@ def build(config: ModelConfig, rng: Rng, dtype=tensor.F32) -> Model:
             (FC1_WIDTH, AGE_HIDDEN), rng.stream("age", "fc2", "weight"), dtype)
         params["age.fc2.bias"] = tensor.zeros((FC1_WIDTH,), dtype)
     params["fc2.weight"] = tensor.kaiming_uniform(
-        (config.num_classes, FC1_WIDTH), rng.stream("fc2", "weight"), dtype)
-    params["fc2.bias"] = tensor.zeros((config.num_classes,), dtype)
+        (NUM_CLASSES, FC1_WIDTH), rng.stream("fc2", "weight"), dtype)
+    params["fc2.bias"] = tensor.zeros((NUM_CLASSES,), dtype)
     return Model(config, plan, params, buffers, np.dtype(dtype))
 
 
@@ -201,7 +199,7 @@ def _validate_ages(config: ModelConfig, ages, n: int) -> np.ndarray | None:
 
 def forward(model: Model, x: Tensor, ages=None,
             mode: str = "train") -> tuple[Tensor, Tape]:
-    """Run the network. Returns pre-softmax logits [N, num_classes] and the
+    """Run the network. Returns pre-softmax logits [N, NUM_CLASSES] and the
     tape needed for backward. Train mode updates batch-norm running stats."""
     cfg = model.config
     if mode not in ("train", "eval"):
@@ -226,12 +224,12 @@ def forward(model: Model, x: Tensor, ages=None,
             rv_key = f"{bp.name}.norm.running_var"
             h, cache, nm, nv = ops.batch_norm_forward(
                 h, gamma, beta, model.buffers[rm_key], model.buffers[rv_key],
-                mode, eps=cfg.eps)
+                mode)
             if mode == "train":
                 model.buffers[rm_key] = nm
                 model.buffers[rv_key] = nv
         else:
-            h, cache = ops.instance_norm_forward(h, gamma, beta, cfg.eps)
+            h, cache = ops.instance_norm_forward(h, gamma, beta)
         entries.append(("norm", bp.name, cache))
         entries.append(("relu", h))
         h = ops.relu(h)
@@ -254,8 +252,7 @@ def forward(model: Model, x: Tensor, ages=None,
         a1 = ops.linear_forward(ae, model.params["age.fc1.weight"],
                                 model.params["age.fc1.bias"])
         a1n, ln_cache = ops.layer_norm_forward(
-            a1, model.params["age.norm.gamma"], model.params["age.norm.beta"],
-            cfg.eps)
+            a1, model.params["age.norm.gamma"], model.params["age.norm.beta"])
         a2 = ops.linear_forward(a1n, model.params["age.fc2.weight"],
                                 model.params["age.fc2.bias"])
         z = Tensor(z.data + a2.data)
@@ -281,11 +278,11 @@ def backward(model: Model, tape: Tape,
     g = grad_logits
     for entry in reversed(tape.entries):
         kind = entry[0]
-        if kind == "fc2":
-            _, h2 = entry
-            g, gw, gb = ops.linear_backward(g, h2, model.params["fc2.weight"])
-            grads["fc2.weight"], grads["fc2.bias"] = gw, gb
-        elif kind == "relu_head":
+        if kind in ("fc1", "fc2"):
+            g, gw, gb = ops.linear_backward(g, entry[1],
+                                            model.params[f"{kind}.weight"])
+            grads[f"{kind}.weight"], grads[f"{kind}.bias"] = gw, gb
+        elif kind in ("relu", "relu_head"):
             g = ops.relu_backward(g, entry[1])
         elif kind == "age_head":
             _, ae, ln_cache, a1n = entry
@@ -296,10 +293,6 @@ def backward(model: Model, tape: Tape,
             _, gw, gb = ops.linear_backward(ga, ae, model.params["age.fc1.weight"])
             grads["age.fc1.weight"], grads["age.fc1.bias"] = gw, gb
             # g itself continues down the fc1 branch of the sum unchanged
-        elif kind == "fc1":
-            _, h = entry
-            g, gw, gb = ops.linear_backward(g, h, model.params["fc1.weight"])
-            grads["fc1.weight"], grads["fc1.bias"] = gw, gb
         elif kind == "drop_age_column":
             g = Tensor(np.ascontiguousarray(g.data[:, :-1]))
         elif kind == "flatten":
@@ -307,8 +300,6 @@ def backward(model: Model, tape: Tape,
         elif kind == "pool":
             _, idx, shape = entry
             g = ops.maxpool3d_backward(g, idx, shape)
-        elif kind == "relu":
-            g = ops.relu_backward(g, entry[1])
         elif kind == "norm":
             _, name, cache = entry
             g, dgm, dbt = ops.norm_backward(g, cache)

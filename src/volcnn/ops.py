@@ -22,6 +22,8 @@ import numpy as np
 
 from .tensor import Tensor, ShapeError
 
+EPS = 1e-5  # added to the variance of every normalization
+
 
 def conv_out_extent(extent: int, k: int, p: int, s: int, d: int) -> int:
     return (extent + 2 * p - d * (k - 1) - 1) // s + 1
@@ -226,41 +228,41 @@ def maxpool3d_backward(grad_out: Tensor, idx: np.ndarray,
 class NormCache:
     """Saved forward state for norm_backward."""
 
-    variant: str
-    x_shape: tuple[int, ...]
     axes: tuple[int, ...]       # reduction axes of the normalization
     param_axes: tuple[int, ...]  # axes summed over for gamma/beta grads
     xhat: np.ndarray
     invstd: np.ndarray
     gamma_b: np.ndarray          # gamma broadcast to x's rank
+    fixed_stats: bool = False    # eval-mode batch norm: mean/var are constants
 
 
 def _norm_core(x: np.ndarray, gamma_b: np.ndarray, beta_b: np.ndarray,
                axes: tuple[int, ...], eps: float):
+    """(y, xhat, invstd, mean, var) for normalization over `axes`, with the
+    biased variance; mean and var keep x's rank and dtype."""
     mean = x.mean(axis=axes, keepdims=True, dtype=x.dtype)
-    var = x.var(axis=axes, keepdims=True, dtype=x.dtype)  # biased
+    var = x.var(axis=axes, keepdims=True, dtype=x.dtype)
     invstd = 1.0 / np.sqrt(var + x.dtype.type(eps))
     xhat = (x - mean) * invstd
-    return gamma_b * xhat + beta_b, xhat, invstd
+    return gamma_b * xhat + beta_b, xhat, invstd, mean, var
 
 
 def instance_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
-                          eps: float = 1e-5) -> tuple[Tensor, NormCache]:
+                          eps: float = EPS) -> tuple[Tensor, NormCache]:
     """Normalize each (sample, channel) over its spatial positions. No batch
     statistics are involved, so train and eval behave identically."""
-    n, c = x.shape[0], x.shape[1]
+    c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"affine params {gamma.shape}/{beta.shape}, expected ({c},)")
     gb = gamma.data.reshape(1, c, 1, 1, 1)
     bb = beta.data.reshape(1, c, 1, 1, 1)
-    y, xhat, invstd = _norm_core(x.data, gb, bb, (2, 3, 4), eps)
-    cache = NormCache("instance", x.shape, (2, 3, 4), (0, 2, 3, 4), xhat, invstd, gb)
-    return Tensor(y), cache
+    y, xhat, invstd, _, _ = _norm_core(x.data, gb, bb, (2, 3, 4), eps)
+    return Tensor(y), NormCache((2, 3, 4), (0, 2, 3, 4), xhat, invstd, gb)
 
 
 def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
                        running_mean: Tensor, running_var: Tensor, mode: str,
-                       momentum: float = 0.1, eps: float = 1e-5
+                       momentum: float = 0.1, eps: float = EPS
                        ) -> tuple[Tensor, NormCache, Tensor, Tensor]:
     """Per-channel normalization over batch and spatial positions.
 
@@ -273,44 +275,39 @@ def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     n, c = x.shape[0], x.shape[1]
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
+    axes = (0, 2, 3, 4)
     gb = gamma.data.reshape(1, c, 1, 1, 1)
     bb = beta.data.reshape(1, c, 1, 1, 1)
     if mode == "train":
         if n < 2:
             raise ValueError("batch norm in train mode needs a batch of >= 2")
-        mean = x.data.mean(axis=(0, 2, 3, 4))
-        var = x.data.var(axis=(0, 2, 3, 4))  # biased, used for normalization
-        invstd = (1.0 / np.sqrt(var + eps)).reshape(1, c, 1, 1, 1).astype(x.dtype)
-        xhat = (x.data - mean.reshape(1, c, 1, 1, 1)) * invstd
-        y = gb * xhat + bb
+        y, xhat, invstd, mean, var = _norm_core(x.data, gb, bb, axes, eps)
         m = x.data.size // c
-        new_mean = (1 - momentum) * running_mean.data + momentum * mean
-        new_var = (1 - momentum) * running_var.data + momentum * var * m / (m - 1)
-        cache = NormCache("batch", x.shape, (0, 2, 3, 4), (0, 2, 3, 4),
-                          xhat, invstd, gb)
-        return (Tensor(y), cache, Tensor(new_mean.astype(x.dtype)),
-                Tensor(new_var.astype(x.dtype)))
+        new_mean = (1 - momentum) * running_mean.data + momentum * mean.reshape(c)
+        new_var = ((1 - momentum) * running_var.data
+                   + momentum * var.reshape(c) * m / (m - 1))
+        return (Tensor(y), NormCache(axes, axes, xhat, invstd, gb),
+                Tensor(new_mean.astype(x.dtype)), Tensor(new_var.astype(x.dtype)))
     invstd = (1.0 / np.sqrt(running_var.data + eps)).reshape(1, c, 1, 1, 1)
     xhat = (x.data - running_mean.data.reshape(1, c, 1, 1, 1)) * invstd
     y = gb * xhat + bb
-    cache = NormCache("batch_eval", x.shape, (0, 2, 3, 4), (0, 2, 3, 4),
-                      xhat.astype(x.dtype), invstd.astype(x.dtype), gb)
+    cache = NormCache(axes, axes, xhat.astype(x.dtype), invstd.astype(x.dtype),
+                      gb, fixed_stats=True)
     return Tensor(y.astype(x.dtype)), cache, running_mean, running_var
 
 
 def layer_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
-                       eps: float = 1e-5) -> tuple[Tensor, NormCache]:
+                       eps: float = EPS) -> tuple[Tensor, NormCache]:
     """Normalize over the trailing feature axis of each row."""
     f = x.shape[-1]
     if gamma.shape != (f,) or beta.shape != (f,):
         raise ShapeError(f"affine params {gamma.shape}/{beta.shape}, expected ({f},)")
-    axes = (x.data.ndim - 1,)
-    gb = gamma.data.reshape((1,) * (x.data.ndim - 1) + (f,))
+    rank = x.data.ndim
+    gb = gamma.data.reshape((1,) * (rank - 1) + (f,))
     bb = beta.data.reshape(gb.shape)
-    y, xhat, invstd = _norm_core(x.data, gb, bb, axes, eps)
-    param_axes = tuple(range(x.data.ndim - 1))
-    cache = NormCache("layer", x.shape, axes, param_axes, xhat, invstd, gb)
-    return Tensor(y), cache
+    y, xhat, invstd, _, _ = _norm_core(x.data, gb, bb, (rank - 1,), eps)
+    return Tensor(y), NormCache((rank - 1,), tuple(range(rank - 1)),
+                                xhat, invstd, gb)
 
 
 def norm_backward(grad_out: Tensor,
@@ -318,16 +315,16 @@ def norm_backward(grad_out: Tensor,
     """Gradients through any normalization forward, including the dependence
     of mean and variance on the input (except eval-mode batch norm, whose
     statistics are constants)."""
-    if grad_out.shape != cache.x_shape:
+    if grad_out.shape != cache.xhat.shape:
         raise ShapeError(
             f"grad_out shape {grad_out.shape} does not match saved forward "
-            f"state for input {cache.x_shape}"
+            f"state for input {cache.xhat.shape}"
         )
     g = grad_out.data
     dgamma = (g * cache.xhat).sum(axis=cache.param_axes)
     dbeta = g.sum(axis=cache.param_axes)
     dxhat = g * cache.gamma_b
-    if cache.variant == "batch_eval":
+    if cache.fixed_stats:
         dx = dxhat * cache.invstd
     else:
         m1 = dxhat.mean(axis=cache.axes, keepdims=True, dtype=g.dtype)

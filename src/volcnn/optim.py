@@ -24,7 +24,7 @@ from . import metrics
 from . import model as network
 from . import ops, tensor
 from .config import TrainConfig
-from .data import (LeakageError, center_crop, gaussian_blur,
+from .data import (LeakageError, atomic_write, center_crop, gaussian_blur,
                    intensity_normalize, random_crop)
 from .tensor import Rng, Tensor
 
@@ -72,7 +72,8 @@ class TrainLog:
 
     def write(self, path) -> Path:
         path = Path(path)
-        path.write_text(self.to_csv())
+        with atomic_write(path) as fh:
+            fh.write(self.to_csv())
         return path
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import model as network
-from .data import gaussian_blur, write_native
+from .data import NUM_CLASSES, atomic_write, gaussian_blur, write_native
 from .tensor import ShapeError, Tensor
 
 AXES = {"sagittal": 0, "coronal": 1, "axial": 2}
@@ -38,10 +38,9 @@ def saliency(net, volume, target: int, age=None) -> SaliencyMap:
     probability factor that vanishes at saturation and would flatten the
     map exactly where the model is most confident.
     """
-    c = net.config.num_classes
-    if not 0 <= int(target) < c:
-        raise ValueError(f"target class {target} outside [0, {c})")
-    vol = volume.data if isinstance(volume, Tensor) else np.asarray(volume)
+    if not 0 <= int(target) < NUM_CLASSES:
+        raise ValueError(f"target class {target} outside [0, {NUM_CLASSES})")
+    vol = np.asarray(volume)
     e = net.config.crop_extent
     if vol.shape != (e, e, e):
         raise ShapeError(f"volume shape {vol.shape}, expected ({e}, {e}, {e})")
@@ -117,7 +116,8 @@ def export_slices(smap: SaliencyMap, views, prefix,
             raise ValueError(
                 f"{axis} index {index} out of range [0, {vol.shape[dim]})")
         path = Path(f"{prefix}_{axis}{index}.pgm")
-        path.write_bytes(slice_to_pgm(np.take(vol, index, axis=dim)))
+        with atomic_write(path, "wb") as fh:
+            fh.write(slice_to_pgm(np.take(vol, index, axis=dim)))
         paths.append(path)
     if with_volume:
         write_native(first, vol)

@@ -149,14 +149,8 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        return float(self.data.reshape(-1)[0]) if self.data.shape else float(self.data)
-
     def copy(self) -> "Tensor":
         return Tensor(self.data.copy())
-
-    def astype(self, dtype) -> "Tensor":
-        return Tensor(self.data.astype(dtype))
 
     def reshape(self, shape: Sequence[int]) -> "Tensor":
         return Tensor(self.data.reshape(shape).copy())

@@ -1,13 +1,14 @@
 """Data layer tests: volume formats, manifests, augmentation, synthesis."""
 
 import math
+import os
 import struct
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from volcnn import data
+from volcnn import data, optim
 from volcnn.tensor import Rng
 
 
@@ -488,3 +489,23 @@ class TestAtomicWrite:
                 raise RuntimeError("killed")
         assert path.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["best.ckpt"]
+
+    def test_interrupted_log_and_volume_writes_keep_previous(
+            self, tmp_path, monkeypatch):
+        log_path, vol_path = tmp_path / "train_log.csv", tmp_path / "s.vol"
+        rec = optim.EpochRecord(1, 1.0, 0.9, 0.5, 0.0, True)
+        optim.TrainLog([rec]).write(log_path)
+        data.write_native(vol_path, np.zeros((2, 2, 2), np.float32))
+        before = {p: p.read_bytes() for p in (log_path, vol_path)}
+
+        def crash(src, dst):
+            raise OSError("killed before the rename")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="killed"):
+            optim.TrainLog([rec, rec]).write(log_path)
+        with pytest.raises(OSError, match="killed"):
+            data.write_native(vol_path, np.ones((3, 3, 3), np.float32))
+        assert {p: p.read_bytes() for p in before} == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "s.vol", "train_log.csv"]

@@ -208,6 +208,12 @@ class TestMulticlassAuc:
         with pytest.raises(ValueError, match="sum"):
             metrics.multiclass_auc(np.full((2, 3), 0.5), [0, 1])
 
+    def test_nan_probabilities_rejected(self):
+        # a NaN row passes the row-sum check, whose comparison is False on NaN
+        probs = [[np.nan, .5, .5], [.2, .3, .5], [.1, .1, .8], [.6, .2, .2]]
+        with pytest.raises(ValueError, match="finite"):
+            metrics.multiclass_auc(probs, [0, 1, 2, 0])
+
 
 def fake_records(n_per_class=8, seed=0, classes=(0, 1, 2), lift=1.5):
     g = np.random.default_rng(seed)

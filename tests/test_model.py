@@ -282,6 +282,23 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
+    def test_header_with_retired_keys_loads(self, tmp_path):
+        # checkpoints written while the config still carried eps and
+        # num_classes load; those keys come back as extra entries
+        _, net, path = self.make_net(tmp_path)
+        m.save_checkpoint(path, net, {"val_loss": "1.0"})
+        raw = path.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", raw, 12)
+        lines = raw[16:16 + cfg_len].decode().splitlines(keepends=True)
+        header = "".join(sorted(lines + ["eps=1e-05\n", "num_classes=3\n"]))
+        path.write_bytes(raw[:12] + struct.pack("<I", len(header))
+                         + header.encode() + raw[16 + cfg_len:])
+        loaded, extra, _ = m.load_checkpoint(path)
+        assert loaded.config == net.config
+        assert extra == {"eps": "1e-05", "num_classes": "3", "val_loss": "1.0"}
+        for name, t in net.params.items():
+            np.testing.assert_array_equal(loaded.params[name].data, t.data)
+
     def test_bad_magic_rejected(self, tmp_path):
         _, net, path = self.make_net(tmp_path)
         m.save_checkpoint(path, net)

@@ -308,6 +308,35 @@ class TestNorms:
         with pytest.raises(ValueError, match="batch of >= 2"):
             ops.batch_norm_forward(x, ones, zeros, zeros.copy(), ones.copy(), "train")
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(3, 2, 4, 3, 5), (2, 1, 3, 4, 4)])
+    def test_batch_norm_train_matches_numpy_statistics(self, dtype, shape):
+        # the batch statistics are numpy's mean and biased var over
+        # (0, 2, 3, 4), in the input's dtype, bit for bit
+        rng = Rng(8).stream("bn-oracle", *shape)
+        c = shape[1]
+        x = (rng.stream("x").normal(shape) * 3.0 + 1.0).astype(dtype)
+        gamma = rng.stream("g").uniform((c,), 0.5, 1.5).astype(dtype)
+        beta = rng.stream("b").normal((c,)).astype(dtype)
+        rm = rng.stream("rm").normal((c,)).astype(dtype)
+        rv = rng.stream("rv").uniform((c,), 0.5, 2.0).astype(dtype)
+        y, cache, nm, nv = ops.batch_norm_forward(
+            Tensor(x), Tensor(gamma), Tensor(beta), Tensor(rm), Tensor(rv),
+            "train", momentum=0.1)
+        b = (1, c, 1, 1, 1)
+        mean = x.mean(axis=(0, 2, 3, 4))
+        var = x.var(axis=(0, 2, 3, 4))
+        assert mean.dtype == var.dtype == dtype
+        invstd = (1.0 / np.sqrt(var + ops.EPS)).astype(dtype).reshape(b)
+        xhat = (x - mean.reshape(b)) * invstd
+        m = x.size // c
+        for got, want in ((cache.xhat, xhat),
+                          (y.data, gamma.reshape(b) * xhat + beta.reshape(b)),
+                          (nm.data, 0.9 * rm + 0.1 * mean),
+                          (nv.data, 0.9 * rv + 0.1 * var * m / (m - 1))):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
     def test_layer_norm_rows(self):
         rng = Rng(7).stream("ln")
         x = Tensor(rng.normal((4, 8)) * 3.0 - 1.0)

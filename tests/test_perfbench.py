@@ -1,0 +1,42 @@
+"""The benchmark harness's contract with the package: perfbench/child.py
+wraps volcnn functions by name and reads their arguments and outputs, so
+renaming an op or changing its arguments must fail here, not only when the
+benchmark runs."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import volcnn
+from volcnn.cli import main
+
+CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+
+
+def test_trace_mode_records_the_wrapped_ops(tmp_path):
+    assert main(["synth", "--run_dir", str(tmp_path / "synth"), "--seed", "3",
+                 "--n_per_class", "4", "--extent", "32"]) == 0
+    manifest = tmp_path / "synth" / "dataset" / "manifest.csv"
+    spec = {"src": str(Path(volcnn.__file__).resolve().parents[1]),
+            "mode": "trace", "out": str(tmp_path / "out.json"),
+            "argv": ["train", "--manifest", str(manifest),
+                     "--crop_extent", "32", "--max_epochs", "1",
+                     "--threads", "1", "--run_dir", str(tmp_path / "run")]}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    env = dict(os.environ, OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, str(CHILD),
+                           str(tmp_path / "spec.json")],
+                          cwd=tmp_path, env=env, capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads((tmp_path / "out.json").read_text())
+    assert result["code"] == 0
+    names = {s[0] for s in result["spans"]}
+    for op in ("ops.conv3d_forward", "ops.instance_norm_forward",
+               "ops.norm_backward"):
+        assert op in names
+    conv = [s[4] for s in result["spans"] if s[0] == "ops.conv3d_forward"]
+    assert all(a["macs"] > 0 for a in conv)
