@@ -8,12 +8,4 @@ evaluation metrics with bootstrap intervals, and gradient saliency maps.
 
 __version__ = "0.1.0"
 
-__all__ = ["Rng", "Tensor", "__version__"]
-
-
-def __getattr__(name):
-    # deferred so the CLI can pin BLAS thread env vars before numpy loads
-    if name in ("Rng", "Tensor"):
-        from . import tensor
-        return getattr(tensor, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__all__ = ["__version__"]

@@ -36,10 +36,8 @@ _KINDS = {"int": "int", "float": "float", "str": "str", "bool": "bool",
 
 
 def _keys(cls) -> dict:
-    """key -> (kind, default) for the fields of a config dataclass.
-    checkpoint is the CLI's name for checkpoint_path."""
-    return {f.name: (_KINDS[f.type], f.default) for f in fields(cls)
-            if f.name != "checkpoint_path"}
+    """key -> (kind, default) for the fields of a config dataclass."""
+    return {f.name: (_KINDS[f.type], f.default) for f in fields(cls)}
 
 
 MODEL_KEYS = _keys(ModelConfig)
@@ -72,7 +70,8 @@ SCHEMA = {
     "values": ("str", ""),
     # gradient checks
     "scope": ("str", "all"),
-    # environment
+    # environment: BLAS worker threads, pinned before numpy loads (0 leaves
+    # the pool alone; 1 gives byte-identical reruns)
     "threads": ("int", 0),
 }
 
@@ -204,10 +203,8 @@ def _model_config(cfg):
     return ModelConfig(**{k: cfg[k] for k in MODEL_KEYS})
 
 
-def _train_config(cfg, run_dir: Path):
-    ckpt = cfg["checkpoint"] or str(run_dir / "best.ckpt")
-    return TrainConfig(checkpoint_path=ckpt,
-                       **{k: cfg[k] for k in TRAIN_KEYS})
+def _train_config(cfg):
+    return TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS})
 
 
 def _load_manifest(cfg):
@@ -264,13 +261,14 @@ def cmd_train(cfg: dict, run_dir: Path, loaded: dict | None = None) -> int:
     train_samples = _split_samples(manifest, "train", loaded)
     val_samples = _split_samples(manifest, "val", loaded)
     model_cfg = _model_config(cfg)
-    train_cfg = _train_config(cfg, run_dir)
+    train_cfg = _train_config(cfg)
     print(f"resolved batch_size = {resolve_batch_size(train_cfg, model_cfg)}")
 
+    ckpt = cfg["checkpoint"] or str(run_dir / "best.ckpt")
     net = build(model_cfg, Rng(cfg["seed"]))
-    _, log = train(net, train_samples, val_samples, train_cfg)
+    log = train(net, train_samples, val_samples, train_cfg, ckpt)
     log.write(run_dir / "train_log.csv")
-    print(f"checkpoint = {train_cfg.checkpoint_path}")
+    print(f"checkpoint = {ckpt}")
     return EXIT_OK
 
 
@@ -486,9 +484,6 @@ def build_parser() -> argparse.ArgumentParser:
                f"Keys: {keys}")
     parser.add_argument("command", choices=COMMANDS)
     parser.add_argument("--config", help="key = value configuration file")
-    parser.add_argument("--threads", type=int,
-                        help="cap BLAS worker threads (set before numpy "
-                             "loads; use 1 for bit-reproducible runs)")
     return parser
 
 
@@ -497,8 +492,6 @@ def effective_config(args, override_tokens) -> dict:
     if args.config:
         cfg.update(load_config_file(args.config))
     cfg.update(parse_overrides(override_tokens))
-    if args.threads is not None:
-        cfg["threads"] = args.threads
     return cfg
 
 

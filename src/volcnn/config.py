@@ -54,7 +54,6 @@ class TrainConfig:
     momentum: float = 0.9
     batch_size: int | None = None   # None: 4, or 16 for batch norm
     seed: int = 0
-    checkpoint_path: str | None = None
     class_weights: tuple | None = None
     normalize: bool = True          # per-volume z-score before augmentation
     blur_hi: float = 1.5

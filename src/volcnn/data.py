@@ -19,7 +19,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .tensor import Rng, Tensor
+from .ops import round_age
+from .tensor import Rng
 
 LABEL_NAMES = ("CN", "MCI", "AD")
 NUM_CLASSES = len(LABEL_NAMES)
@@ -344,29 +345,23 @@ def subsample(manifest: Manifest, rate: float, rng: Rng) -> Manifest:
 
 
 @dataclass
-class VolumeSample:
-    volume: Tensor          # [1, D, H, W]
+class Sample:
+    volume: np.ndarray      # rank-3 float32 [D, H, W]
+    subject_id: str
     label: int
     age: float
-    subject_id: str
     split: str
 
 
-def load_sample(manifest: Manifest, row: ManifestRow) -> VolumeSample:
+# perfbench/workloads.py builds its scan-shaped inputs under this name
+SyntheticSample = Sample
+
+
+def load_sample(manifest: Manifest, row: ManifestRow) -> Sample:
     vol = load_volume(manifest.resolve(row))
     if not np.isfinite(vol).all():
         raise VolumeFormatError(f"{row.path}: non-finite voxels")
-    return VolumeSample(Tensor(vol[None]), row.label, row.age,
-                        row.subject_id, row.split)
-
-
-@dataclass
-class SyntheticSample:
-    volume: np.ndarray
-    subject_id: str
-    label: int
-    age: float
-    split: str
+    return Sample(vol, row.subject_id, row.label, row.age, row.split)
 
 
 # per-class age statistics (mean, standard deviation) for synthesis
@@ -374,7 +369,7 @@ _AGE_STATS = {0: (77.0, 5.4), 1: (75.9, 7.3), 2: (76.7, 7.4)}
 
 
 def generate_synthetic(n_per_class: int, extent: int, rng: Rng,
-                       noise: float = 0.1) -> list[SyntheticSample]:
+                       noise: float = 0.1) -> list[Sample]:
     """Structured class-conditional volumes: a tissue ball with a centered
     ellipsoidal cavity whose radius grows with disease stage, plus optional
     Gaussian noise. Cavity volume alone separates the classes, so a simple
@@ -407,16 +402,16 @@ def generate_synthetic(n_per_class: int, extent: int, rng: Rng,
                     (extent,) * 3).astype(np.float32)
             mean, std = _AGE_STATS[label]
             age = mean + std * float(s.stream("age").normal(()))
-            age = float(np.floor(min(max(age, 40.0), 100.0) * 2.0 + 0.5) / 2.0)
+            age = round_age(min(max(age, 40.0), 100.0))
             split = ("train" if i < n_train
                      else "val" if i < n_train + n_val else "test")
             sid = f"syn-{LABEL_NAMES[label].lower()}-{i:03d}"
-            samples.append(SyntheticSample(vol.astype(np.float32), sid,
-                                           label, age, split))
+            samples.append(Sample(vol.astype(np.float32), sid, label, age,
+                                  split))
     return samples
 
 
-def write_synthetic_dataset(samples: list[SyntheticSample], out_dir) -> Path:
+def write_synthetic_dataset(samples: list[Sample], out_dir) -> Path:
     """Write volumes in the native format plus a manifest CSV; returns the
     manifest path."""
     out_dir = Path(out_dir)

@@ -4,8 +4,8 @@ Each epoch: seeded shuffle, per-sample augmentation (Gaussian blur with
 sigma ~ U[0, blur_hi], then a random crop at the model's input extent),
 forward/backward/update, then a validation pass with deterministic
 preprocessing (center crop, no blur). The checkpoint is overwritten iff
-the validation loss strictly improves, and the best checkpoint's network
-is returned.
+the validation loss strictly improves, so it is the one copy of the best
+network.
 
 Augmentation draws come from a substream indexed by a global sample
 counter, so a run is reproducible sample-for-sample under its seed.
@@ -111,7 +111,7 @@ def _batch_tensors(samples, crop: int, normalize: bool):
     """Deterministic eval preprocessing: optional z-score, center crop."""
     vols = []
     for s in samples:
-        vol = s.volume.data[0]
+        vol = s.volume
         if normalize:
             vol = intensity_normalize(vol)
         vols.append(center_crop(vol, crop))
@@ -146,21 +146,11 @@ def evaluate_samples(net, samples, batch_size: int,
     return loss_sum / len(samples), records
 
 
-def _clone_with(net, params, buffers):
-    clone = network.build(net.config, Rng(0), dtype=net.dtype)
-    for k, t in params.items():
-        clone.params[k].data[...] = t.data
-    for k, t in buffers.items():
-        clone.buffers[k].data[...] = t.data
-    return clone
-
-
 def train(net, train_samples, val_samples, cfg: TrainConfig,
-          echo: bool = True) -> tuple:
-    """Returns (best network, TrainLog). The best network is the state at
-    the epoch with the lowest validation loss: reloaded from the checkpoint
-    when cfg.checkpoint_path is set, otherwise from an in-memory snapshot.
-    """
+          checkpoint_path) -> TrainLog:
+    """Trains net in place and returns the TrainLog. The network of the
+    epoch with the lowest validation loss is written to checkpoint_path,
+    with its momentum buffers; that file is its only copy."""
     _check_splits(train_samples, val_samples)
     bs = resolve_batch_size(cfg, net.config)
     crop = net.config.crop_extent
@@ -171,12 +161,10 @@ def train(net, train_samples, val_samples, cfg: TrainConfig,
     velocity = {k: tensor.zeros(t.shape, t.dtype)
                 for k, t in net.params.items()}
     best_val = float("inf")
-    best_state = None
     records = []
     counter = 0  # global sample counter indexing augmentation substreams
     n = len(train_samples)
-    if echo:
-        print(LOG_HEADER)
+    print(LOG_HEADER)
 
     for epoch in range(1, cfg.max_epochs + 1):
         t0 = time.perf_counter()
@@ -194,7 +182,7 @@ def train(net, train_samples, val_samples, cfg: TrainConfig,
                 s = train_samples[int(i)]
                 aug = rng.stream("augment", counter)
                 counter += 1
-                vol = s.volume.data[0]
+                vol = s.volume
                 if cfg.normalize:
                     vol = intensity_normalize(vol)
                 vol = gaussian_blur(
@@ -233,22 +221,12 @@ def train(net, train_samples, val_samples, cfg: TrainConfig,
         improved = val_loss < best_val
         if improved:
             best_val = val_loss
-            if cfg.checkpoint_path is not None:
-                network.save_checkpoint(cfg.checkpoint_path, net,
-                                        extra={"val_loss": repr(val_loss)},
-                                        velocity=velocity)
-            else:
-                best_state = ({k: t.copy() for k, t in net.params.items()},
-                              {k: t.copy() for k, t in net.buffers.items()})
+            network.save_checkpoint(checkpoint_path, net,
+                                    extra={"val_loss": repr(val_loss)},
+                                    velocity=velocity)
         seconds = time.perf_counter() - t0 if cfg.timing else 0.0
         rec = EpochRecord(epoch, train_loss, val_loss, float(bal), seconds,
                           improved)
         records.append(rec)
-        if echo:
-            print(rec.csv_line())
-
-    if cfg.checkpoint_path is not None:
-        best, _, _ = network.load_checkpoint(cfg.checkpoint_path)
-    else:
-        best = _clone_with(net, *best_state)
-    return best, TrainLog(records)
+        print(rec.csv_line())
+    return TrainLog(records)

@@ -208,6 +208,23 @@ class TestConfigHandling:
                 else:
                     os.environ[k] = v
 
+    def test_threads_flag_beats_config_file(self, tmp_path, monkeypatch):
+        # main sets all five; delenv makes monkeypatch restore them
+        for k in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS",
+                  "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS",
+                  "VECLIB_MAXIMUM_THREADS"):
+            monkeypatch.delenv(k, raising=False)
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("threads = 3\n")
+        assert main(["synth", "--config", str(cfg),
+                     "--run_dir", str(tmp_path / "r"), "--extent", "16",
+                     "--n_per_class", "1", "--threads", "2"]) == 0
+        assert os.environ["OPENBLAS_NUM_THREADS"] == "2"
+
+    def test_bad_threads_value_rejected(self, capsys):
+        assert main(["synth", "--threads", "banana"]) == 2
+        assert "threads" in capsys.readouterr().err
+
 
 class TestTrain:
     def test_artifacts(self, trained):

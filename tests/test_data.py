@@ -467,8 +467,8 @@ class TestSynthetic:
         man = data.load_manifest(manifest_path)
         assert len(man.rows) == 12
         sample = data.load_sample(man, man.rows[0])
-        assert sample.volume.shape == (1, 16, 16, 16)
-        assert np.isfinite(sample.volume.data).all()
+        assert sample.volume.shape == (16, 16, 16)
+        assert np.isfinite(sample.volume).all()
 
 
 class TestAtomicWrite:

@@ -1,22 +1,19 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from volcnn import data, optim
-from volcnn.data import LeakageError, VolumeSample
+from volcnn.data import LeakageError
 from volcnn.model import ModelConfig, build, forward, load_checkpoint
-from volcnn.tensor import Rng, Tensor, zeros
-
-
-def as_volume_sample(s: data.SyntheticSample) -> VolumeSample:
-    return VolumeSample(Tensor(s.volume[None]), s.label, s.age,
-                        s.subject_id, s.split)
+from volcnn.tensor import Rng, zeros
 
 
 def synth_sets(n_per_class=4, extent=40, seed=5, noise=0.1):
     samples = data.generate_synthetic(n_per_class, extent, Rng(seed),
                                       noise=noise)
-    train = [as_volume_sample(s) for s in samples if s.split == "train"]
-    val = [as_volume_sample(s) for s in samples if s.split == "val"]
+    train = [s for s in samples if s.split == "train"]
+    val = [s for s in samples if s.split == "val"]
     return train, val
 
 
@@ -124,11 +121,11 @@ class TestLossDescent:
 
 
 class TestTrainLoop:
-    def test_runs_and_logs(self, capsys):
+    def test_runs_and_logs(self, tmp_path, capsys):
         train, val = synth_sets()
         net = small_net()
         cfg = optim.TrainConfig(max_epochs=2, seed=1)
-        best, log = optim.train(net, train, val, cfg)
+        log = optim.train(net, train, val, cfg, tmp_path / "best.ckpt")
         assert [r.epoch for r in log.records] == [1, 2]
         assert all(r.seconds == 0.0 for r in log.records)
         assert log.records[0].checkpointed  # first epoch always improves
@@ -139,118 +136,116 @@ class TestTrainLoop:
         assert out[0] == optim.LOG_HEADER  # echoed to stdout
         assert out[1] == log.records[0].csv_line()
 
-    def test_deterministic_under_seed(self):
+    def test_deterministic_under_seed(self, tmp_path):
         results = []
-        for _ in range(2):
+        for run in ("a", "b"):
             train, val = synth_sets()
             net = small_net(seed=3)
             cfg = optim.TrainConfig(max_epochs=2, seed=7)
-            best, log = optim.train(net, train, val, cfg, echo=False)
-            results.append((log.to_csv(), best))
-        assert results[0][0] == results[1][0]
-        for k, t in results[0][1].params.items():
-            assert np.array_equal(t.data, results[1][1].params[k].data)
+            ckpt = tmp_path / f"{run}.ckpt"
+            log = optim.train(net, train, val, cfg, ckpt)
+            results.append((log.to_csv(), ckpt.read_bytes()))
+        assert results[0] == results[1]
 
     def test_checkpoint_tracks_best_val_loss(self, tmp_path):
         train, val = synth_sets()
         net = small_net()
         ckpt = tmp_path / "best.ckpt"
-        cfg = optim.TrainConfig(max_epochs=4, seed=2,
-                                checkpoint_path=str(ckpt))
-        best, log = optim.train(net, train, val, cfg, echo=False)
+        cfg = optim.TrainConfig(max_epochs=4, seed=2)
+        log = optim.train(net, train, val, cfg, ckpt)
         loaded, extra, velocity = load_checkpoint(ckpt)
         val_losses = [r.val_loss for r in log.records]
         assert float(extra["val_loss"]) == min(val_losses)
         assert velocity.keys() == loaded.params.keys()
-        for k, t in best.params.items():
-            assert np.array_equal(t.data, loaded.params[k].data)
 
-    def test_checkpoint_flags_follow_strict_improvement(self):
+    def test_checkpoint_flags_follow_strict_improvement(self, tmp_path):
         train, val = synth_sets()
         net = small_net()
         cfg = optim.TrainConfig(max_epochs=4, seed=0)
-        _, log = optim.train(net, train, val, cfg, echo=False)
+        log = optim.train(net, train, val, cfg, tmp_path / "best.ckpt")
         running = float("inf")
         for rec in log.records:
             assert rec.checkpointed == (rec.val_loss < running)
             running = min(running, rec.val_loss)
 
-    def test_best_network_beats_or_matches_final(self):
+    def test_best_network_beats_or_matches_final(self, tmp_path):
         train, val = synth_sets()
         net = small_net()
         cfg = optim.TrainConfig(max_epochs=3, seed=4)
-        best, log = optim.train(net, train, val, cfg, echo=False)
+        log = optim.train(net, train, val, cfg, tmp_path / "best.ckpt")
+        best, _, _ = load_checkpoint(tmp_path / "best.ckpt")
         bs = optim.resolve_batch_size(cfg, net.config)
         best_loss, _ = optim.evaluate_samples(best, val, bs)
         assert abs(best_loss - min(r.val_loss for r in log.records)) < 1e-6
 
-    def test_test_split_samples_are_rejected(self):
+    def test_test_split_samples_are_rejected(self, tmp_path):
         train, val = synth_sets()
-        poisoned = train[0].__class__(train[0].volume, train[0].label,
-                                      train[0].age, train[0].subject_id,
-                                      "test")
+        poisoned = dataclasses.replace(train[0], split="test")
         with pytest.raises(ValueError, match="test-split"):
             optim.train(small_net(), [poisoned] + train[1:], val,
-                        optim.TrainConfig(max_epochs=1))
+                        optim.TrainConfig(max_epochs=1),
+                        tmp_path / "best.ckpt")
 
-    def test_subject_overlap_rejected(self):
+    def test_subject_overlap_rejected(self, tmp_path):
         train, val = synth_sets()
-        leaky = VolumeSample(val[0].volume, val[0].label, val[0].age,
-                             val[0].subject_id, "train")
+        leaky = dataclasses.replace(val[0], split="train")
         with pytest.raises(LeakageError):
             optim.train(small_net(), train + [leaky], val,
-                        optim.TrainConfig(max_epochs=1))
+                        optim.TrainConfig(max_epochs=1),
+                        tmp_path / "best.ckpt")
 
-    def test_empty_sets_rejected(self):
+    def test_empty_sets_rejected(self, tmp_path):
         train, val = synth_sets()
+        ckpt = tmp_path / "best.ckpt"
         with pytest.raises(ValueError, match="non-empty"):
-            optim.train(small_net(), [], val, optim.TrainConfig())
+            optim.train(small_net(), [], val, optim.TrainConfig(), ckpt)
         with pytest.raises(ValueError, match="non-empty"):
-            optim.train(small_net(), train, [], optim.TrainConfig())
+            optim.train(small_net(), train, [], optim.TrainConfig(), ckpt)
 
-    def test_nan_loss_aborts_with_context(self):
+    def test_nan_loss_aborts_with_context(self, tmp_path):
         train, val = synth_sets()
         net = small_net()
         net.params["fc2.weight"].data[...] = np.nan
         with pytest.raises(optim.NumericError, match="epoch 1, batch 1"):
             optim.train(net, train, val, optim.TrainConfig(max_epochs=1),
-                        echo=False)
+                        tmp_path / "best.ckpt")
 
-    def test_uniform_class_weights_match_unweighted(self):
+    def test_uniform_class_weights_match_unweighted(self, tmp_path):
         logs = []
         for weights in (None, (2.0, 2.0, 2.0)):
             train, val = synth_sets()
             net = small_net(seed=3)
             cfg = optim.TrainConfig(max_epochs=2, seed=7,
                                     class_weights=weights)
-            _, log = optim.train(net, train, val, cfg, echo=False)
+            log = optim.train(net, train, val, cfg, tmp_path / "best.ckpt")
             logs.append(log.to_csv())
         assert logs[0] == logs[1]
 
-    def test_timing_flag_fills_seconds(self):
+    def test_timing_flag_fills_seconds(self, tmp_path):
         train, val = synth_sets()
         cfg = optim.TrainConfig(max_epochs=1, timing=True)
-        _, log = optim.train(small_net(), train, val, cfg, echo=False)
+        log = optim.train(small_net(), train, val, cfg,
+                          tmp_path / "best.ckpt")
         assert log.records[0].seconds > 0.0
 
 
 class TestBatchNormHandling:
-    def test_remainder_batch_is_skipped(self):
+    def test_remainder_batch_is_skipped(self, tmp_path):
         # 9 train samples at batch size 4 leave a size-1 remainder, which
         # batch norm cannot normalize; it must be skipped, not crash
         train, val = synth_sets()
         assert len(train) == 9
         net = small_net(norm="batch")
         cfg = optim.TrainConfig(max_epochs=1, batch_size=4)
-        _, log = optim.train(net, train, val, cfg, echo=False)
+        log = optim.train(net, train, val, cfg, tmp_path / "best.ckpt")
         assert len(log.records) == 1
 
-    def test_all_batches_skipped_is_an_error(self):
+    def test_all_batches_skipped_is_an_error(self, tmp_path):
         train, val = synth_sets()
         net = small_net(norm="batch")
         cfg = optim.TrainConfig(max_epochs=1, batch_size=4)
         with pytest.raises(ValueError, match="every batch was skipped"):
-            optim.train(net, train[:1], val, cfg, echo=False)
+            optim.train(net, train[:1], val, cfg, tmp_path / "best.ckpt")
 
 
 class TestEvaluate:

@@ -1,7 +1,8 @@
 """The benchmark harness's contract with the package: perfbench/child.py
-wraps volcnn functions by name and reads their arguments and outputs, so
-renaming an op or changing its arguments must fail here, not only when the
-benchmark runs."""
+wraps volcnn functions by name and reads their arguments and outputs, and
+perfbench/workloads.py builds its inputs with the data layer, so renaming
+an op, changing its arguments or changing what the data layer writes must
+fail here, not only when the benchmark runs."""
 
 import json
 import os
@@ -12,7 +13,8 @@ from pathlib import Path
 import volcnn
 from volcnn.cli import main
 
-CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+CHILD = PERFBENCH / "child.py"
 
 
 def test_trace_mode_records_the_wrapped_ops(tmp_path):
@@ -40,3 +42,14 @@ def test_trace_mode_records_the_wrapped_ops(tmp_path):
         assert op in names
     conv = [s[4] for s in result["spans"] if s[0] == "ops.conv3d_forward"]
     assert all(a["macs"] > 0 for a in conv)
+
+
+def test_workload_inputs_match_their_pins(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import WORKLOADS, digest_inputs, make_inputs
+
+    pins = json.loads((PERFBENCH / "pins.json").read_text())
+    for name, workload in WORKLOADS.items():
+        in_dir = tmp_path / name
+        make_inputs(workload, 0, in_dir)
+        assert digest_inputs(in_dir) == pins[name][0]["inputs"], name
