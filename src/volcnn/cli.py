@@ -492,6 +492,8 @@ def effective_config(args, override_tokens) -> dict:
     if args.config:
         cfg.update(load_config_file(args.config))
     cfg.update(parse_overrides(override_tokens))
+    if cfg["threads"] < 0:
+        raise ConfigError(f"threads must be >= 0, got {cfg['threads']}")
     return cfg
 
 

@@ -115,9 +115,11 @@ def check_pool(seed: int = 0) -> list[CheckResult]:
         # so the argmax cannot flip under the finite-difference perturbation.
         vals = rng.permutation(n * c * e ** 3).astype(np.float64) * 0.05
         x = Tensor(vals.reshape(n, c, e, e, e))
+        # the pooled values are also the state the index pass reads
         results += check_op(
-            name, rng.stream("r"), lambda: ops.maxpool3d_forward(x, k, s),
-            lambda g, idx: (ops.maxpool3d_backward(g, idx, x.shape),),
+            name, rng.stream("r"), lambda: (ops.maxpool3d_forward(x, k, s),) * 2,
+            lambda g, out: (ops.maxpool3d_backward(
+                g, ops.maxpool3d_argmax(x, out, k, s), x.shape),),
             {"x": x})
     return results
 

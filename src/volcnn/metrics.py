@@ -191,8 +191,8 @@ def bootstrap_ci(records, metric_fn, rng: Rng, n_resamples: int = 1000,
     """Percentile bootstrap interval for metric_fn over the records.
 
     Resamples with replacement; metric_fn receives the list of drawn
-    records. The records may be anything indexable, such as the indices
-    range(n), in which case metric_fn receives the drawn indices. A
+    records. When the records are the indices range(n), metric_fn receives
+    the drawn index array itself, as an int64 ndarray. A
     resample on which metric_fn raises ValueError (undefined metric, e.g. a
     single-class draw) is redrawn. Each draw consumes its own RNG substream
     so the interval does not depend on evaluation order.
@@ -205,6 +205,8 @@ def bootstrap_ci(records, metric_fn, rng: Rng, n_resamples: int = 1000,
     n = len(recs)
     if n == 0:
         raise ValueError("no records to resample")
+    # over range(n), a draw of indices is its own list of drawn records
+    identity = isinstance(records, range) and records == range(n)
     cap = 10 * n_resamples
     vals = []
     counter = 0
@@ -216,7 +218,8 @@ def bootstrap_ci(records, metric_fn, rng: Rng, n_resamples: int = 1000,
         idx = rng.stream("bootstrap", counter).integers(n, (n,))
         counter += 1
         try:
-            vals.append(float(metric_fn([recs[i] for i in idx.tolist()])))
+            drawn = idx if identity else [recs[i] for i in idx.tolist()]
+            vals.append(float(metric_fn(drawn)))
         except ValueError:
             continue
     lo, hi = np.percentile(vals, [50.0 * alpha, 100.0 - 50.0 * alpha])

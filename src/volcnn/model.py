@@ -197,10 +197,14 @@ def _validate_ages(config: ModelConfig, ages, n: int) -> np.ndarray | None:
     return arr
 
 
-def forward(model: Model, x: Tensor, ages=None,
-            mode: str = "train") -> tuple[Tensor, Tape]:
+def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
+            tape: bool = True) -> tuple[Tensor, Tape | None]:
     """Run the network. Returns pre-softmax logits [N, NUM_CLASSES] and the
-    tape needed for backward. Train mode updates batch-norm running stats."""
+    tape needed for backward. Train mode updates batch-norm running stats.
+
+    With tape=False nothing is recorded for backward and the tape is None:
+    no pool indices, no norm caches, and each intermediate activation is
+    freed once the next layer has read it. The logits are bitwise the same."""
     cfg = model.config
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
@@ -211,11 +215,12 @@ def forward(model: Model, x: Tensor, ages=None,
     ages_arr = _validate_ages(cfg, ages, n)
 
     entries = []
+    record = entries.append if tape else (lambda entry: None)
     h = x
     for bp in model.plan.blocks:
         w = model.params[f"{bp.name}.conv.weight"]
         b = model.params[f"{bp.name}.conv.bias"]
-        entries.append(("conv", bp.name, h, bp.conv))
+        record(("conv", bp.name, h, bp.conv))
         h = ops.conv3d_forward(h, w, b, bp.conv)
         gamma = model.params[f"{bp.name}.norm.gamma"]
         beta = model.params[f"{bp.name}.norm.beta"]
@@ -229,22 +234,24 @@ def forward(model: Model, x: Tensor, ages=None,
                 model.buffers[rm_key] = nm
                 model.buffers[rv_key] = nv
         else:
-            h, cache = ops.instance_norm_forward(h, gamma, beta)
-        entries.append(("norm", bp.name, cache))
-        entries.append(("relu", h))
+            h, cache = ops.instance_norm_forward(h, gamma, beta, tape=tape)
+        record(("norm", bp.name, cache))
+        record(("relu", h))
         h = ops.relu(h)
         if bp.pool is not None:
-            pooled, idx = ops.maxpool3d_forward(h, *bp.pool)
-            entries.append(("pool", idx, h.shape))
+            pooled = ops.maxpool3d_forward(h, *bp.pool)
+            if tape:
+                record(("pool", ops.maxpool3d_argmax(h, pooled, *bp.pool),
+                        h.shape))
             h = pooled
 
-    entries.append(("flatten", h.shape))
+    record(("flatten", h.shape))
     h = h.reshape((n, model.plan.flat_features))
     if cfg.age_mode == "concat":
         col = (ages_arr / AGE_DIVISOR).astype(model.dtype).reshape(n, 1)
         h = Tensor(np.concatenate([h.data, col], axis=1))
-        entries.append(("drop_age_column",))
-    entries.append(("fc1", h))
+        record(("drop_age_column",))
+    record(("fc1", h))
     z = ops.linear_forward(h, model.params["fc1.weight"], model.params["fc1.bias"])
     if cfg.age_mode == "encoded":
         ae = Tensor(np.stack([
@@ -256,13 +263,13 @@ def forward(model: Model, x: Tensor, ages=None,
         a2 = ops.linear_forward(a1n, model.params["age.fc2.weight"],
                                 model.params["age.fc2.bias"])
         z = Tensor(z.data + a2.data)
-        entries.append(("age_head", ae, ln_cache, a1n))
-    entries.append(("relu_head", z))
+        record(("age_head", ae, ln_cache, a1n))
+    record(("relu_head", z))
     h2 = ops.relu(z)
-    entries.append(("fc2", h2))
+    record(("fc2", h2))
     logits = ops.linear_forward(h2, model.params["fc2.weight"],
                                 model.params["fc2.bias"])
-    return logits, Tape(model.version, entries)
+    return logits, Tape(model.version, entries) if tape else None
 
 
 def backward(model: Model, tape: Tape,

@@ -4,10 +4,12 @@ All kernels are pure functions from Tensors to Tensors. Convolution uses
 cross-correlation semantics (no kernel flip). The 3D convolution is lowered
 to im2col GEMMs (Chellapilla et al., 2006), one column slab per sample and
 first-axis kernel tap, so each BLAS call contracts over k*k*C and the
-column buffer stays at 1/k of a full im2col. Max pooling takes its values
-from three 1-D maximum passes and recovers the first maximal tap by
-equality. A naive direct-loop oracle for the convolution lives in the test
-suite.
+column buffer stays at 1/k of a full im2col; a 1x1x1 stride-1 convolution
+of one input channel is a broadcast multiply instead. Max pooling is split
+in two ops: maxpool3d_forward takes the values from three 1-D maximum
+passes, and maxpool3d_argmax, which only a forward that records a tape for
+backward calls, recovers the first maximal tap by equality. A naive
+direct-loop oracle for the convolution lives in the test suite.
 
 Output extent per spatial axis:
     conv: floor((in + 2p - d*(k-1) - 1) / s) + 1
@@ -106,9 +108,18 @@ def conv3d_forward(x: Tensor, w: Tensor, b: Tensor, spec: ConvSpec) -> Tensor:
             f"effective kernel {spec.effective_k} exceeds padded input "
             f"{tuple(e + 2 * spec.p for e in spatial)}"
         )
+    k, o = spec.k, spec.c_out
+    if k == 1 and spec.s == 1 and spec.p == 0 and c == 1:
+        # Each output is one product plus the bias: no column copy and no
+        # K=1 GEMM. The bias enters as b + 0, which turns a -0 bias into +0
+        # just as the GEMM path's zero-filled accumulator turns a -0 product
+        # into +0, so the two paths agree bit for bit.
+        out = np.empty((n, o) + outs, dtype=x.dtype)
+        np.multiply(x.data, w.data.reshape(1, o, 1, 1, 1), out=out)
+        out += (b.data + 0)[None, :, None, None, None]
+        return Tensor(out)
     xp = _padded(x, spec.p)
     win = _windows(xp, spec, outs)
-    k, o = spec.k, spec.c_out
     # One [k*k*C, P] column slab per first-axis tap, reused for every
     # sample: 1/k of the full im2col buffer, and each GEMM contracts over
     # k*k*C. Channels run innermost, so each output sums channels within a
@@ -170,18 +181,15 @@ def conv3d_backward(grad_out: Tensor, x: Tensor, w: Tensor,
     return Tensor(np.ascontiguousarray(gx)), Tensor(gw), Tensor(gb)
 
 
-def maxpool3d_forward(x: Tensor, k: int, s: int) -> tuple[Tensor, np.ndarray]:
-    """Max pooling without padding. Returns pooled values and, per output
-    position, the row-major flat index of the chosen input voxel within its
-    (sample, channel) volume. Ties go to the first element in row-major
-    window order. A NaN in a window makes its output NaN; its index then
-    points at the window's first voxel."""
+def maxpool3d_forward(x: Tensor, k: int, s: int) -> Tensor:
+    """Max pooling without padding: the pooled values. A NaN in a window
+    makes its output NaN."""
     n, c, dd, hh, ww = x.shape
     if k > min(dd, hh, ww):
         raise ShapeError(f"pool window {k} larger than input extents {(dd, hh, ww)}")
     outs = (pool_out_extent(dd, k, s), pool_out_extent(hh, k, s),
             pool_out_extent(ww, k, s))
-    # Values: a cubic window's max is three 1-D maxima, along D, H, then W.
+    # A cubic window's max is three 1-D maxima, along D, H, then W.
     cur = x.data
     for axis, o in zip((2, 3, 4), outs):
         taps = [(slice(None),) * axis + (slice(t, t + s * (o - 1) + 1, s),)
@@ -190,8 +198,20 @@ def maxpool3d_forward(x: Tensor, k: int, s: int) -> tuple[Tensor, np.ndarray]:
         for t in taps[1:]:
             np.maximum(red, cur[t], out=red)
         cur = red
-    # Indices: visiting taps in reverse row-major order, the last write at
-    # each output is the first tap that equals the max.
+    return Tensor(cur)
+
+
+def maxpool3d_argmax(x: Tensor, pooled: Tensor, k: int, s: int) -> np.ndarray:
+    """Per output position of maxpool3d_forward(x, k, s), which gave
+    `pooled`, the row-major flat index of the chosen input voxel within its
+    (sample, channel) volume: the state maxpool3d_backward needs. Ties go to
+    the first element in row-major window order. Where a window holds a NaN,
+    the index points at the window's first voxel."""
+    hh, ww = x.shape[3:]
+    outs = pooled.shape[2:]
+    cur = pooled.data
+    # Visiting taps in reverse row-major order, the last write at each
+    # output is the first tap that equals the max.
     base = (
         (np.arange(outs[0], dtype=np.int64) * s)[:, None, None] * (hh * ww)
         + (np.arange(outs[1], dtype=np.int64) * s)[None, :, None] * ww
@@ -205,7 +225,7 @@ def maxpool3d_forward(x: Tensor, k: int, s: int) -> tuple[Tensor, np.ndarray]:
                 sl = _tap_slices(k, s, 1, outs, (i, j, l))
                 np.equal(x.data[:, :, sl[0], sl[1], sl[2]], cur, out=eq)
                 np.copyto(idx, base + ((i * hh + j) * ww + l), where=eq)
-    return Tensor(cur), idx
+    return idx
 
 
 def maxpool3d_backward(grad_out: Tensor, idx: np.ndarray,
@@ -237,26 +257,40 @@ class NormCache:
 
 
 def _norm_core(x: np.ndarray, gamma_b: np.ndarray, beta_b: np.ndarray,
-               axes: tuple[int, ...], eps: float):
+               axes: tuple[int, ...], eps: float, tape: bool = True):
     """(y, xhat, invstd, mean, var) for normalization over `axes`, with the
-    biased variance; mean and var keep x's rank and dtype."""
+    biased variance; mean and var keep x's rank and dtype. Without a tape,
+    y is computed in xhat's buffer and xhat comes back as None."""
     mean = x.mean(axis=axes, keepdims=True, dtype=x.dtype)
     var = x.var(axis=axes, keepdims=True, dtype=x.dtype)
     invstd = 1.0 / np.sqrt(var + x.dtype.type(eps))
-    xhat = (x - mean) * invstd
-    return gamma_b * xhat + beta_b, xhat, invstd, mean, var
+    # In place, yet the same products in the same order as
+    # gamma * ((x - mean) * invstd) + beta.
+    xhat = x - mean
+    xhat *= invstd
+    if not tape:
+        xhat *= gamma_b
+        xhat += beta_b
+        return xhat, None, invstd, mean, var
+    y = gamma_b * xhat
+    y += beta_b
+    return y, xhat, invstd, mean, var
 
 
 def instance_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
-                          eps: float = EPS) -> tuple[Tensor, NormCache]:
+                          eps: float = EPS, tape: bool = True
+                          ) -> tuple[Tensor, NormCache | None]:
     """Normalize each (sample, channel) over its spatial positions. No batch
-    statistics are involved, so train and eval behave identically."""
+    statistics are involved, so train and eval behave identically. With
+    tape=False no backward state is kept and the cache is None."""
     c = x.shape[1]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"affine params {gamma.shape}/{beta.shape}, expected ({c},)")
     gb = gamma.data.reshape(1, c, 1, 1, 1)
     bb = beta.data.reshape(1, c, 1, 1, 1)
-    y, xhat, invstd, _, _ = _norm_core(x.data, gb, bb, (2, 3, 4), eps)
+    y, xhat, invstd, _, _ = _norm_core(x.data, gb, bb, (2, 3, 4), eps, tape)
+    if not tape:
+        return Tensor(y), None
     return Tensor(y), NormCache((2, 3, 4), (0, 2, 3, 4), xhat, invstd, gb)
 
 

@@ -120,7 +120,8 @@ def _batch_tensors(samples, crop: int, normalize: bool):
 
 def evaluate_samples(net, samples, batch_size: int,
                      normalize: bool = True) -> tuple[float, list]:
-    """Mean cross-entropy and per-sample records in eval mode.
+    """Mean cross-entropy and per-sample records in eval mode, from a
+    forward that records no tape.
 
     Each sample's result is mathematically independent of how the set is
     chunked into batches; bitwise it varies at float32 rounding level
@@ -135,7 +136,8 @@ def evaluate_samples(net, samples, batch_size: int,
         chunk = samples[start:start + batch_size]
         x = _batch_tensors(chunk, crop, normalize)
         ages = [s.age for s in chunk] if use_age else None
-        logits, _ = network.forward(net, x, ages=ages, mode="eval")
+        logits, _ = network.forward(net, x, ages=ages, mode="eval",
+                                    tape=False)
         labels = [s.label for s in chunk]
         loss, _, probs = ops.softmax_xent(logits, labels)
         if not np.isfinite(loss):

@@ -225,6 +225,12 @@ class TestConfigHandling:
         assert main(["synth", "--threads", "banana"]) == 2
         assert "threads" in capsys.readouterr().err
 
+    def test_negative_threads_rejected(self, tmp_path, capsys):
+        run_dir = tmp_path / "r"
+        assert main(["synth", "--threads", "-1", "--run_dir", str(run_dir)]) == 2
+        assert "threads" in capsys.readouterr().err
+        assert not run_dir.exists()
+
 
 class TestTrain:
     def test_artifacts(self, trained):

@@ -265,6 +265,18 @@ class TestBootstrap:
             metrics.bootstrap_ci(fake_records(2), always_undefined, Rng(0),
                                  n_resamples=10)
 
+    def test_index_draws_reach_metric_fn_as_the_drawn_array(self):
+        drawn = {"range": [], "list": []}
+        for key, recs in (("range", range(12)), ("list", list(range(12)))):
+            def fn(d, key=key):
+                drawn[key].append(d)
+                return 0.0
+            metrics.bootstrap_ci(recs, fn, Rng(4), n_resamples=20)
+        assert all(isinstance(d, np.ndarray) and d.dtype == np.int64
+                   for d in drawn["range"])
+        assert all(isinstance(d, list) for d in drawn["list"])
+        assert [d.tolist() for d in drawn["range"]] == drawn["list"]
+
     def test_bad_args(self):
         recs = fake_records(2)
         with pytest.raises(ValueError):

@@ -3,6 +3,7 @@ round trips, and end-to-end gradient flow."""
 
 import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -234,6 +235,65 @@ class TestForwardBackward:
         assert res.rel_err == float("inf")
         assert not res.passed
         assert "FAIL" in gradcheck.format_report([res])
+
+
+class TestTapeFree:
+    @pytest.mark.parametrize("axis", [
+        {}, {"widening_factor": 2}, {"extra_blocks": 1}, {"norm": "batch"},
+        {"first_layer": "K3S2"}, {"first_layer": "K7S4"},
+        {"age_mode": "concat"}, {"age_mode": "encoded"},
+    ])
+    def test_logits_equal_taped_eval(self, axis):
+        net = m.build(m.ModelConfig(crop_extent=32, **axis), Rng(21))
+        # biases, affine params and running stats off their initial values,
+        # so the norm's affine step and batch norm's eval stats do work
+        g = Rng(22)
+        for name, t in list(net.params.items()) + list(net.buffers.items()):
+            if name.endswith((".gamma", ".running_var")):
+                t.data[...] = 1.0 + 0.2 * g.stream(name).normal(t.shape)
+            elif not name.endswith(".weight"):
+                t.data[...] = 0.1 * g.stream(name).normal(t.shape)
+        x = Tensor(Rng(23).normal((2, 1, 32, 32, 32)).astype(np.float32))
+        ages = [63.5, 81.0] if net.config.age_mode != "none" else None
+        taped, tape = m.forward(net, x, ages, "eval")
+        free, no_tape = m.forward(net, x, ages, "eval", tape=False)
+        assert tape is not None and no_tape is None
+        assert free.data.dtype == taped.data.dtype
+        assert free.data.tobytes() == taped.data.tobytes()
+
+    def test_forward_without_tape_never_computes_pool_indices(self, monkeypatch):
+        real = m.ops.maxpool3d_argmax
+        calls = []
+
+        def counted(*args):
+            calls.append(args[2:])
+            return real(*args)
+
+        monkeypatch.setattr(m.ops, "maxpool3d_argmax", counted)
+        net = m.build(m.ModelConfig(crop_extent=16), Rng(8))
+        x = Tensor(Rng(9).normal((2, 1, 16, 16, 16)).astype(np.float32))
+        m.forward(net, x, None, "eval", tape=False)
+        assert calls == []
+        logits, tape = m.forward(net, x, None, "train")
+        assert calls == [bp.pool for bp in net.plan.blocks]
+        m.backward(net, tape, Tensor(np.ones_like(logits.data)))
+
+    def test_peak_memory_below_taped_forward(self):
+        # Without a tape a crop-32 batch of 4 peaks at two block1-sized
+        # activations (4.2 MB); the taped forward holds every activation
+        # it will need for backward (8.4 MB).
+        net = m.build(m.ModelConfig(crop_extent=32), Rng(24))
+        x = Tensor(Rng(25).normal((4, 1, 32, 32, 32)).astype(np.float32))
+        peaks = {}
+        for tape in (True, False):
+            tracemalloc.start()
+            try:
+                out = m.forward(net, x, None, "eval", tape=tape)
+                peaks[tape] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            del out
+        assert peaks[False] < 0.6 * peaks[True], peaks
 
 
 class TestCheckpoint:

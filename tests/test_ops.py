@@ -42,6 +42,12 @@ def naive_conv3d(x, w, b, spec):
     return out
 
 
+def pool_with_argmax(x, k, s):
+    """Pooled values and the argmax indices a taped forward records."""
+    out = ops.maxpool3d_forward(x, k, s)
+    return out, ops.maxpool3d_argmax(x, out, k, s)
+
+
 class TestShapeLaws:
     def test_dilated_k3_extent(self):
         assert ops.conv_out_extent(47, 3, 0, 1, 2) == 43
@@ -62,7 +68,7 @@ class TestShapeLaws:
 
     def test_pool_forward_full_size(self):
         x = Tensor(np.arange(96 ** 3, dtype=np.float32).reshape(1, 1, 96, 96, 96))
-        out, _ = ops.maxpool3d_forward(x, 3, 2)
+        out = ops.maxpool3d_forward(x, 3, 2)
         assert out.shape == (1, 1, 47, 47, 47)
 
     @given(
@@ -85,7 +91,7 @@ class TestShapeLaws:
     def test_pool_extent_law_matches_kernel(self, e, k, s):
         assume(k <= e)
         x = Tensor(np.ones((1, 1, e, e, e), dtype=np.float32))
-        out, _ = ops.maxpool3d_forward(x, k, s)
+        out = ops.maxpool3d_forward(x, k, s)
         expect = ops.pool_out_extent(e, k, s)
         assert out.shape == (1, 1, expect, expect, expect)
 
@@ -107,6 +113,31 @@ class TestConv:
         got = ops.conv3d_forward(Tensor(x), Tensor(w), Tensor(b), spec)
         want = naive_conv3d(x, w, b, spec)
         np.testing.assert_allclose(got.data, want, rtol=1e-12, atol=1e-12)
+
+    def test_single_channel_k1s1_equals_direct_loop(self):
+        # The stem's broadcast multiply: with integer values every product
+        # and sum is exact, so it must equal the direct loop exactly.
+        spec = ops.ConvSpec(k=1, c_out=4)
+        rng = Rng(43).stream("conv-k1s1")
+        x = rng.stream("x").integers(9, (3, 1, 5, 6, 7)).astype(np.float32) - 4
+        w = rng.stream("w").integers(7, (4, 1, 1, 1, 1)).astype(np.float32) - 3
+        b = rng.stream("b").integers(5, (4,)).astype(np.float32) - 2
+        got = ops.conv3d_forward(Tensor(x), Tensor(w), Tensor(b), spec)
+        want = naive_conv3d(x, w, b, spec)
+        assert got.data.dtype == np.float32
+        assert np.array_equal(got.data, want)
+        # Zero signs follow the GEMM path, which adds the product to a
+        # zero-filled accumulator before the bias: (0 + x*w) + b. Here x
+        # holds zeros and negatives, and w and b hold -0 and negatives, so
+        # -0 products meet -0 biases.
+        w0 = np.array([-2.0, -0.0, 0.0, 3.0], dtype=np.float32)
+        b0 = np.array([-0.0, -0.0, 0.0, -0.0], dtype=np.float32)
+        got = ops.conv3d_forward(Tensor(x), Tensor(w0.reshape(4, 1, 1, 1, 1)),
+                                 Tensor(b0), spec)
+        zero_acc = (np.float32(0) + x * w0.reshape(1, 4, 1, 1, 1)
+                    ) + b0.reshape(1, 4, 1, 1, 1)
+        assert np.signbit(x * w0.reshape(1, 4, 1, 1, 1)).any()
+        assert got.data.tobytes() == zero_acc.tobytes()
 
     def test_channel_mismatch_rejected(self):
         x = Tensor(np.zeros((1, 2, 5, 5, 5), dtype=np.float32))
@@ -161,7 +192,7 @@ class TestMaxPool:
         x = np.zeros((1, 1, 4, 4, 4), dtype=np.float32)
         x[0, 0, 1, 2, 2] = 5.0   # inside the first 3x3x3 window
         x[0, 0, 3, 3, 3] = 7.0   # outside it
-        out, idx = ops.maxpool3d_forward(Tensor(x), 3, 1)
+        out, idx = pool_with_argmax(Tensor(x), 3, 1)
         assert out.shape == (1, 1, 2, 2, 2)
         assert out.data[0, 0, 0, 0, 0] == 5.0
         assert idx[0, 0, 0, 0, 0] == (1 * 4 + 2) * 4 + 2
@@ -170,7 +201,7 @@ class TestMaxPool:
 
     def test_tie_goes_to_first_in_window_order(self):
         x = Tensor(np.ones((1, 1, 3, 3, 3), dtype=np.float32))
-        out, idx = ops.maxpool3d_forward(x, 3, 1)
+        out, idx = pool_with_argmax(x, 3, 1)
         assert out.data[0, 0, 0, 0, 0] == 1.0
         assert idx[0, 0, 0, 0, 0] == 0
 
@@ -182,7 +213,7 @@ class TestMaxPool:
     def test_backward_conserves_gradient_mass(self):
         rng = Rng(3).stream("pool-mass")
         x = Tensor(rng.permutation(2 * 216).astype(np.float64).reshape(2, 1, 6, 6, 6))
-        out, idx = ops.maxpool3d_forward(x, 2, 2)  # disjoint windows
+        out, idx = pool_with_argmax(x, 2, 2)  # disjoint windows
         g = Tensor(rng.stream("g").normal(out.shape))
         gx = ops.maxpool3d_backward(g, idx, x.shape)
         assert gx.shape == x.shape
@@ -191,7 +222,7 @@ class TestMaxPool:
     def test_backward_accumulates_on_overlap(self):
         x = Tensor(np.zeros((1, 1, 3, 3, 3), dtype=np.float64))
         x.data[0, 0, 1, 1, 1] = 1.0  # shared max of all four stride-1 windows
-        out, idx = ops.maxpool3d_forward(x, 2, 1)
+        out, idx = pool_with_argmax(x, 2, 1)
         g = Tensor(np.ones(out.shape, dtype=np.float64))
         gx = ops.maxpool3d_backward(g, idx, x.shape)
         assert gx.data[0, 0, 1, 1, 1] == 8.0
@@ -208,7 +239,7 @@ class TestMaxPool:
         # Few distinct integer values, so most windows hold ties.
         x = data.draw(hnp.arrays(np.float32, shape,
                                  elements=st.integers(0, 3).map(float)))
-        out, idx = ops.maxpool3d_forward(Tensor(x), k, s)
+        out, idx = pool_with_argmax(Tensor(x), k, s)
         hh, ww = shape[3], shape[4]
         for pos in np.ndindex(*out.shape):
             ni, ci, z, y, xx = pos
@@ -222,7 +253,7 @@ class TestMaxPool:
         x = np.zeros((1, 1, 4, 4, 4), dtype=np.float32)
         x[0, 0, 1, 1, 1] = np.nan  # not the first tap of window (0, 0, 0)
         x[0, 0, 0, 0, 2] = 5.0
-        out, idx = ops.maxpool3d_forward(Tensor(x), 2, 2)
+        out, idx = pool_with_argmax(Tensor(x), 2, 2)
         assert np.isnan(out.data[0, 0, 0, 0, 0])
         assert out.data[0, 0, 0, 0, 1] == 5.0
         assert np.isnan(out.data).sum() == 1

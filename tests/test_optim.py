@@ -3,7 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from volcnn import data, optim
+from volcnn import data, ops, optim
 from volcnn.data import LeakageError
 from volcnn.model import ModelConfig, build, forward, load_checkpoint
 from volcnn.tensor import Rng, zeros
@@ -268,3 +268,16 @@ class TestEvaluate:
         _, recs = optim.evaluate_samples(net, train, batch_size=4)
         assert [r.subject_id for r in recs] == [s.subject_id for s in train]
         assert all(len(r.probs) == 3 for r in recs)
+
+    def test_runs_tape_free(self, tmp_path, monkeypatch):
+        def no_index_pass(*args):
+            raise RuntimeError("pool argmax computed")
+
+        monkeypatch.setattr(ops, "maxpool3d_argmax", no_index_pass)
+        train, val = synth_sets()
+        net = small_net()
+        _, recs = optim.evaluate_samples(net, val, batch_size=4)
+        assert len(recs) == len(val)
+        cfg = optim.TrainConfig(max_epochs=1, batch_size=4)
+        with pytest.raises(RuntimeError, match="pool argmax"):
+            optim.train(net, train, val, cfg, tmp_path / "best.ckpt")
