@@ -15,20 +15,20 @@ the BLAS worker env vars before numpy first loads.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
 from dataclasses import fields
 from pathlib import Path
 
-from .config import ModelConfig, TrainConfig
+from .config import (ALPHA, DEFAULT_VIEWS, N_RESAMPLES, SMOOTH_SIGMA,
+                     SYNTH_NOISE, ModelConfig, TrainConfig)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
-
-COMMANDS = ("train", "eval", "ablate", "saliency", "gradcheck", "synth")
 
 # config dataclass field type -> CLI kind
 _KINDS = {"int": "int", "float": "float", "str": "str", "bool": "bool",
@@ -56,15 +56,15 @@ SCHEMA = {
     "split": ("str", "val"),
     "allow_leakage": ("bool", False),
     # evaluation
-    "n_resamples": ("int", 1000),
-    "alpha": ("float", 0.05),
+    "n_resamples": ("int", N_RESAMPLES),
+    "alpha": ("float", ALPHA),
     # synthetic data
     "n_per_class": ("int", 8),
     "extent": ("int", 32),
-    "noise": ("float", 0.1),
+    "noise": ("float", SYNTH_NOISE),
     # saliency
-    "views": ("str", "axial:50,axial:26,coronal:56,sagittal:26"),
-    "smooth_sigma": ("float", 0.8),
+    "views": ("str", ",".join(f"{a}:{i}" for a, i in DEFAULT_VIEWS)),
+    "smooth_sigma": ("float", SMOOTH_SIGMA),
     # ablation
     "axis": ("str", ""),
     "values": ("str", ""),
@@ -84,6 +84,12 @@ class DataError(Exception):
     pass
 
 
+def _finite(value: float) -> float:
+    if not math.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
 def _parse_value(key: str, raw: str):
     kind, _ = SCHEMA[key]
     raw = raw.strip()
@@ -91,7 +97,7 @@ def _parse_value(key: str, raw: str):
         if kind == "int":
             return int(raw)
         if kind == "float":
-            return float(raw)
+            return _finite(float(raw))
         if kind == "bool":
             low = raw.lower()
             if low in ("true", "1", "yes", "on"):
@@ -106,7 +112,7 @@ def _parse_value(key: str, raw: str):
         if kind == "weights":
             if raw.lower() in ("none", ""):
                 return None
-            return tuple(float(v) for v in raw.split(","))
+            return tuple(_finite(float(v)) for v in raw.split(","))
         return raw
     except ValueError as exc:
         raise ConfigError(f"bad value for {key}: {exc}") from None
@@ -298,26 +304,27 @@ def _evaluate(cfg: dict, run_dir: Path, loaded: dict | None = None):
     return report, loss
 
 
+def _headline(report) -> list[tuple[float, float, float]]:
+    """(value, ci_lo, ci_hi) per headline metric; nan where no interval."""
+    nan = (float("nan"), float("nan"))
+    return [(getattr(report, key), *report.intervals.get(key, nan))
+            for key in HEADLINE_METRICS]
+
+
 def cmd_eval(cfg: dict, run_dir: Path) -> int:
     report, loss = _evaluate(cfg, run_dir)
     print(f"split = {cfg['split']}, n = {len(report.records)}, "
           f"loss = {loss:.6f}")
     print("metric,value,ci_lo,ci_hi")
-    values = (report.accuracy, report.balanced_accuracy, report.micro_auc,
-              report.macro_auc)
-    for key, val in zip(HEADLINE_METRICS, values):
-        lo, hi = report.intervals.get(key, (float("nan"), float("nan")))
-        print(f"{key},{val:.6f},{lo:.6f},{hi:.6f}")
+    for key, row in zip(HEADLINE_METRICS, _headline(report)):
+        print(key + "".join(f",{v:.6f}" for v in row))
     return EXIT_OK
 
 
-ABLATE_AXES = {
-    "width": ("widening_factor", int),
-    "depth": ("extra_blocks", int),
-    "norm": ("norm", str),
-    "first_layer": ("first_layer", str),
-    "subsample": ("subsample_rate", float),
-}
+# ablate axis -> the SCHEMA key it sweeps
+ABLATE_AXES = {"width": "widening_factor", "depth": "extra_blocks",
+               "norm": "norm", "first_layer": "first_layer",
+               "subsample": "subsample_rate"}
 
 
 def cmd_ablate(cfg: dict, run_dir: Path) -> int:
@@ -327,11 +334,8 @@ def cmd_ablate(cfg: dict, run_dir: Path) -> int:
             f"axis must be one of {sorted(ABLATE_AXES)}, got {axis!r}")
     if not cfg["values"]:
         raise ConfigError("values is required for ablate")
-    key, typ = ABLATE_AXES[axis]
-    try:
-        values = [typ(v.strip()) for v in cfg["values"].split(",")]
-    except ValueError as exc:
-        raise ConfigError(f"bad value for axis {axis}: {exc}") from None
+    key = ABLATE_AXES[axis]
+    values = [_parse_value(key, v) for v in cfg["values"].split(",")]
 
     header = ("value,status,accuracy,balanced_accuracy,micro_auc,macro_auc,"
               "acc_lo,acc_hi,bal_lo,bal_hi,micro_lo,micro_hi,"
@@ -359,13 +363,9 @@ def cmd_ablate(cfg: dict, run_dir: Path) -> int:
             if first_failure == EXIT_OK:
                 first_failure = code
             continue
-        cells = [str(value), "ok",
-                 f"{report.accuracy:.6f}", f"{report.balanced_accuracy:.6f}",
-                 f"{report.micro_auc:.6f}", f"{report.macro_auc:.6f}"]
-        for metric in HEADLINE_METRICS:
-            lo, hi = report.intervals.get(metric,
-                                          (float("nan"), float("nan")))
-            cells += [f"{lo:.6f}", f"{hi:.6f}"]
+        heads = _headline(report)
+        cells = ([str(value), "ok"] + [f"{v:.6f}" for v, _, _ in heads]
+                 + [f"{b:.6f}" for _, lo, hi in heads for b in (lo, hi)])
         rows.append(",".join(cells))
     summary = "\n".join(rows) + "\n"
     _write_text(run_dir / "summary.csv", summary)
@@ -393,13 +393,15 @@ def parse_views(spec: str):
 
 def cmd_saliency(cfg: dict, run_dir: Path) -> int:
     from .optim import _batch_tensors
-    from .saliency import aggregate, export_slices, saliency, smooth
+    from .saliency import (aggregate, check_views, export_slices, saliency,
+                           smooth)
 
     views = parse_views(cfg["views"])
     net, _, _ = _load_checkpoint(cfg)
+    crop = net.config.crop_extent
+    check_views(views, (crop,) * 3)
     manifest = _load_manifest(cfg)
     samples = _split_samples(manifest, cfg["split"])
-    crop = net.config.crop_extent
     out_dir = run_dir / "saliency"
 
     maps = []
@@ -418,14 +420,13 @@ def cmd_saliency(cfg: dict, run_dir: Path) -> int:
 
 
 def cmd_gradcheck(cfg: dict, run_dir: Path) -> int:
-    from .gradcheck import format_report, run_all
+    from .gradcheck import check_model, format_report, run_all
 
     scope = cfg["scope"]
     if scope not in ("ops", "model", "all"):
         raise ConfigError(f"scope must be ops, model, or all, got {scope!r}")
-    results = run_all(cfg["seed"], include_model=scope in ("model", "all"))
-    if scope == "model":
-        results = [r for r in results if r.name.startswith("model")]
+    results = (check_model(cfg["seed"]) if scope == "model"
+               else run_all(cfg["seed"], include_model=scope == "all"))
     table = format_report(results)
     sys.stdout.write(table)
     _write_text(run_dir / "gradcheck.txt", table)
@@ -482,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Volumetric CNN training and evaluation toolkit.",
         epilog=f"Any configuration key can be overridden with --key value. "
                f"Keys: {keys}")
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=HANDLERS)
     parser.add_argument("--config", help="key = value configuration file")
     return parser
 

@@ -1,4 +1,5 @@
-"""Model and training configuration: the one place their defaults live.
+"""Model and training configuration, and the defaults that CLI keys share
+with library signatures: the one place these defaults live.
 
 The CLI builds its model and training keys from these fields, and reads
 them before --threads pins the BLAS pool, so this module never imports
@@ -9,6 +10,13 @@ to its value kinds and checkpoints parse their config lines with them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+
+N_RESAMPLES = 1000   # bootstrap resamples per interval
+ALPHA = 0.05         # two-sided: 95 % intervals
+SYNTH_NOISE = 0.1    # std of the Gaussian noise on synthetic volumes
+SMOOTH_SIGMA = 0.8   # blur of the aggregate saliency map
+DEFAULT_VIEWS = (("axial", 50), ("axial", 26), ("coronal", 56),
+                 ("sagittal", 26))
 
 FIRST_LAYER_VARIANTS = {
     # name: (kernel, stride, padding, dilation)

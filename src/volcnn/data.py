@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import SYNTH_NOISE
 from .ops import round_age
 from .tensor import Rng
 
@@ -203,10 +204,10 @@ class Manifest:
         p = Path(row.path)
         return p if p.is_absolute() else self.base_dir / p
 
-    def subjects(self, split: str | None = None):
+    def subjects(self, split: str):
         seen = {}
         for r in self.rows:
-            if split is None or r.split == split:
+            if r.split == split:
                 seen.setdefault(r.subject_id, r.label)
         return seen
 
@@ -266,10 +267,15 @@ def load_manifest(path, allow_leakage: bool = False) -> Manifest:
 def gaussian_blur(volume: np.ndarray, sigma: float) -> np.ndarray:
     """Separable 3D Gaussian. Kernel truncated at radius ceil(3*sigma) and
     renormalized to sum 1; edges mirror the volume so constants stay
-    constant. sigma = 0 returns a bit-identical copy."""
-    if sigma < 0:
-        raise ValueError(f"sigma must be non-negative, got {sigma}")
+    constant. sigma = 0 returns a bit-identical copy. A radius beyond the
+    volume's largest extent is refused: the padded copies grow with it."""
+    if not 0 <= sigma < math.inf:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     radius = math.ceil(3 * sigma)
+    if radius > max(volume.shape):
+        raise ValueError(
+            f"blur radius {radius} (sigma {sigma}) exceeds the largest "
+            f"volume extent {max(volume.shape)}")
     two_var = 2.0 * sigma * sigma
     if radius == 0 or two_var == 0.0:  # kernel is numerically a delta
         return volume.copy()
@@ -369,7 +375,7 @@ _AGE_STATS = {0: (77.0, 5.4), 1: (75.9, 7.3), 2: (76.7, 7.4)}
 
 
 def generate_synthetic(n_per_class: int, extent: int, rng: Rng,
-                       noise: float = 0.1) -> list[Sample]:
+                       noise: float = SYNTH_NOISE) -> list[Sample]:
     """Structured class-conditional volumes: a tissue ball with a centered
     ellipsoidal cavity whose radius grows with disease stage, plus optional
     Gaussian noise. Cavity volume alone separates the classes, so a simple
@@ -379,6 +385,8 @@ def generate_synthetic(n_per_class: int, extent: int, rng: Rng,
         raise ValueError(f"extent must be >= 16, got {extent}")
     if n_per_class < 1:
         raise ValueError("n_per_class must be positive")
+    if not noise >= 0:
+        raise ValueError(f"noise must be >= 0, got {noise}")
     coords = np.arange(extent, dtype=np.float64) - (extent - 1) / 2.0
     zz, yy, xx = np.meshgrid(coords, coords, coords, indexing="ij")
     tissue = (zz * zz + yy * yy + xx * xx) <= (0.42 * extent) ** 2

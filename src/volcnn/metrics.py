@@ -22,6 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ALPHA, N_RESAMPLES
 from .data import LABEL_NAMES, NUM_CLASSES, atomic_write
 from .tensor import Rng
 
@@ -186,8 +187,8 @@ def multiclass_auc(probs, labels) -> MulticlassAuc:
     return MulticlassAuc(tuple(per), micro, macro, tuple(rocs))
 
 
-def bootstrap_ci(records, metric_fn, rng: Rng, n_resamples: int = 1000,
-                 alpha: float = 0.05) -> tuple[float, float]:
+def bootstrap_ci(records, metric_fn, rng: Rng, n_resamples: int = N_RESAMPLES,
+                 alpha: float = ALPHA) -> tuple[float, float]:
     """Percentile bootstrap interval for metric_fn over the records.
 
     Resamples with replacement; metric_fn receives the list of drawn
@@ -260,8 +261,8 @@ def _rec_arrays(recs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return y, pred, probs
 
 
-def build_report(records, rng: Rng, n_resamples: int = 1000,
-                 alpha: float = 0.05) -> EvalReport:
+def build_report(records, rng: Rng, n_resamples: int = N_RESAMPLES,
+                 alpha: float = ALPHA) -> EvalReport:
     """Point metrics plus bootstrap intervals.
 
     Interval keys: accuracy, balanced_accuracy, micro_auc, and, when every
@@ -336,12 +337,8 @@ def build_report(records, rng: Rng, n_resamples: int = 1000,
                       intervals, recs, mc.roc_points)
 
 
-REPORT_KEYS = ("n_samples", "accuracy", "balanced_accuracy", "auc_cn",
-               "auc_mci", "auc_ad", "micro_auc", "macro_auc")
-
-
 def format_report(report: EvalReport) -> str:
-    """Key = value lines (REPORT_KEYS order), interval appended when known."""
+    """Key = value lines, interval appended when known."""
     def line(key, value):
         if value is None:
             body = f"{key} = undefined"
@@ -370,9 +367,9 @@ def write_report(report: EvalReport, path) -> Path:
     return path
 
 
-def export_roc(report: EvalReport, out_dir, prefix: str = "roc") -> list[Path]:
-    """One CSV per defined class: fpr,tpr,threshold with fpr non-decreasing.
-    Thresholds use repr formatting so the endpoints read inf / -inf."""
+def export_roc(report: EvalReport, out_dir) -> list[Path]:
+    """One roc_<class>.csv per defined class: fpr,tpr,threshold with fpr
+    non-decreasing; repr thresholds, so the endpoints read inf / -inf."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -382,7 +379,7 @@ def export_roc(report: EvalReport, out_dir, prefix: str = "roc") -> list[Path]:
             continue
         lines = ["fpr,tpr,threshold"]
         lines += [f"{fpr:.6f},{tpr:.6f},{thr!r}" for fpr, tpr, thr in pts]
-        path = out_dir / f"{prefix}_{LABEL_NAMES[c].lower()}.csv"
+        path = out_dir / f"roc_{LABEL_NAMES[c].lower()}.csv"
         with atomic_write(path) as fh:
             fh.write("\n".join(lines) + "\n")
         written.append(path)

@@ -257,13 +257,13 @@ class NormCache:
 
 
 def _norm_core(x: np.ndarray, gamma_b: np.ndarray, beta_b: np.ndarray,
-               axes: tuple[int, ...], eps: float, tape: bool = True):
+               axes: tuple[int, ...], tape: bool = True):
     """(y, xhat, invstd, mean, var) for normalization over `axes`, with the
     biased variance; mean and var keep x's rank and dtype. Without a tape,
     y is computed in xhat's buffer and xhat comes back as None."""
     mean = x.mean(axis=axes, keepdims=True, dtype=x.dtype)
     var = x.var(axis=axes, keepdims=True, dtype=x.dtype)
-    invstd = 1.0 / np.sqrt(var + x.dtype.type(eps))
+    invstd = 1.0 / np.sqrt(var + x.dtype.type(EPS))
     # In place, yet the same products in the same order as
     # gamma * ((x - mean) * invstd) + beta.
     xhat = x - mean
@@ -278,7 +278,7 @@ def _norm_core(x: np.ndarray, gamma_b: np.ndarray, beta_b: np.ndarray,
 
 
 def instance_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
-                          eps: float = EPS, tape: bool = True
+                          tape: bool = True
                           ) -> tuple[Tensor, NormCache | None]:
     """Normalize each (sample, channel) over its spatial positions. No batch
     statistics are involved, so train and eval behave identically. With
@@ -288,7 +288,7 @@ def instance_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
         raise ShapeError(f"affine params {gamma.shape}/{beta.shape}, expected ({c},)")
     gb = gamma.data.reshape(1, c, 1, 1, 1)
     bb = beta.data.reshape(1, c, 1, 1, 1)
-    y, xhat, invstd, _, _ = _norm_core(x.data, gb, bb, (2, 3, 4), eps, tape)
+    y, xhat, invstd, _, _ = _norm_core(x.data, gb, bb, (2, 3, 4), tape)
     if not tape:
         return Tensor(y), None
     return Tensor(y), NormCache((2, 3, 4), (0, 2, 3, 4), xhat, invstd, gb)
@@ -296,7 +296,7 @@ def instance_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
 
 def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
                        running_mean: Tensor, running_var: Tensor, mode: str,
-                       momentum: float = 0.1, eps: float = EPS
+                       momentum: float = 0.1
                        ) -> tuple[Tensor, NormCache, Tensor, Tensor]:
     """Per-channel normalization over batch and spatial positions.
 
@@ -315,14 +315,14 @@ def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     if mode == "train":
         if n < 2:
             raise ValueError("batch norm in train mode needs a batch of >= 2")
-        y, xhat, invstd, mean, var = _norm_core(x.data, gb, bb, axes, eps)
+        y, xhat, invstd, mean, var = _norm_core(x.data, gb, bb, axes)
         m = x.data.size // c
         new_mean = (1 - momentum) * running_mean.data + momentum * mean.reshape(c)
         new_var = ((1 - momentum) * running_var.data
                    + momentum * var.reshape(c) * m / (m - 1))
         return (Tensor(y), NormCache(axes, axes, xhat, invstd, gb),
                 Tensor(new_mean.astype(x.dtype)), Tensor(new_var.astype(x.dtype)))
-    invstd = (1.0 / np.sqrt(running_var.data + eps)).reshape(1, c, 1, 1, 1)
+    invstd = (1.0 / np.sqrt(running_var.data + EPS)).reshape(1, c, 1, 1, 1)
     xhat = (x.data - running_mean.data.reshape(1, c, 1, 1, 1)) * invstd
     y = gb * xhat + bb
     cache = NormCache(axes, axes, xhat.astype(x.dtype), invstd.astype(x.dtype),
@@ -330,8 +330,8 @@ def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     return Tensor(y.astype(x.dtype)), cache, running_mean, running_var
 
 
-def layer_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
-                       eps: float = EPS) -> tuple[Tensor, NormCache]:
+def layer_norm_forward(x: Tensor, gamma: Tensor,
+                       beta: Tensor) -> tuple[Tensor, NormCache]:
     """Normalize over the trailing feature axis of each row."""
     f = x.shape[-1]
     if gamma.shape != (f,) or beta.shape != (f,):
@@ -339,7 +339,7 @@ def layer_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     rank = x.data.ndim
     gb = gamma.data.reshape((1,) * (rank - 1) + (f,))
     bb = beta.data.reshape(gb.shape)
-    y, xhat, invstd, _, _ = _norm_core(x.data, gb, bb, (rank - 1,), eps)
+    y, xhat, invstd, _, _ = _norm_core(x.data, gb, bb, (rank - 1,))
     return Tensor(y), NormCache((rank - 1,), tuple(range(rank - 1)),
                                 xhat, invstd, gb)
 

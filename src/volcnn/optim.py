@@ -119,7 +119,8 @@ def _batch_tensors(samples, crop: int, normalize: bool):
 
 
 def evaluate_samples(net, samples, batch_size: int,
-                     normalize: bool = True) -> tuple[float, list]:
+                     normalize: bool = TrainConfig.normalize
+                     ) -> tuple[float, list]:
     """Mean cross-entropy and per-sample records in eval mode, from a
     forward that records no tape.
 
@@ -129,15 +130,13 @@ def evaluate_samples(net, samples, batch_size: int,
     if not samples:
         raise ValueError("nothing to evaluate")
     crop = net.config.crop_extent
-    use_age = net.config.age_mode != "none"
     loss_sum = 0.0
     records = []
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]
         x = _batch_tensors(chunk, crop, normalize)
-        ages = [s.age for s in chunk] if use_age else None
-        logits, _ = network.forward(net, x, ages=ages, mode="eval",
-                                    tape=False)
+        logits, _ = network.forward(net, x, ages=[s.age for s in chunk],
+                                    mode="eval", tape=False)
         labels = [s.label for s in chunk]
         loss, _, probs = ops.softmax_xent(logits, labels)
         if not np.isfinite(loss):
@@ -156,7 +155,6 @@ def train(net, train_samples, val_samples, cfg: TrainConfig,
     _check_splits(train_samples, val_samples)
     bs = resolve_batch_size(cfg, net.config)
     crop = net.config.crop_extent
-    use_age = net.config.age_mode != "none"
     skip_small = net.config.norm == "batch"
 
     rng = Rng(cfg.seed)
@@ -193,8 +191,7 @@ def train(net, train_samples, val_samples, cfg: TrainConfig,
                 labels.append(s.label)
                 ages.append(s.age)
             x = Tensor(np.stack(vols)[:, None].astype(np.float32))
-            logits, tape = network.forward(
-                net, x, ages=ages if use_age else None, mode="train")
+            logits, tape = network.forward(net, x, ages=ages, mode="train")
             wts = ([cfg.class_weights[l] for l in labels]
                    if cfg.class_weights else None)
             loss, grad, _ = ops.softmax_xent(logits, labels, wts)

@@ -15,13 +15,11 @@ from pathlib import Path
 import numpy as np
 
 from . import model as network
+from .config import DEFAULT_VIEWS, SMOOTH_SIGMA  # DEFAULT_VIEWS: re-export
 from .data import NUM_CLASSES, atomic_write, gaussian_blur, write_native
 from .tensor import ShapeError, Tensor
 
 AXES = {"sagittal": 0, "coronal": 1, "axial": 2}
-DEFAULT_VIEWS = (("axial", 50), ("axial", 26), ("coronal", 56),
-                 ("sagittal", 26))
-SMOOTH_SIGMA = 0.8
 
 
 @dataclass(frozen=True)
@@ -97,27 +95,34 @@ def slice_to_pgm(sl: np.ndarray) -> bytes:
     return b"P5\n%d %d\n255\n" % (w, h) + pix.tobytes()
 
 
+def check_views(views, shape) -> None:
+    """ValueError unless every (axis, index) view names a known axis and an
+    index inside `shape` along it."""
+    for axis, index in views:
+        if axis not in AXES:
+            raise ValueError(
+                f"unknown axis {axis!r}; expected one of {sorted(AXES)}")
+        extent = shape[AXES[axis]]
+        if not 0 <= int(index) < extent:
+            raise ValueError(
+                f"{axis} index {index} out of range [0, {extent})")
+
+
 def export_slices(smap: SaliencyMap, views, prefix,
                   with_volume: bool = True) -> list[Path]:
     """Write one `{prefix}_{axis}{index}.pgm` per view and, unless
     disabled, the full map as `{prefix}_map.vol`. Returns the paths."""
     vol = smap.values.data
+    check_views(views, vol.shape)
     first = Path(f"{prefix}_map.vol")
     if first.parent != Path(""):
         first.parent.mkdir(parents=True, exist_ok=True)
     paths = []
     for axis, index in views:
-        if axis not in AXES:
-            raise ValueError(
-                f"unknown axis {axis!r}; expected one of {sorted(AXES)}")
-        dim = AXES[axis]
         index = int(index)
-        if not 0 <= index < vol.shape[dim]:
-            raise ValueError(
-                f"{axis} index {index} out of range [0, {vol.shape[dim]})")
         path = Path(f"{prefix}_{axis}{index}.pgm")
         with atomic_write(path, "wb") as fh:
-            fh.write(slice_to_pgm(np.take(vol, index, axis=dim)))
+            fh.write(slice_to_pgm(np.take(vol, index, axis=AXES[axis])))
         paths.append(path)
     if with_volume:
         write_native(first, vol)

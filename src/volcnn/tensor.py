@@ -171,14 +171,10 @@ def uniform(shape: Sequence[int], lo: float, hi: float, rng: Rng, dtype=F32) -> 
     return Tensor(rng.uniform(shape, lo, hi).astype(dtype))
 
 
-def kaiming_uniform(shape: Sequence[int], rng: Rng, dtype=F32,
-                    fan_in: int | None = None) -> Tensor:
-    """Uniform init with bound sqrt(6 / fan_in).
-
-    For weight layouts [out, in, ...] the default fan_in is the product of
-    all trailing extents (input channels times kernel volume).
-    """
-    if fan_in is None:
-        fan_in = int(np.prod(shape[1:]))
+def kaiming_uniform(shape: Sequence[int], rng: Rng, dtype=F32) -> Tensor:
+    """Uniform init with bound sqrt(6 / fan_in). For weight layouts
+    [out, in, ...] fan_in is the product of all trailing extents (input
+    channels times kernel volume)."""
+    fan_in = int(np.prod(shape[1:]))
     bound = float(np.sqrt(6.0 / fan_in))
     return uniform(shape, -bound, bound, rng, dtype)

@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in process via cli.main."""
 
 import csv
+import inspect
 import os
 import struct
 import subprocess
@@ -10,7 +11,10 @@ from pathlib import Path
 import pytest
 
 import volcnn.data
+import volcnn.gradcheck
 import volcnn.ops
+import volcnn.saliency
+from volcnn import metrics, optim
 from volcnn.cli import SCHEMA, format_config, main
 from volcnn.optim import LOG_HEADER
 
@@ -122,6 +126,34 @@ class TestConfigHandling:
         for key, (kind, _) in sorted(SCHEMA.items()):
             kinds.setdefault(kind, []).append(key)
         assert kinds == KEY_KINDS
+
+    def test_shared_defaults_match_library(self):
+        def default(fn, name):
+            return inspect.signature(fn).parameters[name].default
+
+        for fn in (metrics.bootstrap_ci, metrics.build_report):
+            assert default(fn, "n_resamples") == SCHEMA["n_resamples"][1]
+            assert default(fn, "alpha") == SCHEMA["alpha"][1]
+        assert (default(volcnn.data.generate_synthetic, "noise")
+                == SCHEMA["noise"][1])
+        assert (default(volcnn.saliency.smooth, "sigma")
+                == SCHEMA["smooth_sigma"][1])
+        assert (default(optim.evaluate_samples, "normalize")
+                == SCHEMA["normalize"][1])
+        views = [(a, int(i)) for a, i in
+                 (v.split(":") for v in SCHEMA["views"][1].split(","))]
+        assert views == list(volcnn.saliency.DEFAULT_VIEWS)
+
+    @pytest.mark.parametrize("key,value", [
+        ("learning_rate", "nan"), ("learning_rate", "inf"),
+        ("class_weights", "1,nan,1"), ("blur_hi", "inf")])
+    def test_non_finite_value_rejected(self, tmp_path, capsys, key, value):
+        run_dir = tmp_path / "r"
+        assert main(["train", "--run_dir", str(run_dir),
+                     f"--{key}", value]) == 2
+        err = capsys.readouterr().err
+        assert key in err and "not finite" in err
+        assert not run_dir.exists()
 
     def test_config_leaves_numpy_unloaded(self, tmp_path):
         # --threads pins the BLAS pool, so numpy must not load before it
@@ -427,6 +459,11 @@ class TestAblate:
         assert main(["ablate", "--run_dir", str(tmp_path / "r"),
                      "--axis", "norm"]) == 2
 
+    def test_bad_value_names_key(self, tmp_path, capsys):
+        assert main(["ablate", "--run_dir", str(tmp_path / "r"),
+                     "--axis", "width", "--values", "1,x"]) == 2
+        assert "widening_factor" in capsys.readouterr().err
+
 
 class TestSaliency:
     def test_exports_per_sample_and_aggregate(self, dataset, trained,
@@ -450,6 +487,19 @@ class TestSaliency:
                      "--manifest", str(dataset),
                      "--checkpoint", str(trained / "best.ckpt"),
                      "--views", "axial"]) == 2
+
+    def test_views_checked_before_any_map(self, dataset, trained, tmp_path,
+                                          monkeypatch):
+        def no_map(*args, **kwargs):
+            raise AssertionError("saliency computed before the view check")
+
+        monkeypatch.setattr(volcnn.saliency, "saliency", no_map)
+        run = tmp_path / "r"
+        assert main(["saliency", "--run_dir", str(run),
+                     "--manifest", str(dataset),
+                     "--checkpoint", str(trained / "best.ckpt"),
+                     "--views", "axial:40"]) == 2
+        assert not (run / "saliency").exists()
 
 
 class TestGradcheck:
@@ -475,6 +525,17 @@ class TestGradcheck:
         assert code == 4
         err = capsys.readouterr().err
         assert "conv" in err
+
+    def test_model_scope_runs_only_the_model_check(self, tmp_path, capsys,
+                                                   monkeypatch):
+        def no_conv(*args, **kwargs):
+            raise AssertionError("op checks run for scope model")
+
+        monkeypatch.setattr(volcnn.gradcheck, "check_conv", no_conv)
+        code = main(["gradcheck", "--run_dir", str(tmp_path / "g"),
+                     "--scope", "model"])
+        assert code == 0
+        assert "1 checks, 0 failed" in capsys.readouterr().out
 
     def test_bad_scope(self, tmp_path):
         assert main(["gradcheck", "--run_dir", str(tmp_path / "g"),

@@ -288,6 +288,12 @@ class TestBlur:
         with pytest.raises(ValueError):
             data.gaussian_blur(np.zeros((4, 4, 4), np.float32), -0.1)
 
+    @pytest.mark.parametrize("sigma", [math.inf, math.nan, 10.0])
+    def test_unbounded_sigma_rejected(self, sigma):
+        # radius ceil(3 sigma) is infinite, undefined, or 30 > extent 4
+        with pytest.raises(ValueError):
+            data.gaussian_blur(np.zeros((4, 4, 4), np.float32), sigma)
+
     @given(sigma=st.floats(0.0, 1.5), extent=st.integers(4, 10),
            seed=st.integers(0, 99))
     @settings(max_examples=25, deadline=None)
@@ -460,6 +466,11 @@ class TestSynthetic:
     def test_small_extent_rejected(self):
         with pytest.raises(ValueError, match=">= 16"):
             data.generate_synthetic(4, 8, Rng(1))
+
+    @pytest.mark.parametrize("noise", [-1.0, math.nan])
+    def test_negative_or_nan_noise_rejected(self, noise):
+        with pytest.raises(ValueError, match="noise"):
+            data.generate_synthetic(1, 16, Rng(1), noise=noise)
 
     def test_written_dataset_loads_cleanly(self, tmp_path):
         samples = data.generate_synthetic(4, 16, Rng(30))

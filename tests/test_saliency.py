@@ -251,3 +251,10 @@ class TestExport:
             saliency.export_slices(m, [("axial", 16)], tmp_path / "x")
         with pytest.raises(ValueError, match="unknown axis"):
             saliency.export_slices(m, [("oblique", 2)], tmp_path / "x")
+
+    def test_views_checked_before_any_file(self, tmp_path):
+        m = self.any_map()
+        with pytest.raises(ValueError, match="out of range"):
+            saliency.export_slices(m, [("axial", 0), ("axial", 16)],
+                                   tmp_path / "out" / "x")
+        assert not (tmp_path / "out").exists()
