@@ -254,6 +254,9 @@ def cmd_train(cfg: dict, run_dir: Path, loaded: dict | None = None) -> int:
     from .optim import resolve_batch_size, train
     from .tensor import Rng
 
+    model_cfg = _model_config(cfg)
+    train_cfg = _train_config(cfg)
+    batch_size = resolve_batch_size(train_cfg, model_cfg)
     manifest = _load_manifest(cfg)
     if cfg["subsample_rate"] != 1.0:
         manifest = data_mod.subsample(manifest, cfg["subsample_rate"],
@@ -266,9 +269,7 @@ def cmd_train(cfg: dict, run_dir: Path, loaded: dict | None = None) -> int:
 
     train_samples = _split_samples(manifest, "train", loaded)
     val_samples = _split_samples(manifest, "val", loaded)
-    model_cfg = _model_config(cfg)
-    train_cfg = _train_config(cfg)
-    print(f"resolved batch_size = {resolve_batch_size(train_cfg, model_cfg)}")
+    print(f"resolved batch_size = {batch_size}")
 
     ckpt = cfg["checkpoint"] or str(run_dir / "best.ckpt")
     net = build(model_cfg, Rng(cfg["seed"]))
@@ -392,6 +393,7 @@ def parse_views(spec: str):
 
 
 def cmd_saliency(cfg: dict, run_dir: Path) -> int:
+    from .data import check_blur
     from .optim import _batch_tensors
     from .saliency import (aggregate, check_views, export_slices, saliency,
                            smooth)
@@ -400,6 +402,7 @@ def cmd_saliency(cfg: dict, run_dir: Path) -> int:
     net, _, _ = _load_checkpoint(cfg)
     crop = net.config.crop_extent
     check_views(views, (crop,) * 3)
+    check_blur(cfg["smooth_sigma"], (crop,) * 3)
     manifest = _load_manifest(cfg)
     samples = _split_samples(manifest, cfg["split"])
     out_dir = run_dir / "saliency"

@@ -9,6 +9,7 @@ to its value kinds and checkpoints parse their config lines with them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 N_RESAMPLES = 1000   # bootstrap resamples per interval
@@ -72,9 +73,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
-        if self.learning_rate <= 0.0:
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError(
-                f"learning_rate must be > 0, got {self.learning_rate}")
+                f"learning_rate must be finite and > 0, got {self.learning_rate}")
         if not 0.0 <= self.momentum < 1.0:
             raise ValueError(
                 f"momentum must be in [0, 1), got {self.momentum}")
@@ -82,7 +83,8 @@ class TrainConfig:
             raise ValueError(
                 f"batch_size must be >= 1, got {self.batch_size}")
         if self.class_weights is not None:
-            if len(self.class_weights) != 3 or min(self.class_weights) <= 0:
-                raise ValueError("class_weights must be 3 positive values")
-        if self.blur_hi < 0.0:
-            raise ValueError(f"blur_hi must be >= 0, got {self.blur_hi}")
+            if len(self.class_weights) != 3 or not all(
+                    math.isfinite(w) and w > 0 for w in self.class_weights):
+                raise ValueError("class_weights must be 3 finite positive values")
+        if not (math.isfinite(self.blur_hi) and self.blur_hi >= 0.0):
+            raise ValueError(f"blur_hi must be finite and >= 0, got {self.blur_hi}")

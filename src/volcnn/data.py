@@ -264,18 +264,26 @@ def load_manifest(path, allow_leakage: bool = False) -> Manifest:
     return manifest
 
 
-def gaussian_blur(volume: np.ndarray, sigma: float) -> np.ndarray:
-    """Separable 3D Gaussian. Kernel truncated at radius ceil(3*sigma) and
-    renormalized to sum 1; edges mirror the volume so constants stay
-    constant. sigma = 0 returns a bit-identical copy. A radius beyond the
-    volume's largest extent is refused: the padded copies grow with it."""
+def check_blur(sigma: float, shape) -> int:
+    """The radius ceil(3*sigma) of gaussian_blur's kernel on a volume of
+    extents `shape`. ValueError unless sigma is finite and >= 0 and the
+    radius is at most the largest extent: the padded copies grow with it."""
     if not 0 <= sigma < math.inf:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     radius = math.ceil(3 * sigma)
-    if radius > max(volume.shape):
+    if radius > max(shape):
         raise ValueError(
             f"blur radius {radius} (sigma {sigma}) exceeds the largest "
-            f"volume extent {max(volume.shape)}")
+            f"volume extent {max(shape)}")
+    return radius
+
+
+def gaussian_blur(volume: np.ndarray, sigma: float) -> np.ndarray:
+    """Separable 3D Gaussian. Kernel truncated at radius ceil(3*sigma) and
+    renormalized to sum 1; edges mirror the volume so constants stay
+    constant. sigma = 0 returns a bit-identical copy. The sigma and radius
+    bounds are check_blur's."""
+    radius = check_blur(sigma, volume.shape)
     two_var = 2.0 * sigma * sigma
     if radius == 0 or two_var == 0.0:  # kernel is numerically a delta
         return volume.copy()

@@ -144,38 +144,45 @@ class Model:
         self.version += 1
 
 
+def tensor_shapes(config: ModelConfig,
+                  plan: ModelPlan) -> dict[str, tuple[int, ...]]:
+    """Extents of every parameter and batch-norm buffer by name, in build
+    order. Buffer names end in running_mean and running_var."""
+    shapes: dict[str, tuple[int, ...]] = {}
+    for bp in plan.blocks:
+        k, c = bp.conv.k, bp.conv.c_out
+        shapes[f"{bp.name}.conv.weight"] = (c, bp.in_channels, k, k, k)
+        stats = (("norm.running_mean", "norm.running_var")
+                 if bp.norm == "batch" else ())
+        for leaf in ("conv.bias", "norm.gamma", "norm.beta") + stats:
+            shapes[f"{bp.name}.{leaf}"] = (c,)
+    linears = [("fc1", FC1_WIDTH, plan.fc1_in)]
+    if config.age_mode == "encoded":
+        linears += [("age.fc1", AGE_HIDDEN, config.d_model),
+                    ("age.fc2", FC1_WIDTH, AGE_HIDDEN)]
+        shapes["age.norm.gamma"] = shapes["age.norm.beta"] = (AGE_HIDDEN,)
+    for name, out, fan_in in linears + [("fc2", NUM_CLASSES, FC1_WIDTH)]:
+        shapes[f"{name}.weight"] = (out, fan_in)
+        shapes[f"{name}.bias"] = (out,)
+    return shapes
+
+
 def build(config: ModelConfig, rng: Rng, dtype=tensor.F32) -> Model:
-    """Construct a model with kaiming-uniform weights, zero biases, and unit
-    gains. Every tensor draws from its own named substream, so adding an age
-    head or extra blocks never shifts the backbone initialization."""
+    """The model of tensor_shapes, each tensor initialized by its name: a
+    weight is kaiming-uniform from the substream its name spells, so adding
+    an age head or extra blocks never shifts the backbone initialization;
+    gains and running variances are ones, the rest zeros."""
     plan = layer_plan(config)
     params: dict[str, Tensor] = {}
     buffers: dict[str, Tensor] = {}
-    for bp in plan.blocks:
-        k, c_out, c_in = bp.conv.k, bp.conv.c_out, bp.in_channels
-        params[f"{bp.name}.conv.weight"] = tensor.kaiming_uniform(
-            (c_out, c_in, k, k, k), rng.stream(bp.name, "conv", "weight"), dtype)
-        params[f"{bp.name}.conv.bias"] = tensor.zeros((c_out,), dtype)
-        params[f"{bp.name}.norm.gamma"] = tensor.ones((c_out,), dtype)
-        params[f"{bp.name}.norm.beta"] = tensor.zeros((c_out,), dtype)
-        if bp.norm == "batch":
-            buffers[f"{bp.name}.norm.running_mean"] = tensor.zeros((c_out,), dtype)
-            buffers[f"{bp.name}.norm.running_var"] = tensor.ones((c_out,), dtype)
-    params["fc1.weight"] = tensor.kaiming_uniform(
-        (FC1_WIDTH, plan.fc1_in), rng.stream("fc1", "weight"), dtype)
-    params["fc1.bias"] = tensor.zeros((FC1_WIDTH,), dtype)
-    if config.age_mode == "encoded":
-        params["age.fc1.weight"] = tensor.kaiming_uniform(
-            (AGE_HIDDEN, config.d_model), rng.stream("age", "fc1", "weight"), dtype)
-        params["age.fc1.bias"] = tensor.zeros((AGE_HIDDEN,), dtype)
-        params["age.norm.gamma"] = tensor.ones((AGE_HIDDEN,), dtype)
-        params["age.norm.beta"] = tensor.zeros((AGE_HIDDEN,), dtype)
-        params["age.fc2.weight"] = tensor.kaiming_uniform(
-            (FC1_WIDTH, AGE_HIDDEN), rng.stream("age", "fc2", "weight"), dtype)
-        params["age.fc2.bias"] = tensor.zeros((FC1_WIDTH,), dtype)
-    params["fc2.weight"] = tensor.kaiming_uniform(
-        (NUM_CLASSES, FC1_WIDTH), rng.stream("fc2", "weight"), dtype)
-    params["fc2.bias"] = tensor.zeros((NUM_CLASSES,), dtype)
+    for name, shape in tensor_shapes(config, plan).items():
+        if name.endswith(".weight"):
+            t = tensor.kaiming_uniform(shape, rng.stream(*name.split(".")), dtype)
+        elif name.endswith((".gamma", ".running_var")):
+            t = tensor.ones(shape, dtype)
+        else:
+            t = tensor.zeros(shape, dtype)
+        (buffers if ".running_" in name else params)[name] = t
     return Model(config, plan, params, buffers, np.dtype(dtype))
 
 
@@ -227,12 +234,10 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
         if bp.norm == "batch":
             rm_key = f"{bp.name}.norm.running_mean"
             rv_key = f"{bp.name}.norm.running_var"
-            h, cache, nm, nv = ops.batch_norm_forward(
-                h, gamma, beta, model.buffers[rm_key], model.buffers[rv_key],
-                mode)
-            if mode == "train":
-                model.buffers[rm_key] = nm
-                model.buffers[rv_key] = nv
+            # eval mode hands the running stats back unchanged
+            h, cache, model.buffers[rm_key], model.buffers[rv_key] = (
+                ops.batch_norm_forward(h, gamma, beta, model.buffers[rm_key],
+                                       model.buffers[rv_key], mode, tape=tape))
         else:
             h, cache = ops.instance_norm_forward(h, gamma, beta, tape=tape)
         record(("norm", bp.name, cache))
@@ -259,7 +264,8 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
         a1 = ops.linear_forward(ae, model.params["age.fc1.weight"],
                                 model.params["age.fc1.bias"])
         a1n, ln_cache = ops.layer_norm_forward(
-            a1, model.params["age.norm.gamma"], model.params["age.norm.beta"])
+            a1, model.params["age.norm.gamma"], model.params["age.norm.beta"],
+            tape=tape)
         a2 = ops.linear_forward(a1n, model.params["age.fc2.weight"],
                                 model.params["age.fc2.bias"])
         z = Tensor(z.data + a2.data)
@@ -398,8 +404,8 @@ def _read_exact(fh, n: int, what: str) -> bytes:
 
 def load_checkpoint(path) -> tuple[Model, dict[str, str], dict[str, Tensor]]:
     """Rebuild a model from a checkpoint. Returns (model, extra config
-    entries, momentum state). The tensor set must match the architecture
-    recorded in the config exactly."""
+    entries, momentum state). The file's tensors must match the config's
+    tensor_shapes exactly, which is checked before any network is built."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 8, "magic") != CKPT_MAGIC:
@@ -428,30 +434,31 @@ def load_checkpoint(path) -> tuple[Model, dict[str, str], dict[str, Tensor]]:
         if fh.read(1):
             raise ValueError(f"{path}: trailing bytes after last tensor")
 
-    model = build(config, Rng(0))
-    velocity: dict[str, Tensor] = {}
-    expected = set(model.params) | set(model.buffers)
+    # Planning takes a step per extra block, so the file must hold at least
+    # that many tensors, the last block's among them, before it runs.
+    n = config.extra_blocks
+    if n > len(tensors) or (n and f"extra{n}.conv.weight" not in tensors):
+        raise ValueError(f"{path}: header names {n} extra blocks, the file "
+                         f"holds no extra{n}.conv.weight")
+    shapes = tensor_shapes(config, layer_plan(config))
+    expected = dict(shapes)
+    if any(name.startswith("velocity/") for name in tensors):
+        expected.update((f"velocity/{k}", s) for k, s in shapes.items()
+                        if ".running_" not in k)
     for name, t in tensors.items():
-        if name.startswith("velocity/"):
-            pname = name[len("velocity/"):]
-            if pname not in model.params:
-                raise ValueError(f"{path}: momentum for unknown parameter {pname!r}")
-            velocity[pname] = t
-            continue
-        if name in model.params:
-            slot = model.params
-        elif name in model.buffers:
-            slot = model.buffers
-        else:
+        if name not in expected:
             raise ValueError(f"{path}: unexpected tensor {name!r}")
-        if slot[name].shape != t.shape:
+        if t.shape != expected[name]:
             raise ValueError(
                 f"{path}: tensor {name!r} has shape {t.shape}, architecture "
-                f"expects {slot[name].shape}")
-        slot[name] = t
-        expected.discard(name)
-    if expected:
-        raise ValueError(f"{path}: checkpoint missing tensors {sorted(expected)}")
-    if velocity and set(velocity) != set(model.params):
-        raise ValueError(f"{path}: momentum state is partial")
+                f"expects {expected[name]}")
+    missing = sorted(expected.keys() - tensors.keys())
+    if missing:
+        raise ValueError(f"{path}: checkpoint is partial, missing {missing}")
+
+    model = build(config, Rng(0))
+    for slot in (model.params, model.buffers):
+        slot.update({name: tensors[name] for name in slot})
+    velocity = {k.removeprefix("velocity/"): t for k, t in tensors.items()
+                if k.startswith("velocity/")}
     return model, extra, velocity

@@ -173,11 +173,8 @@ def conv3d_backward(grad_out: Tensor, x: Tensor, w: Tensor,
             np.matmul(w_slabs_t[i], g_n, out=dcols2)
             for j, l, sl in taps[i]:
                 gxs[:, sl[0], sl[1], sl[2]] += dcols[j, l]
-    if spec.p:
-        p = spec.p
-        gx = gxp[:, :, p:p + spatial[0], p:p + spatial[1], p:p + spatial[2]]
-    else:
-        gx = gxp
+    p = spec.p
+    gx = gxp[:, :, p:p + spatial[0], p:p + spatial[1], p:p + spatial[2]]
     return Tensor(np.ascontiguousarray(gx)), Tensor(gw), Tensor(gb)
 
 
@@ -256,25 +253,38 @@ class NormCache:
     fixed_stats: bool = False    # eval-mode batch norm: mean/var are constants
 
 
-def _norm_core(x: np.ndarray, gamma_b: np.ndarray, beta_b: np.ndarray,
-               axes: tuple[int, ...], tape: bool = True):
-    """(y, xhat, invstd, mean, var) for normalization over `axes`, with the
-    biased variance; mean and var keep x's rank and dtype. Without a tape,
-    y is computed in xhat's buffer and xhat comes back as None."""
-    mean = x.mean(axis=axes, keepdims=True, dtype=x.dtype)
-    var = x.var(axis=axes, keepdims=True, dtype=x.dtype)
-    invstd = 1.0 / np.sqrt(var + x.dtype.type(EPS))
+def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...],
+               channel_axis: int, tape: bool, stats=None):
+    """gamma * (x - mean) / sqrt(var + EPS) + beta over `axes`, with one
+    gamma and beta entry per index of `channel_axis`. mean and the biased
+    var are x's, in x's dtype, or the per-channel constants stats = (mean,
+    var). Returns (y, cache, mean, var); without a tape the cache is None."""
+    c = x.shape[channel_axis]
+    if gamma.shape != (c,) or beta.shape != (c,):
+        raise ShapeError(f"affine params {gamma.shape}/{beta.shape}, expected ({c},)")
+    rank = x.data.ndim
+    bshape = tuple(c if a == channel_axis else 1 for a in range(rank))
+    gb = gamma.data.reshape(bshape)
+    bb = beta.data.reshape(bshape)
+    if stats is None:
+        mean = x.data.mean(axis=axes, keepdims=True, dtype=x.dtype)
+        var = x.data.var(axis=axes, keepdims=True, dtype=x.dtype)
+    else:
+        mean, var = (s.reshape(bshape) for s in stats)
+    invstd = 1.0 / np.sqrt(var + EPS)
     # In place, yet the same products in the same order as
     # gamma * ((x - mean) * invstd) + beta.
-    xhat = x - mean
+    xhat = x.data - mean
     xhat *= invstd
     if not tape:
-        xhat *= gamma_b
-        xhat += beta_b
-        return xhat, None, invstd, mean, var
-    y = gamma_b * xhat
-    y += beta_b
-    return y, xhat, invstd, mean, var
+        xhat *= gb
+        xhat += bb
+        return Tensor(xhat), None, mean, var
+    y = gb * xhat
+    y += bb
+    param_axes = tuple(a for a in range(rank) if a != channel_axis)
+    cache = NormCache(axes, param_axes, xhat, invstd, gb, stats is not None)
+    return Tensor(y), cache, mean, var
 
 
 def instance_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -283,65 +293,46 @@ def instance_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     """Normalize each (sample, channel) over its spatial positions. No batch
     statistics are involved, so train and eval behave identically. With
     tape=False no backward state is kept and the cache is None."""
-    c = x.shape[1]
-    if gamma.shape != (c,) or beta.shape != (c,):
-        raise ShapeError(f"affine params {gamma.shape}/{beta.shape}, expected ({c},)")
-    gb = gamma.data.reshape(1, c, 1, 1, 1)
-    bb = beta.data.reshape(1, c, 1, 1, 1)
-    y, xhat, invstd, _, _ = _norm_core(x.data, gb, bb, (2, 3, 4), tape)
-    if not tape:
-        return Tensor(y), None
-    return Tensor(y), NormCache((2, 3, 4), (0, 2, 3, 4), xhat, invstd, gb)
+    return _normalize(x, gamma, beta, (2, 3, 4), 1, tape)[:2]
 
 
 def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
                        running_mean: Tensor, running_var: Tensor, mode: str,
-                       momentum: float = 0.1
-                       ) -> tuple[Tensor, NormCache, Tensor, Tensor]:
+                       momentum: float = 0.1, tape: bool = True
+                       ) -> tuple[Tensor, NormCache | None, Tensor, Tensor]:
     """Per-channel normalization over batch and spatial positions.
 
     Train mode normalizes with batch statistics (biased variance) and blends
     them into the returned running stats: running <- (1-m)*running + m*batch,
     with the unbiased variance entering the running estimate. Eval mode
-    normalizes with the running stats unchanged. Returns
-    (y, cache, new_running_mean, new_running_var).
+    normalizes with the running stats unchanged. Returns (y, cache,
+    new_running_mean, new_running_var); the cache is None when tape=False.
     """
-    n, c = x.shape[0], x.shape[1]
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
     axes = (0, 2, 3, 4)
-    gb = gamma.data.reshape(1, c, 1, 1, 1)
-    bb = beta.data.reshape(1, c, 1, 1, 1)
-    if mode == "train":
-        if n < 2:
-            raise ValueError("batch norm in train mode needs a batch of >= 2")
-        y, xhat, invstd, mean, var = _norm_core(x.data, gb, bb, axes)
-        m = x.data.size // c
-        new_mean = (1 - momentum) * running_mean.data + momentum * mean.reshape(c)
-        new_var = ((1 - momentum) * running_var.data
-                   + momentum * var.reshape(c) * m / (m - 1))
-        return (Tensor(y), NormCache(axes, axes, xhat, invstd, gb),
-                Tensor(new_mean.astype(x.dtype)), Tensor(new_var.astype(x.dtype)))
-    invstd = (1.0 / np.sqrt(running_var.data + EPS)).reshape(1, c, 1, 1, 1)
-    xhat = (x.data - running_mean.data.reshape(1, c, 1, 1, 1)) * invstd
-    y = gb * xhat + bb
-    cache = NormCache(axes, axes, xhat.astype(x.dtype), invstd.astype(x.dtype),
-                      gb, fixed_stats=True)
-    return Tensor(y.astype(x.dtype)), cache, running_mean, running_var
+    if mode == "eval":
+        y, cache, _, _ = _normalize(x, gamma, beta, axes, 1, tape,
+                                    (running_mean.data, running_var.data))
+        return y, cache, running_mean, running_var
+    if x.shape[0] < 2:
+        raise ValueError("batch norm in train mode needs a batch of >= 2")
+    y, cache, mean, var = _normalize(x, gamma, beta, axes, 1, tape)
+    c = x.shape[1]
+    m = x.data.size // c
+    new_mean = (1 - momentum) * running_mean.data + momentum * mean.reshape(c)
+    new_var = ((1 - momentum) * running_var.data
+               + momentum * var.reshape(c) * m / (m - 1))
+    return (y, cache, Tensor(new_mean.astype(x.dtype)),
+            Tensor(new_var.astype(x.dtype)))
 
 
-def layer_norm_forward(x: Tensor, gamma: Tensor,
-                       beta: Tensor) -> tuple[Tensor, NormCache]:
-    """Normalize over the trailing feature axis of each row."""
-    f = x.shape[-1]
-    if gamma.shape != (f,) or beta.shape != (f,):
-        raise ShapeError(f"affine params {gamma.shape}/{beta.shape}, expected ({f},)")
-    rank = x.data.ndim
-    gb = gamma.data.reshape((1,) * (rank - 1) + (f,))
-    bb = beta.data.reshape(gb.shape)
-    y, xhat, invstd, _, _ = _norm_core(x.data, gb, bb, (rank - 1,))
-    return Tensor(y), NormCache((rank - 1,), tuple(range(rank - 1)),
-                                xhat, invstd, gb)
+def layer_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
+                       tape: bool = True) -> tuple[Tensor, NormCache | None]:
+    """Normalize over the trailing feature axis of each row. With
+    tape=False the cache is None."""
+    last = x.data.ndim - 1
+    return _normalize(x, gamma, beta, (last,), last, tape)[:2]
 
 
 def norm_backward(grad_out: Tensor,

@@ -24,8 +24,8 @@ from . import metrics
 from . import model as network
 from . import ops, tensor
 from .config import TrainConfig
-from .data import (LeakageError, atomic_write, center_crop, gaussian_blur,
-                   intensity_normalize, random_crop)
+from .data import (LeakageError, atomic_write, center_crop, check_blur,
+                   gaussian_blur, intensity_normalize, random_crop)
 from .tensor import Rng, Tensor
 
 
@@ -153,6 +153,8 @@ def train(net, train_samples, val_samples, cfg: TrainConfig,
     epoch with the lowest validation loss is written to checkpoint_path,
     with its momentum buffers; that file is its only copy."""
     _check_splits(train_samples, val_samples)
+    for s in train_samples:  # every sigma drawn is below blur_hi
+        check_blur(cfg.blur_hi, s.volume.shape)
     bs = resolve_batch_size(cfg, net.config)
     crop = net.config.crop_extent
     skip_small = net.config.norm == "batch"

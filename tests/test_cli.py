@@ -6,6 +6,8 @@ import os
 import struct
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -14,9 +16,10 @@ import volcnn.data
 import volcnn.gradcheck
 import volcnn.ops
 import volcnn.saliency
-from volcnn import metrics, optim
+from volcnn import metrics, model, optim
 from volcnn.cli import SCHEMA, format_config, main
 from volcnn.optim import LOG_HEADER
+from volcnn.tensor import Rng
 
 
 @pytest.fixture(scope="module")
@@ -326,6 +329,34 @@ class TestTrain:
         assert main(["train", "--run_dir", str(tmp_path / "r"),
                      "--manifest", str(tmp_path / "nope.csv")]) == 3
 
+    def test_settings_checked_before_volumes_are_read(self, dataset,
+                                                      tmp_path, capsys):
+        rows = dataset.read_text().splitlines()
+        first = rows[1].split(",")
+        first[1] = "missing.vol"
+        broken = dataset.parent / "missing_volume.csv"
+        broken.write_text("\n".join([rows[0], ",".join(first)] + rows[2:])
+                          + "\n")
+        code = main(["train", "--run_dir", str(tmp_path / "r"),
+                     "--manifest", str(broken), "--crop_extent", "32",
+                     "--norm", "bogus"])
+        assert code == 2
+        assert "norm" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("blur_hi", ["11", "12"])
+    def test_blur_bound_checked_before_epoch_one(self, dataset, tmp_path,
+                                                 capsys, blur_hi):
+        # ceil(3 * blur_hi) exceeds the 32-voxel volumes, so some sigma
+        # drawn below blur_hi would fail
+        run = tmp_path / "r"
+        code = main(["train", "--run_dir", str(run),
+                     "--manifest", str(dataset), "--crop_extent", "32",
+                     "--max_epochs", "3", "--blur_hi", blur_hi])
+        assert code == 2
+        assert "blur radius" in capsys.readouterr().err
+        assert not (run / "train_log.csv").exists()
+        assert not (run / "best.ckpt").exists()
+
     def test_divergent_lr_exits_numeric(self, dataset, tmp_path, capsys):
         code = main(["train", "--run_dir", str(tmp_path / "r"),
                      "--manifest", str(dataset), "--crop_extent", "32",
@@ -394,6 +425,46 @@ class TestEval:
                      "--manifest", str(dataset),
                      "--checkpoint", str(ckpt)]) == 3
         assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("widening_factor", "1000000"), ("crop_extent", "100000"),
+        ("extra_blocks", "1000000000"), ("d_model", "1000000"),
+    ])
+    def test_hostile_header_is_a_data_error(self, dataset, trained, tmp_path,
+                                            capsys, key, value):
+        # checked against the file's tensors before any network is planned
+        # or allocated
+        src = trained / "best.ckpt"
+        if key == "d_model":
+            src = tmp_path / "encoded.ckpt"
+            model.save_checkpoint(src, model.build(
+                model.ModelConfig(crop_extent=32, age_mode="encoded"),
+                Rng(3)))
+        raw = src.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", raw, 12)
+        lines = raw[16:16 + cfg_len].decode().splitlines(keepends=True)
+        header = "".join(f"{key}={value}\n" if line.startswith(f"{key}=")
+                         else line for line in lines)
+        assert f"{key}={value}\n" in header
+        ckpt = tmp_path / "hostile.ckpt"
+        ckpt.write_bytes(raw[:12] + struct.pack("<I", len(header))
+                         + header.encode() + raw[16 + cfg_len:])
+
+        t0 = time.monotonic()
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError):
+                model.load_checkpoint(ckpt)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * len(raw)
+        code = main(["eval", "--run_dir", str(tmp_path / "e"),
+                     "--manifest", str(dataset), "--checkpoint", str(ckpt)])
+        assert time.monotonic() - t0 < 5.0
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "cannot load checkpoint" in err and "Traceback" not in err
 
 
 class TestAblate:
@@ -499,6 +570,19 @@ class TestSaliency:
                      "--manifest", str(dataset),
                      "--checkpoint", str(trained / "best.ckpt"),
                      "--views", "axial:40"]) == 2
+        assert not (run / "saliency").exists()
+
+    def test_smoothing_bound_checked_before_any_map(self, dataset, trained,
+                                                    tmp_path, monkeypatch):
+        def no_map(*args, **kwargs):
+            raise AssertionError("saliency computed before the blur check")
+
+        monkeypatch.setattr(volcnn.saliency, "saliency", no_map)
+        run = tmp_path / "r"
+        assert main(["saliency", "--run_dir", str(run),
+                     "--manifest", str(dataset),
+                     "--checkpoint", str(trained / "best.ckpt"),
+                     "--smooth_sigma", "20", "--views", "axial:20"]) == 2
         assert not (run / "saliency").exists()
 
 

@@ -1,6 +1,7 @@
 """Architecture tests: shape progression, config handling, checkpoint
 round trips, and end-to-end gradient flow."""
 
+import hashlib
 import itertools
 import struct
 import tracemalloc
@@ -144,6 +145,25 @@ class TestConfig:
         for name in a.params:
             np.testing.assert_array_equal(a.params[name].data, b.params[name].data)
 
+    @pytest.mark.parametrize("axis, digest", [
+        ({}, "a88a41653bf7e4b8779f8a07b14252c523d7b4cb0845c1f4e9ee96dd9bd12550"),
+        ({"norm": "batch", "age_mode": "encoded", "extra_blocks": 2,
+          "widening_factor": 2},
+         "9329a0a7b4fe09271ccc914e041f2ae50929ace9734558350d6fb38b9a198f8d"),
+        ({"first_layer": "K7S4", "age_mode": "concat"},
+         "822ab2d1ef62b733f5ded8731bc5683eb959765bc7879255570b94c3ec9b17bc"),
+    ])
+    def test_init_digest_pinned(self, axis, digest):
+        # SHA-256 over every tensor's name and float32 bytes, by name: the
+        # initialization of each architecture axis, pinned
+        net = m.build(m.ModelConfig(crop_extent=32, **axis), Rng(7))
+        named = {**net.params, **net.buffers}
+        h = hashlib.sha256()
+        for name in sorted(named):
+            h.update(name.encode())
+            h.update(named[name].data.tobytes())
+        assert h.hexdigest() == digest
+
 
 class TestForwardBackward:
     def test_zeroed_parameters_give_constant_logits(self):
@@ -277,6 +297,19 @@ class TestTapeFree:
         logits, tape = m.forward(net, x, None, "train")
         assert calls == [bp.pool for bp in net.plan.blocks]
         m.backward(net, tape, Tensor(np.ones_like(logits.data)))
+
+    def test_forward_without_tape_builds_no_norm_cache(self, monkeypatch):
+        # batch norm in eval mode and the age head's layer norm honour tape
+        def no_cache(*args, **kwargs):
+            raise AssertionError("norm cache built")
+
+        net = m.build(m.ModelConfig(crop_extent=16, norm="batch",
+                                    age_mode="encoded"), Rng(8))
+        x = Tensor(Rng(9).normal((2, 1, 16, 16, 16)).astype(np.float32))
+        monkeypatch.setattr(m.ops, "NormCache", no_cache)
+        m.forward(net, x, [63.5, 81.0], "eval", tape=False)
+        with pytest.raises(AssertionError, match="norm cache"):
+            m.forward(net, x, [63.5, 81.0], "eval")
 
     def test_peak_memory_below_taped_forward(self):
         # Without a tape a crop-32 batch of 4 peaks at two block1-sized

@@ -368,6 +368,47 @@ class TestNorms:
             assert got.dtype == dtype
             np.testing.assert_array_equal(got, want)
 
+    @pytest.mark.parametrize("tape", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_batch_norm_eval_matches_running_statistics(self, dtype, tape):
+        # eval mode normalizes with the running stats as constants, in the
+        # input's dtype, bit for bit, with or without a tape
+        shape = (3, 2, 4, 3, 5)
+        rng = Rng(8).stream("bn-eval-oracle")
+        c = shape[1]
+        x = (rng.stream("x").normal(shape) * 3.0 + 1.0).astype(dtype)
+        gamma = rng.stream("g").uniform((c,), 0.5, 1.5).astype(dtype)
+        beta = rng.stream("b").normal((c,)).astype(dtype)
+        rm = Tensor(rng.stream("rm").normal((c,)).astype(dtype))
+        rv = Tensor(rng.stream("rv").uniform((c,), 0.5, 2.0).astype(dtype))
+        y, cache, nm, nv = ops.batch_norm_forward(
+            Tensor(x), Tensor(gamma), Tensor(beta), rm, rv, "eval", tape=tape)
+        b = (1, c, 1, 1, 1)
+        invstd = (1.0 / np.sqrt(rv.data + ops.EPS)).reshape(b)
+        xhat = (x - rm.data.reshape(b)) * invstd
+        assert nm is rm and nv is rv
+        assert y.data.dtype == dtype
+        np.testing.assert_array_equal(
+            y.data, gamma.reshape(b) * xhat + beta.reshape(b))
+        if not tape:
+            assert cache is None
+            return
+        assert cache.fixed_stats
+        for got, want in ((cache.xhat, xhat), (cache.invstd, invstd)):
+            assert got.dtype == dtype
+            np.testing.assert_array_equal(got, want)
+
+    def test_affine_params_must_match_channels(self):
+        x = Tensor(np.ones((2, 3, 2, 2, 2)))
+        two = Tensor(np.ones(2))
+        with pytest.raises(ShapeError, match="affine"):
+            ops.instance_norm_forward(x, two, two)
+        for mode in ("train", "eval"):
+            with pytest.raises(ShapeError, match="affine"):
+                ops.batch_norm_forward(x, two, two, two, two, mode)
+        with pytest.raises(ShapeError, match="affine"):
+            ops.layer_norm_forward(Tensor(np.ones((2, 3))), two, two)
+
     def test_layer_norm_rows(self):
         rng = Rng(7).stream("ln")
         x = Tensor(rng.normal((4, 8)) * 3.0 - 1.0)

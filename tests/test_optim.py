@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -81,6 +82,16 @@ class TestTrainConfig:
     ])
     def test_invalid_values(self, kwargs):
         with pytest.raises(ValueError):
+            optim.TrainConfig(**kwargs)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"learning_rate": math.nan}, {"learning_rate": math.inf},
+        {"blur_hi": math.nan}, {"blur_hi": math.inf},
+        {"class_weights": (1.0, math.nan, 2.0)},
+        {"class_weights": (1.0, math.inf, 2.0)},
+    ])
+    def test_non_finite_values_rejected(self, kwargs):
+        with pytest.raises(ValueError, match="finite"):
             optim.TrainConfig(**kwargs)
 
     def test_batch_size_defaults(self):
