@@ -5,8 +5,8 @@ synth. Configuration is a flat key = value text file plus --key value
 overrides; every run echoes its full effective configuration and writes it
 next to the outputs, so re-running with that file reproduces the run.
 
-Exit codes: 0 success, 2 configuration error, 3 data error, 4 numeric
-failure.
+Exit codes: 0 success, 2 configuration error (a network too large to
+allocate among them), 3 data error, 4 numeric failure.
 
 Heavy imports happen inside the command handlers so that --threads can pin
 the BLAS worker env vars before numpy first loads.
@@ -243,8 +243,7 @@ def _load_checkpoint(cfg):
     try:
         return load_checkpoint(cfg["checkpoint"])
     except (OSError, ValueError) as exc:
-        raise DataError(
-            f"cannot load checkpoint {cfg['checkpoint']}: {exc}") from None
+        raise DataError(f"cannot load checkpoint: {exc}") from None
 
 
 def cmd_train(cfg: dict, run_dir: Path, loaded: dict | None = None) -> int:
@@ -257,6 +256,7 @@ def cmd_train(cfg: dict, run_dir: Path, loaded: dict | None = None) -> int:
     model_cfg = _model_config(cfg)
     train_cfg = _train_config(cfg)
     batch_size = resolve_batch_size(train_cfg, model_cfg)
+    net = build(model_cfg, Rng(cfg["seed"]))  # MemoryError before any read
     manifest = _load_manifest(cfg)
     if cfg["subsample_rate"] != 1.0:
         manifest = data_mod.subsample(manifest, cfg["subsample_rate"],
@@ -272,7 +272,6 @@ def cmd_train(cfg: dict, run_dir: Path, loaded: dict | None = None) -> int:
     print(f"resolved batch_size = {batch_size}")
 
     ckpt = cfg["checkpoint"] or str(run_dir / "best.ckpt")
-    net = build(model_cfg, Rng(cfg["seed"]))
     log = train(net, train_samples, val_samples, train_cfg, ckpt)
     log.write(run_dir / "train_log.csv")
     print(f"checkpoint = {ckpt}")
@@ -393,8 +392,7 @@ def parse_views(spec: str):
 
 
 def cmd_saliency(cfg: dict, run_dir: Path) -> int:
-    from .data import check_blur
-    from .optim import _batch_tensors
+    from .data import check_blur, model_input
     from .saliency import (aggregate, check_views, export_slices, saliency,
                            smooth)
 
@@ -409,7 +407,7 @@ def cmd_saliency(cfg: dict, run_dir: Path) -> int:
 
     maps = []
     for s in samples:
-        vol = _batch_tensors([s], crop, cfg["normalize"]).data[0, 0]
+        vol = model_input([s], crop, cfg["normalize"])[0, 0]
         smap = saliency(net, vol, s.label, age=s.age)
         export_slices(smap, views, out_dir / s.subject_id,
                       with_volume=False)
@@ -467,7 +465,7 @@ def _code_for(exc) -> int | None:
     from .optim import NumericError
     from .tensor import ShapeError
 
-    if isinstance(exc, ConfigError):
+    if isinstance(exc, (ConfigError, MemoryError)):
         return EXIT_CONFIG
     if isinstance(exc, NumericError):
         return EXIT_NUMERIC

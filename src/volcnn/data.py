@@ -2,8 +2,9 @@
 atomic file write used for checkpoints and evaluation artifacts.
 
 Volumes travel as rank-3 float32 numpy arrays in file voxel order
-(sagittal, coronal, axial for registered scans). Batching into network
-tensors happens in the training loop.
+(sagittal, coronal, axial for registered scans). model_input turns a list
+of samples into the network's float32 batch, for training, evaluation and
+saliency alike.
 """
 
 from __future__ import annotations
@@ -376,6 +377,26 @@ def load_sample(manifest: Manifest, row: ManifestRow) -> Sample:
     if not np.isfinite(vol).all():
         raise VolumeFormatError(f"{row.path}: non-finite voxels")
     return Sample(vol, row.subject_id, row.label, row.age, row.split)
+
+
+def model_input(samples, extent: int, normalize: bool, augs=None,
+                blur_hi: float = 0.0) -> np.ndarray:
+    """The float32 network input [N, 1, e, e, e]: each volume z-scored if
+    `normalize`, then, given one augmentation stream per sample, blurred
+    with sigma ~ U[0, blur_hi) and randomly cropped, both drawn from that
+    stream in that order (training), else center-cropped (evaluation)."""
+    vols = []
+    for s, aug in zip(samples, augs or [None] * len(samples)):
+        try:
+            vol = intensity_normalize(s.volume) if normalize else s.volume
+        except ValueError as exc:  # a constant volume
+            raise VolumeFormatError(f"subject {s.subject_id}: {exc}") from None
+        if aug is None:
+            vols.append(center_crop(vol, extent))
+        else:
+            vol = gaussian_blur(vol, float(aug.uniform(lo=0.0, hi=blur_hi)))
+            vols.append(random_crop(vol, extent, aug))
+    return np.stack(vols, dtype=np.float32)[:, None]
 
 
 # per-class age statistics (mean, standard deviation) for synthesis

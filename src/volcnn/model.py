@@ -402,17 +402,17 @@ def _read_exact(fh, n: int, what: str) -> bytes:
     return buf
 
 
-def load_checkpoint(path) -> tuple[Model, dict[str, str], dict[str, Tensor]]:
-    """Rebuild a model from a checkpoint. Returns (model, extra config
-    entries, momentum state). The file's tensors must match the config's
-    tensor_shapes exactly, which is checked before any network is built."""
+def _read_checkpoint(path) -> tuple[ModelConfig, dict[str, str],
+                                    dict[str, Tensor]]:
+    """The config, extra entries and tensors of a checkpoint file, checked
+    against the config's tensor_shapes."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if _read_exact(fh, 8, "magic") != CKPT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
+            raise ValueError("not a checkpoint file")
         version, cfg_len = struct.unpack("<II", _read_exact(fh, 8, "header"))
         if version != CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
+            raise ValueError(f"unsupported checkpoint version {version}")
         config, extra = _parse_config_text(
             _read_exact(fh, cfg_len, "config").decode())
         (count,) = struct.unpack("<I", _read_exact(fh, 4, "tensor count"))
@@ -426,20 +426,20 @@ def load_checkpoint(path) -> tuple[Model, dict[str, str], dict[str, Tensor]]:
             left = size - fh.tell()
             if n_bytes > left:
                 raise ValueError(
-                    f"{path}: checkpoint truncated: tensor {name!r} extents "
-                    f"{shape} need {n_bytes} bytes, {left} left in the file")
+                    f"checkpoint truncated: tensor {name!r} extents {shape} "
+                    f"need {n_bytes} bytes, {left} left in the file")
             raw = _read_exact(fh, n_bytes, f"tensor {name!r} payload")
             tensors[name] = Tensor(
                 np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
         if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after last tensor")
+            raise ValueError("trailing bytes after last tensor")
 
     # Planning takes a step per extra block, so the file must hold at least
     # that many tensors, the last block's among them, before it runs.
     n = config.extra_blocks
     if n > len(tensors) or (n and f"extra{n}.conv.weight" not in tensors):
-        raise ValueError(f"{path}: header names {n} extra blocks, the file "
-                         f"holds no extra{n}.conv.weight")
+        raise ValueError(f"header names {n} extra blocks, the file holds "
+                         f"no extra{n}.conv.weight")
     shapes = tensor_shapes(config, layer_plan(config))
     expected = dict(shapes)
     if any(name.startswith("velocity/") for name in tensors):
@@ -447,15 +447,25 @@ def load_checkpoint(path) -> tuple[Model, dict[str, str], dict[str, Tensor]]:
                         if ".running_" not in k)
     for name, t in tensors.items():
         if name not in expected:
-            raise ValueError(f"{path}: unexpected tensor {name!r}")
+            raise ValueError(f"unexpected tensor {name!r}")
         if t.shape != expected[name]:
-            raise ValueError(
-                f"{path}: tensor {name!r} has shape {t.shape}, architecture "
-                f"expects {expected[name]}")
+            raise ValueError(f"tensor {name!r} has shape {t.shape}, "
+                             f"architecture expects {expected[name]}")
     missing = sorted(expected.keys() - tensors.keys())
     if missing:
-        raise ValueError(f"{path}: checkpoint is partial, missing {missing}")
+        raise ValueError(f"checkpoint is partial, missing {missing}")
+    return config, extra, tensors
 
+
+def load_checkpoint(path) -> tuple[Model, dict[str, str], dict[str, Tensor]]:
+    """Rebuild a model from a checkpoint. Returns (model, extra config
+    entries, momentum state). The file's tensors must match the config's
+    tensor_shapes exactly, which is checked before any network is built.
+    Every ValueError names the path, once."""
+    try:
+        config, extra, tensors = _read_checkpoint(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     model = build(config, Rng(0))
     for slot in (model.params, model.buffers):
         slot.update({name: tensors[name] for name in slot})

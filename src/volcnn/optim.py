@@ -24,8 +24,7 @@ from . import metrics
 from . import model as network
 from . import ops, tensor
 from .config import TrainConfig
-from .data import (LeakageError, atomic_write, center_crop, check_blur,
-                   gaussian_blur, intensity_normalize, random_crop)
+from .data import LeakageError, atomic_write, check_blur, model_input
 from .tensor import Rng, Tensor
 
 
@@ -107,17 +106,6 @@ def _check_splits(train_samples, val_samples):
         raise LeakageError(sorted(overlap))
 
 
-def _batch_tensors(samples, crop: int, normalize: bool):
-    """Deterministic eval preprocessing: optional z-score, center crop."""
-    vols = []
-    for s in samples:
-        vol = s.volume
-        if normalize:
-            vol = intensity_normalize(vol)
-        vols.append(center_crop(vol, crop))
-    return Tensor(np.stack(vols)[:, None].astype(np.float32))
-
-
 def evaluate_samples(net, samples, batch_size: int,
                      normalize: bool = TrainConfig.normalize
                      ) -> tuple[float, list]:
@@ -134,7 +122,7 @@ def evaluate_samples(net, samples, batch_size: int,
     records = []
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]
-        x = _batch_tensors(chunk, crop, normalize)
+        x = Tensor(model_input(chunk, crop, normalize))
         logits, _ = network.forward(net, x, ages=[s.age for s in chunk],
                                     mode="eval", tape=False)
         labels = [s.label for s in chunk]
@@ -174,25 +162,16 @@ def train(net, train_samples, val_samples, cfg: TrainConfig,
         loss_sum = 0.0
         seen = 0
         for start in range(0, n, bs):
-            idx = order[start:start + bs]
-            if skip_small and len(idx) < 2:
+            batch = [train_samples[int(i)] for i in order[start:start + bs]]
+            if skip_small and len(batch) < 2:
                 continue  # batch statistics undefined on a single sample
-            vols = []
-            labels = []
-            ages = []
-            for i in idx:
-                s = train_samples[int(i)]
-                aug = rng.stream("augment", counter)
-                counter += 1
-                vol = s.volume
-                if cfg.normalize:
-                    vol = intensity_normalize(vol)
-                vol = gaussian_blur(
-                    vol, float(aug.uniform(lo=0.0, hi=cfg.blur_hi)))
-                vols.append(random_crop(vol, crop, aug))
-                labels.append(s.label)
-                ages.append(s.age)
-            x = Tensor(np.stack(vols)[:, None].astype(np.float32))
+            augs = [rng.stream("augment", counter + j)
+                    for j in range(len(batch))]
+            counter += len(batch)
+            x = Tensor(model_input(batch, crop, cfg.normalize, augs,
+                                   cfg.blur_hi))
+            labels = [s.label for s in batch]
+            ages = [s.age for s in batch]
             logits, tape = network.forward(net, x, ages=ages, mode="train")
             wts = ([cfg.class_weights[l] for l in labels]
                    if cfg.class_weights else None)
@@ -205,8 +184,8 @@ def train(net, train_samples, val_samples, cfg: TrainConfig,
             sgd_step(net.params, grads, velocity, cfg.learning_rate,
                      cfg.momentum)
             net.note_update()
-            loss_sum += loss * len(idx)
-            seen += len(idx)
+            loss_sum += loss * len(batch)
+            seen += len(batch)
         if seen == 0:
             raise ValueError(
                 f"every batch was skipped: {n} train samples at batch size "

@@ -357,6 +357,50 @@ class TestTrain:
         assert not (run / "train_log.csv").exists()
         assert not (run / "best.ckpt").exists()
 
+    def test_blank_val_scan_is_a_data_error(self, dataset, tmp_path,
+                                            capsys):
+        rows = dataset.read_text().splitlines()
+        out = [rows[0]]
+        blank = None
+        for line in rows[1:]:
+            subject, path, *rest = line.split(",")
+            path = dataset.parent / path
+            if blank is None and rest[-1] == "val":
+                blank = subject
+                vol = volcnn.data.read_native(path)
+                path = tmp_path / "blank.vol"
+                volcnn.data.write_native(path, vol * 0 + 0.5)
+            out.append(",".join([subject, str(path)] + rest))
+        manifest = tmp_path / "blank.csv"
+        manifest.write_text("\n".join(out) + "\n")
+        code = main(["train", "--run_dir", str(tmp_path / "r"),
+                     "--manifest", str(manifest), "--crop_extent", "32",
+                     "--max_epochs", "1"])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert blank in err and "constant volume" in err
+        assert "Traceback" not in err
+
+    def test_unallocatable_model_exits_before_reading(self, dataset,
+                                                      tmp_path, capsys):
+        # every volume path is missing: the network is built, and fails,
+        # before the manifest is read
+        rows = dataset.read_text().splitlines()
+        missing = [rows[0]] + [line.replace(".vol", ".missing.vol")
+                               for line in rows[1:]]
+        manifest = tmp_path / "missing.csv"
+        manifest.write_text("\n".join(missing) + "\n")
+        run = tmp_path / "r"
+        t0 = time.monotonic()
+        code = main(["train", "--run_dir", str(run),
+                     "--manifest", str(manifest), "--crop_extent", "32",
+                     "--widening_factor", "1000000"])
+        assert time.monotonic() - t0 < 2.0
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "allocate" in err and "Traceback" not in err
+        assert not (run / "best.ckpt").exists()
+
     def test_divergent_lr_exits_numeric(self, dataset, tmp_path, capsys):
         code = main(["train", "--run_dir", str(tmp_path / "r"),
                      "--manifest", str(dataset), "--crop_extent", "32",
@@ -424,7 +468,23 @@ class TestEval:
         assert main(["eval", "--run_dir", str(tmp_path / "e"),
                      "--manifest", str(dataset),
                      "--checkpoint", str(ckpt)]) == 3
-        assert "truncated" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "truncated" in err and err.count(str(ckpt)) == 1
+
+    def test_truncated_config_names_the_path_once(self, dataset, trained,
+                                                  tmp_path, capsys):
+        raw = (trained / "best.ckpt").read_bytes()
+        ckpt = tmp_path / "short.ckpt"
+        ckpt.write_bytes(raw[:20])  # magic, header, 4 bytes of config
+        with pytest.raises(ValueError, match="reading config") as info:
+            model.load_checkpoint(ckpt)
+        assert str(ckpt) in str(info.value)
+        assert main(["eval", "--run_dir", str(tmp_path / "e"),
+                     "--manifest", str(dataset),
+                     "--checkpoint", str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        assert "truncated while reading config" in err
+        assert err.count(str(ckpt)) == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize("key, value", [
         ("widening_factor", "1000000"), ("crop_extent", "100000"),
@@ -465,6 +525,7 @@ class TestEval:
         assert code == 3
         err = capsys.readouterr().err
         assert "cannot load checkpoint" in err and "Traceback" not in err
+        assert err.count(str(ckpt)) == 1
 
 
 class TestAblate:

@@ -357,6 +357,48 @@ class TestNormalize:
             data.intensity_normalize(np.full((4, 4, 4), 2.0, np.float32))
 
 
+class TestModelInput:
+    def samples(self, dtype=np.float32):
+        rng = Rng(21).stream("mi")
+        return [data.Sample((rng.normal((12, 14, 11)) * 3 + i).astype(dtype),
+                            f"s{i}", i % 3, 70.0, "train") for i in range(3)]
+
+    def test_train_path_is_blur_of_zscore_then_random_crop(self):
+        samples = self.samples()
+        augs = [Rng(4).stream("augment", i) for i in range(3)]
+        out = data.model_input(samples, 8, True, augs, blur_hi=1.5)
+        assert out.shape == (3, 1, 8, 8, 8) and out.dtype == np.float32
+        for i, s in enumerate(samples):
+            aug = Rng(4).stream("augment", i)  # a copy of the same stream
+            sigma = float(aug.uniform(lo=0.0, hi=1.5))
+            want = data.random_crop(data.gaussian_blur(
+                data.intensity_normalize(s.volume), sigma), 8, aug)
+            assert out[i, 0].tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_eval_path_is_zscore_then_center_crop(self, normalize):
+        samples = self.samples()
+        out = data.model_input(samples, 8, normalize)
+        for i, s in enumerate(samples):
+            vol = data.intensity_normalize(s.volume) if normalize else s.volume
+            assert out[i, 0].tobytes() == data.center_crop(vol, 8).tobytes()
+
+    def test_non_float32_volume_yields_float32(self):
+        samples = self.samples(np.float64)
+        augs = [Rng(4).stream("augment", i) for i in range(3)]
+        for out in (data.model_input(samples, 8, True),
+                    data.model_input(samples, 8, True, augs, blur_hi=1.0)):
+            assert out.shape == (3, 1, 8, 8, 8)
+            assert out.dtype == np.float32 and out.flags.c_contiguous
+
+    def test_constant_volume_names_its_subject(self):
+        samples = self.samples()
+        samples[1].volume[...] = 2.0
+        with pytest.raises(data.VolumeFormatError, match="subject s1"):
+            data.model_input(samples, 8, True)
+        assert data.model_input(samples, 8, False).shape == (3, 1, 8, 8, 8)
+
+
 def build_manifest(train_per_class=(40, 30, 30)):
     rows = []
     idx = 0

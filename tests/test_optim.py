@@ -7,7 +7,7 @@ import pytest
 from volcnn import data, ops, optim
 from volcnn.data import LeakageError
 from volcnn.model import ModelConfig, build, forward, load_checkpoint
-from volcnn.tensor import Rng, zeros
+from volcnn.tensor import Rng, Tensor, zeros
 
 
 def synth_sets(n_per_class=4, extent=40, seed=5, noise=0.1):
@@ -115,7 +115,7 @@ class TestLossDescent:
 
         train, _ = synth_sets(n_per_class=2)
         net = small_net()
-        x = optim._batch_tensors(train, 32, normalize=True)
+        x = Tensor(data.model_input(train, 32, normalize=True))
         labels = [s.label for s in train]
         velocity = {k: zeros(t.shape, t.dtype)
                     for k, t in net.params.items()}
