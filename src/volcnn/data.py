@@ -16,6 +16,7 @@ import struct
 import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -161,22 +162,27 @@ def write_native(path, volume: np.ndarray) -> None:
 
 
 def read_native(path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < 36:
-        raise TruncatedVolume(f"{path}: shorter than the fixed header")
-    if raw[:8] != NATIVE_MAGIC:
-        raise BadMagic(f"{path}: magic {raw[:8]!r}")
-    (version,) = struct.unpack_from("<I", raw, 8)
-    if version != NATIVE_VERSION:
-        raise VolumeFormatError(f"{path}: unsupported version {version}")
-    shape = struct.unpack_from("<3Q", raw, 12)
-    count = math.prod(shape)
-    if len(raw) != 36 + 4 * count:
-        raise TruncatedVolume(
-            f"{path}: payload is {len(raw) - 36} bytes, extents "
-            f"{tuple(shape)} require {4 * count}")
-    return np.frombuffer(raw, dtype="<f4", count=count,
-                         offset=36).reshape(shape).copy()
+    """The volume, read once from the file into the array it returns."""
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        head = fh.read(36)
+        if len(head) < 36:
+            raise TruncatedVolume(f"{path}: shorter than the fixed header")
+        if head[:8] != NATIVE_MAGIC:
+            raise BadMagic(f"{path}: magic {head[:8]!r}")
+        (version,) = struct.unpack_from("<I", head, 8)
+        if version != NATIVE_VERSION:
+            raise VolumeFormatError(f"{path}: unsupported version {version}")
+        shape = struct.unpack_from("<3Q", head, 12)
+        count = math.prod(shape)
+        if size != 36 + 4 * count:
+            raise TruncatedVolume(
+                f"{path}: payload is {size - 36} bytes, extents "
+                f"{tuple(shape)} require {4 * count}")
+        vol = np.empty(shape, dtype="<f4")
+        if fh.readinto(vol.reshape(-1).view(np.uint8)) != 4 * count:
+            raise TruncatedVolume(f"{path}: payload shrank while reading")
+    return vol
 
 
 def load_volume(path) -> np.ndarray:
@@ -279,15 +285,20 @@ def check_blur(sigma: float, shape) -> int:
     return radius
 
 
+def _real_dtype(dtype) -> np.dtype:
+    """Float voxels keep their dtype; integer voxels become float32."""
+    return dtype if np.issubdtype(dtype, np.floating) else np.dtype(np.float32)
+
+
 def gaussian_blur(volume: np.ndarray, sigma: float) -> np.ndarray:
     """Separable 3D Gaussian. Kernel truncated at radius ceil(3*sigma) and
     renormalized to sum 1; edges mirror the volume so constants stay
     constant. sigma = 0 returns a bit-identical copy. The sigma and radius
-    bounds are check_blur's."""
+    bounds are check_blur's. Integer voxels give float32."""
     radius = check_blur(sigma, volume.shape)
     two_var = 2.0 * sigma * sigma
     if radius == 0 or two_var == 0.0:  # kernel is numerically a delta
-        return volume.copy()
+        return volume.astype(_real_dtype(volume.dtype))
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-(t * t) / two_var)
     kernel /= kernel.sum()
@@ -302,38 +313,49 @@ def gaussian_blur(volume: np.ndarray, sigma: float) -> np.ndarray:
             sl[axis] = slice(i, i + volume.shape[axis])
             acc += w * padded[tuple(sl)]
         out = acc
-    return out.astype(volume.dtype)
+    return out.astype(_real_dtype(volume.dtype))
 
 
-def _check_crop(shape, extent: int):
+def _crop_corner(shape, extent: int, rng: Rng | None = None) -> tuple:
+    """The corner of an extent^3 crop of a volume of extents `shape`:
+    uniform over valid positions, one draw from `rng` per axis in order,
+    or centered when `rng` is None."""
     if any(extent > e for e in shape):
         raise ValueError(f"crop extent {extent} exceeds volume extents {shape}")
+    if rng is None:
+        return tuple((e - extent) // 2 for e in shape)
+    return tuple(rng.integers(e - extent + 1) for e in shape)
+
+
+def _cut(volume: np.ndarray, corner, extent: int) -> np.ndarray:
+    return volume[tuple(slice(c, c + extent) for c in corner)]
 
 
 def random_crop(volume: np.ndarray, extent: int, rng: Rng) -> np.ndarray:
     """Uniform corner over valid positions, one draw per axis in order."""
-    _check_crop(volume.shape, extent)
-    offs = [rng.integers(e - extent + 1) for e in volume.shape]
-    d, h, w = offs
     return np.ascontiguousarray(
-        volume[d:d + extent, h:h + extent, w:w + extent])
+        _cut(volume, _crop_corner(volume.shape, extent, rng), extent))
 
 
 def center_crop(volume: np.ndarray, extent: int) -> np.ndarray:
-    _check_crop(volume.shape, extent)
-    offs = [(e - extent) // 2 for e in volume.shape]
-    d, h, w = offs
     return np.ascontiguousarray(
-        volume[d:d + extent, h:h + extent, w:w + extent])
+        _cut(volume, _crop_corner(volume.shape, extent), extent))
 
 
-def intensity_normalize(volume: np.ndarray) -> np.ndarray:
-    """Per-volume z-score."""
+def zscore_stats(volume: np.ndarray) -> tuple[np.float64, np.float64]:
+    """The volume's float64 (mean, std); ValueError if it is constant."""
     std = volume.std(dtype=np.float64)
     if std == 0.0:
         raise ValueError("constant volume cannot be normalized")
-    mean = volume.mean(dtype=np.float64)
-    return ((volume - mean) / std).astype(volume.dtype)
+    return volume.mean(dtype=np.float64), std
+
+
+def intensity_normalize(volume: np.ndarray, stats=None) -> np.ndarray:
+    """Per-volume z-score. `stats` is the (mean, std) to apply, from
+    zscore_stats of the whole volume when `volume` is a window of it;
+    without it, the volume's own. Integer voxels give float32."""
+    mean, std = zscore_stats(volume) if stats is None else stats
+    return ((volume - mean) / std).astype(_real_dtype(volume.dtype))
 
 
 def subsample(manifest: Manifest, rate: float, rng: Rng) -> Manifest:
@@ -367,6 +389,17 @@ class Sample:
     age: float
     split: str
 
+    @cached_property
+    def zscore(self) -> tuple[np.float64, np.float64]:
+        """The whole volume's zscore_stats, computed on first use and then
+        kept, so the volume must not change afterwards. A constant volume
+        raises VolumeFormatError naming the subject."""
+        try:
+            return zscore_stats(self.volume)
+        except ValueError as exc:
+            raise VolumeFormatError(
+                f"subject {self.subject_id}: {exc}") from None
+
 
 # perfbench/workloads.py builds its scan-shaped inputs under this name
 SyntheticSample = Sample
@@ -381,21 +414,38 @@ def load_sample(manifest: Manifest, row: ManifestRow) -> Sample:
 
 def model_input(samples, extent: int, normalize: bool, augs=None,
                 blur_hi: float = 0.0) -> np.ndarray:
-    """The float32 network input [N, 1, e, e, e]: each volume z-scored if
-    `normalize`, then, given one augmentation stream per sample, blurred
-    with sigma ~ U[0, blur_hi) and randomly cropped, both drawn from that
-    stream in that order (training), else center-cropped (evaluation)."""
+    """The float32 network input [N, 1, e, e, e]. Given one augmentation
+    stream per sample (training), sigma ~ U[0, blur_hi) and then the crop
+    corner are drawn from that stream in that order; otherwise
+    (evaluation) the corner is centered and nothing is blurred. Each
+    sample then takes the window of the crop plus the blur radius
+    r = ceil(3 sigma) on every side, clipped to the volume, z-scores it
+    with the whole volume's cached mean and std (if `normalize`), blurs it
+    and cuts the crop out of it.
+
+    This equals blurring the whole z-scored volume and cropping it, bit
+    for bit: the z-score is elementwise, each 1-D blur pass reads at most
+    r voxels past the crop along its own axis, a window edge clipped at
+    the volume's edge mirrors as the volume's does, and the false mirror
+    at an interior window edge reaches only voxels outside the crop."""
     vols = []
     for s, aug in zip(samples, augs or [None] * len(samples)):
-        try:
-            vol = intensity_normalize(s.volume) if normalize else s.volume
-        except ValueError as exc:  # a constant volume
-            raise VolumeFormatError(f"subject {s.subject_id}: {exc}") from None
+        shape = s.volume.shape
         if aug is None:
-            vols.append(center_crop(vol, extent))
+            radius = 0
+            corner = _crop_corner(shape, extent)
         else:
-            vol = gaussian_blur(vol, float(aug.uniform(lo=0.0, hi=blur_hi)))
-            vols.append(random_crop(vol, extent, aug))
+            sigma = float(aug.uniform(lo=0.0, hi=blur_hi))
+            radius = check_blur(sigma, shape)
+            corner = _crop_corner(shape, extent, aug)
+        lo = [max(c - radius, 0) for c in corner]
+        hi = [min(c + extent + radius, n) for c, n in zip(corner, shape)]
+        win = s.volume[tuple(map(slice, lo, hi))]
+        if normalize:
+            win = intensity_normalize(win, s.zscore)
+        if aug is not None:
+            win = gaussian_blur(win, sigma)
+        vols.append(_cut(win, [c - l for c, l in zip(corner, lo)], extent))
     return np.stack(vols, dtype=np.float32)[:, None]
 
 

@@ -143,6 +143,9 @@ def train(net, train_samples, val_samples, cfg: TrainConfig,
     _check_splits(train_samples, val_samples)
     for s in train_samples:  # every sigma drawn is below blur_hi
         check_blur(cfg.blur_hi, s.volume.shape)
+    if cfg.normalize:  # a constant scan fails before epoch 1, not after it
+        for s in list(train_samples) + list(val_samples):
+            s.zscore  # cached: the epochs reuse it
     bs = resolve_batch_size(cfg, net.config)
     crop = net.config.crop_extent
     skip_small = net.config.norm == "batch"
@@ -183,6 +186,7 @@ def train(net, train_samples, val_samples, cfg: TrainConfig,
             grads, _ = network.backward(net, tape, grad)
             sgd_step(net.params, grads, velocity, cfg.learning_rate,
                      cfg.momentum)
+            del tape, grads  # not alive while the next batch is taped
             net.note_update()
             loss_sum += loss * len(batch)
             seen += len(batch)

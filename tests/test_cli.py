@@ -373,13 +373,20 @@ class TestTrain:
             out.append(",".join([subject, str(path)] + rest))
         manifest = tmp_path / "blank.csv"
         manifest.write_text("\n".join(out) + "\n")
-        code = main(["train", "--run_dir", str(tmp_path / "r"),
+        run = tmp_path / "r"
+        code = main(["train", "--run_dir", str(run),
                      "--manifest", str(manifest), "--crop_extent", "32",
                      "--max_epochs", "1"])
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert code == 3
         assert blank in err and "constant volume" in err
         assert "Traceback" not in err
+        # rejected before epoch 1 starts (its header line), so no epoch
+        # line, log or checkpoint
+        assert LOG_HEADER not in out
+        assert not any(line.startswith("1,") for line in out.splitlines())
+        assert not (run / "train_log.csv").exists()
+        assert not (run / "best.ckpt").exists()
 
     def test_unallocatable_model_exits_before_reading(self, dataset,
                                                       tmp_path, capsys):

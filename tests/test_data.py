@@ -139,6 +139,19 @@ class TestNative:
         got = data.read_native(p)
         assert got.shape == (5, 6, 7)
         assert got.tobytes() == vol.tobytes()
+        assert got.flags.writeable and got.flags.c_contiguous
+
+    def test_empty_extent_round_trip(self, tmp_path):
+        p = tmp_path / "e.vol"
+        data.write_native(p, np.zeros((0, 2, 3), np.float32))
+        got = data.read_native(p)
+        assert got.shape == (0, 2, 3) and got.dtype == np.float32
+
+    def test_shorter_than_header(self, tmp_path):
+        p = tmp_path / "s.vol"
+        p.write_bytes(data.NATIVE_MAGIC + b"\x01\x00")
+        with pytest.raises(data.TruncatedVolume, match="fixed header"):
+            data.read_native(p)
 
     def test_wrong_magic(self, tmp_path):
         p = tmp_path / "w.vol"
@@ -397,6 +410,111 @@ class TestModelInput:
         with pytest.raises(data.VolumeFormatError, match="subject s1"):
             data.model_input(samples, 8, True)
         assert data.model_input(samples, 8, False).shape == (3, 1, 8, 8, 8)
+
+    @pytest.mark.parametrize("normalize", [True, False])
+    def test_integer_volume_gives_float_values(self, normalize):
+        vol = (np.arange(27).reshape(3, 3, 3) % 5).astype(np.int16)
+        ints = [data.Sample(vol, "i", 0, 70.0, "train")]
+        floats = [data.Sample(vol.astype(np.float32), "f", 0, 70.0, "train")]
+        for augs in (None, [Rng(5).stream("augment", 0)]):
+            got = data.model_input(ints, 3, normalize, augs, blur_hi=0.5)
+            want = data.model_input(floats, 3, normalize,
+                                    augs and [Rng(5).stream("augment", 0)],
+                                    blur_hi=0.5)
+            np.testing.assert_allclose(got, want, rtol=1e-6, atol=1e-6)
+        if normalize:  # z-scored, not truncated to [-1, 0, 0, 1, ...]
+            got = data.model_input(ints, 3, True)
+            np.testing.assert_allclose(
+                got[0, 0], (vol - vol.mean()) / vol.std(), rtol=1e-6)
+            np.testing.assert_allclose(
+                got.ravel()[:4], [-1.3275, -0.6247, 0.0781, 0.7809],
+                atol=1e-4)
+
+    def test_zscore_is_computed_once_on_first_use(self, tmp_path,
+                                                  monkeypatch):
+        calls = []
+        stats = data.zscore_stats
+        monkeypatch.setattr(data, "zscore_stats",
+                            lambda v: calls.append(v.shape) or stats(v))
+        path = tmp_path / "v.vol"
+        data.write_native(path, self.samples()[0].volume)
+        row = data.ManifestRow("s0", "v.vol", 0, 70.0, "train")
+        loaded = data.load_sample(data.Manifest([row], tmp_path), row)
+        assert calls == []  # nothing at load
+        augs = [Rng(4).stream("augment", 0)]
+        for _ in range(2):
+            data.model_input([loaded], 8, True)
+            data.model_input([loaded], 8, True, augs, blur_hi=1.5)
+        assert calls == [(12, 14, 11)]
+        assert loaded.zscore == stats(loaded.volume)
+
+    def test_blur_sees_only_the_crop_and_its_margin(self, monkeypatch):
+        rng = Rng(22).stream("win")
+        samples = [data.Sample(rng.normal((40, 44, 38)).astype(np.float32),
+                               f"w{i}", 0, 70.0, "train") for i in range(6)]
+        seen = []
+        blur = data.gaussian_blur
+
+        def spy(volume, sigma):
+            seen.append((volume.shape, math.ceil(3 * sigma)))
+            return blur(volume, sigma)
+
+        monkeypatch.setattr(data, "gaussian_blur", spy)
+        augs = [Rng(6).stream("augment", i) for i in range(6)]
+        data.model_input(samples, 16, True, augs, blur_hi=1.5)
+        assert len(seen) == 6
+        for shape, radius in seen:
+            assert all(n <= 16 + 2 * radius for n in shape), (shape, radius)
+
+
+class PinnedDraws:
+    """Stands in for an augmentation stream: `uniform` gives sigma and
+    `integers` gives the pinned crop corner, one axis per call."""
+
+    def __init__(self, sigma, corner):
+        self.sigma, self.corner = sigma, list(corner)
+
+    def uniform(self, shape=(), lo=0.0, hi=1.0):
+        return self.sigma
+
+    def integers(self, bound):
+        c = self.corner.pop(0)
+        assert 0 <= c < bound
+        return c
+
+
+@st.composite
+def crop_cases(draw):
+    """A volume large next to the crop and its blur margin, and a corner
+    pinned per axis to an edge, to just inside the margin, or anywhere."""
+    shape = tuple(draw(st.integers(20, 34)) for _ in range(3))
+    extent = draw(st.integers(4, 10))
+    sigma = draw(st.floats(0.0, 1.5))
+    radius = math.ceil(3 * sigma)
+    corner = []
+    for n in shape:
+        top = n - extent
+        corner.append(draw(st.one_of(
+            st.sampled_from([0, min(radius, top), max(top - radius, 0), top]),
+            st.integers(0, top))))
+    return shape, extent, sigma, tuple(corner), draw(st.integers(0, 99))
+
+
+class TestCropFirst:
+    @given(case=crop_cases(), normalize=st.booleans())
+    @settings(max_examples=60, deadline=None)
+    def test_model_input_equals_full_volume_oracle(self, case, normalize):
+        shape, extent, sigma, corner, seed = case
+        vol = (Rng(seed).stream("cf").normal(shape) * 3 + 1).astype(np.float32)
+        s = data.Sample(vol, "v", 0, 70.0, "train")
+        full = data.intensity_normalize(vol) if normalize else vol
+        want = data.random_crop(data.gaussian_blur(full, sigma), extent,
+                                PinnedDraws(sigma, corner))
+        got = data.model_input([s], extent, normalize,
+                               [PinnedDraws(sigma, corner)], blur_hi=1.5)
+        assert got[0, 0].tobytes() == want.tobytes()
+        got = data.model_input([s], extent, normalize)
+        assert got[0, 0].tobytes() == data.center_crop(full, extent).tobytes()
 
 
 def build_manifest(train_per_class=(40, 30, 30)):
