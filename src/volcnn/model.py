@@ -188,7 +188,12 @@ def build(config: ModelConfig, rng: Rng, dtype=tensor.F32) -> Model:
 
 @dataclass
 class Tape:
-    """Saved forward state consumed exactly once by backward."""
+    """Saved forward state, consumed exactly once by backward, which pops
+    each entry once it has used it and leaves `entries` empty. An entry is
+    a tuple whose first item names its kind. Each holds only what backward
+    reads: a conv entry its input, a norm entry its NormCache, a relu or
+    relu_head entry the bool mask x > 0 of the ReLU input, and a pool entry
+    the int32 argmax indices and the pool's input shape."""
     model_version: int
     entries: list
 
@@ -211,7 +216,9 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
 
     With tape=False nothing is recorded for backward and the tape is None:
     no pool indices, no norm caches, and each intermediate activation is
-    freed once the next layer has read it. The logits are bitwise the same."""
+    freed once the next layer has read it. Norm and ReLU then work in
+    place on the conv output they follow, so a block holds one activation
+    of its conv's extent. The logits are bitwise the same."""
     cfg = model.config
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
@@ -229,6 +236,9 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
         b = model.params[f"{bp.name}.conv.bias"]
         record(("conv", bp.name, h, bp.conv))
         h = ops.conv3d_forward(h, w, b, bp.conv)
+        # Without a tape nothing else holds the fresh conv output, so norm
+        # and ReLU overwrite it.
+        out = None if tape else h.data
         gamma = model.params[f"{bp.name}.norm.gamma"]
         beta = model.params[f"{bp.name}.norm.beta"]
         if bp.norm == "batch":
@@ -237,12 +247,15 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
             # eval mode hands the running stats back unchanged
             h, cache, model.buffers[rm_key], model.buffers[rv_key] = (
                 ops.batch_norm_forward(h, gamma, beta, model.buffers[rm_key],
-                                       model.buffers[rv_key], mode, tape=tape))
+                                       model.buffers[rv_key], mode, tape=tape,
+                                       out=out))
         else:
-            h, cache = ops.instance_norm_forward(h, gamma, beta, tape=tape)
+            h, cache = ops.instance_norm_forward(h, gamma, beta, tape=tape,
+                                                 out=out)
         record(("norm", bp.name, cache))
-        record(("relu", h))
-        h = ops.relu(h)
+        if tape:
+            record(("relu", h.data > 0))
+        h = ops.relu(h, out=out)
         if bp.pool is not None:
             pooled = ops.maxpool3d_forward(h, *bp.pool)
             if tape:
@@ -270,7 +283,8 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
                                 model.params["age.fc2.bias"])
         z = Tensor(z.data + a2.data)
         record(("age_head", ae, ln_cache, a1n))
-    record(("relu_head", z))
+    if tape:
+        record(("relu_head", z.data > 0))
     h2 = ops.relu(z)
     record(("fc2", h2))
     logits = ops.linear_forward(h2, model.params["fc2.weight"],
@@ -281,56 +295,71 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
 def backward(model: Model, tape: Tape,
              grad_logits: Tensor) -> tuple[dict[str, Tensor], Tensor]:
     """Gradients of a scalar loss w.r.t. every parameter and the input
-    volumes, given the loss gradient at the logits. Rejects tapes recorded
+    volumes, given the loss gradient at the logits. Consumes the tape: each
+    entry is popped and freed once used, so the earliest layers run beside
+    only their own saved state. Rejects a consumed tape and tapes recorded
     before the parameters were last updated."""
+    if not tape.entries:
+        raise ValueError("tape already consumed")
     if tape.model_version != model.version:
         raise ValueError(
             f"stale tape: recorded at parameter version {tape.model_version}, "
             f"model is at {model.version}")
+    # The tape reads as consumed from here on, even if a step below fails.
+    entries, tape.entries = tape.entries, []
     grads: dict[str, Tensor] = {}
     g = grad_logits
-    for entry in reversed(tape.entries):
-        kind = entry[0]
-        if kind in ("fc1", "fc2"):
-            g, gw, gb = ops.linear_backward(g, entry[1],
-                                            model.params[f"{kind}.weight"])
-            grads[f"{kind}.weight"], grads[f"{kind}.bias"] = gw, gb
-        elif kind in ("relu", "relu_head"):
-            g = ops.relu_backward(g, entry[1])
-        elif kind == "age_head":
-            _, ae, ln_cache, a1n = entry
-            ga, gw, gb = ops.linear_backward(g, a1n, model.params["age.fc2.weight"])
-            grads["age.fc2.weight"], grads["age.fc2.bias"] = gw, gb
-            ga, dgm, dbt = ops.norm_backward(ga, ln_cache)
-            grads["age.norm.gamma"], grads["age.norm.beta"] = dgm, dbt
-            _, gw, gb = ops.linear_backward(ga, ae, model.params["age.fc1.weight"])
-            grads["age.fc1.weight"], grads["age.fc1.bias"] = gw, gb
-            # g itself continues down the fc1 branch of the sum unchanged
-        elif kind == "drop_age_column":
-            g = Tensor(np.ascontiguousarray(g.data[:, :-1]))
-        elif kind == "flatten":
-            g = g.reshape(entry[1])
-        elif kind == "pool":
-            _, idx, shape = entry
-            g = ops.maxpool3d_backward(g, idx, shape)
-        elif kind == "norm":
-            _, name, cache = entry
-            g, dgm, dbt = ops.norm_backward(g, cache)
-            grads[f"{name}.norm.gamma"] = dgm
-            grads[f"{name}.norm.beta"] = dbt
-        elif kind == "conv":
-            _, name, x_in, spec = entry
-            g, gw, gb = ops.conv3d_backward(
-                g, x_in, model.params[f"{name}.conv.weight"], spec)
-            grads[f"{name}.conv.weight"] = gw
-            grads[f"{name}.conv.bias"] = gb
-        else:
-            raise RuntimeError(f"unknown tape entry {kind!r}")
+    while entries:
+        g = _backward_entry(model, entries.pop(), g, grads)
     missing = set(model.params) - set(grads)
     if missing:
         raise RuntimeError(f"backward left parameters without gradients: "
                            f"{sorted(missing)}")
     return grads, g
+
+
+def _backward_entry(model: Model, entry: tuple, g: Tensor,
+                    grads: dict[str, Tensor]) -> Tensor:
+    """Backward through one tape entry: adds its parameter gradients to
+    `grads` and returns the gradient at its input. A function of its own,
+    so the entry's state is freed when it returns."""
+    kind = entry[0]
+    if kind in ("fc1", "fc2"):
+        g, gw, gb = ops.linear_backward(g, entry[1],
+                                        model.params[f"{kind}.weight"])
+        grads[f"{kind}.weight"], grads[f"{kind}.bias"] = gw, gb
+    elif kind in ("relu", "relu_head"):
+        g = ops.relu_backward(g, entry[1])
+    elif kind == "age_head":
+        _, ae, ln_cache, a1n = entry
+        ga, gw, gb = ops.linear_backward(g, a1n, model.params["age.fc2.weight"])
+        grads["age.fc2.weight"], grads["age.fc2.bias"] = gw, gb
+        ga, dgm, dbt = ops.norm_backward(ga, ln_cache)
+        grads["age.norm.gamma"], grads["age.norm.beta"] = dgm, dbt
+        _, gw, gb = ops.linear_backward(ga, ae, model.params["age.fc1.weight"])
+        grads["age.fc1.weight"], grads["age.fc1.bias"] = gw, gb
+        # g itself continues down the fc1 branch of the sum unchanged
+    elif kind == "drop_age_column":
+        g = Tensor(np.ascontiguousarray(g.data[:, :-1]))
+    elif kind == "flatten":
+        g = g.reshape(entry[1])
+    elif kind == "pool":
+        _, idx, shape = entry
+        g = ops.maxpool3d_backward(g, idx, shape)
+    elif kind == "norm":
+        _, name, cache = entry
+        g, dgm, dbt = ops.norm_backward(g, cache)
+        grads[f"{name}.norm.gamma"] = dgm
+        grads[f"{name}.norm.beta"] = dbt
+    elif kind == "conv":
+        _, name, x_in, spec = entry
+        g, gw, gb = ops.conv3d_backward(
+            g, x_in, model.params[f"{name}.conv.weight"], spec)
+        grads[f"{name}.conv.weight"] = gw
+        grads[f"{name}.conv.bias"] = gb
+    else:
+        raise RuntimeError(f"unknown tape entry {kind!r}")
+    return g
 
 
 # checkpoint format:

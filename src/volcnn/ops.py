@@ -1,6 +1,11 @@
 """Differentiable layer kernels: each forward has an exact backward.
 
-All kernels are pure functions from Tensors to Tensors. Convolution uses
+All kernels are pure functions from Tensors to Tensors, except where the
+caller passes `out=`: then instance norm, batch norm and relu write their
+result into that array (which may be their own input) and return it. The
+state backward reads is kept no wider than backward needs: relu_backward
+takes the bool mask x > 0, maxpool3d_argmax gives int32 indices, and
+norm_backward works in two full-size buffers. Convolution uses
 cross-correlation semantics (no kernel flip). The 3D convolution is lowered
 to im2col GEMMs (Chellapilla et al., 2006), one column slab per sample and
 first-axis kernel tap, so each BLAS call contracts over k*k*C and the
@@ -200,19 +205,23 @@ def maxpool3d_forward(x: Tensor, k: int, s: int) -> Tensor:
 
 def maxpool3d_argmax(x: Tensor, pooled: Tensor, k: int, s: int) -> np.ndarray:
     """Per output position of maxpool3d_forward(x, k, s), which gave
-    `pooled`, the row-major flat index of the chosen input voxel within its
-    (sample, channel) volume: the state maxpool3d_backward needs. Ties go to
+    `pooled`, the int32 row-major flat index of the chosen input voxel
+    within its (sample, channel) volume: the state maxpool3d_backward needs.
+    A volume of 2^31 voxels or more raises ShapeError. Ties go to
     the first element in row-major window order. Where a window holds a NaN,
     the index points at the window's first voxel."""
-    hh, ww = x.shape[3:]
+    dd, hh, ww = x.shape[2:]
+    if dd * hh * ww >= 2 ** 31:
+        raise ShapeError(f"pool input volume {(dd, hh, ww)} has 2^31 or more "
+                         f"voxels, beyond int32 argmax indices")
     outs = pooled.shape[2:]
     cur = pooled.data
     # Visiting taps in reverse row-major order, the last write at each
     # output is the first tap that equals the max.
     base = (
-        (np.arange(outs[0], dtype=np.int64) * s)[:, None, None] * (hh * ww)
-        + (np.arange(outs[1], dtype=np.int64) * s)[None, :, None] * ww
-        + (np.arange(outs[2], dtype=np.int64) * s)[None, None, :]
+        (np.arange(outs[0], dtype=np.int32) * s)[:, None, None] * (hh * ww)
+        + (np.arange(outs[1], dtype=np.int32) * s)[None, :, None] * ww
+        + (np.arange(outs[2], dtype=np.int32) * s)[None, None, :]
     )
     idx = np.broadcast_to(base, cur.shape).copy()
     eq = np.empty(cur.shape, dtype=bool)
@@ -253,34 +262,54 @@ class NormCache:
     fixed_stats: bool = False    # eval-mode batch norm: mean/var are constants
 
 
+def _out_array(x: Tensor, out: np.ndarray | None) -> np.ndarray | None:
+    """`out` once checked to be an array of x's shape and dtype, or None."""
+    if out is not None and (out.shape != x.shape or out.dtype != x.dtype):
+        raise ShapeError(f"out {out.shape} {out.dtype} does not match input "
+                         f"{x.shape} {x.dtype}")
+    return out
+
+
 def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...],
-               channel_axis: int, tape: bool, stats=None):
+               channel_axis: int, tape: bool, stats=None, out=None):
     """gamma * (x - mean) / sqrt(var + EPS) + beta over `axes`, with one
     gamma and beta entry per index of `channel_axis`. mean and the biased
     var are x's, in x's dtype, or the per-channel constants stats = (mean,
-    var). Returns (y, cache, mean, var); without a tape the cache is None."""
+    var). y is written into `out` if given (it may be x.data itself).
+    Returns (y, cache, mean, var); without a tape the cache is None."""
     c = x.shape[channel_axis]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"affine params {gamma.shape}/{beta.shape}, expected ({c},)")
+    out = _out_array(x, out)
     rank = x.data.ndim
     bshape = tuple(c if a == channel_axis else 1 for a in range(rank))
     gb = gamma.data.reshape(bshape)
     bb = beta.data.reshape(bshape)
-    if stats is None:
+    if stats is not None:
+        mean, var = (s.reshape(bshape) for s in stats)
+    elif 0 in axes:
         mean = x.data.mean(axis=axes, keepdims=True, dtype=x.dtype)
         var = x.data.var(axis=axes, keepdims=True, dtype=x.dtype)
     else:
-        mean, var = (s.reshape(bshape) for s in stats)
+        # One sample at a time, so var's x - mean temporary covers one
+        # sample, not the batch; the sums are the same, bit for bit.
+        sub = tuple(a - 1 for a in axes)
+        mean = np.stack([xi.mean(axis=sub, keepdims=True, dtype=x.dtype)
+                         for xi in x.data])
+        var = np.stack([xi.var(axis=sub, keepdims=True, dtype=x.dtype)
+                        for xi in x.data])
     invstd = 1.0 / np.sqrt(var + EPS)
     # In place, yet the same products in the same order as
     # gamma * ((x - mean) * invstd) + beta.
-    xhat = x.data - mean
-    xhat *= invstd
     if not tape:
+        xhat = np.subtract(x.data, mean, out=out)
+        xhat *= invstd
         xhat *= gb
         xhat += bb
         return Tensor(xhat), None, mean, var
-    y = gb * xhat
+    xhat = x.data - mean
+    xhat *= invstd
+    y = np.multiply(gb, xhat, out=out)
     y += bb
     param_axes = tuple(a for a in range(rank) if a != channel_axis)
     cache = NormCache(axes, param_axes, xhat, invstd, gb, stats is not None)
@@ -288,17 +317,19 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...],
 
 
 def instance_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
-                          tape: bool = True
+                          tape: bool = True, out: np.ndarray | None = None
                           ) -> tuple[Tensor, NormCache | None]:
     """Normalize each (sample, channel) over its spatial positions. No batch
     statistics are involved, so train and eval behave identically. With
-    tape=False no backward state is kept and the cache is None."""
-    return _normalize(x, gamma, beta, (2, 3, 4), 1, tape)[:2]
+    tape=False no backward state is kept and the cache is None. With `out`
+    the result is written there; out=x.data normalizes in place."""
+    return _normalize(x, gamma, beta, (2, 3, 4), 1, tape, out=out)[:2]
 
 
 def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
                        running_mean: Tensor, running_var: Tensor, mode: str,
-                       momentum: float = 0.1, tape: bool = True
+                       momentum: float = 0.1, tape: bool = True,
+                       out: np.ndarray | None = None
                        ) -> tuple[Tensor, NormCache | None, Tensor, Tensor]:
     """Per-channel normalization over batch and spatial positions.
 
@@ -307,17 +338,18 @@ def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     with the unbiased variance entering the running estimate. Eval mode
     normalizes with the running stats unchanged. Returns (y, cache,
     new_running_mean, new_running_var); the cache is None when tape=False.
+    With `out` y is written there; out=x.data normalizes in place.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
     axes = (0, 2, 3, 4)
     if mode == "eval":
         y, cache, _, _ = _normalize(x, gamma, beta, axes, 1, tape,
-                                    (running_mean.data, running_var.data))
+                                    (running_mean.data, running_var.data), out)
         return y, cache, running_mean, running_var
     if x.shape[0] < 2:
         raise ValueError("batch norm in train mode needs a batch of >= 2")
-    y, cache, mean, var = _normalize(x, gamma, beta, axes, 1, tape)
+    y, cache, mean, var = _normalize(x, gamma, beta, axes, 1, tape, out=out)
     c = x.shape[1]
     m = x.data.size // c
     new_mean = (1 - momentum) * running_mean.data + momentum * mean.reshape(c)
@@ -345,28 +377,37 @@ def norm_backward(grad_out: Tensor,
             f"grad_out shape {grad_out.shape} does not match saved forward "
             f"state for input {cache.xhat.shape}"
         )
-    g = grad_out.data
-    dgamma = (g * cache.xhat).sum(axis=cache.param_axes)
+    g, xhat = grad_out.data, cache.xhat
+    # Two full-size buffers, each product in the order of
+    # dx = invstd * (dxhat - m1 - xhat * m2), so the result is bit for bit
+    # that expression's.
+    buf = np.multiply(g, xhat)
+    dgamma = buf.sum(axis=cache.param_axes)
     dbeta = g.sum(axis=cache.param_axes)
-    dxhat = g * cache.gamma_b
-    if cache.fixed_stats:
-        dx = dxhat * cache.invstd
-    else:
-        m1 = dxhat.mean(axis=cache.axes, keepdims=True, dtype=g.dtype)
-        m2 = (dxhat * cache.xhat).mean(axis=cache.axes, keepdims=True, dtype=g.dtype)
-        dx = cache.invstd * (dxhat - m1 - cache.xhat * m2)
+    dx = np.multiply(g, cache.gamma_b)  # dxhat until the last step
+    if not cache.fixed_stats:
+        m1 = dx.mean(axis=cache.axes, keepdims=True, dtype=g.dtype)
+        m2 = np.multiply(dx, xhat, out=buf).mean(
+            axis=cache.axes, keepdims=True, dtype=g.dtype)
+        np.multiply(xhat, m2, out=buf)
+        dx -= m1
+        dx -= buf
+    dx *= cache.invstd
     return Tensor(dx), Tensor(dgamma), Tensor(dbeta)
 
 
-def relu(x: Tensor) -> Tensor:
-    return Tensor(np.maximum(x.data, x.dtype.type(0)))
+def relu(x: Tensor, out: np.ndarray | None = None) -> Tensor:
+    """max(x, 0), written into `out` if given; out=x.data works in place."""
+    return Tensor(np.maximum(x.data, x.dtype.type(0), out=_out_array(x, out)))
 
 
-def relu_backward(grad_out: Tensor, x: Tensor) -> Tensor:
-    """Subgradient 0 at x == 0."""
-    if grad_out.shape != x.shape:
-        raise ShapeError(f"grad_out shape {grad_out.shape} vs input {x.shape}")
-    return Tensor(grad_out.data * (x.data > 0))
+def relu_backward(grad_out: Tensor, mask: np.ndarray) -> Tensor:
+    """grad_out where the bool mask x > 0 of relu's input holds, else 0:
+    subgradient 0 at x == 0."""
+    if mask.dtype != np.bool_ or mask.shape != grad_out.shape:
+        raise ShapeError(f"mask {mask.shape} {mask.dtype}, expected a bool "
+                         f"mask of grad_out's shape {grad_out.shape}")
+    return Tensor(grad_out.data * mask)
 
 
 def linear_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -378,7 +378,7 @@ def fingerprint(tape) -> bytes:
     parts = []
     for e in tape.entries:
         if e[0] in ("relu", "relu_head"):
-            parts.append((e[1].data > 0).tobytes())
+            parts.append(e[1].tobytes())
         elif e[0] == "pool":
             parts.append(e[1].tobytes())
     return b"".join(parts)

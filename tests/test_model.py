@@ -223,6 +223,21 @@ class TestForwardBackward:
         with pytest.raises(ValueError, match="stale tape"):
             m.backward(net, tape, Tensor(np.ones_like(logits.data)))
 
+    def test_backward_consumes_the_tape(self, monkeypatch):
+        net = m.build(m.ModelConfig(crop_extent=16), Rng(8))
+        x = Tensor(Rng(9).normal((2, 1, 16, 16, 16)).astype(np.float32))
+        logits, tape = m.forward(net, x, None, "train")
+        grad = Tensor(np.ones_like(logits.data))
+        m.backward(net, tape, grad)
+        assert tape.entries == []
+
+        def no_work(*args):
+            raise AssertionError("backward ran a layer")
+
+        monkeypatch.setattr(m, "_backward_entry", no_work)
+        with pytest.raises(ValueError, match="tape already consumed"):
+            m.backward(net, tape, grad)
+
     def test_backward_covers_every_parameter(self):
         for age in ("none", "encoded", "concat"):
             cfg = m.ModelConfig(crop_extent=16, age_mode=age, extra_blocks=1)
@@ -311,6 +326,16 @@ class TestTapeFree:
         with pytest.raises(AssertionError, match="norm cache"):
             m.forward(net, x, [63.5, 81.0], "eval")
 
+    @pytest.mark.parametrize("axis", [{}, {"norm": "batch"},
+                                      {"first_layer": "K7S4"}])
+    def test_input_left_unchanged(self, axis):
+        # norm and ReLU write in place only into buffers forward made
+        net = m.build(m.ModelConfig(crop_extent=32, **axis), Rng(8))
+        x = Tensor(Rng(9).normal((2, 1, 32, 32, 32)).astype(np.float32))
+        before = x.data.tobytes()
+        m.forward(net, x, None, "eval", tape=False)
+        assert x.data.tobytes() == before
+
     def test_peak_memory_below_taped_forward(self):
         # Without a tape a crop-32 batch of 4 peaks at two block1-sized
         # activations (4.2 MB); the taped forward holds every activation
@@ -327,6 +352,54 @@ class TestTapeFree:
                 tracemalloc.stop()
             del out
         assert peaks[False] < 0.6 * peaks[True], peaks
+
+
+def tape_footprint(tape) -> dict[str, int]:
+    """Summed nbytes of the saved state per entry kind: conv inputs, norm
+    xhat (the age head's layer norm included), ReLU masks, pool indices and
+    linear-layer inputs."""
+    kinds = dict.fromkeys(("conv", "norm", "relu", "pool", "linear"), 0)
+    for e in tape.entries:
+        if e[0] == "conv":
+            kinds["conv"] += e[2].data.nbytes
+        elif e[0] in ("norm", "age_head"):
+            kinds["norm"] += e[2].xhat.nbytes
+        elif e[0] in ("relu", "relu_head"):
+            kinds["relu"] += e[1].nbytes
+        elif e[0] == "pool":
+            kinds["pool"] += e[1].nbytes
+        elif e[0] in ("fc1", "fc2"):
+            kinds["linear"] += e[1].data.nbytes
+    return kinds
+
+
+class TestTapeFootprint:
+    @pytest.mark.parametrize("axis", [
+        {}, {"widening_factor": 2}, {"norm": "batch"}, {"extra_blocks": 1},
+        {"age_mode": "concat"}, {"age_mode": "encoded"},
+    ])
+    def test_matches_inferred_shapes(self, axis):
+        # ReLU masks take 1 byte per conv-output voxel, pool indices 4 per
+        # pool-output voxel, norm xhat and conv inputs the dtype's itemsize.
+        cfg = m.ModelConfig(crop_extent=32, **axis)
+        net = m.build(cfg, Rng(26))
+        n, item = 2, np.dtype(np.float32).itemsize
+        x = Tensor(Rng(27).normal((n, 1, 32, 32, 32)).astype(np.float32))
+        ages = [63.5, 81.0] if cfg.age_mode != "none" else None
+        _, tape = m.forward(net, x, ages, "train")
+
+        rows = m.infer_shapes(cfg)
+        size = {name: n * int(np.prod(shape)) for name, shape in rows}
+        convs = [i for i, (name, _) in enumerate(rows) if name.endswith(".conv")]
+        conv_out = sum(size[rows[i][0]] for i in convs)
+        want = {
+            "conv": item * sum(size[rows[i - 1][0]] for i in convs),
+            "norm": item * (conv_out + size.get("age.fc1", 0)),
+            "relu": conv_out + size["fc1"],
+            "pool": 4 * sum(v for k, v in size.items() if k.endswith(".pool")),
+            "linear": item * (size["flatten"] + size["fc1"]),
+        }
+        assert tape_footprint(tape) == want
 
 
 class TestCheckpoint:

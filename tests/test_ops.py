@@ -43,9 +43,28 @@ def naive_conv3d(x, w, b, spec):
 
 
 def pool_with_argmax(x, k, s):
-    """Pooled values and the argmax indices a taped forward records."""
+    """Pooled values and the argmax indices a taped forward records, which
+    are int32."""
     out = ops.maxpool3d_forward(x, k, s)
-    return out, ops.maxpool3d_argmax(x, out, k, s)
+    idx = ops.maxpool3d_argmax(x, out, k, s)
+    assert idx.dtype == np.int32
+    return out, idx
+
+
+def norm_backward_expression(g, cache):
+    """norm_backward as one expression, without buffers: the bit-for-bit
+    oracle for the buffered kernel."""
+    dgamma = (g * cache.xhat).sum(axis=cache.param_axes)
+    dbeta = g.sum(axis=cache.param_axes)
+    dxhat = g * cache.gamma_b
+    if cache.fixed_stats:
+        dx = dxhat * cache.invstd
+    else:
+        m1 = dxhat.mean(axis=cache.axes, keepdims=True, dtype=g.dtype)
+        m2 = (dxhat * cache.xhat).mean(axis=cache.axes, keepdims=True,
+                                       dtype=g.dtype)
+        dx = cache.invstd * (dxhat - m1 - cache.xhat * m2)
+    return dx, dgamma, dbeta
 
 
 class TestShapeLaws:
@@ -428,12 +447,100 @@ class TestNorms:
         for res in gradcheck.check_norm():
             assert res.passed, f"{res.name}: rel err {res.rel_err:.3e}"
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind", ["instance", "batch train", "batch eval",
+                                      "layer"])
+    def test_backward_bit_identical_to_expression(self, kind, dtype):
+        rng = Rng(41).stream("norm-bwd", kind)
+        shape = (6, 37) if kind == "layer" else (3, 5, 7, 9, 11)
+        c = shape[-1] if kind == "layer" else shape[1]
+        x = Tensor((rng.stream("x").normal(shape) * 2.0 + 0.5).astype(dtype))
+        gamma = Tensor(rng.stream("g").uniform((c,), 0.5, 1.5).astype(dtype))
+        beta = Tensor(rng.stream("b").normal((c,)).astype(dtype))
+        if kind == "instance":
+            _, cache = ops.instance_norm_forward(x, gamma, beta)
+        elif kind == "layer":
+            _, cache = ops.layer_norm_forward(x, gamma, beta)
+        else:
+            rm = Tensor(rng.stream("rm").normal((c,)).astype(dtype))
+            rv = Tensor(rng.stream("rv").uniform((c,), 0.5, 2.0).astype(dtype))
+            _, cache, _, _ = ops.batch_norm_forward(
+                x, gamma, beta, rm, rv, kind.split()[1])
+        g = Tensor(rng.stream("grad").normal(shape).astype(dtype))
+        got = ops.norm_backward(g, cache)
+        for a, b in zip(got, norm_backward_expression(g.data, cache)):
+            assert a.data.dtype == b.dtype == dtype
+            assert a.data.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(2, 5, 7, 9, 11), (3, 32, 43, 43, 43),
+                                       (1, 3, 5, 5, 5), (4, 2, 13, 17, 19),
+                                       (5, 37), (3, 512)])
+    def test_per_sample_stats_equal_whole_batch(self, shape, dtype):
+        # Instance and layer norm take mean and var one sample at a time;
+        # the figures must be those of one call over the batch.
+        x = Tensor((Rng(43).normal(shape) * 3.0 - 1.0).astype(dtype))
+        # instance norm's axes, or layer norm's with its features as channels
+        axes = (2, 3, 4) if len(shape) == 5 else (1,)
+        c = shape[1]
+        ones, zeros = Tensor(np.ones(c, dtype)), Tensor(np.zeros(c, dtype))
+        _, _, mean, var = ops._normalize(x, ones, zeros, axes, 1, tape=False)
+        want_mean = x.data.mean(axis=axes, keepdims=True, dtype=dtype)
+        want_var = x.data.var(axis=axes, keepdims=True, dtype=dtype)
+        assert mean.dtype == var.dtype == dtype
+        assert mean.tobytes() == want_mean.tobytes()
+        assert var.tobytes() == want_var.tobytes()
+
+    @pytest.mark.parametrize("tape", [True, False])
+    @pytest.mark.parametrize("kind", ["instance", "batch train", "batch eval"])
+    def test_out_gives_the_pure_result(self, kind, tape):
+        rng = Rng(45).stream("norm-out", kind)
+        x = Tensor(rng.stream("x").normal((2, 3, 4, 5, 6)).astype(np.float32))
+        gamma = Tensor(rng.stream("g").uniform((3,), 0.5, 1.5).astype(np.float32))
+        beta = Tensor(rng.stream("b").normal((3,)).astype(np.float32))
+        rm, rv = Tensor(np.full(3, 0.1, np.float32)), Tensor(np.ones(3, np.float32))
+
+        def run(out):
+            if kind == "instance":
+                return ops.instance_norm_forward(x, gamma, beta, tape, out)[0]
+            return ops.batch_norm_forward(x, gamma, beta, rm, rv,
+                                          kind.split()[1], tape=tape, out=out)[0]
+
+        x_before = x.data.tobytes()
+        pure = run(None)
+        assert x.data.tobytes() == x_before  # the pure form leaves x alone
+        y = run(x.data)  # in place
+        assert y.data is x.data
+        assert y.data.tobytes() == pure.data.tobytes()
+        with pytest.raises(ShapeError, match="out"):
+            run(np.empty((2, 3, 4, 5, 5), np.float32))
+
 
 class TestReluLinear:
     def test_relu_zero_subgradient(self):
         x = Tensor(np.array([-1.0, 0.0, 2.0]))
-        g = ops.relu_backward(Tensor(np.ones(3)), x)
+        g = ops.relu_backward(Tensor(np.ones(3)), x.data > 0)
         np.testing.assert_array_equal(g.data, [0.0, 0.0, 1.0])
+
+    def test_relu_backward_rejects_bad_mask(self):
+        g = Tensor(np.ones((2, 3)))
+        with pytest.raises(ShapeError, match="bool"):
+            ops.relu_backward(g, np.ones((2, 3)))  # the float input itself
+        with pytest.raises(ShapeError, match="bool"):
+            ops.relu_backward(g, np.ones((3, 2), dtype=bool))
+        with pytest.raises(ShapeError, match="bool"):
+            ops.relu_backward(g, np.ones(6, dtype=bool))
+
+    def test_relu_out_in_place(self):
+        x = Tensor(np.array([[-1.5, 0.0, 2.0], [3.0, -0.0, -4.0]],
+                            dtype=np.float32))
+        pure = ops.relu(x)
+        assert x.data[0, 0] == -1.5  # the pure form leaves x alone
+        y = ops.relu(x, out=x.data)
+        assert y.data is x.data
+        assert y.data.tobytes() == pure.data.tobytes()
+        with pytest.raises(ShapeError, match="out"):
+            ops.relu(x, out=np.empty((2, 3), np.float64))
 
     def test_linear_known_values(self):
         x = Tensor(np.array([[1.0, 2.0]]))

@@ -69,7 +69,7 @@ class TestSaliency:
             pat = []
             for entry in tape.entries:
                 if entry[0] == "relu":
-                    pat.append((entry[1].data > 0).tobytes())
+                    pat.append(entry[1].tobytes())
                 elif entry[0] == "pool":
                     pat.append(entry[1].tobytes())
             return float(logits.data[0, target]), b"".join(pat)
