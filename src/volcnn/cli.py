@@ -284,7 +284,9 @@ HEADLINE_METRICS = ("accuracy", "balanced_accuracy", "micro_auc",
 
 def _evaluate(cfg: dict, run_dir: Path, loaded: dict | None = None):
     """Shared by eval and ablate: returns the report after writing the
-    artifacts (report.txt, logits.csv, per-class ROC CSVs)."""
+    artifacts (report.txt, logits.csv, per-class ROC CSVs). Every model
+    key, crop_extent and normalize among them, comes from the checkpoint,
+    not from cfg."""
     from .metrics import (build_report, export_roc, write_logits_csv,
                           write_report)
     from .optim import evaluate_samples, resolve_batch_size
@@ -295,7 +297,7 @@ def _evaluate(cfg: dict, run_dir: Path, loaded: dict | None = None):
     samples = _split_samples(manifest, cfg["split"], loaded)
     bs = resolve_batch_size(TrainConfig(batch_size=cfg["batch_size"]),
                             net.config)
-    loss, records = evaluate_samples(net, samples, bs, cfg["normalize"])
+    loss, records = evaluate_samples(net, samples, bs)
     report = build_report(records, Rng(cfg["seed"]), cfg["n_resamples"],
                           cfg["alpha"])
     write_report(report, run_dir / "report.txt")
@@ -407,7 +409,7 @@ def cmd_saliency(cfg: dict, run_dir: Path) -> int:
 
     maps = []
     for s in samples:
-        vol = model_input([s], crop, cfg["normalize"])[0, 0]
+        vol = model_input([s], crop, net.config.normalize)[0, 0]
         smap = saliency(net, vol, s.label, age=s.age)
         export_slices(smap, views, out_dir / s.subject_id,
                       with_volume=False)

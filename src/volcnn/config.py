@@ -16,6 +16,7 @@ N_RESAMPLES = 1000   # bootstrap resamples per interval
 ALPHA = 0.05         # two-sided: 95 % intervals
 SYNTH_NOISE = 0.1    # std of the Gaussian noise on synthetic volumes
 SMOOTH_SIGMA = 0.8   # blur of the aggregate saliency map
+MAX_AGE = 120.0      # ages lie in [0, MAX_AGE]; concat feeds age / MAX_AGE
 DEFAULT_VIEWS = (("axial", 50), ("axial", 26), ("coronal", 56),
                  ("sagittal", 26))
 
@@ -36,6 +37,7 @@ class ModelConfig:
     age_mode: str = "none"       # none | encoded | concat
     crop_extent: int = 96
     d_model: int = 128
+    normalize: bool = True       # per-volume z-score of every input
 
     def __post_init__(self):
         if self.widening_factor < 1:
@@ -64,7 +66,6 @@ class TrainConfig:
     batch_size: int | None = None   # None: 4, or 16 for batch norm
     seed: int = 0
     class_weights: tuple | None = None
-    normalize: bool = True          # per-volume z-score before augmentation
     blur_hi: float = 1.5
     # wall time in the log breaks byte-level run reproducibility, so the
     # seconds column stays 0.000 unless explicitly requested

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import math
 import os
+import re
 import struct
 import sys
 from contextlib import contextmanager
@@ -21,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import SYNTH_NOISE
+from .config import MAX_AGE, SYNTH_NOISE
 from .ops import round_age
 from .tensor import Rng
 
@@ -31,6 +32,10 @@ LABELS = {name: i for i, name in enumerate(LABEL_NAMES)}
 SPLITS = ("train", "val", "test")
 
 MANIFEST_HEADER = ["subject_id", "path", "label", "age", "split"]
+# A subject id names files (saliency/<id>_<view>.pgm) and fills one
+# logits.csv field, so it is one plain path component: [A-Za-z0-9_.-]+,
+# not starting with a dot.
+SUBJECT_ID = re.compile(r"[A-Za-z0-9_-][A-Za-z0-9_.-]*")
 
 
 @contextmanager
@@ -244,6 +249,10 @@ def load_manifest(path, allow_leakage: bool = False) -> Manifest:
             subject, vol_path, label_text, age_text, split = rec
             if not subject or not vol_path:
                 raise ManifestError(f"{path}:{lineno}: empty subject or path")
+            if not SUBJECT_ID.fullmatch(subject):
+                raise ManifestError(
+                    f"{path}:{lineno}: subject id {subject!r} is not "
+                    f"[A-Za-z0-9_.-]+ without a leading dot")
             if label_text not in LABELS:
                 raise ManifestError(
                     f"{path}:{lineno}: label {label_text!r} not in "
@@ -253,8 +262,9 @@ def load_manifest(path, allow_leakage: bool = False) -> Manifest:
             except ValueError:
                 raise ManifestError(
                     f"{path}:{lineno}: age {age_text!r} is not a number")
-            if not 0.0 <= age <= 120.0:
-                raise ManifestError(f"{path}:{lineno}: age {age} outside [0, 120]")
+            if not 0.0 <= age <= MAX_AGE:
+                raise ManifestError(
+                    f"{path}:{lineno}: age {age} outside [0, {MAX_AGE:g}]")
             if split not in SPLITS:
                 raise ManifestError(
                     f"{path}:{lineno}: split {split!r} not in {SPLITS}")

@@ -10,7 +10,8 @@ Age conditioning modes:
   none     ignore age
   encoded  sinusoidal age embedding -> Linear -> LayerNorm -> Linear, added
            to the first fully connected layer's output before its ReLU
-  concat   age / 120 appended to the flattened features as one extra input
+  concat   age / MAX_AGE (120) appended to the flattened features as one
+           extra input
 
 Small-input adaptation: when a crop is too small for a block's printed
 hyperparameters, dilation shrinks to the largest value that keeps at least
@@ -32,13 +33,12 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import ops, tensor
-from .config import FIRST_LAYER_VARIANTS, ModelConfig
+from .config import FIRST_LAYER_VARIANTS, MAX_AGE, ModelConfig
 from .data import NUM_CLASSES, atomic_write
 from .tensor import Rng, ShapeError, Tensor
 
 FC1_WIDTH = 1024
 AGE_HIDDEN = 512
-AGE_DIVISOR = 120.0
 
 
 @dataclass(frozen=True)
@@ -206,6 +206,9 @@ def _validate_ages(config: ModelConfig, ages, n: int) -> np.ndarray | None:
     arr = np.asarray(ages, dtype=np.float64)
     if arr.shape != (n,):
         raise ShapeError(f"ages shape {arr.shape}, expected ({n},)")
+    bad = ~((arr >= 0.0) & (arr <= MAX_AGE))  # NaN fails both comparisons
+    if bad.any():
+        raise ValueError(f"age {arr[bad][0]} outside [0, {MAX_AGE:g}]")
     return arr
 
 
@@ -237,8 +240,8 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
         record(("conv", bp.name, h, bp.conv))
         h = ops.conv3d_forward(h, w, b, bp.conv)
         # Without a tape nothing else holds the fresh conv output, so norm
-        # and ReLU overwrite it.
-        out = None if tape else h.data
+        # and ReLU overwrite it. No name keeps it past the block: the next
+        # conv runs beside its input only.
         gamma = model.params[f"{bp.name}.norm.gamma"]
         beta = model.params[f"{bp.name}.norm.beta"]
         if bp.norm == "batch":
@@ -248,14 +251,14 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
             h, cache, model.buffers[rm_key], model.buffers[rv_key] = (
                 ops.batch_norm_forward(h, gamma, beta, model.buffers[rm_key],
                                        model.buffers[rv_key], mode, tape=tape,
-                                       out=out))
+                                       out=None if tape else h.data))
         else:
-            h, cache = ops.instance_norm_forward(h, gamma, beta, tape=tape,
-                                                 out=out)
+            h, cache = ops.instance_norm_forward(
+                h, gamma, beta, tape=tape, out=None if tape else h.data)
         record(("norm", bp.name, cache))
         if tape:
             record(("relu", h.data > 0))
-        h = ops.relu(h, out=out)
+        h = ops.relu(h, out=None if tape else h.data)
         if bp.pool is not None:
             pooled = ops.maxpool3d_forward(h, *bp.pool)
             if tape:
@@ -266,7 +269,7 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
     record(("flatten", h.shape))
     h = h.reshape((n, model.plan.flat_features))
     if cfg.age_mode == "concat":
-        col = (ages_arr / AGE_DIVISOR).astype(model.dtype).reshape(n, 1)
+        col = (ages_arr / MAX_AGE).astype(model.dtype).reshape(n, 1)
         h = Tensor(np.concatenate([h.data, col], axis=1))
         record(("drop_age_column",))
     record(("fc1", h))
@@ -380,6 +383,9 @@ def _config_text(config: ModelConfig, extra: dict[str, str]) -> str:
 
 
 def _parse_config_text(text: str) -> tuple[ModelConfig, dict[str, str]]:
+    """The config and the extra entries of a checkpoint header. A config
+    key the header lacks takes its ModelConfig default, so a header written
+    before `normalize` was a model key loads with normalize=True."""
     known = {f.name: f.type for f in fields(ModelConfig)}
     kwargs, extra = {}, {}
     for line in text.splitlines():
@@ -388,7 +394,12 @@ def _parse_config_text(text: str) -> tuple[ModelConfig, dict[str, str]]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"malformed checkpoint config line {line!r}")
-        if key in known:
+        if known.get(key) == "bool":
+            if value not in ("True", "False"):
+                raise ValueError(
+                    f"checkpoint config {key}={value!r} is not True or False")
+            kwargs[key] = value == "True"
+        elif key in known:
             typ = {"int": int, "float": float, "str": str}[known[key]]
             kwargs[key] = typ(value)
         else:

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MAX_AGE
 from .tensor import Tensor, ShapeError
 
 EPS = 1e-5  # added to the variance of every normalization
@@ -475,8 +476,8 @@ def age_encode(age: float, d_model: int = 128, dtype=np.float32) -> Tensor:
     index i the pair (sin, cos) of age / 10000^(2i/d_model) fills components
     2i and 2i+1.
     """
-    if not 0.0 <= age <= 120.0:
-        raise ValueError(f"age {age} outside [0, 120]")
+    if not 0.0 <= age <= MAX_AGE:
+        raise ValueError(f"age {age} outside [0, {MAX_AGE:g}]")
     if d_model < 2 or d_model % 2:
         raise ValueError(f"d_model must be even and positive, got {d_model}")
     a = round_age(age)

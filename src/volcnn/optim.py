@@ -106,11 +106,10 @@ def _check_splits(train_samples, val_samples):
         raise LeakageError(sorted(overlap))
 
 
-def evaluate_samples(net, samples, batch_size: int,
-                     normalize: bool = TrainConfig.normalize
-                     ) -> tuple[float, list]:
+def evaluate_samples(net, samples, batch_size: int) -> tuple[float, list]:
     """Mean cross-entropy and per-sample records in eval mode, from a
-    forward that records no tape.
+    forward that records no tape, on inputs preprocessed as the network's
+    config says.
 
     Each sample's result is mathematically independent of how the set is
     chunked into batches; bitwise it varies at float32 rounding level
@@ -122,7 +121,7 @@ def evaluate_samples(net, samples, batch_size: int,
     records = []
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]
-        x = Tensor(model_input(chunk, crop, normalize))
+        x = Tensor(model_input(chunk, crop, net.config.normalize))
         logits, _ = network.forward(net, x, ages=[s.age for s in chunk],
                                     mode="eval", tape=False)
         labels = [s.label for s in chunk]
@@ -143,7 +142,8 @@ def train(net, train_samples, val_samples, cfg: TrainConfig,
     _check_splits(train_samples, val_samples)
     for s in train_samples:  # every sigma drawn is below blur_hi
         check_blur(cfg.blur_hi, s.volume.shape)
-    if cfg.normalize:  # a constant scan fails before epoch 1, not after it
+    normalize = net.config.normalize
+    if normalize:  # a constant scan fails before epoch 1, not after it
         for s in list(train_samples) + list(val_samples):
             s.zscore  # cached: the epochs reuse it
     bs = resolve_batch_size(cfg, net.config)
@@ -171,7 +171,7 @@ def train(net, train_samples, val_samples, cfg: TrainConfig,
             augs = [rng.stream("augment", counter + j)
                     for j in range(len(batch))]
             counter += len(batch)
-            x = Tensor(model_input(batch, crop, cfg.normalize, augs,
+            x = Tensor(model_input(batch, crop, normalize, augs,
                                    cfg.blur_hi))
             labels = [s.label for s in batch]
             ages = [s.age for s in batch]
@@ -186,7 +186,7 @@ def train(net, train_samples, val_samples, cfg: TrainConfig,
             grads, _ = network.backward(net, tape, grad)
             sgd_step(net.params, grads, velocity, cfg.learning_rate,
                      cfg.momentum)
-            del tape, grads  # not alive while the next batch is taped
+            del grads  # not alive while the next batch is taped
             net.note_update()
             loss_sum += loss * len(batch)
             seen += len(batch)
@@ -196,8 +196,7 @@ def train(net, train_samples, val_samples, cfg: TrainConfig,
                 f"{bs} leave no batch of >= 2 for batch norm")
         train_loss = loss_sum / seen
 
-        val_loss, val_recs = evaluate_samples(net, val_samples, bs,
-                                              cfg.normalize)
+        val_loss, val_recs = evaluate_samples(net, val_samples, bs)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # tiny val sets may miss a class
             bal = metrics.balanced_accuracy([r.pred for r in val_recs],

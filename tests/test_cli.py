@@ -1,6 +1,7 @@
 """End-to-end command-line tests, run in process via cli.main."""
 
 import csv
+import dataclasses
 import inspect
 import os
 import struct
@@ -141,8 +142,6 @@ class TestConfigHandling:
                 == SCHEMA["noise"][1])
         assert (default(volcnn.saliency.smooth, "sigma")
                 == SCHEMA["smooth_sigma"][1])
-        assert (default(optim.evaluate_samples, "normalize")
-                == SCHEMA["normalize"][1])
         views = [(a, int(i)) for a, i in
                  (v.split(":") for v in SCHEMA["views"][1].split(","))]
         assert views == list(volcnn.saliency.DEFAULT_VIEWS)
@@ -496,6 +495,7 @@ class TestEval:
     @pytest.mark.parametrize("key, value", [
         ("widening_factor", "1000000"), ("crop_extent", "100000"),
         ("extra_blocks", "1000000000"), ("d_model", "1000000"),
+        ("normalize", "maybe"),
     ])
     def test_hostile_header_is_a_data_error(self, dataset, trained, tmp_path,
                                             capsys, key, value):
@@ -652,6 +652,90 @@ class TestSaliency:
                      "--checkpoint", str(trained / "best.ckpt"),
                      "--smooth_sigma", "20", "--views", "axial:20"]) == 2
         assert not (run / "saliency").exists()
+
+
+NORMALIZE_ARGS = ([], ["--normalize", "true"], ["--normalize", "false"])
+
+
+class TestCheckpointPreprocessing:
+    """eval and saliency preprocess as the checkpoint says, whatever the
+    command's own normalize key."""
+
+    @pytest.fixture(scope="class")
+    def raw_model(self, tmp_path_factory, dataset) -> Path:
+        # Batch norm after the K1S1 stem does not cancel a per-volume
+        # affine map, so the z-score setting shows in the logits.
+        run = tmp_path_factory.mktemp("cli-raw") / "run"
+        assert main(["train", "--run_dir", str(run), "--manifest",
+                     str(dataset), "--crop_extent", "32", "--max_epochs",
+                     "1", "--norm", "batch", "--normalize", "false"]) == 0
+        return run / "best.ckpt"
+
+    def test_eval_uses_the_checkpoint_setting(self, dataset, raw_model,
+                                              tmp_path):
+        net, _, _ = model.load_checkpoint(raw_model)
+        assert net.config.normalize is False
+        manifest = volcnn.data.load_manifest(dataset)
+        samples = [volcnn.data.load_sample(manifest, r)
+                   for r in manifest.rows if r.split == "val"]
+        bs = optim.resolve_batch_size(optim.TrainConfig(), net.config)
+        _, records = optim.evaluate_samples(net, samples, bs)
+        want = metrics.write_logits_csv(records, tmp_path / "want.csv")
+        for i, extra in enumerate(NORMALIZE_ARGS):
+            run = tmp_path / f"e{i}"
+            assert main(["eval", "--run_dir", str(run), "--manifest",
+                         str(dataset), "--checkpoint", str(raw_model),
+                         "--n_resamples", "20"] + extra) == 0
+            assert (run / "logits.csv").read_bytes() == want.read_bytes()
+        # the setting matters on this model: z-scored inputs score otherwise
+        net.config = dataclasses.replace(net.config, normalize=True)
+        _, zscored = optim.evaluate_samples(net, samples, bs)
+        assert [r.probs for r in zscored] != [r.probs for r in records]
+
+    def test_saliency_ignores_the_command_setting(self, dataset, raw_model,
+                                                  tmp_path):
+        outputs = []
+        for i, extra in enumerate(NORMALIZE_ARGS):
+            run = tmp_path / f"s{i}"
+            assert main(["saliency", "--run_dir", str(run), "--manifest",
+                         str(dataset), "--checkpoint", str(raw_model),
+                         "--views", "axial:5,coronal:7"] + extra) == 0
+            outputs.append({p.name: p.read_bytes()
+                            for p in (run / "saliency").iterdir()})
+        assert len(outputs[0]) == 9
+        assert outputs[0] == outputs[1] == outputs[2]
+
+
+class TestSubjectIds:
+    @pytest.mark.parametrize("bad", ["../x", "/abs/x", "a,b", ".hidden"])
+    @pytest.mark.parametrize("command", ["train", "saliency"])
+    def test_unsafe_id_is_a_data_error(self, dataset, trained, tmp_path,
+                                       capsys, bad, command):
+        if bad.startswith("/"):  # absolute, and inside tmp_path all the same
+            bad = str(tmp_path / bad[1:])
+        with open(dataset, newline="") as fh:
+            rows = list(csv.reader(fh))
+        for r in rows[1:]:
+            r[1] = str(dataset.parent / r[1])
+        val = next(i for i, r in enumerate(rows) if r[4] == "val")
+        rows[val][0] = bad
+        data_dir = tmp_path / "data"
+        data_dir.mkdir()
+        manifest = data_dir / "manifest.csv"
+        with open(manifest, "w", newline="") as fh:
+            csv.writer(fh).writerows(rows)
+        run = tmp_path / "deep" / "run"
+        args = {"train": ["--crop_extent", "32", "--max_epochs", "1"],
+                "saliency": ["--checkpoint", str(trained / "best.ckpt"),
+                             "--views", "axial:5,coronal:7"]}[command]
+        code = main([command, "--run_dir", str(run), "--manifest",
+                     str(manifest)] + args)
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{manifest}:{val + 1}: subject id {bad!r}" in err
+        written = sorted(p.relative_to(tmp_path).as_posix()
+                         for p in tmp_path.rglob("*") if p.is_file())
+        assert written == ["data/manifest.csv", "deep/run/config.txt"]
 
 
 class TestGradcheck:

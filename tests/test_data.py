@@ -1,5 +1,6 @@
 """Data layer tests: volume formats, manifests, augmentation, synthesis."""
 
+import csv
 import math
 import os
 import struct
@@ -188,9 +189,10 @@ class TestNative:
 
 
 def write_manifest(path, rows):
-    lines = [",".join(data.MANIFEST_HEADER)]
-    lines += [",".join(str(f) for f in r) for r in rows]
-    path.write_text("\n".join(lines) + "\n")
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh, lineterminator="\n")
+        w.writerow(data.MANIFEST_HEADER)
+        w.writerows(rows)
 
 
 class TestManifest:
@@ -242,12 +244,21 @@ class TestManifest:
         (("s1", "a.vol", "CN", 131.0, "train"), "age"),
         (("s1", "a.vol", "CN", 71.0, "holdout"), "split"),
         (("", "a.vol", "CN", 71.0, "train"), "empty"),
+        *[((sid, "a.vol", "CN", 71.0, "train"), f"2: subject id {sid!r}")
+          for sid in ("../x", "/tmp/x", "a,b", ".hidden", ".", "..", "a/b",
+                      "a b", "s\u00e9")],
     ])
     def test_invalid_rows_rejected(self, tmp_path, row, err):
         p = tmp_path / "bad.csv"
         write_manifest(p, [row])
         with pytest.raises(data.ManifestError, match=err):
             data.load_manifest(p)
+
+    def test_plain_subject_ids_accepted(self, tmp_path):
+        ids = ["002_S_0295", "syn-cn-000", "scan-000", "a.b", "-x", "_"]
+        p = tmp_path / "ids.csv"
+        write_manifest(p, [(sid, "a.vol", "CN", 71.0, "train") for sid in ids])
+        assert list(data.load_manifest(p).subjects("train")) == ids
 
     def test_wrong_header_rejected(self, tmp_path):
         p = tmp_path / "h.csv"

@@ -198,6 +198,33 @@ class TestForwardBackward:
         with pytest.raises(ValueError, match="requires ages"):
             m.forward(net, x, None, "eval")
 
+    @pytest.mark.parametrize("mode", ["concat", "encoded"])
+    @pytest.mark.parametrize("age", [500.0, -5.0, float("nan")])
+    def test_age_out_of_range_rejected(self, mode, age):
+        net = m.build(m.ModelConfig(crop_extent=16, age_mode=mode), Rng(3))
+        x = Tensor(Rng(4).normal((2, 1, 16, 16, 16)).astype(np.float32))
+        for tape in (True, False):
+            with pytest.raises(ValueError, match="outside"):
+                m.forward(net, x, [70.0, age], "eval", tape=tape)
+
+    def test_in_range_ages_reach_the_network_unchanged(self):
+        # the bounds are inclusive; concat feeds age / 120 and encoded the
+        # sinusoidal code, as before the bound was checked in forward
+        ages = [0.0, 63.5, 120.0]
+        x = Tensor(Rng(4).normal((3, 1, 16, 16, 16)).astype(np.float32))
+        concat = m.build(m.ModelConfig(crop_extent=16, age_mode="concat"),
+                         Rng(3))
+        _, tape = m.forward(concat, x, ages, "eval")
+        fc1_in = next(e[1] for e in tape.entries if e[0] == "fc1")
+        want = (np.array(ages) / 120.0).astype(np.float32)
+        assert fc1_in.data[:, -1].tobytes() == want.tobytes()
+        encoded = m.build(m.ModelConfig(crop_extent=16, age_mode="encoded"),
+                          Rng(3))
+        _, tape = m.forward(encoded, x, ages, "eval")
+        ae = next(e[1] for e in tape.entries if e[0] == "age_head")
+        want = np.stack([m.ops.age_encode(a).data for a in ages])
+        assert ae.data.tobytes() == want.tobytes()
+
     def test_wrong_input_shape_rejected(self):
         net = m.build(m.ModelConfig(crop_extent=16), Rng(1))
         with pytest.raises(ShapeError, match="expected"):
@@ -353,6 +380,24 @@ class TestTapeFree:
             del out
         assert peaks[False] < 0.6 * peaks[True], peaks
 
+    def test_peak_below_two_block1_activations(self):
+        # Each block's activation is freed before the next block's conv
+        # output is complete, so the peak is the input, block1's conv
+        # output and a little more: 1.72 activations. A name holding the
+        # previous block's activation through the next conv makes it 2.14.
+        n, e = 2, 48
+        net = m.build(m.ModelConfig(crop_extent=e), Rng(24))
+        x = Tensor(Rng(25).normal((n, 1, e, e, e)).astype(np.float32))
+        tracemalloc.start()
+        try:
+            out = m.forward(net, x, None, "eval", tape=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        del out
+        activation = n * 4 * e ** 3 * 4   # block1: 4 channels, float32
+        assert peak <= 2.0 * activation, peak / activation
+
 
 def tape_footprint(tape) -> dict[str, int]:
     """Summed nbytes of the saved state per entry kind: conv inputs, norm
@@ -448,22 +493,56 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
+    def rewrite_header(self, path, edit):
+        raw = path.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", raw, 12)
+        lines = raw[16:16 + cfg_len].decode().splitlines(keepends=True)
+        header = "".join(edit(lines))
+        path.write_bytes(raw[:12] + struct.pack("<I", len(header))
+                         + header.encode() + raw[16 + cfg_len:])
+
     def test_header_with_retired_keys_loads(self, tmp_path):
         # checkpoints written while the config still carried eps and
         # num_classes load; those keys come back as extra entries
         _, net, path = self.make_net(tmp_path)
         m.save_checkpoint(path, net, {"val_loss": "1.0"})
-        raw = path.read_bytes()
-        (cfg_len,) = struct.unpack_from("<I", raw, 12)
-        lines = raw[16:16 + cfg_len].decode().splitlines(keepends=True)
-        header = "".join(sorted(lines + ["eps=1e-05\n", "num_classes=3\n"]))
-        path.write_bytes(raw[:12] + struct.pack("<I", len(header))
-                         + header.encode() + raw[16 + cfg_len:])
+        self.rewrite_header(path, lambda lines: sorted(
+            lines + ["eps=1e-05\n", "num_classes=3\n"]))
         loaded, extra, _ = m.load_checkpoint(path)
         assert loaded.config == net.config
         assert extra == {"eps": "1e-05", "num_classes": "3", "val_loss": "1.0"}
         for name, t in net.params.items():
             np.testing.assert_array_equal(loaded.params[name].data, t.data)
+
+    def test_normalize_false_round_trips(self, tmp_path):
+        cfg, net, path = self.make_net(tmp_path, norm="batch", normalize=False)
+        m.save_checkpoint(path, net)
+        assert b"normalize=False\n" in path.read_bytes()
+        loaded, _, _ = m.load_checkpoint(path)
+        assert loaded.config == cfg and loaded.config.normalize is False
+
+    def test_header_without_normalize_loads_as_true(self, tmp_path):
+        # checkpoints written while normalize was a training setting
+        _, net, path = self.make_net(tmp_path)
+        m.save_checkpoint(path, net, {"val_loss": "1.0"})
+        self.rewrite_header(path, lambda lines: [
+            ln for ln in lines if not ln.startswith("normalize=")])
+        loaded, extra, _ = m.load_checkpoint(path)
+        assert loaded.config == net.config and loaded.config.normalize is True
+        assert extra == {"val_loss": "1.0"}
+        for name, t in net.params.items():
+            np.testing.assert_array_equal(loaded.params[name].data, t.data)
+
+    @pytest.mark.parametrize("value", ["true", "1", ""])
+    def test_normalize_must_be_true_or_false(self, tmp_path, value):
+        _, net, path = self.make_net(tmp_path)
+        m.save_checkpoint(path, net)
+        self.rewrite_header(path, lambda lines: [
+            f"normalize={value}\n" if ln.startswith("normalize=") else ln
+            for ln in lines])
+        with pytest.raises(ValueError, match="not True or False") as info:
+            m.load_checkpoint(path)
+        assert str(info.value).count(str(path)) == 1
 
     def test_bad_magic_rejected(self, tmp_path):
         _, net, path = self.make_net(tmp_path)
