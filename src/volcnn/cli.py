@@ -237,11 +237,12 @@ def _split_samples(manifest, split: str, loaded: dict | None = None):
 
 
 def _load_checkpoint(cfg):
+    """The model stored at cfg["checkpoint"]."""
     from .model import load_checkpoint
     if not cfg["checkpoint"]:
         raise ConfigError("checkpoint path is required")
     try:
-        return load_checkpoint(cfg["checkpoint"])
+        return load_checkpoint(cfg["checkpoint"])[0]
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot load checkpoint: {exc}") from None
 
@@ -282,17 +283,16 @@ HEADLINE_METRICS = ("accuracy", "balanced_accuracy", "micro_auc",
                     "macro_auc")
 
 
-def _evaluate(cfg: dict, run_dir: Path, loaded: dict | None = None):
-    """Shared by eval and ablate: returns the report after writing the
-    artifacts (report.txt, logits.csv, per-class ROC CSVs). Every model
-    key, crop_extent and normalize among them, comes from the checkpoint,
-    not from cfg."""
+def _evaluate(cfg: dict, run_dir: Path, net, loaded: dict | None = None):
+    """Shared by eval and ablate: evaluates the checkpoint's model `net` and
+    returns the report after writing the artifacts (report.txt, logits.csv,
+    per-class ROC CSVs). Every model key, crop_extent and normalize among
+    them, comes from net.config, not from cfg."""
     from .metrics import (build_report, export_roc, write_logits_csv,
                           write_report)
     from .optim import evaluate_samples, resolve_batch_size
     from .tensor import Rng
 
-    net, _, _ = _load_checkpoint(cfg)
     manifest = _load_manifest(cfg)
     samples = _split_samples(manifest, cfg["split"], loaded)
     bs = resolve_batch_size(TrainConfig(batch_size=cfg["batch_size"]),
@@ -313,8 +313,8 @@ def _headline(report) -> list[tuple[float, float, float]]:
             for key in HEADLINE_METRICS]
 
 
-def cmd_eval(cfg: dict, run_dir: Path) -> int:
-    report, loss = _evaluate(cfg, run_dir)
+def cmd_eval(cfg: dict, run_dir: Path, net) -> int:
+    report, loss = _evaluate(cfg, run_dir, net)
     print(f"split = {cfg['split']}, n = {len(report.records)}, "
           f"loss = {loss:.6f}")
     print("metric,value,ci_lo,ci_hi")
@@ -355,7 +355,7 @@ def cmd_ablate(cfg: dict, run_dir: Path) -> int:
         try:
             code = cmd_train(sub, sub_dir, loaded)
             sub["checkpoint"] = str(sub_dir / "best.ckpt")
-            report, _ = _evaluate(sub, sub_dir, loaded)
+            report, _ = _evaluate(sub, sub_dir, _load_checkpoint(sub), loaded)
         except Exception as exc:  # sub-run failures recorded, sweep goes on
             code = _code_for(exc)
             if code is None:
@@ -393,13 +393,12 @@ def parse_views(spec: str):
     return views
 
 
-def cmd_saliency(cfg: dict, run_dir: Path) -> int:
+def cmd_saliency(cfg: dict, run_dir: Path, net) -> int:
     from .data import check_blur, model_input
     from .saliency import (aggregate, check_views, export_slices, saliency,
                            smooth)
 
     views = parse_views(cfg["views"])
-    net, _, _ = _load_checkpoint(cfg)
     crop = net.config.crop_extent
     check_views(views, (crop,) * 3)
     check_blur(cfg["smooth_sigma"], (crop,) * 3)
@@ -450,6 +449,9 @@ def cmd_synth(cfg: dict, run_dir: Path) -> int:
     print(f"manifest = {manifest}")
     return EXIT_OK
 
+
+# commands whose handler also takes the model loaded from `checkpoint`
+CHECKPOINT_COMMANDS = ("eval", "saliency")
 
 HANDLERS = {
     "train": cmd_train,
@@ -513,8 +515,15 @@ def main(argv=None) -> int:
         set_thread_env(cfg["threads"])
     try:
         run_dir = _ensure_run_dir(cfg)
+        handler_args = (cfg, run_dir)
+        if args.command in CHECKPOINT_COMMANDS:
+            # The checkpoint's model keys replace the command's, so the
+            # echo states the model that runs.
+            net = _load_checkpoint(cfg)
+            cfg.update((k, getattr(net.config, k)) for k in MODEL_KEYS)
+            handler_args += (net,)
         _echo_config(cfg, run_dir)
-        return HANDLERS[args.command](cfg, run_dir)
+        return HANDLERS[args.command](*handler_args)
     except Exception as exc:
         code = _code_for(exc)
         if code is None:

@@ -1,10 +1,14 @@
 """Volumetric classifier: four conv blocks, two fully connected layers,
 optional age conditioning.
 
-Every block is conv -> norm -> ReLU -> max pool. Widths scale with a single
-widening factor f: the blocks carry 4f, 32f, 64f, 64f channels. Optional
-extra blocks (conv k3 s1 p1, instance norm, ReLU) sit between block4 and the
-classifier head and preserve both extent and channel count.
+Every block is conv -> norm -> max pool -> ReLU, which is the paper's
+conv -> norm -> ReLU -> max pool: ReLU is monotone, so it commutes with max,
+and the pooled values agree bit for bit (np.maximum(-0.0, 0.0) is +0.0 and a
+NaN passes through both), while ReLU and its mask cover the pooled extent
+only. Widths scale with a single widening factor f: the blocks carry 4f,
+32f, 64f, 64f channels. Optional extra blocks (conv k3 s1 p1, instance norm,
+ReLU) sit between block4 and the classifier head and preserve both extent
+and channel count.
 
 Age conditioning modes:
   none     ignore age
@@ -193,7 +197,9 @@ class Tape:
     a tuple whose first item names its kind. Each holds only what backward
     reads: a conv entry its input, a norm entry its NormCache, a relu or
     relu_head entry the bool mask x > 0 of the ReLU input, and a pool entry
-    the int32 argmax indices and the pool's input shape."""
+    the int32 argmax indices and the pool's input shape. A pooling block
+    records conv, norm, pool, relu, so its mask covers the pooled extent;
+    an extra block records conv, norm, relu."""
     model_version: int
     entries: list
 
@@ -219,9 +225,10 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
 
     With tape=False nothing is recorded for backward and the tape is None:
     no pool indices, no norm caches, and each intermediate activation is
-    freed once the next layer has read it. Norm and ReLU then work in
-    place on the conv output they follow, so a block holds one activation
-    of its conv's extent. The logits are bitwise the same."""
+    freed once the next layer has read it. The norm then works in place
+    on the conv output, so a block holds one activation of its conv's
+    extent. The logits are bitwise the same. In both modes ReLU works in
+    place on the pooled output (on the norm output in an extra block)."""
     cfg = model.config
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
@@ -239,9 +246,9 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
         b = model.params[f"{bp.name}.conv.bias"]
         record(("conv", bp.name, h, bp.conv))
         h = ops.conv3d_forward(h, w, b, bp.conv)
-        # Without a tape nothing else holds the fresh conv output, so norm
-        # and ReLU overwrite it. No name keeps it past the block: the next
-        # conv runs beside its input only.
+        # Without a tape nothing else holds the fresh conv output, so the
+        # norm overwrites it. No name keeps it past the block: the next conv
+        # runs beside its input only.
         gamma = model.params[f"{bp.name}.norm.gamma"]
         beta = model.params[f"{bp.name}.norm.beta"]
         if bp.norm == "batch":
@@ -256,15 +263,17 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
             h, cache = ops.instance_norm_forward(
                 h, gamma, beta, tape=tape, out=None if tape else h.data)
         record(("norm", bp.name, cache))
-        if tape:
-            record(("relu", h.data > 0))
-        h = ops.relu(h, out=None if tape else h.data)
         if bp.pool is not None:
             pooled = ops.maxpool3d_forward(h, *bp.pool)
             if tape:
                 record(("pool", ops.maxpool3d_argmax(h, pooled, *bp.pool),
                         h.shape))
             h = pooled
+        # h is a fresh array nothing else holds: the norm output of an
+        # extra block, else the pooled output.
+        h = ops.relu(h, out=h.data)
+        if tape:
+            record(("relu", h.data > 0))
 
     record(("flatten", h.shape))
     h = h.reshape((n, model.plan.flat_features))
@@ -332,7 +341,9 @@ def _backward_entry(model: Model, entry: tuple, g: Tensor,
                                         model.params[f"{kind}.weight"])
         grads[f"{kind}.weight"], grads[f"{kind}.bias"] = gw, gb
     elif kind in ("relu", "relu_head"):
-        g = ops.relu_backward(g, entry[1])
+        # g is always a fresh array only backward holds (fc2 goes first, so
+        # never the caller's grad_logits): it takes its own gradient in place
+        g = ops.relu_backward(g, entry[1], out=g.data)
     elif kind == "age_head":
         _, ae, ln_cache, a1n = entry
         ga, gw, gb = ops.linear_backward(g, a1n, model.params["age.fc2.weight"])
@@ -351,7 +362,7 @@ def _backward_entry(model: Model, entry: tuple, g: Tensor,
         g = ops.maxpool3d_backward(g, idx, shape)
     elif kind == "norm":
         _, name, cache = entry
-        g, dgm, dbt = ops.norm_backward(g, cache)
+        g, dgm, dbt = ops.norm_backward(g, cache, out=g.data)
         grads[f"{name}.norm.gamma"] = dgm
         grads[f"{name}.norm.beta"] = dbt
     elif kind == "conv":

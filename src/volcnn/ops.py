@@ -2,10 +2,13 @@
 
 All kernels are pure functions from Tensors to Tensors, except where the
 caller passes `out=`: then instance norm, batch norm and relu write their
-result into that array (which may be their own input) and return it. The
-state backward reads is kept no wider than backward needs: relu_backward
-takes the bool mask x > 0, maxpool3d_argmax gives int32 indices, and
-norm_backward works in two full-size buffers. Convolution uses
+result, and relu_backward and norm_backward their input gradient, into that
+array (which may be their own input or grad_out) and return it. The state
+backward reads is kept no wider than backward needs: relu_backward takes
+the bool mask x > 0, maxpool3d_argmax gives int32 indices, and
+norm_backward works in two full-size buffers besides its result. The
+normalizations subtract the mean once and take the variance from that
+difference. Convolution uses
 cross-correlation semantics (no kernel flip). The 3D convolution is lowered
 to im2col GEMMs (Chellapilla et al., 2006), one column slab per sample and
 first-axis kernel tap, so each BLAS call contracts over k*k*C and the
@@ -286,34 +289,41 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...],
     bshape = tuple(c if a == channel_axis else 1 for a in range(rank))
     gb = gamma.data.reshape(bshape)
     bb = beta.data.reshape(bshape)
+    batch = 0 in axes
+    sub = tuple(a - 1 for a in axes)
     if stats is not None:
         mean, var = (s.reshape(bshape) for s in stats)
-    elif 0 in axes:
+    elif batch:
         mean = x.data.mean(axis=axes, keepdims=True, dtype=x.dtype)
-        var = x.data.var(axis=axes, keepdims=True, dtype=x.dtype)
     else:
-        # One sample at a time, so var's x - mean temporary covers one
-        # sample, not the batch; the sums are the same, bit for bit.
-        sub = tuple(a - 1 for a in axes)
         mean = np.stack([xi.mean(axis=sub, keepdims=True, dtype=x.dtype)
                          for xi in x.data])
-        var = np.stack([xi.var(axis=sub, keepdims=True, dtype=x.dtype)
-                        for xi in x.data])
+    # x - mean once: it is xhat before scaling, and var is the mean of its
+    # square, reduced and divided as numpy's var does, so bit for bit var's.
+    # Without a batch axis the squares go one sample at a time through one
+    # buffer, so the transient covers one sample, not the batch.
+    d = np.subtract(x.data, mean, out=None if tape else out)
+    if stats is None:
+        count = np.intp(np.prod([x.shape[a] for a in axes]))
+        if batch:
+            var = np.add.reduce(np.square(d), axes, x.dtype, keepdims=True)
+        else:
+            sq = np.empty(x.shape[1:], dtype=x.dtype)
+            var = np.stack([np.add.reduce(np.square(di, out=sq), sub, x.dtype,
+                                          keepdims=True) for di in d])
+        np.true_divide(var, count, out=var, casting="unsafe")
     invstd = 1.0 / np.sqrt(var + EPS)
     # In place, yet the same products in the same order as
     # gamma * ((x - mean) * invstd) + beta.
+    d *= invstd
     if not tape:
-        xhat = np.subtract(x.data, mean, out=out)
-        xhat *= invstd
-        xhat *= gb
-        xhat += bb
-        return Tensor(xhat), None, mean, var
-    xhat = x.data - mean
-    xhat *= invstd
-    y = np.multiply(gb, xhat, out=out)
+        d *= gb
+        d += bb
+        return Tensor(d), None, mean, var
+    y = np.multiply(gb, d, out=out)
     y += bb
     param_axes = tuple(a for a in range(rank) if a != channel_axis)
-    cache = NormCache(axes, param_axes, xhat, invstd, gb, stats is not None)
+    cache = NormCache(axes, param_axes, d, invstd, gb, stats is not None)
     return Tensor(y), cache, mean, var
 
 
@@ -368,16 +378,19 @@ def layer_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     return _normalize(x, gamma, beta, (last,), last, tape)[:2]
 
 
-def norm_backward(grad_out: Tensor,
-                  cache: NormCache) -> tuple[Tensor, Tensor, Tensor]:
+def norm_backward(grad_out: Tensor, cache: NormCache,
+                  out: np.ndarray | None = None
+                  ) -> tuple[Tensor, Tensor, Tensor]:
     """Gradients through any normalization forward, including the dependence
     of mean and variance on the input (except eval-mode batch norm, whose
-    statistics are constants)."""
+    statistics are constants). dx is written into `out` if given;
+    out=grad_out.data works in place."""
     if grad_out.shape != cache.xhat.shape:
         raise ShapeError(
             f"grad_out shape {grad_out.shape} does not match saved forward "
             f"state for input {cache.xhat.shape}"
         )
+    out = _out_array(grad_out, out)
     g, xhat = grad_out.data, cache.xhat
     # Two full-size buffers, each product in the order of
     # dx = invstd * (dxhat - m1 - xhat * m2), so the result is bit for bit
@@ -385,7 +398,8 @@ def norm_backward(grad_out: Tensor,
     buf = np.multiply(g, xhat)
     dgamma = buf.sum(axis=cache.param_axes)
     dbeta = g.sum(axis=cache.param_axes)
-    dx = np.multiply(g, cache.gamma_b)  # dxhat until the last step
+    # g is read for the last time here, so `out` may be g itself
+    dx = np.multiply(g, cache.gamma_b, out=out)  # dxhat until the last step
     if not cache.fixed_stats:
         m1 = dx.mean(axis=cache.axes, keepdims=True, dtype=g.dtype)
         m2 = np.multiply(dx, xhat, out=buf).mean(
@@ -402,13 +416,16 @@ def relu(x: Tensor, out: np.ndarray | None = None) -> Tensor:
     return Tensor(np.maximum(x.data, x.dtype.type(0), out=_out_array(x, out)))
 
 
-def relu_backward(grad_out: Tensor, mask: np.ndarray) -> Tensor:
+def relu_backward(grad_out: Tensor, mask: np.ndarray,
+                  out: np.ndarray | None = None) -> Tensor:
     """grad_out where the bool mask x > 0 of relu's input holds, else 0:
-    subgradient 0 at x == 0."""
+    subgradient 0 at x == 0. Written into `out` if given; out=grad_out.data
+    works in place."""
     if mask.dtype != np.bool_ or mask.shape != grad_out.shape:
         raise ShapeError(f"mask {mask.shape} {mask.dtype}, expected a bool "
                          f"mask of grad_out's shape {grad_out.shape}")
-    return Tensor(grad_out.data * mask)
+    return Tensor(np.multiply(grad_out.data, mask,
+                              out=_out_array(grad_out, out)))
 
 
 def linear_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

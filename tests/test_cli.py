@@ -705,6 +705,27 @@ class TestCheckpointPreprocessing:
         assert len(outputs[0]) == 9
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize("command, args", [
+        ("eval", ["--n_resamples", "20"]), ("saliency", ["--views", "axial:5"]),
+    ])
+    def test_echo_states_the_checkpoint_model(self, dataset, raw_model,
+                                              tmp_path, capsys, monkeypatch,
+                                              command, args):
+        # the command's own model keys are the defaults: crop 96, instance
+        # norm, z-scored inputs; the checkpoint is read once
+        loads = []
+        real_load = model.load_checkpoint
+        monkeypatch.setattr(model, "load_checkpoint",
+                            lambda path: loads.append(path) or real_load(path))
+        run = tmp_path / command
+        assert main([command, "--run_dir", str(run), "--manifest",
+                     str(dataset), "--checkpoint", str(raw_model)] + args) == 0
+        assert loads == [str(raw_model)]
+        text = (run / "config.txt").read_text()
+        for line in ("crop_extent = 32", "norm = batch", "normalize = false"):
+            assert line in text.splitlines()
+        assert capsys.readouterr().out.startswith(text)
+
 
 class TestSubjectIds:
     @pytest.mark.parametrize("bad", ["../x", "/abs/x", "a,b", ".hidden"])

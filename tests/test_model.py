@@ -424,8 +424,10 @@ class TestTapeFootprint:
         {"age_mode": "concat"}, {"age_mode": "encoded"},
     ])
     def test_matches_inferred_shapes(self, axis):
-        # ReLU masks take 1 byte per conv-output voxel, pool indices 4 per
-        # pool-output voxel, norm xhat and conv inputs the dtype's itemsize.
+        # ReLU masks take 1 byte per voxel of the ReLU input: the pooled
+        # output where a block pools, the conv output in an extra block.
+        # Pool indices take 4 per pool-output voxel, norm xhat and conv
+        # inputs the dtype's itemsize.
         cfg = m.ModelConfig(crop_extent=32, **axis)
         net = m.build(cfg, Rng(26))
         n, item = 2, np.dtype(np.float32).itemsize
@@ -437,11 +439,13 @@ class TestTapeFootprint:
         size = {name: n * int(np.prod(shape)) for name, shape in rows}
         convs = [i for i, (name, _) in enumerate(rows) if name.endswith(".conv")]
         conv_out = sum(size[rows[i][0]] for i in convs)
+        pooled = sum(v for k, v in size.items() if k.endswith(".pool"))
+        extra_out = sum(v for k, v in size.items() if k.startswith("extra"))
         want = {
             "conv": item * sum(size[rows[i - 1][0]] for i in convs),
             "norm": item * (conv_out + size.get("age.fc1", 0)),
-            "relu": conv_out + size["fc1"],
-            "pool": 4 * sum(v for k, v in size.items() if k.endswith(".pool")),
+            "relu": pooled + extra_out + size["fc1"],
+            "pool": 4 * pooled,
             "linear": item * (size["flatten"] + size["fc1"]),
         }
         assert tape_footprint(tape) == want

@@ -67,6 +67,26 @@ def norm_backward_expression(g, cache):
     return dx, dgamma, dbeta
 
 
+def normalize_reference(x, gamma, beta, axes, channel_axis):
+    """_normalize computed the way it was before it subtracted the mean
+    once: numpy's own mean and var calls, one sample at a time unless the
+    batch axis is reduced. Returns (y, xhat, invstd, mean, var)."""
+    b = tuple(x.shape[channel_axis] if a == channel_axis else 1
+              for a in range(x.ndim))
+    if 0 in axes:
+        mean = x.mean(axis=axes, keepdims=True, dtype=x.dtype)
+        var = x.var(axis=axes, keepdims=True, dtype=x.dtype)
+    else:
+        sub = tuple(a - 1 for a in axes)
+        mean = np.stack([xi.mean(axis=sub, keepdims=True, dtype=x.dtype)
+                         for xi in x])
+        var = np.stack([xi.var(axis=sub, keepdims=True, dtype=x.dtype)
+                        for xi in x])
+    invstd = 1.0 / np.sqrt(var + ops.EPS)
+    xhat = (x - mean) * invstd
+    return gamma.reshape(b) * xhat + beta.reshape(b), xhat, invstd, mean, var
+
+
 class TestShapeLaws:
     def test_dilated_k3_extent(self):
         assert ops.conv_out_extent(47, 3, 0, 1, 2) == 43
@@ -288,6 +308,54 @@ class TestMaxPool:
             assert res.passed, f"{res.name}: rel err {res.rel_err:.3e}"
 
 
+class TestBlockTail:
+    """A block's tail pools the norm output and then applies ReLU to the
+    pooled values. The oracle is the paper's order, ReLU and then pool,
+    built from the same ops."""
+
+    @staticmethod
+    def relu_then_pool(y, grad, k, s):
+        r = ops.relu(y)
+        pooled = ops.maxpool3d_forward(r, k, s)
+        idx = ops.maxpool3d_argmax(r, pooled, k, s)
+        g = ops.maxpool3d_backward(grad, idx, y.shape)
+        return pooled, ops.relu_backward(g, y.data > 0)
+
+    @staticmethod
+    def pool_then_relu(y, grad, k, s):
+        pooled = ops.maxpool3d_forward(y, k, s)
+        idx = ops.maxpool3d_argmax(y, pooled, k, s)
+        pooled = ops.relu(pooled, out=pooled.data)
+        g = ops.relu_backward(grad, pooled.data > 0, out=grad.data.copy())
+        return pooled, ops.maxpool3d_backward(g, idx, y.shape)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k, s", [(3, 2), (5, 2), (2, 2), (3, 1)])
+    def test_matches_relu_then_pool(self, k, s, dtype):
+        rng = Rng(51).stream("tail", k, s)
+        # Half-integer values, so windows hold exact ties and zeros.
+        y = np.round(rng.stream("y").normal((2, 4, 9, 10, 11)) * 2) / 2
+        y[0, 1] = -np.abs(y[0, 1]) - 0.5  # no window has a positive value
+        y[1, 2] = np.where(y[1, 2] > 0, -0.0, y[1, 2])  # window maxima of -0
+        y[0, 3][y[0, 3] == 0] = -0.0  # -0 beside +0 and positive values
+        y[1, 3, 1, 2, 3] = y[1, 3, 5, 5, 6] = y[0, 0, 4, 4, 4] = np.nan
+        y = Tensor(y.astype(dtype))
+        grad = Tensor(rng.stream("g").normal(
+            ops.maxpool3d_forward(y, k, s).shape).astype(dtype))
+        want, want_g = self.relu_then_pool(y, grad, k, s)
+        got, got_g = self.pool_then_relu(y, grad, k, s)
+        assert got.data.tobytes() == want.data.tobytes()
+        nan = np.isnan(want.data)
+        assert nan.any() and (want.data[~nan] == 0).any()
+        # Where a window holds a NaN, ReLU-then-pool sent its gradient to
+        # the window's first voxel when that voxel is positive; here
+        # pooled > 0 is False for NaN, so that window passes no gradient.
+        # Everything else matches, up to the sign of a zero.
+        _, want_g = self.relu_then_pool(
+            y, Tensor(np.where(nan, 0, grad.data)), k, s)
+        assert np.array_equal(got_g.data, want_g.data)
+
+
 class TestNorms:
     def test_instance_norm_statistics(self):
         rng = Rng(9).stream("in-stats")
@@ -491,6 +559,75 @@ class TestNorms:
         assert mean.tobytes() == want_mean.tobytes()
         assert var.tobytes() == want_var.tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["spread", "constant", "near 1e3"])
+    @pytest.mark.parametrize("tape", [True, False])
+    @pytest.mark.parametrize("kind", ["instance", "layer", "batch train"])
+    def test_normalize_matches_mean_and_var_reference(self, kind, tape, case,
+                                                      dtype):
+        # one subtraction of the mean, the variance from that difference:
+        # every figure is the bytes of numpy's mean and var
+        # shapes on which a float64 sum of the squares rounds otherwise
+        rng = Rng(47).stream("norm-ref", kind, case)
+        shape = (4, 300) if kind == "layer" else (3, 8, 7, 8, 9)
+        axes = {"instance": (2, 3, 4), "layer": (1,),
+                "batch train": (0, 2, 3, 4)}[kind]
+        x = rng.stream("x").normal(shape) * 2.0 - 0.5
+        if case == "near 1e3":
+            x = 1e3 + x * 1e-2
+        elif case == "constant":
+            # a constant volume, row or channel: var is exactly 0
+            x[(slice(None), 1) if kind == "batch train" else 1] = 2.5
+        x = x.astype(dtype)
+        c = shape[1]
+        gamma = rng.stream("g").uniform((c,), 0.5, 1.5).astype(dtype)
+        beta = rng.stream("b").normal((c,)).astype(dtype)
+        y, cache, mean, var = ops._normalize(Tensor(x), Tensor(gamma),
+                                             Tensor(beta), axes, 1, tape)
+        want_y, want_xhat, want_invstd, want_mean, want_var = (
+            normalize_reference(x, gamma, beta, axes, 1))
+        if case == "constant":
+            assert (want_var == 0).any()
+        got = [y.data, mean, var]
+        want = [want_y, want_mean, want_var]
+        if tape:
+            got += [cache.xhat, cache.invstd]
+            want += [want_xhat, want_invstd]
+        else:
+            assert cache is None
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == dtype
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("kind", ["instance", "batch train", "layer"])
+    def test_backward_out_gives_the_pure_result(self, kind):
+        rng = Rng(49).stream("norm-bwd-out", kind)
+        shape = (4, 9) if kind == "layer" else (2, 3, 4, 5, 6)
+        c = shape[1]
+        x = Tensor(rng.stream("x").normal(shape).astype(np.float32))
+        gamma = Tensor(rng.stream("g").uniform((c,), 0.5, 1.5).astype(np.float32))
+        beta = Tensor(np.zeros(c, np.float32))
+        if kind == "instance":
+            _, cache = ops.instance_norm_forward(x, gamma, beta)
+        elif kind == "layer":
+            _, cache = ops.layer_norm_forward(x, gamma, beta)
+        else:
+            _, cache, _, _ = ops.batch_norm_forward(
+                x, gamma, beta, Tensor(np.zeros(c, np.float32)),
+                Tensor(np.ones(c, np.float32)), "train")
+        g = Tensor(rng.stream("grad").normal(shape).astype(np.float32))
+        g_before = g.data.tobytes()
+        pure = ops.norm_backward(g, cache)
+        assert g.data.tobytes() == g_before  # the pure form leaves g alone
+        got = ops.norm_backward(g, cache, out=g.data)  # in place
+        assert got[0].data is g.data
+        for a, b in zip(got, pure):
+            assert a.data.tobytes() == b.data.tobytes()
+        bad_shape = shape[:-1] + (shape[-1] + 1,)
+        for bad in (np.empty(bad_shape, np.float32), np.empty(shape, np.float64)):
+            with pytest.raises(ShapeError, match="out"):
+                ops.norm_backward(Tensor(pure[0].data), cache, out=bad)
+
     @pytest.mark.parametrize("tape", [True, False])
     @pytest.mark.parametrize("kind", ["instance", "batch train", "batch eval"])
     def test_out_gives_the_pure_result(self, kind, tape):
@@ -541,6 +678,20 @@ class TestReluLinear:
         assert y.data.tobytes() == pure.data.tobytes()
         with pytest.raises(ShapeError, match="out"):
             ops.relu(x, out=np.empty((2, 3), np.float64))
+
+    def test_relu_backward_out(self):
+        g = Tensor(np.array([[-1.5, 0.25, 2.0], [3.0, -0.5, -4.0]],
+                            dtype=np.float32))
+        mask = np.array([[True, False, True], [False, True, False]])
+        g_before = g.data.tobytes()
+        pure = ops.relu_backward(g, mask)
+        assert g.data.tobytes() == g_before  # the pure form leaves g alone
+        got = ops.relu_backward(g, mask, out=g.data)  # in place
+        assert got.data is g.data
+        assert got.data.tobytes() == pure.data.tobytes()
+        for bad in (np.empty((3, 2), np.float32), np.empty((2, 3), np.float64)):
+            with pytest.raises(ShapeError, match="out"):
+                ops.relu_backward(pure, mask, out=bad)
 
     def test_linear_known_values(self):
         x = Tensor(np.array([[1.0, 2.0]]))
