@@ -242,9 +242,10 @@ def _load_checkpoint(cfg):
     if not cfg["checkpoint"]:
         raise ConfigError("checkpoint path is required")
     try:
-        return load_checkpoint(cfg["checkpoint"])[0]
+        net, _ = load_checkpoint(cfg["checkpoint"])
     except (OSError, ValueError) as exc:
         raise DataError(f"cannot load checkpoint: {exc}") from None
+    return net
 
 
 def cmd_train(cfg: dict, run_dir: Path, loaded: dict | None = None) -> int:
@@ -257,6 +258,9 @@ def cmd_train(cfg: dict, run_dir: Path, loaded: dict | None = None) -> int:
     model_cfg = _model_config(cfg)
     train_cfg = _train_config(cfg)
     batch_size = resolve_batch_size(train_cfg, model_cfg)
+    ckpt = cfg["checkpoint"] or str(run_dir / "best.ckpt")
+    if not Path(ckpt).parent.is_dir():  # before any epoch, not after one
+        raise ConfigError(f"checkpoint {ckpt}: its directory does not exist")
     net = build(model_cfg, Rng(cfg["seed"]))  # MemoryError before any read
     manifest = _load_manifest(cfg)
     if cfg["subsample_rate"] != 1.0:
@@ -272,7 +276,6 @@ def cmd_train(cfg: dict, run_dir: Path, loaded: dict | None = None) -> int:
     val_samples = _split_samples(manifest, "val", loaded)
     print(f"resolved batch_size = {batch_size}")
 
-    ckpt = cfg["checkpoint"] or str(run_dir / "best.ckpt")
     log = train(net, train_samples, val_samples, train_cfg, ckpt)
     log.write(run_dir / "train_log.csv")
     print(f"checkpoint = {ckpt}")

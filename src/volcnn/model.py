@@ -380,6 +380,8 @@ def _backward_entry(model: Model, entry: tuple, g: Tensor,
 #   8 bytes magic, u32 version, u32 config length + "key=value\n" lines,
 #   u32 tensor count, then per tensor (sorted by name):
 #   u16 name length + name, u8 rank, rank x u64 extents, float32 LE payload
+#   (older files also hold a velocity/<param> record, SGD's momentum, per
+#   parameter; loading skips them unread)
 CKPT_MAGIC = b"VCNNCKPT"
 CKPT_VERSION = 1
 
@@ -405,6 +407,8 @@ def _parse_config_text(text: str) -> tuple[ModelConfig, dict[str, str]]:
         key, sep, value = line.partition("=")
         if not sep:
             raise ValueError(f"malformed checkpoint config line {line!r}")
+        if key in kwargs or key in extra:
+            raise ValueError(f"checkpoint config key {key!r} appears twice")
         if known.get(key) == "bool":
             if value not in ("True", "False"):
                 raise ValueError(
@@ -418,18 +422,13 @@ def _parse_config_text(text: str) -> tuple[ModelConfig, dict[str, str]]:
     return ModelConfig(**kwargs), extra
 
 
-def save_checkpoint(path, model: Model, extra: dict[str, str] | None = None,
-                    velocity: dict[str, Tensor] | None = None) -> None:
-    """Serialize config, parameters, buffers, and optional momentum state.
+def save_checkpoint(path, model: Model,
+                    extra: dict[str, str] | None = None) -> None:
+    """Serialize the model: config, parameters and buffers, nothing else.
     Byte-identical for identical inputs: tensors are sorted by name and the
     payload is always little-endian float32. Written atomically, so an
     interrupted save leaves the previous checkpoint intact."""
-    named: dict[str, Tensor] = {}
-    named.update(model.params)
-    named.update(model.buffers)
-    if velocity:
-        for k, t in velocity.items():
-            named[f"velocity/{k}"] = t
+    named = {**model.params, **model.buffers}
     cfg_bytes = _config_text(model.config, extra or {}).encode()
     with atomic_write(path, "wb") as fh:
         fh.write(CKPT_MAGIC)
@@ -439,11 +438,9 @@ def save_checkpoint(path, model: Model, extra: dict[str, str] | None = None,
         for name in sorted(named):
             arr = named[name].data.astype("<f4", copy=False)
             nb = name.encode()
-            fh.write(struct.pack("<H", len(nb)))
-            fh.write(nb)
-            fh.write(struct.pack("<B", arr.ndim))
-            fh.write(struct.pack(f"<{arr.ndim}Q", *arr.shape))
-            fh.write(np.ascontiguousarray(arr).tobytes())
+            fh.write(struct.pack(f"<H{len(nb)}sB{arr.ndim}Q", len(nb), nb,
+                                 arr.ndim, *arr.shape))
+            fh.write(arr.tobytes())  # C order, whatever arr's strides
 
 
 def _read_exact(fh, n: int, what: str) -> bytes:
@@ -479,6 +476,11 @@ def _read_checkpoint(path) -> tuple[ModelConfig, dict[str, str],
                 raise ValueError(
                     f"checkpoint truncated: tensor {name!r} extents {shape} "
                     f"need {n_bytes} bytes, {left} left in the file")
+            if name.startswith("velocity/"):  # older files' momentum
+                fh.seek(n_bytes, os.SEEK_CUR)
+                continue
+            if name in tensors:
+                raise ValueError(f"tensor {name!r} appears twice")
             raw = _read_exact(fh, n_bytes, f"tensor {name!r} payload")
             tensors[name] = Tensor(
                 np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
@@ -491,11 +493,7 @@ def _read_checkpoint(path) -> tuple[ModelConfig, dict[str, str],
     if n > len(tensors) or (n and f"extra{n}.conv.weight" not in tensors):
         raise ValueError(f"header names {n} extra blocks, the file holds "
                          f"no extra{n}.conv.weight")
-    shapes = tensor_shapes(config, layer_plan(config))
-    expected = dict(shapes)
-    if any(name.startswith("velocity/") for name in tensors):
-        expected.update((f"velocity/{k}", s) for k, s in shapes.items()
-                        if ".running_" not in k)
+    expected = tensor_shapes(config, layer_plan(config))
     for name, t in tensors.items():
         if name not in expected:
             raise ValueError(f"unexpected tensor {name!r}")
@@ -508,11 +506,11 @@ def _read_checkpoint(path) -> tuple[ModelConfig, dict[str, str],
     return config, extra, tensors
 
 
-def load_checkpoint(path) -> tuple[Model, dict[str, str], dict[str, Tensor]]:
+def load_checkpoint(path) -> tuple[Model, dict[str, str]]:
     """Rebuild a model from a checkpoint. Returns (model, extra config
-    entries, momentum state). The file's tensors must match the config's
-    tensor_shapes exactly, which is checked before any network is built.
-    Every ValueError names the path, once."""
+    entries). The file's tensors, an older file's velocity/* records aside,
+    must match the config's tensor_shapes exactly, which is checked before
+    any network is built. Every ValueError names the path, once."""
     try:
         config, extra, tensors = _read_checkpoint(path)
     except ValueError as exc:
@@ -520,6 +518,4 @@ def load_checkpoint(path) -> tuple[Model, dict[str, str], dict[str, Tensor]]:
     model = build(config, Rng(0))
     for slot in (model.params, model.buffers):
         slot.update({name: tensors[name] for name in slot})
-    velocity = {k.removeprefix("velocity/"): t for k, t in tensors.items()
-                if k.startswith("velocity/")}
-    return model, extra, velocity
+    return model, extra

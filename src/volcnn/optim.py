@@ -137,8 +137,8 @@ def evaluate_samples(net, samples, batch_size: int) -> tuple[float, list]:
 def train(net, train_samples, val_samples, cfg: TrainConfig,
           checkpoint_path) -> TrainLog:
     """Trains net in place and returns the TrainLog. The network of the
-    epoch with the lowest validation loss is written to checkpoint_path,
-    with its momentum buffers; that file is its only copy."""
+    epoch with the lowest validation loss is written to checkpoint_path;
+    that file is its only copy. The momentum buffers are not saved."""
     _check_splits(train_samples, val_samples)
     for s in train_samples:  # every sigma drawn is below blur_hi
         check_blur(cfg.blur_hi, s.volume.shape)
@@ -205,8 +205,7 @@ def train(net, train_samples, val_samples, cfg: TrainConfig,
         if improved:
             best_val = val_loss
             network.save_checkpoint(checkpoint_path, net,
-                                    extra={"val_loss": repr(val_loss)},
-                                    velocity=velocity)
+                                    extra={"val_loss": repr(val_loss)})
         seconds = time.perf_counter() - t0 if cfg.timing else 0.0
         rec = EpochRecord(epoch, train_loss, val_loss, float(bal), seconds,
                           improved)

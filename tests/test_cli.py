@@ -11,6 +11,7 @@ import time
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import volcnn.data
@@ -284,6 +285,21 @@ class TestTrain:
         assert "resolved batch_size = 4" in out
         assert LOG_HEADER in out
 
+    def test_missing_checkpoint_directory_fails_first(self, dataset,
+                                                      tmp_path, capsys):
+        run = tmp_path / "r"
+        ckpt = tmp_path / "missing" / "dir" / "x.ckpt"
+        code = main(["train", "--run_dir", str(run), "--manifest",
+                     str(dataset), "--crop_extent", "32", "--max_epochs", "1",
+                     "--checkpoint", str(ckpt)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert str(ckpt) in captured.err and "Traceback" not in captured.err
+        assert "train_subjects" not in captured.out  # no manifest read
+        assert LOG_HEADER not in captured.out
+        assert not (run / "train_log.csv").exists()
+        assert not (tmp_path / "missing").exists()
+
     def test_rerun_matches_byte_for_byte(self, dataset, trained, tmp_path):
         again = tmp_path / "again"
         assert main(["train", "--run_dir", str(again),
@@ -492,6 +508,30 @@ class TestEval:
         assert "truncated while reading config" in err
         assert err.count(str(ckpt)) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize("twice", ["record", "header key"])
+    def test_duplicate_is_a_data_error(self, dataset, trained, tmp_path,
+                                       capsys, twice):
+        raw = (trained / "best.ckpt").read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", raw, 12)
+        header, body = raw[16:16 + cfg_len], raw[16 + cfg_len:]
+        if twice == "record":  # a second fc2.bias after the first
+            (count,) = struct.unpack_from("<I", body)
+            body = (struct.pack("<I", count + 1) + body[4:]
+                    + struct.pack("<H", 8) + b"fc2.bias"
+                    + struct.pack("<BQ", 1, 3)
+                    + np.array([7, 8, 9], "<f4").tobytes())
+        else:
+            header += b"widening_factor=2\n"
+        ckpt = tmp_path / "dup.ckpt"
+        ckpt.write_bytes(raw[:12] + struct.pack("<I", len(header)) + header
+                         + body)
+        assert main(["eval", "--run_dir", str(tmp_path / "e"),
+                     "--manifest", str(dataset),
+                     "--checkpoint", str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        assert "appears twice" in err
+        assert err.count(str(ckpt)) == 1 and "Traceback" not in err
+
     @pytest.mark.parametrize("key, value", [
         ("widening_factor", "1000000"), ("crop_extent", "100000"),
         ("extra_blocks", "1000000000"), ("d_model", "1000000"),
@@ -673,7 +713,7 @@ class TestCheckpointPreprocessing:
 
     def test_eval_uses_the_checkpoint_setting(self, dataset, raw_model,
                                               tmp_path):
-        net, _, _ = model.load_checkpoint(raw_model)
+        net, _ = model.load_checkpoint(raw_model)
         assert net.config.normalize is False
         manifest = volcnn.data.load_manifest(dataset)
         samples = [volcnn.data.load_sample(manifest, r)

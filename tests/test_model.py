@@ -460,24 +460,20 @@ class TestCheckpoint:
     def test_round_trip_bit_exact(self, tmp_path):
         cfg, net, path = self.make_net(tmp_path, norm="batch", age_mode="encoded",
                                        extra_blocks=1)
-        vel = {k: Tensor(np.full(t.shape, 0.25, dtype=np.float32))
-               for k, t in net.params.items()}
-        m.save_checkpoint(path, net, {"val_loss": "0.75", "epoch": "3"}, vel)
-        loaded, extra, vel2 = m.load_checkpoint(path)
+        m.save_checkpoint(path, net, {"val_loss": "0.75", "epoch": "3"})
+        loaded, extra = m.load_checkpoint(path)
         assert loaded.config == cfg
         assert extra == {"val_loss": "0.75", "epoch": "3"}
         for name, t in net.params.items():
             np.testing.assert_array_equal(loaded.params[name].data, t.data)
         for name, t in net.buffers.items():
             np.testing.assert_array_equal(loaded.buffers[name].data, t.data)
-        for name, t in vel.items():
-            np.testing.assert_array_equal(vel2[name].data, t.data)
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         _, net, path = self.make_net(tmp_path)
         m.save_checkpoint(path, net, {"val_loss": "1.0"})
         first = path.read_bytes()
-        loaded, extra, _ = m.load_checkpoint(path)
+        loaded, extra = m.load_checkpoint(path)
         m.save_checkpoint(path, loaded, extra)
         assert path.read_bytes() == first
 
@@ -486,14 +482,15 @@ class TestCheckpoint:
         m.save_checkpoint(path, net, {"val_loss": "1.0"})
         before = path.read_bytes()
 
-        class Unreadable:  # sorts after every parameter, so fails mid-file
+        class Unreadable:
             @property
             def data(self):
                 raise RuntimeError("killed mid-write")
 
+        # sorts after every other tensor, so the save fails mid-file
+        net.params["zz.unreadable"] = Unreadable()
         with pytest.raises(RuntimeError, match="mid-write"):
-            m.save_checkpoint(path, net, {"val_loss": "0.5"},
-                              velocity={"x": Unreadable()})
+            m.save_checkpoint(path, net, {"val_loss": "0.5"})
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
@@ -512,7 +509,7 @@ class TestCheckpoint:
         m.save_checkpoint(path, net, {"val_loss": "1.0"})
         self.rewrite_header(path, lambda lines: sorted(
             lines + ["eps=1e-05\n", "num_classes=3\n"]))
-        loaded, extra, _ = m.load_checkpoint(path)
+        loaded, extra = m.load_checkpoint(path)
         assert loaded.config == net.config
         assert extra == {"eps": "1e-05", "num_classes": "3", "val_loss": "1.0"}
         for name, t in net.params.items():
@@ -522,7 +519,7 @@ class TestCheckpoint:
         cfg, net, path = self.make_net(tmp_path, norm="batch", normalize=False)
         m.save_checkpoint(path, net)
         assert b"normalize=False\n" in path.read_bytes()
-        loaded, _, _ = m.load_checkpoint(path)
+        loaded, _ = m.load_checkpoint(path)
         assert loaded.config == cfg and loaded.config.normalize is False
 
     def test_header_without_normalize_loads_as_true(self, tmp_path):
@@ -531,7 +528,7 @@ class TestCheckpoint:
         m.save_checkpoint(path, net, {"val_loss": "1.0"})
         self.rewrite_header(path, lambda lines: [
             ln for ln in lines if not ln.startswith("normalize=")])
-        loaded, extra, _ = m.load_checkpoint(path)
+        loaded, extra = m.load_checkpoint(path)
         assert loaded.config == net.config and loaded.config.normalize is True
         assert extra == {"val_loss": "1.0"}
         for name, t in net.params.items():
@@ -587,9 +584,83 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match="trailing"):
             m.load_checkpoint(path)
 
-    def test_partial_momentum_rejected(self, tmp_path):
-        _, net, path = self.make_net(tmp_path)
-        some = {"fc2.bias": Tensor(np.zeros(3, dtype=np.float32))}
-        m.save_checkpoint(path, net, velocity=some)
-        with pytest.raises(ValueError, match="partial"):
+    def write_records(self, path, header: bytes, records):
+        """A checkpoint in the documented format, records in the given
+        order: magic, version, header, count, then per record its name,
+        rank, extents and float32 payload."""
+        out = [m.CKPT_MAGIC, struct.pack("<II", m.CKPT_VERSION, len(header)),
+               header, struct.pack("<I", len(records))]
+        for name, arr in records:
+            arr = np.asarray(arr, dtype="<f4")
+            out += [struct.pack("<H", len(name)), name.encode(),
+                    struct.pack(f"<B{arr.ndim}Q", arr.ndim, *arr.shape),
+                    arr.tobytes()]
+        path.write_bytes(b"".join(out))
+
+    def saved_records(self, tmp_path, **kw):
+        """The header and sorted records of a saved checkpoint, checked
+        against write_records."""
+        _, net, path = self.make_net(tmp_path, **kw)
+        m.save_checkpoint(path, net, {"val_loss": "0.5"})
+        raw = path.read_bytes()
+        (cfg_len,) = struct.unpack_from("<I", raw, 12)
+        header = raw[16:16 + cfg_len]
+        records = sorted({**net.params, **net.buffers}.items())
+        records = [(k, t.data) for k, t in records]
+        self.write_records(tmp_path / "check.ckpt", header, records)
+        assert (tmp_path / "check.ckpt").read_bytes() == raw
+        return header, records
+
+    def test_old_file_velocity_is_skipped(self, tmp_path):
+        # files written before checkpoints dropped SGD's momentum carry a
+        # velocity/<param> record per parameter; they load as without
+        header, records = self.saved_records(tmp_path, norm="batch",
+                                             age_mode="encoded")
+        velocity = [(f"velocity/{k}", np.full(a.shape, np.nan, np.float32))
+                    for k, a in records if ".running_" not in k]
+        plain, old = tmp_path / "plain.ckpt", tmp_path / "old.ckpt"
+        self.write_records(plain, header, records)
+        self.write_records(old, header, sorted(records + velocity,
+                                               key=lambda r: r[0]))
+        want, want_extra = m.load_checkpoint(plain)
+        got, got_extra = m.load_checkpoint(old)
+        assert got.config == want.config and got_extra == want_extra
+        for slot in ("params", "buffers"):
+            a, b = getattr(want, slot), getattr(got, slot)
+            assert a.keys() == b.keys()
+            for name in a:
+                assert a[name].data.tobytes() == b[name].data.tobytes()
+
+    def test_old_file_velocity_extents_checked(self, tmp_path):
+        header, records = self.saved_records(tmp_path)
+        path = tmp_path / "old.ckpt"
+        self.write_records(path, header, records + [
+            ("velocity/fc2.bias", np.zeros(3, np.float32))])
+        raw = bytearray(path.read_bytes())
+        # the velocity record's one extent is the file's last 8 + 12 bytes
+        struct.pack_into("<Q", raw, len(raw) - 20, 2**40)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ValueError, match="truncated: tensor "
+                           "'velocity/fc2.bias'") as info:
             m.load_checkpoint(path)
+        assert str(info.value).count(str(path)) == 1
+
+    def test_duplicate_record_rejected(self, tmp_path):
+        header, records = self.saved_records(tmp_path)
+        path = tmp_path / "dup.ckpt"
+        self.write_records(path, header, records + [
+            ("fc2.bias", np.array([7, 8, 9], np.float32))])
+        with pytest.raises(ValueError, match="'fc2.bias' appears twice") \
+                as info:
+            m.load_checkpoint(path)
+        assert str(info.value).count(str(path)) == 1
+
+    def test_duplicate_header_key_rejected(self, tmp_path):
+        _, net, path = self.make_net(tmp_path)
+        m.save_checkpoint(path, net)
+        self.rewrite_header(path, lambda lines: sorted(
+            lines + ["widening_factor=2\n"]))
+        with pytest.raises(ValueError, match="'widening_factor' appears "
+                           "twice") as info:
+            m.load_checkpoint(path)
+        assert str(info.value).count(str(path)) == 1

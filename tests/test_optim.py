@@ -1,12 +1,14 @@
 import dataclasses
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from volcnn import data, ops, optim
 from volcnn.data import LeakageError
-from volcnn.model import ModelConfig, build, forward, load_checkpoint
+from volcnn.model import (ModelConfig, build, forward, layer_plan,
+                          load_checkpoint, tensor_shapes)
 from volcnn.tensor import Rng, Tensor, zeros
 
 
@@ -21,6 +23,27 @@ def synth_sets(n_per_class=4, extent=40, seed=5, noise=0.1):
 def small_net(seed=0, **overrides):
     cfg = ModelConfig(crop_extent=32, **overrides)
     return build(cfg, Rng(seed))
+
+
+def record_names(path) -> list[str]:
+    """The tensor names of a checkpoint file, in file order: after the
+    magic, version and header, a count, then per record its name, rank,
+    extents and float32 payload."""
+    raw = path.read_bytes()
+    (cfg_len,) = struct.unpack_from("<I", raw, 12)
+    at = 16 + cfg_len
+    (count,) = struct.unpack_from("<I", raw, at)
+    at += 4
+    names = []
+    for _ in range(count):
+        (nlen,) = struct.unpack_from("<H", raw, at)
+        names.append(raw[at + 2:at + 2 + nlen].decode())
+        at += 2 + nlen
+        rank = raw[at]
+        shape = struct.unpack_from(f"<{rank}Q", raw, at + 1)
+        at += 1 + 8 * rank + 4 * math.prod(shape)
+    assert at == len(raw)
+    return names
 
 
 class TestSgdStep:
@@ -164,10 +187,11 @@ class TestTrainLoop:
         ckpt = tmp_path / "best.ckpt"
         cfg = optim.TrainConfig(max_epochs=4, seed=2)
         log = optim.train(net, train, val, cfg, ckpt)
-        loaded, extra, velocity = load_checkpoint(ckpt)
+        _, extra = load_checkpoint(ckpt)
         val_losses = [r.val_loss for r in log.records]
         assert float(extra["val_loss"]) == min(val_losses)
-        assert velocity.keys() == loaded.params.keys()
+        shapes = tensor_shapes(net.config, layer_plan(net.config))
+        assert record_names(ckpt) == sorted(shapes)
 
     def test_checkpoint_flags_follow_strict_improvement(self, tmp_path):
         train, val = synth_sets()
@@ -184,7 +208,7 @@ class TestTrainLoop:
         net = small_net()
         cfg = optim.TrainConfig(max_epochs=3, seed=4)
         log = optim.train(net, train, val, cfg, tmp_path / "best.ckpt")
-        best, _, _ = load_checkpoint(tmp_path / "best.ckpt")
+        best, _ = load_checkpoint(tmp_path / "best.ckpt")
         bs = optim.resolve_batch_size(cfg, net.config)
         best_loss, _ = optim.evaluate_samples(best, val, bs)
         assert abs(best_loss - min(r.val_loss for r in log.records)) < 1e-6
