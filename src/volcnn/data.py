@@ -2,9 +2,10 @@
 atomic file write used for checkpoints and evaluation artifacts.
 
 Volumes travel as rank-3 float32 numpy arrays in file voxel order
-(sagittal, coronal, axial for registered scans). model_input turns a list
-of samples into the network's float32 batch, for training, evaluation and
-saliency alike.
+(sagittal, coronal, axial for registered scans), except that a native
+volume loaded from a manifest stays on disk as a NativeVolume, which reads
+only the planes an index spans. model_input turns a list of samples into
+the network's float32 batch, for training, evaluation and saliency alike.
 """
 
 from __future__ import annotations
@@ -166,36 +167,102 @@ def write_native(path, volume: np.ndarray) -> None:
         fh.write(vol.tobytes())
 
 
-def read_native(path) -> np.ndarray:
-    """The volume, read once from the file into the array it returns."""
-    with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        head = fh.read(36)
-        if len(head) < 36:
-            raise TruncatedVolume(f"{path}: shorter than the fixed header")
-        if head[:8] != NATIVE_MAGIC:
-            raise BadMagic(f"{path}: magic {head[:8]!r}")
-        (version,) = struct.unpack_from("<I", head, 8)
-        if version != NATIVE_VERSION:
-            raise VolumeFormatError(f"{path}: unsupported version {version}")
-        shape = struct.unpack_from("<3Q", head, 12)
-        count = math.prod(shape)
-        if size != 36 + 4 * count:
-            raise TruncatedVolume(
-                f"{path}: payload is {size - 36} bytes, extents "
-                f"{tuple(shape)} require {4 * count}")
-        vol = np.empty(shape, dtype="<f4")
-        if fh.readinto(vol.reshape(-1).view(np.uint8)) != 4 * count:
-            raise TruncatedVolume(f"{path}: payload shrank while reading")
+def _native_extents(fh, path, size: int) -> tuple[int, int, int]:
+    """The extents in the header of the open native file `fh`, checked
+    against its magic, version and exact byte size `size`."""
+    head = fh.read(36)
+    if len(head) < 36:
+        raise TruncatedVolume(f"{path}: shorter than the fixed header")
+    if head[:8] != NATIVE_MAGIC:
+        raise BadMagic(f"{path}: magic {head[:8]!r}")
+    (version,) = struct.unpack_from("<I", head, 8)
+    if version != NATIVE_VERSION:
+        raise VolumeFormatError(f"{path}: unsupported version {version}")
+    shape = struct.unpack_from("<3Q", head, 12)
+    count = math.prod(shape)
+    if size != 36 + 4 * count:
+        raise TruncatedVolume(
+            f"{path}: payload is {size - 36} bytes, extents "
+            f"{tuple(shape)} require {4 * count}")
+    return shape
+
+
+def _read_planes(fh, path, shape, z0: int, z1: int) -> np.ndarray:
+    """Planes z0..z1 of the first axis, the file's contiguous blocks, read
+    with one seek straight into the array returned."""
+    vol = np.empty((z1 - z0,) + tuple(shape[1:]), dtype="<f4")
+    fh.seek(36 + 4 * z0 * shape[1] * shape[2])
+    if fh.readinto(vol.reshape(-1).view(np.uint8)) != vol.nbytes:
+        raise TruncatedVolume(f"{path}: payload shrank while reading")
     return vol
 
 
-def load_volume(path) -> np.ndarray:
-    """Dispatch on extension: .nii/.hdr are NIfTI-1, anything else native."""
+def read_native(path) -> np.ndarray:
+    """The volume, read once from the file into the array it returns."""
+    with open(path, "rb") as fh:
+        shape = _native_extents(fh, path, os.fstat(fh.fileno()).st_size)
+        return _read_planes(fh, path, shape, 0, shape[0])
+
+
+def _identity(st: os.stat_result) -> tuple[int, int, int]:
+    return st.st_ino, st.st_size, st.st_mtime_ns
+
+
+class NativeVolume:
+    """A native volume file that stays on disk, read on demand.
+
+    `shape` comes from the header. `vol[z0:z1, ...]` reads planes z0..z1
+    of the first axis with one seek and one read and applies the rest of
+    the index to them; `np.asarray(vol)` reads the whole volume. No file is
+    mapped, so a file that shrinks raises an error rather than a signal.
+    Every read first checks that the file is still the one opened here:
+    the same inode, size and modification time, and the same header. A
+    file truncated, rewritten or renamed over since then raises
+    VolumeFormatError naming its path."""
+
+    def __init__(self, path):
+        self.path = Path(path)
+        with open(self.path, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            self.shape = _native_extents(fh, self.path, st.st_size)
+        self._identity = _identity(st)
+
+    def _read(self, z0: int, z1: int) -> np.ndarray:
+        with open(self.path, "rb") as fh:
+            st = os.fstat(fh.fileno())
+            if (_identity(st) != self._identity or _native_extents(
+                    fh, self.path, st.st_size) != self.shape):
+                raise VolumeFormatError(
+                    f"{self.path}: changed since it was loaded")
+            return _read_planes(fh, self.path, self.shape, z0, z1)
+
+    def __getitem__(self, key):
+        key = key if isinstance(key, tuple) else (key,)
+        rows = range(self.shape[0])[key[0]]  # an int or a slice
+        if isinstance(rows, int):
+            return self._read(rows, rows + 1)[(0,) + key[1:]]
+        if not rows:
+            return self._read(0, 0)[key]
+        lo, hi = min(rows), max(rows) + 1
+        return self._read(lo, hi)[(slice(None, None, rows.step),) + key[1:]]
+
+    def __array__(self, dtype=None, copy=None):
+        vol = self._read(0, self.shape[0])
+        return vol if dtype is None else vol.astype(dtype, copy=False)
+
+    @property
+    def data(self) -> memoryview:
+        """The voxels' bytes, as ndarray.data gives them: reads the file."""
+        return np.asarray(self).data
+
+
+def load_volume(path):
+    """Dispatch on extension: .nii/.hdr are NIfTI-1, read into an array;
+    anything else is native and stays on disk as a NativeVolume."""
     suffix = Path(path).suffix.lower()
     if suffix in (".nii", ".hdr"):
         return read_nifti1(path)
-    return read_native(path)
+    return NativeVolume(path)
 
 
 @dataclass(frozen=True)
@@ -354,6 +421,7 @@ def center_crop(volume: np.ndarray, extent: int) -> np.ndarray:
 
 def zscore_stats(volume: np.ndarray) -> tuple[np.float64, np.float64]:
     """The volume's float64 (mean, std); ValueError if it is constant."""
+    volume = np.asarray(volume)
     std = volume.std(dtype=np.float64)
     if std == 0.0:
         raise ValueError("constant volume cannot be normalized")
@@ -393,7 +461,7 @@ def subsample(manifest: Manifest, rate: float, rng: Rng) -> Manifest:
 
 @dataclass
 class Sample:
-    volume: np.ndarray      # rank-3 float32 [D, H, W]
+    volume: np.ndarray | NativeVolume  # rank-3 float32 [D, H, W]
     subject_id: str
     label: int
     age: float
@@ -416,6 +484,8 @@ SyntheticSample = Sample
 
 
 def load_sample(manifest: Manifest, row: ManifestRow) -> Sample:
+    """The row's sample. Its voxels are read once here to be checked; a
+    native volume then stays on disk (see NativeVolume)."""
     vol = load_volume(manifest.resolve(row))
     if not np.isfinite(vol).all():
         raise VolumeFormatError(f"{row.path}: non-finite voxels")

@@ -26,6 +26,7 @@ Output extent per spatial axis:
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -220,22 +221,27 @@ def maxpool3d_argmax(x: Tensor, pooled: Tensor, k: int, s: int) -> np.ndarray:
                          f"voxels, beyond int32 argmax indices")
     outs = pooled.shape[2:]
     cur = pooled.data
-    # Visiting taps in reverse row-major order, the last write at each
-    # output is the first tap that equals the max.
+    # Tap t (row-major window order) that equals the max gets the key
+    # taps - t, and a running maximum keeps the first such tap's key. Key 0
+    # (no tap equal: a NaN window) maps to offset 0, the window's first voxel.
+    taps = k ** 3
+    key_type = np.min_scalar_type(taps).type  # uint8 up to k = 6
+    key = np.zeros(cur.shape, dtype=key_type)
+    eq = np.empty(cur.shape, dtype=bool)
+    hit = np.empty(cur.shape, dtype=key_type)
+    offset = np.zeros(taps + 1, dtype=np.int32)
+    for t, (i, j, l) in enumerate(itertools.product(range(k), repeat=3)):
+        sl = _tap_slices(k, s, 1, outs, (i, j, l))
+        np.equal(x.data[:, :, sl[0], sl[1], sl[2]], cur, out=eq)
+        np.multiply(eq, key_type(taps - t), out=hit)
+        np.maximum(key, hit, out=key)
+        offset[taps - t] = (i * hh + j) * ww + l
     base = (
         (np.arange(outs[0], dtype=np.int32) * s)[:, None, None] * (hh * ww)
         + (np.arange(outs[1], dtype=np.int32) * s)[None, :, None] * ww
         + (np.arange(outs[2], dtype=np.int32) * s)[None, None, :]
     )
-    idx = np.broadcast_to(base, cur.shape).copy()
-    eq = np.empty(cur.shape, dtype=bool)
-    for i in reversed(range(k)):
-        for j in reversed(range(k)):
-            for l in reversed(range(k)):
-                sl = _tap_slices(k, s, 1, outs, (i, j, l))
-                np.equal(x.data[:, :, sl[0], sl[1], sl[2]], cur, out=eq)
-                np.copyto(idx, base + ((i * hh + j) * ww + l), where=eq)
-    return idx
+    return base + offset[key]
 
 
 def maxpool3d_backward(grad_out: Tensor, idx: np.ndarray,

@@ -3,13 +3,19 @@
 import csv
 import math
 import os
+import re
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import volcnn
 from volcnn import data, optim
+from volcnn.model import ModelConfig, build
 from volcnn.tensor import Rng
 
 
@@ -186,6 +192,127 @@ class TestNative:
         p.write_bytes(bytes(raw))
         with pytest.raises(data.VolumeFormatError, match="version"):
             data.read_native(p)
+
+
+class TestOnDiskVolume:
+    """A native volume loaded from a manifest stays on disk: its samples
+    give the same training and evaluation as in-memory arrays, and a file
+    changed after load is an error, never stale or mixed voxels."""
+
+    @staticmethod
+    def load_one(tmp_path, vol):
+        path = tmp_path / "v.vol"
+        data.write_native(path, vol)
+        row = data.ManifestRow("s0", "v.vol", 0, 70.0, "train")
+        return path, data.load_sample(data.Manifest([row], tmp_path), row)
+
+    def test_windows_read_from_the_file(self, tmp_path):
+        vol = Rng(2).stream("w").normal((9, 7, 8)).astype(np.float32)
+        _, s = self.load_one(tmp_path, vol)
+        assert isinstance(s.volume, data.NativeVolume)
+        assert s.volume.shape == (9, 7, 8)
+        for key in (np.s_[2:6, 1:4, 3:8], np.s_[4], np.s_[-2:, ::2],
+                    np.s_[7:1:-3, 5], np.s_[5:5]):
+            assert np.array_equal(s.volume[key], vol[key])
+            assert s.volume[key].shape == vol[key].shape
+        assert np.asarray(s.volume).tobytes() == vol.tobytes()
+        assert s.volume.data.nbytes == vol.nbytes
+        assert s.zscore == data.zscore_stats(vol)
+
+    def test_nifti_stays_in_memory(self, tmp_path):
+        vol = Rng(2).stream("n").normal((5, 6, 7)).astype(np.float32)
+        (tmp_path / "v.nii").write_bytes(nifti_bytes(vol, 16))
+        row = data.ManifestRow("s0", "v.nii", 0, 70.0, "train")
+        s = data.load_sample(data.Manifest([row], tmp_path), row)
+        assert isinstance(s.volume, np.ndarray)
+        assert s.volume.tobytes() == vol.tobytes()
+
+    @pytest.mark.parametrize("change", ["truncate", "rewrite", "rename"])
+    def test_file_changed_after_load_is_an_error(self, tmp_path, change):
+        vol = Rng(3).stream("v").normal((12, 10, 9)).astype(np.float32)
+        path, s = self.load_one(tmp_path, vol)
+        data.model_input([s], 8, True)
+        st = path.stat()
+        if change == "truncate":
+            os.truncate(path, st.st_size - 4)
+        elif change == "rewrite":
+            # in place, with other extents of the same byte size and the
+            # modification time put back, so only the header tells
+            other = tmp_path / "other.vol"
+            data.write_native(other, vol.reshape(10, 12, 9))
+            with open(path, "r+b") as fh:
+                fh.write(other.read_bytes())
+            os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+            assert path.stat().st_size == st.st_size
+        else:
+            data.write_native(tmp_path / "new.vol", vol)
+            os.replace(tmp_path / "new.vol", path)
+        with pytest.raises(data.VolumeFormatError, match=re.escape(str(path))):
+            data.model_input([s], 8, True)
+
+    def test_train_and_eval_equal_in_memory_volumes(self, tmp_path):
+        samples = data.generate_synthetic(4, 36, Rng(8), noise=0.2)
+        man = data.load_manifest(
+            data.write_synthetic_dataset(samples, tmp_path / "ds"))
+        on_disk = [data.load_sample(man, r) for r in man.rows]
+        in_memory = [data.Sample(data.read_native(man.resolve(r)),
+                                 r.subject_id, r.label, r.age, r.split)
+                     for r in man.rows]
+        assert all(isinstance(s.volume, data.NativeVolume) for s in on_disk)
+        runs = []
+        for name, loaded in (("disk", on_disk), ("memory", in_memory)):
+            train = [s for s in loaded if s.split == "train"]
+            val = [s for s in loaded if s.split == "val"]
+            net = build(ModelConfig(crop_extent=32), Rng(0))
+            ckpt = tmp_path / f"{name}.ckpt"
+            log = optim.train(net, train, val,
+                              optim.TrainConfig(max_epochs=2), ckpt)
+            _, records = optim.evaluate_samples(net, loaded, 4)
+            runs.append((log.to_csv(), ckpt.read_bytes(), records))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
+                        reason="reads VmHWM from /proc/self/status")
+    def test_peak_memory_does_not_grow_with_the_scan_count(self, tmp_path):
+        # VmHWM is the peak resident set of the process's own address
+        # space; ru_maxrss would start at the test runner's high-water
+        # mark, which a child inherits across fork and exec.
+        shape, n = (61, 73, 61), 6  # half a 121x145x121 scan, 1.04 MiB
+        vol_bytes = 4 * math.prod(shape)
+        script = (
+            "import sys\n"
+            "from volcnn.cli import main\n"
+            "code = main(['train', '--manifest', sys.argv[1], '--run_dir',\n"
+            "             sys.argv[2], '--crop_extent', '16',\n"
+            "             '--max_epochs', '1', '--threads', '1'])\n"
+            "hwm = [l.split()[1] for l in open('/proc/self/status')\n"
+            "       if l.startswith('VmHWM:')]\n"
+            "print(code, hwm[0])\n")
+        env = dict(os.environ)
+        src = str(Path(volcnn.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        rng = Rng(6).stream("scans")
+        peak_kib = {}
+        for count in (n, 4 * n):
+            rows = []
+            for i in range(count + 3):
+                name = f"s{i:03d}.vol"
+                data.write_native(tmp_path / name, rng.stream(count, i).normal(
+                    shape).astype(np.float32))
+                rows.append([f"s{i:03d}", name, data.LABEL_NAMES[i % 3],
+                             70.0, "train" if i < count else "val"])
+            manifest = tmp_path / f"m{count}.csv"
+            write_manifest(manifest, rows)
+            proc = subprocess.run(
+                [sys.executable, "-c", script, str(manifest),
+                 str(tmp_path / f"run{count}")], env=env,
+                capture_output=True, text=True, timeout=300)
+            code, kib = proc.stdout.split()[-2:]
+            assert (proc.returncode, code) == (0, "0"), proc.stderr
+            peak_kib[count] = int(kib)
+        # Holding the volumes in memory would add 3n volumes, 18.7 MiB.
+        assert (peak_kib[4 * n] - peak_kib[n]) * 1024 < n * vol_bytes, peak_kib
 
 
 def write_manifest(path, rows):

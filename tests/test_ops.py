@@ -51,6 +51,29 @@ def pool_with_argmax(x, k, s):
     return out, idx
 
 
+def masked_copy_argmax(x, pooled, k, s):
+    """maxpool3d_argmax as a reverse-order loop of k^3 equality tests and
+    masked index copies, so the last write is the first tap equal to the
+    max, and a NaN window keeps its first voxel: the reference for the
+    key-maximum kernel."""
+    hh, ww = x.shape[3:]
+    outs = pooled.shape[2:]
+    base = (
+        (np.arange(outs[0], dtype=np.int32) * s)[:, None, None] * (hh * ww)
+        + (np.arange(outs[1], dtype=np.int32) * s)[None, :, None] * ww
+        + (np.arange(outs[2], dtype=np.int32) * s)[None, None, :]
+    )
+    idx = np.broadcast_to(base, pooled.shape).copy()
+    eq = np.empty(pooled.shape, dtype=bool)
+    for i in reversed(range(k)):
+        for j in reversed(range(k)):
+            for l in reversed(range(k)):
+                sl = ops._tap_slices(k, s, 1, outs, (i, j, l))
+                np.equal(x[:, :, sl[0], sl[1], sl[2]], pooled, out=eq)
+                np.copyto(idx, base + ((i * hh + j) * ww + l), where=eq)
+    return idx
+
+
 def norm_backward_expression(g, cache):
     """norm_backward as one expression, without buffers: the bit-for-bit
     oracle for the buffered kernel."""
@@ -287,6 +310,25 @@ class TestMaxPool:
             i, j, l = np.unravel_index(t, win.shape)
             assert out.data[pos] == win.flat[t]
             assert idx[pos] == ((z * s + i) * hh + y * s + j) * ww + xx * s + l
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7])
+    def test_matches_masked_copy_loop(self, k, dtype):
+        rng = Rng(17).stream("argmax", k, np.dtype(dtype).name)
+        for case in range(8):
+            r = rng.stream(case)
+            s = 1 + int(r.integers(3))
+            shape = (1 + int(r.integers(2)), 1 + int(r.integers(3))) + tuple(
+                k + int(r.integers(5)) for _ in range(3))
+            # Few distinct values, so windows tie; signed zeros and NaNs.
+            x = (r.stream("x").integers(5, shape) - 2).astype(dtype)
+            x[x == 0] = np.where(r.stream("sign").normal(shape) < 0,
+                                 -0.0, 0.0)[x == 0]
+            x[r.stream("nan").uniform(shape) < 0.02] = np.nan
+            pooled = ops.maxpool3d_forward(Tensor(x), k, s)
+            idx = ops.maxpool3d_argmax(Tensor(x), pooled, k, s)
+            assert idx.dtype == np.int32
+            assert np.array_equal(idx, masked_copy_argmax(x, pooled.data, k, s))
 
     def test_nan_propagates_and_index_stays_in_window(self):
         x = np.zeros((1, 1, 4, 4, 4), dtype=np.float32)
