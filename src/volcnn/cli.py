@@ -23,7 +23,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .config import (ALPHA, DEFAULT_VIEWS, N_RESAMPLES, SMOOTH_SIGMA,
-                     SYNTH_NOISE, ModelConfig, TrainConfig)
+                     SYNTH_NOISE, ModelConfig, TrainConfig, check_bootstrap)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -455,6 +455,8 @@ def cmd_synth(cfg: dict, run_dir: Path) -> int:
 
 # commands whose handler also takes the model loaded from `checkpoint`
 CHECKPOINT_COMMANDS = ("eval", "saliency")
+# commands that report bootstrap intervals
+BOOTSTRAP_COMMANDS = ("eval", "ablate")
 
 HANDLERS = {
     "train": cmd_train,
@@ -503,6 +505,11 @@ def effective_config(args, override_tokens) -> dict:
     cfg.update(parse_overrides(override_tokens))
     if cfg["threads"] < 0:
         raise ConfigError(f"threads must be >= 0, got {cfg['threads']}")
+    if args.command in BOOTSTRAP_COMMANDS:  # before any volume is read
+        try:
+            check_bootstrap(cfg["n_resamples"], cfg["alpha"])
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
     return cfg
 
 

@@ -1,5 +1,6 @@
 """Model and training configuration, and the defaults that CLI keys share
-with library signatures: the one place these defaults live.
+with library signatures: the one place these defaults live, and the one
+check of the bootstrap keys.
 
 The CLI builds its model and training keys from these fields, and reads
 them before --threads pins the BLAS pool, so this module never imports
@@ -26,6 +27,14 @@ FIRST_LAYER_VARIANTS = {
     "K3S2": (3, 2, 0, 1),
     "K7S4": (7, 4, 3, 1),
 }
+
+
+def check_bootstrap(n_resamples: int, alpha: float) -> None:
+    """ValueError unless n_resamples >= 1 and alpha is in (0, 1)."""
+    if n_resamples < 1:
+        raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
 
 
 @dataclass(frozen=True)

@@ -472,8 +472,12 @@ class Sample:
         """The whole volume's zscore_stats, computed on first use and then
         kept, so the volume must not change afterwards. A constant volume
         raises VolumeFormatError naming the subject."""
+        return self._zscore_of(self.volume)
+
+    def _zscore_of(self, voxels) -> tuple[np.float64, np.float64]:
+        """zscore_stats of `voxels`, which hold the whole volume."""
         try:
-            return zscore_stats(self.volume)
+            return zscore_stats(voxels)
         except ValueError as exc:
             raise VolumeFormatError(
                 f"subject {self.subject_id}: {exc}") from None
@@ -501,7 +505,8 @@ def model_input(samples, extent: int, normalize: bool, augs=None,
     sample then takes the window of the crop plus the blur radius
     r = ceil(3 sigma) on every side, clipped to the volume, z-scores it
     with the whole volume's cached mean and std (if `normalize`), blurs it
-    and cuts the crop out of it.
+    and cuts the crop out of it. A window that spans the whole volume
+    gives those statistics on first use, so the volume is not read twice.
 
     This equals blurring the whole z-scored volume and cropping it, bit
     for bit: the z-score is elementwise, each 1-D blur pass reads at most
@@ -522,6 +527,8 @@ def model_input(samples, extent: int, normalize: bool, augs=None,
         hi = [min(c + extent + radius, n) for c, n in zip(corner, shape)]
         win = s.volume[tuple(map(slice, lo, hi))]
         if normalize:
+            if "zscore" not in vars(s) and win.shape == tuple(shape):
+                s.zscore = s._zscore_of(win)
             win = intensity_normalize(win, s.zscore)
         if aug is not None:
             win = gaussian_blur(win, sigma)

@@ -7,11 +7,13 @@ CSVs, per-sample probability CSV).
 
 AUC is computed with the rank statistic using midranks for ties, which
 equals the pairwise count (#concordant + 0.5 * #tied) / (P * N) exactly.
-One helper, `_rank_auc`, computes it for the point estimates (every sample
-counted once) and for the bootstrap (every sample counted as often as the
-resample drew it), so the report's intervals never rebuild a record list:
-`build_report` resamples indices and weighs fixed sorted arrays by the
-draw counts.
+One helper, `_rank_auc_rows`, computes it for the point estimates (one row
+counting every sample once) and for the bootstrap (one row per resample,
+counting every sample as often as that resample drew it), so the report's
+intervals never rebuild a record list: `bootstrap_ci` draws blocks of
+index resamples, and `build_report` turns each block into one count matrix
+and weighs fixed sorted arrays by it. The intervals do not depend on the
+block size.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ALPHA, N_RESAMPLES
+from .config import ALPHA, N_RESAMPLES, check_bootstrap
 from .data import LABEL_NAMES, NUM_CLASSES, atomic_write
 from .tensor import Rng
 
@@ -69,31 +71,45 @@ def balanced_accuracy(preds, labels) -> float:
 
 
 def _tie_groups(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable ascending sort order of the scores, and for each sorted
-    position the id of its tie group (0, 1, ... in ascending score)."""
+    """Stable ascending sort order of the scores, and the sorted positions
+    where each tie group (a run of equal scores) starts."""
     order = np.argsort(scores, kind="stable")
     ss = scores[order]
-    return order, np.r_[0, np.cumsum(ss[1:] != ss[:-1])]
+    return order, np.flatnonzero(np.r_[True, ss[1:] != ss[:-1]])
 
 
-def _rank_auc(gid: np.ndarray, weight: np.ndarray,
-              positive: np.ndarray) -> float:
-    """Mann-Whitney AUC of sorted samples, each counted `weight` times.
+def _rank_auc_rows(starts: np.ndarray, weight: np.ndarray,
+                   positive: np.ndarray) -> np.ndarray:
+    """Mann-Whitney AUC of sorted samples, one float64 per row of the
+    [rows, m] int64 `weight`, whose row r counts sorted sample j
+    weight[r, j] times; NaN where a row holds a single class.
 
-    gid is the tie-group id of each sorted position (from `_tie_groups`),
-    positive its 0/1 label. A group of total weight g after E earlier
-    copies holds ranks E+1 .. E+g, so each copy gets the midrank
-    E + (g + 1) / 2. Weights are integer counts, so every sum below is of
-    integers and half-integers and float64 holds it exactly.
+    starts are the sorted positions where tie groups start (from
+    `_tie_groups`), positive the 0/1 label of each sorted position. A group
+    of total weight g after E earlier copies holds ranks E+1 .. E+g, so
+    each copy gets the midrank E + (g + 1) / 2, twice which is the integer
+    2E + g + 1. Every sum is of int64 integers and exact, and the one
+    division rounds the exact quotient.
     """
-    g_all = np.bincount(gid, weights=weight)
-    g_pos = np.bincount(gid, weights=weight * positive)
-    pos = g_pos.sum()
-    neg = g_all.sum() - pos
-    if pos == 0 or neg == 0:
-        raise ValueError("AUC undefined: labels contain a single class")
-    midrank = np.cumsum(g_all) - g_all + (g_all + 1.0) / 2.0
-    return float((g_pos @ midrank - pos * (pos + 1.0) / 2.0) / (pos * neg))
+    g_all = np.add.reduceat(weight, starts, axis=1)
+    g_pos = np.add.reduceat(weight * positive, starts, axis=1)
+    pos = g_pos.sum(axis=1)
+    neg = g_all.sum(axis=1) - pos
+    twice_mid = 2 * (np.cumsum(g_all, axis=1) - g_all) + g_all + 1
+    twice_u = (g_pos * twice_mid).sum(axis=1) - pos * (pos + 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where((pos > 0) & (neg > 0), twice_u / (2 * pos * neg),
+                        np.nan)
+
+
+def _row_mean(values: np.ndarray, present: np.ndarray) -> np.ndarray:
+    """Mean of each row of `values` over its `present` columns, summed
+    left to right as np.mean sums a short list; a NaN in a present column
+    makes the row NaN."""
+    total = np.zeros(len(values))
+    for col, keep in zip(values.T, present.T):
+        total += np.where(keep, col, 0.0)
+    return total / present.sum(axis=1)
 
 
 def roc_auc(scores, labels) -> tuple[float, list[tuple[float, float, float]]]:
@@ -117,8 +133,9 @@ def roc_auc(scores, labels) -> tuple[float, list[tuple[float, float, float]]]:
     if pos == 0 or neg == 0:
         raise ValueError("AUC undefined: labels contain a single class")
 
-    order, gid = _tie_groups(s)
-    auc = _rank_auc(gid, np.ones(s.size), y[order])
+    order, starts = _tie_groups(s)
+    auc = float(_rank_auc_rows(starts, np.ones((1, s.size), np.int64),
+                               y[order])[0])
 
     # descending thresholds: the last position of each tie run, read from
     # the high end, is where the ROC takes its next point
@@ -187,27 +204,44 @@ def multiclass_auc(probs, labels) -> MulticlassAuc:
     return MulticlassAuc(tuple(per), micro, macro, tuple(rocs))
 
 
+# Bytes of the largest temporary of a block of index resamples of n records:
+# build_report's [rows, 3n] int64 micro-AUC weights.
+_BLOCK_BYTES = 1 << 20
+
+
+def _block_rows(n: int) -> int:
+    """Resamples of n records drawn and scored at once (about 145 at
+    n = 300); at least one."""
+    return max(1, _BLOCK_BYTES // (3 * n * 8))
+
+
 def bootstrap_ci(records, metric_fn, rng: Rng, n_resamples: int = N_RESAMPLES,
                  alpha: float = ALPHA) -> tuple[float, float]:
     """Percentile bootstrap interval for metric_fn over the records.
 
-    Resamples with replacement; metric_fn receives the list of drawn
-    records. When the records are the indices range(n), metric_fn receives
-    the drawn index array itself, as an int64 ndarray. A
-    resample on which metric_fn raises ValueError (undefined metric, e.g. a
-    single-class draw) is redrawn. Each draw consumes its own RNG substream
-    so the interval does not depend on evaluation order.
+    Resamples with replacement. Draw k takes the n indices of its resample
+    from its own RNG substream ("bootstrap", k), so the interval does not
+    depend on evaluation order. Undefined values (e.g. a single-class
+    draw) are redrawn with the next counter, up to 10 * n_resamples draws.
+
+    Over a record list, metric_fn receives the list of drawn records, one
+    draw per call, and raises ValueError where the value is undefined.
+    When the records are the indices range(n), draws come in blocks:
+    metric_fn receives a [rows, n] int64 array whose row r holds the
+    indices of draw k + r, and returns one value per row, NaN where
+    undefined. A block holds no more rows than values still missing or
+    draws left before the cap, so it never draws a counter that one draw
+    at a time would not: the values, the interval and the cap's error do
+    not depend on the block size.
     """
-    if n_resamples < 1:
-        raise ValueError(f"n_resamples must be >= 1, got {n_resamples}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_bootstrap(n_resamples, alpha)
     recs = list(records)
     n = len(recs)
     if n == 0:
         raise ValueError("no records to resample")
     # over range(n), a draw of indices is its own list of drawn records
     identity = isinstance(records, range) and records == range(n)
+    block = _block_rows(n) if identity else 1
     cap = 10 * n_resamples
     vals = []
     counter = 0
@@ -216,11 +250,15 @@ def bootstrap_ci(records, metric_fn, rng: Rng, n_resamples: int = N_RESAMPLES,
             raise ValueError(
                 f"bootstrap redraw cap exceeded: {counter} draws yielded "
                 f"{len(vals)} defined values of {n_resamples} requested")
-        idx = rng.stream("bootstrap", counter).integers(n, (n,))
-        counter += 1
+        rows = min(block, n_resamples - len(vals), cap - counter)
+        idx = rng.stream_integers("bootstrap", counter, rows, n, n)
+        counter += rows
+        if identity:
+            v = np.asarray(metric_fn(idx), dtype=np.float64)
+            vals += v[~np.isnan(v)].tolist()
+            continue
         try:
-            drawn = idx if identity else [recs[i] for i in idx.tolist()]
-            vals.append(float(metric_fn(drawn)))
+            vals.append(float(metric_fn([recs[i] for i in idx[0].tolist()])))
         except ValueError:
             continue
     lo, hi = np.percentile(vals, [50.0 * alpha, 100.0 - 50.0 * alpha])
@@ -270,10 +308,11 @@ def build_report(records, rng: Rng, n_resamples: int = N_RESAMPLES,
     Per-class/macro intervals are omitted otherwise because resamples could
     never cover the missing class.
 
-    The intervals resample the indices range(n). Each metric turns a draw
-    into per-sample counts w and weighs arrays built once here by them, so
-    it gives exactly the value the same function would give on the list of
-    drawn records, and is undefined (redrawn) on the same draws.
+    The intervals resample the indices range(n) in blocks. Each metric
+    turns a block into a [rows, n] matrix w of per-sample draw counts, one
+    bincount, and weighs arrays built once here by it, so each row gives
+    exactly the value the same function would give on the list of drawn
+    records, and is undefined (NaN, redrawn) on the same draws.
     """
     recs = tuple(records)
     if not recs:
@@ -287,38 +326,42 @@ def build_report(records, rng: Rng, n_resamples: int = N_RESAMPLES,
     n = len(recs)
     correct = (pred == y).astype(np.int64)
     onehot = (y[:, None] == np.arange(NUM_CLASSES)).astype(np.int64)
+    hits = onehot * correct[:, None]
     ranked = [_tie_groups(probs[:, c]) for c in range(NUM_CLASSES)]
     # micro: the 3n pooled (probability, indicator) pairs, class-major
-    micro_order, micro_gid = _tie_groups(probs.T.ravel())
+    micro_order, micro_starts = _tie_groups(probs.T.ravel())
     micro_sample = micro_order % n
     micro_pos = onehot.T.ravel()[micro_order]
 
     def counts(idx):
-        return np.bincount(idx, minlength=n)
+        rows = len(idx)
+        flat = (idx + n * np.arange(rows)[:, None]).ravel()
+        return np.bincount(flat, minlength=rows * n).reshape(rows, n)
 
     def class_auc(w, c):
-        order, gid = ranked[c]
-        return _rank_auc(gid, w[order], onehot[order, c])
+        order, starts = ranked[c]
+        return _rank_auc_rows(starts, w[:, order], onehot[order, c])
 
     def acc_fn(idx):
-        return int(counts(idx) @ correct) / n
+        return (counts(idx) @ correct) / n
 
     def bal_fn(idx):
         w = counts(idx)
         drawn = w @ onehot
-        hits = (w * correct) @ onehot
-        return float(np.mean([hits[c] / drawn[c]
-                              for c in range(NUM_CLASSES) if drawn[c]]))
+        with np.errstate(invalid="ignore"):  # 0 / 0 for an undrawn class
+            recall = (w @ hits) / drawn
+        return _row_mean(recall, drawn > 0)
 
     def micro_fn(idx):
         w = counts(idx)
-        if np.count_nonzero(w @ onehot) < 2:
-            raise ValueError("resample holds one class")  # redrawn
-        return _rank_auc(micro_gid, w[micro_sample], micro_pos)
+        auc = _rank_auc_rows(micro_starts, w[:, micro_sample], micro_pos)
+        auc[np.count_nonzero(w @ onehot, axis=1) < 2] = np.nan  # one class
+        return auc
 
     def macro_fn(idx):
         w = counts(idx)
-        return float(np.mean([class_auc(w, c) for c in range(NUM_CLASSES)]))
+        aucs = np.stack([class_auc(w, c) for c in range(NUM_CLASSES)], 1)
+        return _row_mean(aucs, np.ones(aucs.shape, bool))
 
     def class_fn(c):
         return lambda idx: class_auc(counts(idx), c)

@@ -32,6 +32,16 @@ def _mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def _finalize(z: np.ndarray) -> np.ndarray:
+    """The SplitMix64 finalizer of `_mix64`, in place on a uint64 array."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
 def _hash_token(token: int | str) -> int:
     if isinstance(token, str):
         # FNV-1a over UTF-8, then finalized.
@@ -73,13 +83,8 @@ class Rng:
         """Next ``n`` raw 64-bit words as a uint64 array."""
         idx = np.arange(self._counter, self._counter + n, dtype=np.uint64)
         self._counter += n
-        z = np.uint64(self._key) + (idx + np.uint64(1)) * np.uint64(_GOLDEN)
-        z ^= z >> np.uint64(30)
-        z *= np.uint64(0xBF58476D1CE4E5B9)
-        z ^= z >> np.uint64(27)
-        z *= np.uint64(0x94D049BB133111EB)
-        z ^= z >> np.uint64(31)
-        return z
+        return _finalize(
+            np.uint64(self._key) + (idx + np.uint64(1)) * np.uint64(_GOLDEN))
 
     def uniform(self, shape: Sequence[int] = (), lo: float = 0.0,
                 hi: float = 1.0) -> np.ndarray:
@@ -109,6 +114,21 @@ class Rng:
         n = int(np.prod(shape)) if shape else 1
         v = (self.raw(n) % np.uint64(bound)).astype(np.int64)
         return v.reshape(shape) if shape else int(v[0])
+
+    def stream_integers(self, token: int | str, start: int, rows: int,
+                        bound: int, n: int) -> np.ndarray:
+        """A [rows, n] int64 block whose row r equals
+        ``self.stream(token, start + r).integers(bound, (n,))``: the first
+        draws of `rows` consecutive integer-keyed substreams, made in one
+        pass. Leaves this generator's own counter alone."""
+        if bound <= 0:
+            raise ValueError(f"bound must be positive, got {bound}")
+        key = _mix64((self._key ^ _hash_token(token)) + _GOLDEN)
+        sub = _finalize(np.arange(start, start + rows, dtype=np.uint64))
+        sub = _finalize((np.uint64(key) ^ sub) + np.uint64(_GOLDEN))
+        z = sub[:, None] + (np.arange(1, n + 1, dtype=np.uint64)
+                            * np.uint64(_GOLDEN))
+        return (_finalize(z) % np.uint64(bound)).astype(np.int64)
 
     def permutation(self, n: int) -> np.ndarray:
         """Deterministic permutation of range(n)."""

@@ -147,6 +147,28 @@ class TestConfigHandling:
                  (v.split(":") for v in SCHEMA["views"][1].split(","))]
         assert views == list(volcnn.saliency.DEFAULT_VIEWS)
 
+    @pytest.mark.parametrize("command", ["eval", "ablate"])
+    @pytest.mark.parametrize("option", [("n_resamples", "0"),
+                                        ("alpha", "0"), ("alpha", "1.5")])
+    def test_bad_bootstrap_option_exits_before_any_read(
+            self, dataset, trained, tmp_path, capsys, monkeypatch, command,
+            option):
+        reads = []
+        real = volcnn.data._read_planes
+        monkeypatch.setattr(volcnn.data, "_read_planes",
+                            lambda *a: reads.append(a[1]) or real(*a))
+        run = tmp_path / "r"
+        args = {"eval": ["--checkpoint", str(trained / "best.ckpt")],
+                "ablate": ["--axis", "norm", "--values", "instance,batch",
+                           "--crop_extent", "32", "--max_epochs", "1"]}
+        code = main([command, "--run_dir", str(run), "--manifest",
+                     str(dataset), f"--{option[0]}", option[1]]
+                    + args[command])
+        assert code == 2
+        assert option[0] in capsys.readouterr().err
+        assert reads == []
+        assert not list(tmp_path.rglob("best.ckpt"))
+
     @pytest.mark.parametrize("key,value", [
         ("learning_rate", "nan"), ("learning_rate", "inf"),
         ("class_weights", "1,nan,1"), ("blur_hi", "inf")])

@@ -271,6 +271,34 @@ class TestOnDiskVolume:
             runs.append((log.to_csv(), ckpt.read_bytes(), records))
         assert runs[0] == runs[1]
 
+    def test_eval_reads_each_whole_volume_once(self, tmp_path, monkeypatch):
+        samples = data.generate_synthetic(3, 32, Rng(8), noise=0.2)
+        man = data.load_manifest(
+            data.write_synthetic_dataset(samples, tmp_path / "ds"))
+        loaded = [data.load_sample(man, r) for r in man.rows]
+        reads = []
+        real = data._read_planes
+
+        def counted(fh, path, shape, z0, z1):
+            reads.append(path)
+            return real(fh, path, shape, z0, z1)
+
+        monkeypatch.setattr(data, "_read_planes", counted)
+        net = build(ModelConfig(crop_extent=32), Rng(0))
+        _, records = optim.evaluate_samples(net, loaded, 4)
+        assert sorted(reads) == sorted(man.resolve(r) for r in man.rows)
+        in_memory = [data.Sample(data.read_native(man.resolve(r)),
+                                 r.subject_id, r.label, r.age, r.split)
+                     for r in man.rows]
+        assert [s.zscore for s in loaded] == [s.zscore for s in in_memory]
+        assert records == optim.evaluate_samples(net, in_memory, 4)[1]
+
+    def test_whole_window_keeps_the_constant_volume_message(self, tmp_path):
+        _, s = self.load_one(tmp_path, np.full((8, 8, 8), 3.0, np.float32))
+        with pytest.raises(data.VolumeFormatError,
+                           match="subject s0: constant volume"):
+            data.model_input([s], 8, True)
+
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"),
                         reason="reads VmHWM from /proc/self/status")
     def test_peak_memory_does_not_grow_with_the_scan_count(self, tmp_path):

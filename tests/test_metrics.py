@@ -265,17 +265,39 @@ class TestBootstrap:
             metrics.bootstrap_ci(fake_records(2), always_undefined, Rng(0),
                                  n_resamples=10)
 
-    def test_index_draws_reach_metric_fn_as_the_drawn_array(self):
+    def test_index_draws_reach_metric_fn_as_the_drawn_array(self,
+                                                            monkeypatch):
+        monkeypatch.setattr(metrics, "_block_rows", lambda n: 7)
         drawn = {"range": [], "list": []}
         for key, recs in (("range", range(12)), ("list", list(range(12)))):
             def fn(d, key=key):
                 drawn[key].append(d)
-                return 0.0
+                return np.zeros(len(d)) if key == "range" else 0.0
             metrics.bootstrap_ci(recs, fn, Rng(4), n_resamples=20)
         assert all(isinstance(d, np.ndarray) and d.dtype == np.int64
+                   and d.ndim == 2 and d.shape[1] == 12
                    for d in drawn["range"])
+        assert [len(d) for d in drawn["range"]] == [7, 7, 6]
         assert all(isinstance(d, list) for d in drawn["list"])
-        assert [d.tolist() for d in drawn["range"]] == drawn["list"]
+        rows = np.concatenate(drawn["range"])
+        assert rows.tolist() == drawn["list"]
+
+    def test_blocks_stop_at_the_last_value_and_at_the_cap(self):
+        sizes = []
+
+        def fn(block):  # one defined value, on the very first draw
+            values = np.full(len(block), np.nan)
+            if not sizes:
+                values[0] = 0.5
+            sizes.append(len(block))
+            return values
+
+        metrics.bootstrap_ci(range(12), fn, Rng(1), n_resamples=1)
+        assert sizes == [1]
+        sizes.clear()
+        with pytest.raises(ValueError, match="30 draws yielded 1 defined"):
+            metrics.bootstrap_ci(range(12), fn, Rng(1), n_resamples=3)
+        assert sizes[:2] == [3, 2] and sizes[-1] == 1 and sum(sizes) == 30
 
     def test_bad_args(self):
         recs = fake_records(2)
@@ -384,10 +406,11 @@ REAL_BOOTSTRAP = metrics.bootstrap_ci
 
 
 def counting_bootstrap(calls: list):
-    """bootstrap_ci that appends one entry per metric_fn call."""
+    """bootstrap_ci that appends, per metric_fn call, the number of
+    resamples it scores: the rows of a block, or 1 for a record list."""
     def bootstrap_ci(records, metric_fn, *args, **kwargs):
         def counted(drawn):
-            calls.append(len(drawn))
+            calls.append(len(drawn) if isinstance(drawn, np.ndarray) else 1)
             return metric_fn(drawn)
         return REAL_BOOTSTRAP(records, counted, *args, **kwargs)
     return bootstrap_ci
@@ -475,9 +498,27 @@ class TestReportIntervals:
             warnings.simplefilter("ignore")
             rep = metrics.build_report(records, Rng(3), n_resamples)
         assert rep.intervals == expected
-        assert len(calls) == len(ref_calls)
+        assert sum(calls) == sum(ref_calls)
         if name.startswith("n=5"):
-            assert len(calls) > len(expected) * n_resamples  # redraws ran
+            assert sum(calls) > len(expected) * n_resamples  # redraws ran
+
+    @pytest.mark.parametrize("records", [
+        fake_records(2, seed=7)[:5],
+        fake_records(6, seed=8, classes=(0, 2)),
+    ], ids=["n=5, redraws", "class missing"])
+    def test_block_size_does_not_change_intervals(self, records,
+                                                  monkeypatch):
+        reports = []
+        for rows in (None, 1, 7):
+            if rows is not None:
+                monkeypatch.setattr(metrics, "_block_rows",
+                                    lambda n, rows=rows: rows)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                warnings.simplefilter("error", RuntimeWarning)
+                reports.append(metrics.build_report(records, Rng(3), 300))
+        assert reports[0].intervals == reports[1].intervals
+        assert reports[0].intervals == reports[2].intervals
 
     def test_roc_auc_only_for_point_estimates(self, monkeypatch):
         calls = []

@@ -91,3 +91,15 @@ class TestRng:
         v = T.Rng(5).integers(7, (1000,))
         assert v.min() >= 0 and v.max() < 7
         assert set(v.tolist()) == set(range(7))
+
+    @pytest.mark.parametrize("bound", [1, 7, 300])
+    @pytest.mark.parametrize("n", [1, 13])
+    def test_stream_integers_equal_one_stream_per_row(self, bound, n):
+        r = T.Rng(8).stream("accuracy")
+        for token, start in (("bootstrap", 0), ("bootstrap", 37), (5, 3)):
+            got = r.stream_integers(token, start, 9, bound, n)
+            want = [r.stream(token, start + i).integers(bound, (n,))
+                    for i in range(9)]
+            assert got.dtype == np.int64 and got.shape == (9, n)
+            assert np.array_equal(got, np.stack(want))
+        assert np.array_equal(r.raw(4), T.Rng(8).stream("accuracy").raw(4))
