@@ -263,9 +263,8 @@ def cmd_train(cfg: dict, run_dir: Path, loaded: dict | None = None) -> int:
         raise ConfigError(f"checkpoint {ckpt}: its directory does not exist")
     net = build(model_cfg, Rng(cfg["seed"]))  # MemoryError before any read
     manifest = _load_manifest(cfg)
-    if cfg["subsample_rate"] != 1.0:
-        manifest = data_mod.subsample(manifest, cfg["subsample_rate"],
-                                      Rng(cfg["seed"]))
+    manifest = data_mod.subsample(manifest, cfg["subsample_rate"],
+                                  Rng(cfg["seed"]))
     subjects = manifest.subjects("train")
     counts = " ".join(
         f"{name}:{sum(1 for lab in subjects.values() if lab == idx)}"
@@ -489,7 +488,7 @@ def _code_for(exc) -> int | None:
 def build_parser() -> argparse.ArgumentParser:
     keys = ", ".join(sorted(SCHEMA))
     parser = argparse.ArgumentParser(
-        prog="volcnn",
+        prog="volcnn", allow_abbrev=False,  # --con is not --config
         description="Volumetric CNN training and evaluation toolkit.",
         epilog=f"Any configuration key can be overridden with --key value. "
                f"Keys: {keys}")

@@ -441,8 +441,6 @@ def subsample(manifest: Manifest, rate: float, rng: Rng) -> Manifest:
     subject, val/test stay untouched. Counts round half up per class."""
     if not 0.0 < rate <= 1.0:
         raise ValueError(f"rate must be in (0, 1], got {rate}")
-    if rate == 1.0:
-        return Manifest(list(manifest.rows), manifest.base_dir)
     by_class: dict[int, list[str]] = {}
     for subject, label in sorted(manifest.subjects("train").items()):
         by_class.setdefault(label, []).append(subject)
@@ -576,7 +574,7 @@ def generate_synthetic(n_per_class: int, extent: int, rng: Rng,
                     (extent,) * 3).astype(np.float32)
             mean, std = _AGE_STATS[label]
             age = mean + std * float(s.stream("age").normal(()))
-            age = round_age(min(max(age, 40.0), 100.0))
+            age = float(round_age(min(max(age, 40.0), 100.0)))
             split = ("train" if i < n_train
                      else "val" if i < n_train + n_val else "test")
             sid = f"syn-{LABEL_NAMES[label].lower()}-{i:03d}"

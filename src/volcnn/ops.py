@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_AGE
+from .config import MAX_AGE, ModelConfig
 from .tensor import Tensor, ShapeError
 
 EPS = 1e-5  # added to the variance of every normalization
@@ -320,14 +320,12 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...],
         np.true_divide(var, count, out=var, casting="unsafe")
     invstd = 1.0 / np.sqrt(var + EPS)
     # In place, yet the same products in the same order as
-    # gamma * ((x - mean) * invstd) + beta.
+    # gamma * ((x - mean) * invstd) + beta; without a tape y overwrites xhat.
     d *= invstd
-    if not tape:
-        d *= gb
-        d += bb
-        return Tensor(d), None, mean, var
-    y = np.multiply(gb, d, out=out)
+    y = np.multiply(gb, d, out=out if tape else d)
     y += bb
+    if not tape:
+        return Tensor(y), None, mean, var
     param_axes = tuple(a for a in range(rank) if a != channel_axis)
     cache = NormCache(axes, param_axes, d, invstd, gb, stats is not None)
     return Tensor(y), cache, mean, var
@@ -487,26 +485,25 @@ def softmax_xent(scores: Tensor, labels,
     return loss, Tensor(grad.astype(scores.dtype)), Tensor(probs.astype(scores.dtype))
 
 
-def round_age(age: float) -> float:
-    """Round to the nearest 0.5 years, halves rounding up."""
-    return float(np.floor(age * 2.0 + 0.5) / 2.0)
+def round_age(age):
+    """Round to the nearest 0.5 years, halves rounding up, elementwise."""
+    return np.floor(np.asarray(age) * 2.0 + 0.5) / 2.0
 
 
-def age_encode(age: float, d_model: int = 128, dtype=np.float32) -> Tensor:
-    """Fixed sinusoidal embedding of age in years.
-
-    The age is first rounded to 0.5-year resolution, then for each frequency
-    index i the pair (sin, cos) of age / 10000^(2i/d_model) fills components
-    2i and 2i+1.
-    """
-    if not 0.0 <= age <= MAX_AGE:
-        raise ValueError(f"age {age} outside [0, {MAX_AGE:g}]")
+def age_encode(age, d_model: int = ModelConfig.d_model,
+               dtype=np.float32) -> Tensor:
+    """Fixed sinusoidal embedding of ages in years, [d_model] for one age
+    and [N, d_model] for N. Each age is rounded to 0.5-year resolution, then
+    for each frequency index i the pair (sin, cos) of age / 10000^(2i/d_model)
+    fills components 2i and 2i+1."""
+    ages = np.asarray(age, dtype=np.float64)
+    if not ((ages >= 0.0) & (ages <= MAX_AGE)).all():  # NaN fails too
+        raise ValueError(f"ages outside [0, {MAX_AGE:g}]: {ages}")
     if d_model < 2 or d_model % 2:
         raise ValueError(f"d_model must be even and positive, got {d_model}")
-    a = round_age(age)
     i = np.arange(d_model // 2, dtype=np.float64)
-    angles = a / np.power(10000.0, 2.0 * i / d_model)
-    out = np.empty(d_model, dtype=np.float64)
-    out[0::2] = np.sin(angles)
-    out[1::2] = np.cos(angles)
+    angles = np.divide.outer(round_age(ages), 10000.0 ** (2.0 * i / d_model))
+    out = np.empty(ages.shape + (d_model,), dtype=np.float64)
+    out[..., 0::2] = np.sin(angles)
+    out[..., 1::2] = np.cos(angles)
     return Tensor(out.astype(dtype))

@@ -77,10 +77,10 @@ class TrainLog:
 
 
 def sgd_step(params: dict, grads: dict, velocity: dict, lr: float,
-             momentum: float) -> tuple[dict, dict]:
+             momentum: float) -> None:
     """Classical momentum: v <- momentum*v + g; p <- p - lr*v.
 
-    Updates params and velocity in place (and returns them)."""
+    Updates params and velocity in place."""
     if not (params.keys() == grads.keys() == velocity.keys()):
         extra = sorted(set(params) ^ set(grads) | set(params) ^ set(velocity))
         raise ValueError(f"parameter/gradient/velocity key mismatch: {extra}")
@@ -89,7 +89,6 @@ def sgd_step(params: dict, grads: dict, velocity: dict, lr: float,
         v *= momentum
         v += grads[name].data
         p.data -= lr * v
-    return params, velocity
 
 
 def _check_splits(train_samples, val_samples):

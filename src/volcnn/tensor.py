@@ -138,10 +138,10 @@ class Rng:
 class Tensor:
     """Contiguous row-major float array with shape metadata.
 
-    Treat instances as immutable: operations return fresh tensors and never
-    modify their inputs. The raw numpy array is exposed as ``.data`` for the
-    numeric kernels in :mod:`volcnn.ops`; code that mutates it in place owns
-    the tensor exclusively (parameter updates in the training loop).
+    Treat instances as immutable: ops return fresh tensors and write into
+    an input only as ``out=``. The raw array is exposed as ``.data`` for the
+    kernels in :mod:`volcnn.ops`; code that mutates it in place owns the
+    tensor exclusively (parameter updates, the forward's norms and ReLUs).
     """
 
     __slots__ = ("data",)
@@ -168,12 +168,6 @@ class Tensor:
     @property
     def size(self) -> int:
         return self.data.size
-
-    def copy(self) -> "Tensor":
-        return Tensor(self.data.copy())
-
-    def reshape(self, shape: Sequence[int]) -> "Tensor":
-        return Tensor(self.data.reshape(shape).copy())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"

@@ -377,7 +377,7 @@ def test_criterion_08_age_encoding(monkeypatch):
 def fingerprint(tape) -> bytes:
     parts = []
     for e in tape.entries:
-        if e[0] in ("relu", "relu_head"):
+        if e[0] == "relu":
             parts.append(e[1].tobytes())
         elif e[0] == "pool":
             parts.append(e[1].tobytes())

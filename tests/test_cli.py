@@ -197,6 +197,14 @@ class TestConfigHandling:
                               env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
 
+    def test_abbreviated_option_rejected(self, tmp_path, capsys):
+        # argparse's prefix matching would read --con as --config
+        cfg = tmp_path / "c.txt"
+        cfg.write_text("n_per_class = 1\nextent = 16\n")
+        assert main(["synth", "--run_dir", str(tmp_path / "r"),
+                     "--con", str(cfg)]) == 2
+        assert "unknown option --con" in capsys.readouterr().err
+
     def test_unknown_override_rejected(self, capsys):
         assert main(["train", "--bogus_key", "1"]) == 2
         assert "unknown option" in capsys.readouterr().err

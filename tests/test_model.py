@@ -409,7 +409,7 @@ def tape_footprint(tape) -> dict[str, int]:
             kinds["conv"] += e[2].data.nbytes
         elif e[0] in ("norm", "age_head"):
             kinds["norm"] += e[2].xhat.nbytes
-        elif e[0] in ("relu", "relu_head"):
+        elif e[0] == "relu":
             kinds["relu"] += e[1].nbytes
         elif e[0] == "pool":
             kinds["pool"] += e[1].nbytes

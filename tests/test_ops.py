@@ -466,7 +466,8 @@ class TestNorms:
         x = Tensor(np.ones((1, 2, 3, 3, 3), dtype=np.float32))
         ones, zeros = Tensor(np.ones(2)), Tensor(np.zeros(2))
         with pytest.raises(ValueError, match="batch of >= 2"):
-            ops.batch_norm_forward(x, ones, zeros, zeros.copy(), ones.copy(), "train")
+            ops.batch_norm_forward(x, ones, zeros, Tensor(np.zeros(2)),
+                                   Tensor(np.ones(2)), "train")
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("shape", [(3, 2, 4, 3, 5), (2, 1, 3, 4, 4)])
@@ -782,6 +783,19 @@ class TestSoftmaxXent:
             assert res.passed, f"{res.name}: rel err {res.rel_err:.3e}"
 
 
+class TestGradcheckHarness:
+    def test_constant_op_fails(self):
+        # an op whose output ignores its input has all-zero gradients,
+        # analytic and numeric: such a check verifies nothing, so it fails
+        x = Tensor(np.linspace(-1.0, 1.0, 6).reshape(2, 3))
+        const = Tensor(np.ones((2, 3)))
+        results = gradcheck.check_op(
+            "constant", Rng(0), lambda: (const, None),
+            lambda g, _: (Tensor(np.zeros((2, 3))),), {"x": x})
+        assert [r.rel_err for r in results] == [float("inf")]
+        assert not results[0].passed
+
+
 class TestAgeEncode:
     def test_first_pair_is_sin_cos_of_age(self):
         v = ops.age_encode(76.5, d_model=8)
@@ -811,11 +825,20 @@ class TestAgeEncode:
         w = ops.age_encode(rounded, d_model=4)
         np.testing.assert_array_equal(v.data, w.data)
 
+    def test_array_rows_equal_single_ages(self):
+        ages = [0.0, 63.0, 76.3, 120.0]
+        rows = ops.age_encode(np.array(ages), 16, np.float32).data
+        assert rows.shape == (4, 16)
+        for age, row in zip(ages, rows):
+            assert row.tobytes() == ops.age_encode(age, 16).data.tobytes()
+
     def test_age_out_of_range(self):
         with pytest.raises(ValueError):
             ops.age_encode(-0.5)
         with pytest.raises(ValueError):
             ops.age_encode(120.5)
+        with pytest.raises(ValueError, match="outside"):
+            ops.age_encode(np.array([70.0, np.nan]))
 
     def test_odd_d_model_rejected(self):
         with pytest.raises(ValueError):
