@@ -22,7 +22,7 @@ import time
 from dataclasses import fields
 from pathlib import Path
 
-from .config import (ALPHA, DEFAULT_VIEWS, N_RESAMPLES, SMOOTH_SIGMA,
+from .config import (ALPHA, DEFAULT_VIEWS, N_RESAMPLES, SMOOTH_SIGMA, SPLITS,
                      SYNTH_NOISE, ModelConfig, TrainConfig, check_bootstrap)
 
 EXIT_OK = 0
@@ -205,14 +205,6 @@ def _echo_config(cfg: dict, run_dir: Path) -> None:
     _write_text(run_dir / "config.txt", text)
 
 
-def _model_config(cfg):
-    return ModelConfig(**{k: cfg[k] for k in MODEL_KEYS})
-
-
-def _train_config(cfg):
-    return TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS})
-
-
 def _load_manifest(cfg):
     from .data import load_manifest
     if not cfg["manifest"]:
@@ -255,8 +247,8 @@ def cmd_train(cfg: dict, run_dir: Path, loaded: dict | None = None) -> int:
     from .optim import resolve_batch_size, train
     from .tensor import Rng
 
-    model_cfg = _model_config(cfg)
-    train_cfg = _train_config(cfg)
+    model_cfg = ModelConfig(**{k: cfg[k] for k in MODEL_KEYS})
+    train_cfg = TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS})
     batch_size = resolve_batch_size(train_cfg, model_cfg)
     ckpt = cfg["checkpoint"] or str(run_dir / "best.ckpt")
     if not Path(ckpt).parent.is_dir():  # before any epoch, not after one
@@ -340,6 +332,8 @@ def cmd_ablate(cfg: dict, run_dir: Path) -> int:
         raise ConfigError("values is required for ablate")
     key = ABLATE_AXES[axis]
     values = [_parse_value(key, v) for v in cfg["values"].split(",")]
+    if len(set(values)) < len(values):  # they would share one run directory
+        raise ConfigError(f"values {cfg['values']!r} repeat a {key}")
 
     header = ("value,status,accuracy,balanced_accuracy,micro_auc,macro_auc,"
               "acc_lo,acc_hi,bal_lo,bal_hi,micro_lo,micro_hi,"
@@ -504,6 +498,8 @@ def effective_config(args, override_tokens) -> dict:
     cfg.update(parse_overrides(override_tokens))
     if cfg["threads"] < 0:
         raise ConfigError(f"threads must be >= 0, got {cfg['threads']}")
+    if cfg["split"] not in SPLITS:  # before a checkpoint or volume is read
+        raise ConfigError(f"split must be one of {SPLITS}, got {cfg['split']!r}")
     if args.command in BOOTSTRAP_COMMANDS:  # before any volume is read
         try:
             check_bootstrap(cfg["n_resamples"], cfg["alpha"])

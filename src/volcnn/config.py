@@ -20,6 +20,7 @@ SMOOTH_SIGMA = 0.8   # blur of the aggregate saliency map
 MAX_AGE = 120.0      # ages lie in [0, MAX_AGE]; concat feeds age / MAX_AGE
 DEFAULT_VIEWS = (("axial", 50), ("axial", 26), ("coronal", 56),
                  ("sagittal", 26))
+SPLITS = ("train", "val", "test")  # the manifest's split column
 
 FIRST_LAYER_VARIANTS = {
     # name: (kernel, stride, padding, dilation)

@@ -23,14 +23,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import MAX_AGE, SYNTH_NOISE
+from .config import MAX_AGE, SPLITS, SYNTH_NOISE
 from .ops import round_age
 from .tensor import Rng
 
 LABEL_NAMES = ("CN", "MCI", "AD")
 NUM_CLASSES = len(LABEL_NAMES)
 LABELS = {name: i for i, name in enumerate(LABEL_NAMES)}
-SPLITS = ("train", "val", "test")
 
 MANIFEST_HEADER = ["subject_id", "path", "label", "age", "split"]
 # A subject id names files (saliency/<id>_<view>.pgm) and fills one

@@ -43,19 +43,19 @@ def rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
     return float(np.abs(analytic - numeric).max() / denom)
 
 
-def central_diff(f: Callable[[], float], arr: np.ndarray,
-                 h: float = STEP) -> np.ndarray:
-    """Numeric gradient of f w.r.t. arr, perturbing one element at a time."""
+def central_diff(f: Callable[[], float], arr: np.ndarray) -> np.ndarray:
+    """Numeric gradient of f w.r.t. arr, perturbing one element at a time
+    by STEP."""
     grad = np.zeros_like(arr)
     flat, gflat = arr.reshape(-1), grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + STEP
         fp = f()
-        flat[i] = orig - h
+        flat[i] = orig - STEP
         fm = f()
         flat[i] = orig
-        gflat[i] = (fp - fm) / (2.0 * h)
+        gflat[i] = (fp - fm) / (2.0 * STEP)
     return grad
 
 
@@ -67,10 +67,11 @@ def check_op(name: str, r_rng: Rng, fwd, bwd, inputs: dict) -> list[CheckResult]
     """Check one op instance: run fwd() -> (output, saved state), draw R of
     the output's shape from r_rng, take bwd(R, state) -> one gradient per
     entry of `inputs` (label -> Tensor, in order), and compare each with
-    central differences of sum(fwd()[0] * R)."""
+    central differences of sum(fwd()[0] * R). bwd gets a copy of R, so a
+    backward that overwrites its gradient leaves the probe's R intact."""
     out, state = fwd()
     r = r_rng.normal(out.shape)
-    grads = bwd(Tensor(r), state)
+    grads = bwd(Tensor(r.copy()), state)
     results = []
     for (label, t), g in zip(inputs.items(), grads):
         num = central_diff(lambda: _probe(fwd()[0], r), t.data)

@@ -225,7 +225,8 @@ def bootstrap_ci(records, metric_fn, rng: Rng, n_resamples: int = N_RESAMPLES,
     draw) are redrawn with the next counter, up to 10 * n_resamples draws.
 
     Over a record list, metric_fn receives the list of drawn records, one
-    draw per call, and raises ValueError where the value is undefined.
+    draw per call, and raises ValueError or returns NaN where the value is
+    undefined.
     When the records are the indices range(n), draws come in blocks:
     metric_fn receives a [rows, n] int64 array whose row r holds the
     indices of draw k + r, and returns one value per row, NaN where
@@ -255,12 +256,13 @@ def bootstrap_ci(records, metric_fn, rng: Rng, n_resamples: int = N_RESAMPLES,
         counter += rows
         if identity:
             v = np.asarray(metric_fn(idx), dtype=np.float64)
-            vals += v[~np.isnan(v)].tolist()
-            continue
-        try:
-            vals.append(float(metric_fn([recs[i] for i in idx[0].tolist()])))
-        except ValueError:
-            continue
+        else:
+            try:
+                v = np.array([metric_fn([recs[i] for i in idx[0].tolist()])],
+                             dtype=np.float64)
+            except ValueError:
+                continue
+        vals += v[~np.isnan(v)].tolist()
     lo, hi = np.percentile(vals, [50.0 * alpha, 100.0 - 50.0 * alpha])
     return float(lo), float(hi)
 

@@ -183,9 +183,9 @@ def build(config: ModelConfig, rng: Rng, dtype=tensor.F32) -> Model:
         if name.endswith(".weight"):
             t = tensor.kaiming_uniform(shape, rng.stream(*name.split(".")), dtype)
         elif name.endswith((".gamma", ".running_var")):
-            t = tensor.ones(shape, dtype)
+            t = Tensor(np.ones(shape, dtype))
         else:
-            t = tensor.zeros(shape, dtype)
+            t = Tensor(np.zeros(shape, dtype))
         (buffers if ".running_" in name else params)[name] = t
     return Model(config, plan, params, buffers, np.dtype(dtype))
 
@@ -343,7 +343,7 @@ def _backward_entry(model: Model, entry: tuple, g: Tensor,
     elif kind == "relu":
         # g is always a fresh array only backward holds (fc2 goes first, so
         # never the caller's grad_logits): it takes its own gradient in place
-        g = ops.relu_backward(g, entry[1], out=g.data)
+        g = ops.relu_backward(g, entry[1])
     elif kind == "age_head":
         _, ae, ln_cache, a1n = entry
         ga, gw, gb = ops.linear_backward(g, a1n, model.params["age.fc2.weight"])
@@ -362,7 +362,7 @@ def _backward_entry(model: Model, entry: tuple, g: Tensor,
         g = ops.maxpool3d_backward(g, idx, shape)
     elif kind == "norm":
         _, name, cache = entry
-        g, dgm, dbt = ops.norm_backward(g, cache, out=g.data)
+        g, dgm, dbt = ops.norm_backward(g, cache)
         grads[f"{name}.norm.gamma"] = dgm
         grads[f"{name}.norm.beta"] = dbt
     elif kind == "conv":

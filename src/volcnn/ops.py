@@ -1,14 +1,14 @@
 """Differentiable layer kernels: each forward has an exact backward.
 
-All kernels are pure functions from Tensors to Tensors, except where the
-caller passes `out=`: then instance norm, batch norm and relu write their
-result, and relu_backward and norm_backward their input gradient, into that
-array (which may be their own input or grad_out) and return it. The state
-backward reads is kept no wider than backward needs: relu_backward takes
-the bool mask x > 0, maxpool3d_argmax gives int32 indices, and
-norm_backward works in two full-size buffers besides its result. The
-normalizations subtract the mean once and take the variance from that
-difference. Convolution uses
+Forward kernels are pure functions from Tensors to Tensors, except where
+the caller passes `out=`: then instance norm, batch norm and relu write
+their result into that array (which may be their own input) and return it.
+relu_backward and norm_backward always write the input gradient over
+grad_out's array and return it. The state backward reads is kept no wider
+than backward needs: relu_backward takes the bool mask x > 0,
+maxpool3d_argmax gives int32 indices, and norm_backward works in one
+full-size buffer besides grad_out. The normalizations subtract the mean
+once and take the variance from that difference. Convolution uses
 cross-correlation semantics (no kernel flip). The 3D convolution is lowered
 to im2col GEMMs (Chellapilla et al., 2006), one column slab per sample and
 first-axis kernel tap, so each BLAS call contracts over k*k*C and the
@@ -35,6 +35,7 @@ from .config import MAX_AGE, ModelConfig
 from .tensor import Tensor, ShapeError
 
 EPS = 1e-5  # added to the variance of every normalization
+BN_MOMENTUM = 0.1  # weight of a batch's statistics in batch norm's running ones
 
 
 def conv_out_extent(extent: int, k: int, p: int, s: int, d: int) -> int:
@@ -343,17 +344,16 @@ def instance_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
 
 def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
                        running_mean: Tensor, running_var: Tensor, mode: str,
-                       momentum: float = 0.1, tape: bool = True,
-                       out: np.ndarray | None = None
+                       tape: bool = True, out: np.ndarray | None = None
                        ) -> tuple[Tensor, NormCache | None, Tensor, Tensor]:
     """Per-channel normalization over batch and spatial positions.
 
     Train mode normalizes with batch statistics (biased variance) and blends
-    them into the returned running stats: running <- (1-m)*running + m*batch,
-    with the unbiased variance entering the running estimate. Eval mode
-    normalizes with the running stats unchanged. Returns (y, cache,
-    new_running_mean, new_running_var); the cache is None when tape=False.
-    With `out` y is written there; out=x.data normalizes in place.
+    them into the returned running stats: running <- (1-m)*running + m*batch
+    with m = BN_MOMENTUM, the unbiased variance entering the running
+    estimate. Eval mode normalizes with the running stats unchanged. Returns
+    (y, cache, new_running_mean, new_running_var); the cache is None when
+    tape=False. With `out` y is written there; out=x.data works in place.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
@@ -366,10 +366,9 @@ def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
         raise ValueError("batch norm in train mode needs a batch of >= 2")
     y, cache, mean, var = _normalize(x, gamma, beta, axes, 1, tape, out=out)
     c = x.shape[1]
-    m = x.data.size // c
-    new_mean = (1 - momentum) * running_mean.data + momentum * mean.reshape(c)
-    new_var = ((1 - momentum) * running_var.data
-               + momentum * var.reshape(c) * m / (m - 1))
+    m, mom = x.data.size // c, BN_MOMENTUM
+    new_mean = (1 - mom) * running_mean.data + mom * mean.reshape(c)
+    new_var = (1 - mom) * running_var.data + mom * var.reshape(c) * m / (m - 1)
     return (y, cache, Tensor(new_mean.astype(x.dtype)),
             Tensor(new_var.astype(x.dtype)))
 
@@ -382,28 +381,26 @@ def layer_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     return _normalize(x, gamma, beta, (last,), last, tape)[:2]
 
 
-def norm_backward(grad_out: Tensor, cache: NormCache,
-                  out: np.ndarray | None = None
-                  ) -> tuple[Tensor, Tensor, Tensor]:
+def norm_backward(grad_out: Tensor,
+                  cache: NormCache) -> tuple[Tensor, Tensor, Tensor]:
     """Gradients through any normalization forward, including the dependence
     of mean and variance on the input (except eval-mode batch norm, whose
-    statistics are constants). dx is written into `out` if given;
-    out=grad_out.data works in place."""
+    statistics are constants). dx overwrites grad_out's array, which is
+    returned as dx."""
     if grad_out.shape != cache.xhat.shape:
         raise ShapeError(
             f"grad_out shape {grad_out.shape} does not match saved forward "
             f"state for input {cache.xhat.shape}"
         )
-    out = _out_array(grad_out, out)
     g, xhat = grad_out.data, cache.xhat
-    # Two full-size buffers, each product in the order of
+    # One full-size buffer besides g, each product in the order of
     # dx = invstd * (dxhat - m1 - xhat * m2), so the result is bit for bit
     # that expression's.
     buf = np.multiply(g, xhat)
     dgamma = buf.sum(axis=cache.param_axes)
     dbeta = g.sum(axis=cache.param_axes)
-    # g is read for the last time here, so `out` may be g itself
-    dx = np.multiply(g, cache.gamma_b, out=out)  # dxhat until the last step
+    # g is read for the last time here, so dx overwrites it
+    dx = np.multiply(g, cache.gamma_b, out=g)  # dxhat until the last step
     if not cache.fixed_stats:
         m1 = dx.mean(axis=cache.axes, keepdims=True, dtype=g.dtype)
         m2 = np.multiply(dx, xhat, out=buf).mean(
@@ -420,16 +417,14 @@ def relu(x: Tensor, out: np.ndarray | None = None) -> Tensor:
     return Tensor(np.maximum(x.data, x.dtype.type(0), out=_out_array(x, out)))
 
 
-def relu_backward(grad_out: Tensor, mask: np.ndarray,
-                  out: np.ndarray | None = None) -> Tensor:
+def relu_backward(grad_out: Tensor, mask: np.ndarray) -> Tensor:
     """grad_out where the bool mask x > 0 of relu's input holds, else 0:
-    subgradient 0 at x == 0. Written into `out` if given; out=grad_out.data
-    works in place."""
+    subgradient 0 at x == 0. Written over grad_out's array, which is
+    returned."""
     if mask.dtype != np.bool_ or mask.shape != grad_out.shape:
         raise ShapeError(f"mask {mask.shape} {mask.dtype}, expected a bool "
                          f"mask of grad_out's shape {grad_out.shape}")
-    return Tensor(np.multiply(grad_out.data, mask,
-                              out=_out_array(grad_out, out)))
+    return Tensor(np.multiply(grad_out.data, mask, out=grad_out.data))
 
 
 def linear_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

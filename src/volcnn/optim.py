@@ -22,7 +22,7 @@ import numpy as np
 
 from . import metrics
 from . import model as network
-from . import ops, tensor
+from . import ops
 from .config import TrainConfig
 from .data import LeakageError, atomic_write, check_blur, model_input
 from .tensor import Rng, Tensor
@@ -150,8 +150,7 @@ def train(net, train_samples, val_samples, cfg: TrainConfig,
     skip_small = net.config.norm == "batch"
 
     rng = Rng(cfg.seed)
-    velocity = {k: tensor.zeros(t.shape, t.dtype)
-                for k, t in net.params.items()}
+    velocity = {k: Tensor(np.zeros_like(t.data)) for k, t in net.params.items()}
     best_val = float("inf")
     records = []
     counter = 0  # global sample counter indexing augmentation substreams

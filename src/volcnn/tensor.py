@@ -146,13 +146,12 @@ class Tensor:
 
     __slots__ = ("data",)
 
-    def __init__(self, data, dtype: np.dtype | None = None):
-        arr = np.asarray(data, dtype=dtype)
+    def __init__(self, data):
+        arr = np.asarray(data)
         if arr.dtype not in _SUPPORTED:
-            if dtype is None and np.issubdtype(arr.dtype, np.number):
-                arr = arr.astype(F32)
-            else:
+            if not np.issubdtype(arr.dtype, np.number):
                 raise TypeError(f"unsupported dtype {arr.dtype}; use f32 or f64")
+            arr = arr.astype(F32)  # numeric input, e.g. ints, becomes f32
         if any(e < 1 for e in arr.shape):
             raise ShapeError(f"all extents must be >= 1, got shape {arr.shape}")
         self.data = np.ascontiguousarray(arr)
@@ -165,30 +164,13 @@ class Tensor:
     def dtype(self) -> np.dtype:
         return self.data.dtype
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype.name})"
 
 
-def zeros(shape: Sequence[int], dtype=F32) -> Tensor:
-    return Tensor(np.zeros(shape, dtype=dtype))
-
-
-def ones(shape: Sequence[int], dtype=F32) -> Tensor:
-    return Tensor(np.ones(shape, dtype=dtype))
-
-
-def uniform(shape: Sequence[int], lo: float, hi: float, rng: Rng, dtype=F32) -> Tensor:
-    return Tensor(rng.uniform(shape, lo, hi).astype(dtype))
-
-
 def kaiming_uniform(shape: Sequence[int], rng: Rng, dtype=F32) -> Tensor:
-    """Uniform init with bound sqrt(6 / fan_in). For weight layouts
-    [out, in, ...] fan_in is the product of all trailing extents (input
-    channels times kernel volume)."""
-    fan_in = int(np.prod(shape[1:]))
-    bound = float(np.sqrt(6.0 / fan_in))
-    return uniform(shape, -bound, bound, rng, dtype)
+    """Uniform init in [-bound, bound) with bound sqrt(6 / fan_in). For
+    weight layouts [out, in, ...] fan_in is the product of all trailing
+    extents (input channels times kernel volume)."""
+    bound = float(np.sqrt(6.0 / int(np.prod(shape[1:]))))
+    return Tensor(rng.uniform(shape, -bound, bound).astype(dtype))

@@ -169,6 +169,28 @@ class TestConfigHandling:
         assert reads == []
         assert not list(tmp_path.rglob("best.ckpt"))
 
+    @pytest.mark.parametrize("command", ["eval", "ablate"])
+    def test_unknown_split_exits_before_any_read(
+            self, dataset, trained, tmp_path, capsys, monkeypatch, command):
+        reads = []
+        real = volcnn.data._read_planes
+        monkeypatch.setattr(volcnn.data, "_read_planes",
+                            lambda *a: reads.append(a[1]) or real(*a))
+        loads = []
+        real_load = model.load_checkpoint
+        monkeypatch.setattr(model, "load_checkpoint",
+                            lambda *a: loads.append(a) or real_load(*a))
+        args = {"eval": ["--checkpoint", str(trained / "best.ckpt")],
+                "ablate": ["--axis", "norm", "--values", "instance,batch",
+                           "--crop_extent", "32", "--max_epochs", "1"]}
+        code = main([command, "--run_dir", str(tmp_path / "r"),
+                     "--manifest", str(dataset), "--split", "vall"]
+                    + args[command])
+        assert code == 2
+        assert "split" in capsys.readouterr().err
+        assert reads == [] and loads == []
+        assert not list(tmp_path.rglob("best.ckpt"))
+
     @pytest.mark.parametrize("key,value", [
         ("learning_rate", "nan"), ("learning_rate", "inf"),
         ("class_weights", "1,nan,1"), ("blur_hi", "inf")])
@@ -659,6 +681,19 @@ class TestAblate:
         summary = (run / "summary.csv").read_text().splitlines()
         assert summary[1].startswith("1,failed")
         assert "failed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("axis,values", [("norm", "instance,instance"),
+                                             ("width", "1,01"),
+                                             ("subsample", "0.5,1,.5")])
+    def test_values_that_parse_equal_rejected(self, dataset, tmp_path,
+                                              capsys, axis, values):
+        run = tmp_path / "ab"
+        code = main(["ablate", "--run_dir", str(run),
+                     "--manifest", str(dataset), "--crop_extent", "32",
+                     "--max_epochs", "1", "--axis", axis, "--values", values])
+        assert code == 2
+        assert "repeat" in capsys.readouterr().err
+        assert [p.name for p in run.iterdir()] == ["config.txt"]
 
     def test_bad_axis(self, tmp_path):
         assert main(["ablate", "--run_dir", str(tmp_path / "r"),

@@ -265,6 +265,24 @@ class TestBootstrap:
             metrics.bootstrap_ci(fake_records(2), always_undefined, Rng(0),
                                  n_resamples=10)
 
+    def test_nan_on_a_record_list_is_redrawn_like_value_error(self):
+        # undefined whenever subject 0 is drawn twice, as NaN or as a raise:
+        # both are redrawn and give the same interval
+        recs = list(range(5))  # a list: one draw per metric_fn call
+
+        def value(rs, undefined):
+            return undefined() if rs.count(0) > 1 else float(np.mean(rs))
+
+        def raise_it():
+            raise ValueError("undefined")
+
+        by_nan = metrics.bootstrap_ci(
+            recs, lambda rs: value(rs, lambda: float("nan")), Rng(3), 200)
+        by_raise = metrics.bootstrap_ci(
+            recs, lambda rs: value(rs, raise_it), Rng(3), 200)
+        assert by_nan == by_raise
+        assert all(np.isfinite(by_nan)) and by_nan[0] < by_nan[1]
+
     def test_index_draws_reach_metric_fn_as_the_drawn_array(self,
                                                             monkeypatch):
         monkeypatch.setattr(metrics, "_block_rows", lambda n: 7)

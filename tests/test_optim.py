@@ -9,7 +9,7 @@ from volcnn import data, ops, optim
 from volcnn.data import LeakageError
 from volcnn.model import (ModelConfig, build, forward, layer_plan,
                           load_checkpoint, tensor_shapes)
-from volcnn.tensor import Rng, Tensor, zeros
+from volcnn.tensor import Rng, Tensor
 
 
 def synth_sets(n_per_class=4, extent=40, seed=5, noise=0.1):
@@ -48,9 +48,7 @@ def record_names(path) -> list[str]:
 
 class TestSgdStep:
     def params_of(self, value, shape=(2, 3)):
-        p = zeros(shape)
-        p.data[...] = value
-        return {"w": p}
+        return {"w": Tensor(np.full(shape, value, np.float32))}
 
     def test_plain_gradient_step(self):
         params = self.params_of(1.0)
@@ -87,7 +85,7 @@ class TestSgdStep:
     def test_key_mismatch_rejected(self):
         params = self.params_of(1.0)
         with pytest.raises(ValueError, match="mismatch"):
-            optim.sgd_step(params, {"other": zeros((2, 3))},
+            optim.sgd_step(params, {"other": Tensor(np.zeros((2, 3)))},
                            self.params_of(0.0), lr=0.1, momentum=0.0)
 
 
@@ -140,7 +138,7 @@ class TestLossDescent:
         net = small_net()
         x = Tensor(data.model_input(train, 32, normalize=True))
         labels = [s.label for s in train]
-        velocity = {k: zeros(t.shape, t.dtype)
+        velocity = {k: Tensor(np.zeros_like(t.data))
                     for k, t in net.params.items()}
         losses = []
         for _ in range(20):
