@@ -46,7 +46,6 @@ class ModelConfig:
     extra_blocks: int = 0
     age_mode: str = "none"       # none | encoded | concat
     crop_extent: int = 96
-    d_model: int = 128
     normalize: bool = True       # per-volume z-score of every input
 
     def __post_init__(self):
@@ -64,8 +63,6 @@ class ModelConfig:
             raise ValueError(f"unknown age_mode {self.age_mode!r}")
         if self.crop_extent < 1:
             raise ValueError(f"crop_extent must be >= 1, got {self.crop_extent}")
-        if self.d_model < 2 or self.d_model % 2:
-            raise ValueError(f"d_model must be even and >= 2, got {self.d_model}")
 
 
 @dataclass(frozen=True)

@@ -196,13 +196,6 @@ def _read_planes(fh, path, shape, z0: int, z1: int) -> np.ndarray:
     return vol
 
 
-def read_native(path) -> np.ndarray:
-    """The volume, read once from the file into the array it returns."""
-    with open(path, "rb") as fh:
-        shape = _native_extents(fh, path, os.fstat(fh.fileno()).st_size)
-        return _read_planes(fh, path, shape, 0, shape[0])
-
-
 def _identity(st: os.stat_result) -> tuple[int, int, int]:
     return st.st_ino, st.st_size, st.st_mtime_ns
 

@@ -215,34 +215,25 @@ def _block_rows(n: int) -> int:
     return max(1, _BLOCK_BYTES // (3 * n * 8))
 
 
-def bootstrap_ci(records, metric_fn, rng: Rng, n_resamples: int = N_RESAMPLES,
+def bootstrap_ci(n: int, metric_fn, rng: Rng, n_resamples: int = N_RESAMPLES,
                  alpha: float = ALPHA) -> tuple[float, float]:
-    """Percentile bootstrap interval for metric_fn over the records.
+    """Percentile bootstrap interval for metric_fn over n records.
 
-    Resamples with replacement. Draw k takes the n indices of its resample
-    from its own RNG substream ("bootstrap", k), so the interval does not
-    depend on evaluation order. Undefined values (e.g. a single-class
-    draw) are redrawn with the next counter, up to 10 * n_resamples draws.
-
-    Over a record list, metric_fn receives the list of drawn records, one
-    draw per call, and raises ValueError or returns NaN where the value is
-    undefined.
-    When the records are the indices range(n), draws come in blocks:
-    metric_fn receives a [rows, n] int64 array whose row r holds the
-    indices of draw k + r, and returns one value per row, NaN where
-    undefined. A block holds no more rows than values still missing or
-    draws left before the cap, so it never draws a counter that one draw
-    at a time would not: the values, the interval and the cap's error do
-    not depend on the block size.
+    Resamples the indices range(n) with replacement. Draw k takes its n
+    indices from its own RNG substream ("bootstrap", k), so the interval
+    does not depend on evaluation order. Draws come in blocks: metric_fn
+    receives a [rows, n] int64 array whose row r holds the indices of draw
+    k + r, and returns one value per row, NaN where undefined (e.g. a
+    single-class draw). NaN is redrawn with the next counter, up to
+    10 * n_resamples draws. A block holds no more rows than values still
+    missing or draws left before the cap, so it never draws a counter that
+    one draw at a time would not: the values, the interval and the cap's
+    error do not depend on the block size.
     """
     check_bootstrap(n_resamples, alpha)
-    recs = list(records)
-    n = len(recs)
-    if n == 0:
+    if n < 1:
         raise ValueError("no records to resample")
-    # over range(n), a draw of indices is its own list of drawn records
-    identity = isinstance(records, range) and records == range(n)
-    block = _block_rows(n) if identity else 1
+    block = _block_rows(n)
     cap = 10 * n_resamples
     vals = []
     counter = 0
@@ -254,14 +245,7 @@ def bootstrap_ci(records, metric_fn, rng: Rng, n_resamples: int = N_RESAMPLES,
         rows = min(block, n_resamples - len(vals), cap - counter)
         idx = rng.stream_integers("bootstrap", counter, rows, n, n)
         counter += rows
-        if identity:
-            v = np.asarray(metric_fn(idx), dtype=np.float64)
-        else:
-            try:
-                v = np.array([metric_fn([recs[i] for i in idx[0].tolist()])],
-                             dtype=np.float64)
-            except ValueError:
-                continue
+        v = np.asarray(metric_fn(idx), dtype=np.float64)
         vals += v[~np.isnan(v)].tolist()
     lo, hi = np.percentile(vals, [50.0 * alpha, 100.0 - 50.0 * alpha])
     return float(lo), float(hi)
@@ -376,8 +360,8 @@ def build_report(records, rng: Rng, n_resamples: int = N_RESAMPLES,
             plan.append((f"auc_{LABEL_NAMES[c].lower()}", class_fn(c)))
     intervals = {}
     for key, fn in plan:
-        intervals[key] = bootstrap_ci(range(n), fn, rng.stream(key),
-                                      n_resamples, alpha)
+        intervals[key] = bootstrap_ci(n, fn, rng.stream(key), n_resamples,
+                                      alpha)
     return EvalReport(acc, bal, mc.per_class, mc.micro, mc.macro,
                       intervals, recs, mc.roc_points)
 

@@ -162,7 +162,7 @@ def tensor_shapes(config: ModelConfig,
             shapes[f"{bp.name}.{leaf}"] = (c,)
     linears = [("fc1", FC1_WIDTH, plan.fc1_in)]
     if config.age_mode == "encoded":
-        linears += [("age.fc1", AGE_HIDDEN, config.d_model),
+        linears += [("age.fc1", AGE_HIDDEN, ops.D_MODEL),
                     ("age.fc2", FC1_WIDTH, AGE_HIDDEN)]
         shapes["age.norm.gamma"] = shapes["age.norm.beta"] = (AGE_HIDDEN,)
     for name, out, fan_in in linears + [("fc2", NUM_CLASSES, FC1_WIDTH)]:
@@ -285,7 +285,7 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
     record(("fc1", h))
     z = ops.linear_forward(h, model.params["fc1.weight"], model.params["fc1.bias"])
     if cfg.age_mode == "encoded":
-        ae = ops.age_encode(ages_arr, cfg.d_model, model.dtype)
+        ae = ops.age_encode(ages_arr, ops.D_MODEL, model.dtype)
         a1 = ops.linear_forward(ae, model.params["age.fc1.weight"],
                                 model.params["age.fc1.bias"])
         a1n, ln_cache = ops.layer_norm_forward(
@@ -398,7 +398,8 @@ def _config_text(config: ModelConfig, extra: dict[str, str]) -> str:
 def _parse_config_text(text: str) -> tuple[ModelConfig, dict[str, str]]:
     """The config and the extra entries of a checkpoint header. A config
     key the header lacks takes its ModelConfig default, so a header written
-    before `normalize` was a model key loads with normalize=True."""
+    before `normalize` was a model key loads with normalize=True; a key
+    that is no longer one (eps, num_classes, d_model) is an extra entry."""
     known = {f.name: f.type for f in fields(ModelConfig)}
     kwargs, extra = {}, {}
     for line in text.splitlines():

@@ -31,11 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_AGE, ModelConfig
+from .config import MAX_AGE
 from .tensor import Tensor, ShapeError
 
 EPS = 1e-5  # added to the variance of every normalization
 BN_MOMENTUM = 0.1  # weight of a batch's statistics in batch norm's running ones
+D_MODEL = 128  # width of the sinusoidal age embedding
 
 
 def conv_out_extent(extent: int, k: int, p: int, s: int, d: int) -> int:
@@ -485,8 +486,7 @@ def round_age(age):
     return np.floor(np.asarray(age) * 2.0 + 0.5) / 2.0
 
 
-def age_encode(age, d_model: int = ModelConfig.d_model,
-               dtype=np.float32) -> Tensor:
+def age_encode(age, d_model: int = D_MODEL, dtype=np.float32) -> Tensor:
     """Fixed sinusoidal embedding of ages in years, [d_model] for one age
     and [N, d_model] for N. Each age is rounded to 0.5-year resolution, then
     for each frequency index i the pair (sin, cos) of age / 10000^(2i/d_model)

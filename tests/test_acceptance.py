@@ -24,6 +24,8 @@ from volcnn.saliency import DEFAULT_VIEWS, SaliencyMap, export_slices, \
     saliency, smooth
 from volcnn.tensor import Rng, Tensor
 
+from test_metrics import per_draw_ci
+
 
 @contextmanager
 def criterion(n: int, title: str):
@@ -214,12 +216,22 @@ def test_criterion_05_metrics_oracle():
 
         records = [metrics.make_record(f"s{i:03d}", int(labels[i]),
                                        probs[i]) for i in range(50)]
-        acc_fn = lambda recs: metrics.accuracy(
-            [r.pred for r in recs], [r.label for r in recs])
-        ci_a = metrics.bootstrap_ci(records, acc_fn, Rng(7), 500, 0.05)
-        ci_b = metrics.bootstrap_ci(records, acc_fn, Rng(7), 500, 0.05)
-        assert ci_a == ci_b
-        point = acc_fn(records)
+        preds = np.array([r.pred for r in records])
+        hit = (preds == labels).astype(np.float64)
+
+        def acc_rows(idx):  # a block's accuracies, one per resample
+            return hit[idx].mean(1)
+
+        def acc_fn(idx):  # one draw's accuracy, through the public function
+            return metrics.accuracy(preds[idx], labels[idx])
+
+        ci_a = metrics.bootstrap_ci(50, acc_rows, Rng(7), 500, 0.05)
+        assert ci_a == metrics.bootstrap_ci(50, acc_rows, Rng(7), 500, 0.05)
+        assert ci_a == per_draw_ci(50, acc_fn, Rng(7), 500, 0.05)
+        report = metrics.build_report(records, Rng(7), 500, 0.05)
+        assert report.intervals["accuracy"] == per_draw_ci(
+            50, acc_fn, Rng(7).stream("accuracy"), 500, 0.05)
+        point = metrics.accuracy(preds, labels)
         assert ci_a[0] <= point <= ci_a[1]
 
 
@@ -296,7 +308,8 @@ def test_criterion_07_data_integrity(tmp_path):
         assert data.read_nifti1(nii).tobytes() == vol.tobytes()
         nat = tmp_path / "v.vol"
         data.write_native(nat, vol)
-        assert data.read_native(nat).tobytes() == vol.tobytes()
+        assert (np.asarray(data.NativeVolume(nat)).tobytes()
+                == vol.tobytes())
 
         blurred0 = data.gaussian_blur(vol, 0.0)
         assert blurred0.tobytes() == vol.tobytes()

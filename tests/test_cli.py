@@ -21,7 +21,7 @@ import volcnn.saliency
 from volcnn import metrics, model, optim
 from volcnn.cli import SCHEMA, format_config, main
 from volcnn.optim import LOG_HEADER
-from volcnn.tensor import Rng
+from volcnn.tensor import Rng, Tensor
 
 
 @pytest.fixture(scope="module")
@@ -83,7 +83,6 @@ DEFAULT_CONFIG_LINES = [
     "checkpoint = ",
     "class_weights = none",
     "crop_extent = 96",
-    "d_model = 128",
     "extent = 32",
     "extra_blocks = 0",
     "first_layer = K1S1",
@@ -114,7 +113,7 @@ KEY_KINDS = {
     "bool": ["allow_leakage", "normalize", "timing"],
     "float": ["alpha", "blur_hi", "learning_rate", "momentum", "noise",
               "smooth_sigma", "subsample_rate"],
-    "int": ["crop_extent", "d_model", "extent", "extra_blocks", "max_epochs",
+    "int": ["crop_extent", "extent", "extra_blocks", "max_epochs",
             "n_per_class", "n_resamples", "seed", "threads",
             "widening_factor"],
     "str": ["age_mode", "axis", "checkpoint", "first_layer", "manifest",
@@ -434,7 +433,7 @@ class TestTrain:
             path = dataset.parent / path
             if blank is None and rest[-1] == "val":
                 blank = subject
-                vol = volcnn.data.read_native(path)
+                vol = np.asarray(volcnn.data.NativeVolume(path))
                 path = tmp_path / "blank.vol"
                 volcnn.data.write_native(path, vol * 0 + 0.5)
             out.append(",".join([subject, str(path)] + rest))
@@ -586,20 +585,13 @@ class TestEval:
 
     @pytest.mark.parametrize("key, value", [
         ("widening_factor", "1000000"), ("crop_extent", "100000"),
-        ("extra_blocks", "1000000000"), ("d_model", "1000000"),
-        ("normalize", "maybe"),
+        ("extra_blocks", "1000000000"), ("normalize", "maybe"),
     ])
     def test_hostile_header_is_a_data_error(self, dataset, trained, tmp_path,
                                             capsys, key, value):
         # checked against the file's tensors before any network is planned
         # or allocated
-        src = trained / "best.ckpt"
-        if key == "d_model":
-            src = tmp_path / "encoded.ckpt"
-            model.save_checkpoint(src, model.build(
-                model.ModelConfig(crop_extent=32, age_mode="encoded"),
-                Rng(3)))
-        raw = src.read_bytes()
+        raw = (trained / "best.ckpt").read_bytes()
         (cfg_len,) = struct.unpack_from("<I", raw, 12)
         lines = raw[16:16 + cfg_len].decode().splitlines(keepends=True)
         header = "".join(f"{key}={value}\n" if line.startswith(f"{key}=")
@@ -625,6 +617,42 @@ class TestEval:
         err = capsys.readouterr().err
         assert "cannot load checkpoint" in err and "Traceback" not in err
         assert err.count(str(ckpt)) == 1
+
+    @staticmethod
+    def legacy_checkpoint(path, width):
+        """An encoded-age checkpoint as written while d_model was a model
+        key: a d_model=<width> header line over <width>-wide age.fc1."""
+        net = model.build(
+            model.ModelConfig(crop_extent=32, age_mode="encoded"), Rng(3))
+        if width != volcnn.ops.D_MODEL:
+            net.params["age.fc1.weight"] = Tensor(
+                np.zeros((model.AGE_HIDDEN, width), np.float32))
+        model.save_checkpoint(path, net, {"d_model": str(width)})
+        return net
+
+    def test_legacy_d_model_header_loads(self, dataset, tmp_path):
+        ckpt = tmp_path / "legacy.ckpt"
+        net = self.legacy_checkpoint(ckpt, 128)
+        assert b"\nd_model=128\n" in ckpt.read_bytes()
+        loaded, extra = model.load_checkpoint(ckpt)
+        assert extra == {"d_model": "128"}
+        assert loaded.config == net.config
+        for name, t in net.params.items():
+            assert loaded.params[name].data.tobytes() == t.data.tobytes()
+        assert main(["eval", "--run_dir", str(tmp_path / "e"),
+                     "--manifest", str(dataset), "--checkpoint", str(ckpt),
+                     "--n_resamples", "10"]) == 0
+
+    def test_legacy_d_model_of_another_width_is_a_data_error(
+            self, dataset, tmp_path, capsys):
+        ckpt = tmp_path / "legacy64.ckpt"
+        self.legacy_checkpoint(ckpt, 64)
+        assert main(["eval", "--run_dir", str(tmp_path / "e"),
+                     "--manifest", str(dataset),
+                     "--checkpoint", str(ckpt)]) == 3
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
+        assert "age.fc1.weight" in err and err.count(str(ckpt)) == 1
 
 
 class TestAblate:

@@ -143,7 +143,7 @@ class TestNative:
         vol = Rng(1).stream("nat").normal((5, 6, 7)).astype(np.float32)
         p = tmp_path / "v.vol"
         data.write_native(p, vol)
-        got = data.read_native(p)
+        got = np.asarray(data.NativeVolume(p))
         assert got.shape == (5, 6, 7)
         assert got.tobytes() == vol.tobytes()
         assert got.flags.writeable and got.flags.c_contiguous
@@ -151,14 +151,14 @@ class TestNative:
     def test_empty_extent_round_trip(self, tmp_path):
         p = tmp_path / "e.vol"
         data.write_native(p, np.zeros((0, 2, 3), np.float32))
-        got = data.read_native(p)
+        got = np.asarray(data.NativeVolume(p))
         assert got.shape == (0, 2, 3) and got.dtype == np.float32
 
     def test_shorter_than_header(self, tmp_path):
         p = tmp_path / "s.vol"
         p.write_bytes(data.NATIVE_MAGIC + b"\x01\x00")
         with pytest.raises(data.TruncatedVolume, match="fixed header"):
-            data.read_native(p)
+            np.asarray(data.NativeVolume(p))
 
     def test_wrong_magic(self, tmp_path):
         p = tmp_path / "w.vol"
@@ -167,7 +167,7 @@ class TestNative:
         raw[0] ^= 0x55
         p.write_bytes(bytes(raw))
         with pytest.raises(data.BadMagic):
-            data.read_native(p)
+            np.asarray(data.NativeVolume(p))
 
     def test_payload_length_mismatch(self, tmp_path):
         p = tmp_path / "x.vol"
@@ -175,14 +175,14 @@ class TestNative:
         with open(p, "ab") as fh:
             fh.write(b"\x00\x00")
         with pytest.raises(data.TruncatedVolume):
-            data.read_native(p)
+            np.asarray(data.NativeVolume(p))
 
     def test_extents_whose_product_wraps_int64(self, tmp_path):
         p = tmp_path / "z.vol"
         header = struct.pack("<I3Q", data.NATIVE_VERSION, 2**32, 2**32, 1)
         p.write_bytes(data.NATIVE_MAGIC + header)
         with pytest.raises(data.TruncatedVolume):
-            data.read_native(p)
+            np.asarray(data.NativeVolume(p))
 
     def test_bad_version(self, tmp_path):
         p = tmp_path / "y.vol"
@@ -191,7 +191,7 @@ class TestNative:
         struct.pack_into("<I", raw, 8, 9)
         p.write_bytes(bytes(raw))
         with pytest.raises(data.VolumeFormatError, match="version"):
-            data.read_native(p)
+            np.asarray(data.NativeVolume(p))
 
 
 class TestOnDiskVolume:
@@ -255,9 +255,10 @@ class TestOnDiskVolume:
         man = data.load_manifest(
             data.write_synthetic_dataset(samples, tmp_path / "ds"))
         on_disk = [data.load_sample(man, r) for r in man.rows]
-        in_memory = [data.Sample(data.read_native(man.resolve(r)),
-                                 r.subject_id, r.label, r.age, r.split)
-                     for r in man.rows]
+        in_memory = [
+            data.Sample(np.asarray(data.NativeVolume(man.resolve(r))),
+                        r.subject_id, r.label, r.age, r.split)
+            for r in man.rows]
         assert all(isinstance(s.volume, data.NativeVolume) for s in on_disk)
         runs = []
         for name, loaded in (("disk", on_disk), ("memory", in_memory)):
@@ -287,9 +288,10 @@ class TestOnDiskVolume:
         net = build(ModelConfig(crop_extent=32), Rng(0))
         _, records = optim.evaluate_samples(net, loaded, 4)
         assert sorted(reads) == sorted(man.resolve(r) for r in man.rows)
-        in_memory = [data.Sample(data.read_native(man.resolve(r)),
-                                 r.subject_id, r.label, r.age, r.split)
-                     for r in man.rows]
+        in_memory = [
+            data.Sample(np.asarray(data.NativeVolume(man.resolve(r))),
+                        r.subject_id, r.label, r.age, r.split)
+            for r in man.rows]
         assert [s.zscore for s in loaded] == [s.zscore for s in in_memory]
         assert records == optim.evaluate_samples(net, in_memory, 4)[1]
 

@@ -228,77 +228,86 @@ def fake_records(n_per_class=8, seed=0, classes=(0, 1, 2), lift=1.5):
     return recs
 
 
+def per_draw_ci(n, value, rng, n_resamples, alpha=0.05):
+    """Oracle for bootstrap_ci, one draw at a time: draw k resamples the
+    indices rng.stream("bootstrap", k).integers(n, (n,)), and value scores
+    them alone, NaN where undefined. NaN is redrawn with the next k, up to
+    10 * n_resamples draws."""
+    vals, k = [], 0
+    while len(vals) < n_resamples:
+        if k == 10 * n_resamples:
+            raise ValueError("bootstrap redraw cap exceeded")
+        v = value(rng.stream("bootstrap", k).integers(n, (n,)))
+        k += 1
+        if not np.isnan(v):
+            vals.append(v)
+    lo, hi = np.percentile(vals, [50.0 * alpha, 100.0 - 50.0 * alpha])
+    return float(lo), float(hi)
+
+
+def hits(records):
+    """Per record, 1 where the prediction is right: a block's row means
+    are the accuracies of its resamples."""
+    return np.array([r.pred == r.label for r in records], dtype=np.float64)
+
+
 class TestBootstrap:
     def test_constant_metric(self):
-        recs = fake_records(4)
-        lo, hi = metrics.bootstrap_ci(recs, lambda rs: 0.25, Rng(0),
-                                      n_resamples=50)
+        lo, hi = metrics.bootstrap_ci(
+            12, lambda idx: np.full(len(idx), 0.25), Rng(0), n_resamples=50)
         assert lo == hi == 0.25
 
     def test_deterministic_under_seed(self):
-        recs = fake_records(4)
+        h = hits(fake_records(4))
 
-        def acc(rs):
-            return metrics.accuracy([r.pred for r in rs],
-                                    [r.label for r in rs])
+        def acc(idx):
+            return h[idx].mean(1)
 
-        a = metrics.bootstrap_ci(recs, acc, Rng(9), n_resamples=100)
-        b = metrics.bootstrap_ci(recs, acc, Rng(9), n_resamples=100)
+        a = metrics.bootstrap_ci(len(h), acc, Rng(9), n_resamples=100)
+        b = metrics.bootstrap_ci(len(h), acc, Rng(9), n_resamples=100)
         assert a == b
 
     def test_interval_contains_point_estimate(self):
         recs = fake_records(34, seed=2)[:100]
-
-        def acc(rs):
-            return metrics.accuracy([r.pred for r in rs],
-                                    [r.label for r in rs])
-
-        point = acc(recs)
-        lo, hi = metrics.bootstrap_ci(recs, acc, Rng(0), n_resamples=1000)
+        h = hits(recs)
+        point = metrics.accuracy([r.pred for r in recs],
+                                 [r.label for r in recs])
+        lo, hi = metrics.bootstrap_ci(len(h), lambda idx: h[idx].mean(1),
+                                      Rng(0), n_resamples=1000)
         assert lo <= point <= hi
 
     def test_redraw_cap(self):
-        def always_undefined(rs):
-            raise ValueError("nope")
-
         with pytest.raises(ValueError, match="cap exceeded"):
-            metrics.bootstrap_ci(fake_records(2), always_undefined, Rng(0),
-                                 n_resamples=10)
+            metrics.bootstrap_ci(6, lambda idx: np.full(len(idx), np.nan),
+                                 Rng(0), n_resamples=10)
 
-    def test_nan_on_a_record_list_is_redrawn_like_value_error(self):
-        # undefined whenever subject 0 is drawn twice, as NaN or as a raise:
-        # both are redrawn and give the same interval
-        recs = list(range(5))  # a list: one draw per metric_fn call
+    def test_equal_to_the_per_draw_oracle(self):
+        # undefined whenever index 0 is drawn twice: redrawn in both
+        def block(idx):
+            return np.where((idx == 0).sum(1) > 1, np.nan, idx.mean(1))
 
-        def value(rs, undefined):
-            return undefined() if rs.count(0) > 1 else float(np.mean(rs))
+        def one(idx):
+            return np.nan if (idx == 0).sum() > 1 else idx.mean()
 
-        def raise_it():
-            raise ValueError("undefined")
-
-        by_nan = metrics.bootstrap_ci(
-            recs, lambda rs: value(rs, lambda: float("nan")), Rng(3), 200)
-        by_raise = metrics.bootstrap_ci(
-            recs, lambda rs: value(rs, raise_it), Rng(3), 200)
-        assert by_nan == by_raise
-        assert all(np.isfinite(by_nan)) and by_nan[0] < by_nan[1]
+        got = metrics.bootstrap_ci(5, block, Rng(3), 200)
+        assert got == per_draw_ci(5, one, Rng(3), 200)
+        assert all(np.isfinite(got)) and got[0] < got[1]
 
     def test_index_draws_reach_metric_fn_as_the_drawn_array(self,
                                                             monkeypatch):
         monkeypatch.setattr(metrics, "_block_rows", lambda n: 7)
-        drawn = {"range": [], "list": []}
-        for key, recs in (("range", range(12)), ("list", list(range(12)))):
-            def fn(d, key=key):
-                drawn[key].append(d)
-                return np.zeros(len(d)) if key == "range" else 0.0
-            metrics.bootstrap_ci(recs, fn, Rng(4), n_resamples=20)
+        blocks, draws = [], []
+
+        def fn(block):
+            blocks.append(block)
+            return np.zeros(len(block))
+
+        metrics.bootstrap_ci(12, fn, Rng(4), n_resamples=20)
+        per_draw_ci(12, lambda idx: draws.append(idx) or 0.0, Rng(4), 20)
         assert all(isinstance(d, np.ndarray) and d.dtype == np.int64
-                   and d.ndim == 2 and d.shape[1] == 12
-                   for d in drawn["range"])
-        assert [len(d) for d in drawn["range"]] == [7, 7, 6]
-        assert all(isinstance(d, list) for d in drawn["list"])
-        rows = np.concatenate(drawn["range"])
-        assert rows.tolist() == drawn["list"]
+                   and d.ndim == 2 and d.shape[1] == 12 for d in blocks)
+        assert [len(d) for d in blocks] == [7, 7, 6]
+        assert np.array_equal(np.concatenate(blocks), np.stack(draws))
 
     def test_blocks_stop_at_the_last_value_and_at_the_cap(self):
         sizes = []
@@ -310,21 +319,23 @@ class TestBootstrap:
             sizes.append(len(block))
             return values
 
-        metrics.bootstrap_ci(range(12), fn, Rng(1), n_resamples=1)
+        metrics.bootstrap_ci(12, fn, Rng(1), n_resamples=1)
         assert sizes == [1]
         sizes.clear()
         with pytest.raises(ValueError, match="30 draws yielded 1 defined"):
-            metrics.bootstrap_ci(range(12), fn, Rng(1), n_resamples=3)
+            metrics.bootstrap_ci(12, fn, Rng(1), n_resamples=3)
         assert sizes[:2] == [3, 2] and sizes[-1] == 1 and sum(sizes) == 30
 
     def test_bad_args(self):
-        recs = fake_records(2)
+        def fn(idx):
+            return np.zeros(len(idx))
+
         with pytest.raises(ValueError):
-            metrics.bootstrap_ci(recs, lambda rs: 0.0, Rng(0), n_resamples=0)
+            metrics.bootstrap_ci(2, fn, Rng(0), n_resamples=0)
         with pytest.raises(ValueError):
-            metrics.bootstrap_ci(recs, lambda rs: 0.0, Rng(0), alpha=1.5)
+            metrics.bootstrap_ci(2, fn, Rng(0), alpha=1.5)
         with pytest.raises(ValueError):
-            metrics.bootstrap_ci([], lambda rs: 0.0, Rng(0))
+            metrics.bootstrap_ci(0, fn, Rng(0))
 
 
 class TestReport:
@@ -424,19 +435,20 @@ REAL_BOOTSTRAP = metrics.bootstrap_ci
 
 
 def counting_bootstrap(calls: list):
-    """bootstrap_ci that appends, per metric_fn call, the number of
-    resamples it scores: the rows of a block, or 1 for a record list."""
-    def bootstrap_ci(records, metric_fn, *args, **kwargs):
-        def counted(drawn):
-            calls.append(len(drawn) if isinstance(drawn, np.ndarray) else 1)
-            return metric_fn(drawn)
-        return REAL_BOOTSTRAP(records, counted, *args, **kwargs)
+    """bootstrap_ci that appends the rows of each block it scores."""
+    def bootstrap_ci(n, metric_fn, *args, **kwargs):
+        def counted(block):
+            calls.append(len(block))
+            return metric_fn(block)
+        return REAL_BOOTSTRAP(n, counted, *args, **kwargs)
     return bootstrap_ci
 
 
 def record_list_intervals(records, rng, n_resamples, alpha, calls):
-    """Reference for build_report's intervals: every draw rebuilds the list
-    of drawn records and reruns the public metric functions on it."""
+    """Reference for build_report's intervals: every draw of per_draw_ci
+    rebuilds the list of drawn records and reruns the public metric
+    functions on it, NaN where they raise ValueError. Appends 1 to calls
+    per draw."""
     recs = tuple(records)
 
     def arrays(rs):
@@ -469,12 +481,16 @@ def record_list_intervals(records, rng, n_resamples, alpha, calls):
             return metrics.roc_auc(pr[:, c], (y == c).astype(int))[0]
         return fn
 
-    def quiet(fn):
-        def wrapped(rs):
+    def on_draw(fn):
+        def value(idx):
+            calls.append(1)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
-                return fn(rs)
-        return wrapped
+                try:
+                    return fn([recs[i] for i in idx.tolist()])
+                except ValueError:
+                    return np.nan
+        return value
 
     plan = [("accuracy", acc_fn), ("balanced_accuracy", bal_fn),
             ("micro_auc", micro_fn)]
@@ -482,9 +498,8 @@ def record_list_intervals(records, rng, n_resamples, alpha, calls):
         plan.append(("macro_auc", macro_fn))
         plan += [(f"auc_{name.lower()}", class_fn(c))
                  for c, name in enumerate(metrics.LABEL_NAMES)]
-    bootstrap = counting_bootstrap(calls)
-    return {key: bootstrap(recs, quiet(fn), rng.stream(key), n_resamples,
-                           alpha)
+    return {key: per_draw_ci(len(recs), on_draw(fn), rng.stream(key),
+                             n_resamples, alpha)
             for key, fn in plan}
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from volcnn import gradcheck, model as m
+from volcnn import gradcheck, model as m, ops
 from volcnn.tensor import Rng, ShapeError, Tensor
 
 EXPECTED_96 = [
@@ -125,8 +125,6 @@ class TestConfig:
             m.ModelConfig(first_layer="K9S1")
         with pytest.raises(ValueError):
             m.ModelConfig(age_mode="embed")
-        with pytest.raises(ValueError):
-            m.ModelConfig(d_model=5)
 
     def test_age_modes_share_backbone_init(self):
         nets = {
@@ -297,6 +295,38 @@ class TestForwardBackward:
         assert res.rel_err == float("inf")
         assert not res.passed
         assert "FAIL" in gradcheck.format_report([res])
+
+
+ABLATION_VALUES = {
+    "default": {}, "f=2": {"widening_factor": 2}, "batch": {"norm": "batch"},
+    "K3S2": {"first_layer": "K3S2"}, "K7S4": {"first_layer": "K7S4"},
+    "extra1": {"extra_blocks": 1}, "extra2": {"extra_blocks": 2},
+    "encoded": {"age_mode": "encoded"}, "concat": {"age_mode": "concat"},
+}
+# a map shrunk to one voxel before an instance norm: see ROADMAP item 14
+DEAD = {(32, "K3S2"), (32, "K7S4"), (32, "extra1"), (32, "extra2"),
+        (96, "K7S4"), (96, "extra1"), (96, "extra2")}
+
+
+class TestLiveness:
+    """Every ablation value is a live network at init: two inputs give
+    different logits, and the loss reaches every parameter."""
+
+    @pytest.mark.parametrize("crop, value", [
+        pytest.param(crop, value, id=f"crop{crop}-{value}", marks=(
+            [pytest.mark.xfail(raises=AssertionError, strict=True,
+                               reason="ROADMAP item 14")]
+            if (crop, value) in DEAD else []))
+        for crop in (32, 96) for value in ABLATION_VALUES])
+    def test_logits_and_gradients_depend_on_the_input(self, crop, value):
+        cfg = m.ModelConfig(crop_extent=crop, **ABLATION_VALUES[value])
+        net = m.build(cfg, Rng(20))
+        x = Tensor(Rng(21).normal((2, 1, crop, crop, crop)).astype(np.float32))
+        logits, tape = m.forward(net, x, [70.0, 70.0], "train")
+        _, grad, _ = ops.softmax_xent(logits, [0, 2])
+        grads, _ = m.backward(net, tape, grad)
+        assert not np.array_equal(logits.data[0], logits.data[1])
+        assert [n for n in net.params if not grads[n].data.any()] == []
 
 
 class TestTapeFree:

@@ -3,7 +3,7 @@ import pytest
 
 from volcnn import model as network
 from volcnn import saliency
-from volcnn.data import read_native
+from volcnn.data import NativeVolume
 from volcnn.model import ModelConfig, build
 from volcnn.tensor import F64, Rng, ShapeError, Tensor
 
@@ -205,7 +205,8 @@ class TestExport:
         w, h, body = parse_pgm(paths[0].read_bytes())
         assert (w, h) == (16, 16)
         assert len(body) == 16 * 16
-        assert np.array_equal(read_native(paths[2]), m.values.data)
+        assert np.array_equal(np.asarray(NativeVolume(paths[2])),
+                              m.values.data)
 
     def test_axis_mapping(self, tmp_path):
         vals = np.zeros((4, 5, 6), dtype=np.float32)
