@@ -185,9 +185,18 @@ def set_thread_env(n: int) -> None:
 
 
 def _ensure_run_dir(cfg: dict) -> Path:
+    """cfg["run_dir"], made if missing. An empty one becomes a new directory
+    runs/<second>-seed<seed>, suffixed -2, -3, ... while the name is taken."""
     if not cfg["run_dir"]:
-        stamp = time.strftime("%Y%m%d-%H%M%S")
-        cfg["run_dir"] = f"runs/{stamp}-seed{cfg['seed']}"
+        base = f"runs/{time.strftime('%Y%m%d-%H%M%S')}-seed{cfg['seed']}"
+        cfg["run_dir"], k = base, 1
+        while True:
+            try:
+                Path(cfg["run_dir"]).mkdir(parents=True)  # fails if taken
+                break
+            except FileExistsError:
+                k += 1
+                cfg["run_dir"] = f"{base}-{k}"
     run_dir = Path(cfg["run_dir"])
     run_dir.mkdir(parents=True, exist_ok=True)
     return run_dir
@@ -244,7 +253,7 @@ def cmd_train(cfg: dict, run_dir: Path, loaded: dict | None = None) -> int:
     from . import data as data_mod
     from .data import LABEL_NAMES
     from .model import build
-    from .optim import resolve_batch_size, train
+    from .optim import LOG_HEADER, resolve_batch_size, train
     from .tensor import Rng
 
     model_cfg = ModelConfig(**{k: cfg[k] for k in MODEL_KEYS})
@@ -267,8 +276,9 @@ def cmd_train(cfg: dict, run_dir: Path, loaded: dict | None = None) -> int:
     val_samples = _split_samples(manifest, "val", loaded)
     print(f"resolved batch_size = {batch_size}")
 
-    log = train(net, train_samples, val_samples, train_cfg, ckpt)
-    log.write(run_dir / "train_log.csv")
+    epochs = train(net, train_samples, val_samples, train_cfg, ckpt)
+    _write_text(run_dir / "train_log.csv", "\n".join(
+        [LOG_HEADER] + [r.csv_line() for r in epochs]) + "\n")
     print(f"checkpoint = {ckpt}")
     return EXIT_OK
 
@@ -291,11 +301,13 @@ def _evaluate(cfg: dict, run_dir: Path, net, loaded: dict | None = None):
     samples = _split_samples(manifest, cfg["split"], loaded)
     bs = resolve_batch_size(TrainConfig(batch_size=cfg["batch_size"]),
                             net.config)
-    loss, records = evaluate_samples(net, samples, bs)
-    report = build_report(records, Rng(cfg["seed"]), cfg["n_resamples"],
-                          cfg["alpha"])
+    loss, probs = evaluate_samples(net, samples, bs)
+    labels = [s.label for s in samples]
+    report = build_report(labels, probs, Rng(cfg["seed"]),
+                          cfg["n_resamples"], cfg["alpha"])
     write_report(report, run_dir / "report.txt")
-    write_logits_csv(records, run_dir / "logits.csv")
+    write_logits_csv([s.subject_id for s in samples], labels, probs,
+                     run_dir / "logits.csv")
     export_roc(report, run_dir)
     return report, loss
 
@@ -309,7 +321,7 @@ def _headline(report) -> list[tuple[float, float, float]]:
 
 def cmd_eval(cfg: dict, run_dir: Path, net) -> int:
     report, loss = _evaluate(cfg, run_dir, net)
-    print(f"split = {cfg['split']}, n = {len(report.records)}, "
+    print(f"split = {cfg['split']}, n = {report.n_samples}, "
           f"loss = {loss:.6f}")
     print("metric,value,ci_lo,ci_hi")
     for key, row in zip(HEADLINE_METRICS, _headline(report)):
@@ -334,6 +346,14 @@ def cmd_ablate(cfg: dict, run_dir: Path) -> int:
     values = [_parse_value(key, v) for v in cfg["values"].split(",")]
     if len(set(values)) < len(values):  # they would share one run directory
         raise ConfigError(f"values {cfg['values']!r} repeat a {key}")
+    for value in values:  # each names a sub-run directory: check them first
+        try:
+            ModelConfig(**{k: value if k == key else cfg[k]
+                           for k in MODEL_KEYS})
+            if key == "subsample_rate" and not 0.0 < value <= 1.0:
+                raise ValueError("rate must be in (0, 1]")
+        except ValueError as exc:
+            raise ConfigError(f"{axis} value {value!r}: {exc}") from None
 
     header = ("value,status,accuracy,balanced_accuracy,micro_auc,macro_auc,"
               "acc_lo,acc_hi,bal_lo,bal_hi,micro_lo,micro_hi,"
@@ -342,10 +362,8 @@ def cmd_ablate(cfg: dict, run_dir: Path) -> int:
     first_failure = EXIT_OK
     loaded = {}  # manifest row -> sample, shared by every run of the sweep
     for value in values:
-        sub = dict(cfg)
-        sub[key] = value
+        sub = {**cfg, key: value, "checkpoint": ""}
         sub["run_dir"] = str(run_dir / f"{axis}_{value}")
-        sub["checkpoint"] = ""
         sub_dir = _ensure_run_dir(sub)
         _echo_config(sub, sub_dir)
         try:
@@ -390,9 +408,8 @@ def parse_views(spec: str):
 
 
 def cmd_saliency(cfg: dict, run_dir: Path, net) -> int:
-    from .data import check_blur, model_input
-    from .saliency import (aggregate, check_views, export_slices, saliency,
-                           smooth)
+    from .data import check_blur, gaussian_blur, model_input
+    from .saliency import aggregate, check_views, export_slices, saliency
 
     views = parse_views(cfg["views"])
     crop = net.config.crop_extent
@@ -409,7 +426,7 @@ def cmd_saliency(cfg: dict, run_dir: Path, net) -> int:
         export_slices(smap, views, out_dir / s.subject_id,
                       with_volume=False)
         maps.append(smap)
-    combined = smooth(aggregate(maps), cfg["smooth_sigma"])
+    combined = gaussian_blur(aggregate(maps), cfg["smooth_sigma"])
     export_slices(combined, views, out_dir / "aggregate", with_volume=True)
     total = len(samples) * len(views) + len(views) + 1
     print(f"saliency_files = {total}")

@@ -124,18 +124,19 @@ def read_nifti1(path) -> np.ndarray:
     (vox_offset,) = struct.unpack_from(f"{endian}f", raw, 108)
     slope, inter = struct.unpack_from(f"{endian}2f", raw, 112)
 
-    if magic == b"n+1\x00":
-        if not (math.isfinite(vox_offset) and vox_offset >= 352):
-            raise VolumeFormatError(
-                f"{path}: vox_offset {vox_offset} must be finite and >= 352")
-        payload = raw
-        offset = int(vox_offset)
-    else:
+    # the image starts at byte vox_offset: of a .nii, past its 352 header
+    # bytes, or of a .hdr's sibling .img
+    least = 352 if magic == b"n+1\x00" else 0
+    if not (math.isfinite(vox_offset) and vox_offset >= least):
+        raise VolumeFormatError(
+            f"{path}: vox_offset {vox_offset} must be finite and >= {least}")
+    offset = int(vox_offset)
+    payload = raw
+    if not least:
         img = path.with_suffix(".img")
         if not img.exists():
             raise TruncatedVolume(f"{path}: image sibling {img} missing")
         payload = img.read_bytes()
-        offset = 0
     count = d1 * d2 * d3
     need = offset + count * itemsize
     if len(payload) < need:

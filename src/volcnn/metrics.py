@@ -10,7 +10,7 @@ equals the pairwise count (#concordant + 0.5 * #tied) / (P * N) exactly.
 One helper, `_rank_auc_rows`, computes it for the point estimates (one row
 counting every sample once) and for the bootstrap (one row per resample,
 counting every sample as often as that resample drew it), so the report's
-intervals never rebuild a record list: `bootstrap_ci` draws blocks of
+intervals never copy the drawn samples: `bootstrap_ci` draws blocks of
 index resamples, and `build_report` turns each block into one count matrix
 and weighs fixed sorted arrays by it. The intervals do not depend on the
 block size.
@@ -252,21 +252,6 @@ def bootstrap_ci(n: int, metric_fn, rng: Rng, n_resamples: int = N_RESAMPLES,
 
 
 @dataclass(frozen=True)
-class SampleRecord:
-    subject_id: str
-    label: int
-    probs: tuple            # one probability per class
-    pred: int
-
-
-def make_record(subject_id: str, label: int, probs) -> SampleRecord:
-    p = tuple(float(v) for v in probs)
-    if len(p) != NUM_CLASSES:
-        raise ValueError(f"expected {NUM_CLASSES} probabilities, got {len(p)}")
-    return SampleRecord(str(subject_id), int(label), p, int(np.argmax(p)))
-
-
-@dataclass(frozen=True)
 class EvalReport:
     accuracy: float
     balanced_accuracy: float
@@ -274,42 +259,35 @@ class EvalReport:
     micro_auc: float
     macro_auc: float
     intervals: dict          # metric key -> (lo, hi)
-    records: tuple
+    n_samples: int
     roc_points: tuple        # per class
 
 
-def _rec_arrays(recs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    y = np.array([r.label for r in recs], dtype=np.int64)
-    pred = np.array([r.pred for r in recs], dtype=np.int64)
-    probs = np.array([r.probs for r in recs], dtype=np.float64)
-    return y, pred, probs
-
-
-def build_report(records, rng: Rng, n_resamples: int = N_RESAMPLES,
+def build_report(labels, probs, rng: Rng, n_resamples: int = N_RESAMPLES,
                  alpha: float = ALPHA) -> EvalReport:
-    """Point metrics plus bootstrap intervals.
+    """Point metrics plus bootstrap intervals, from each sample's label and
+    [n, 3] class probabilities; the prediction is the first maximal class.
 
     Interval keys: accuracy, balanced_accuracy, micro_auc, and, when every
-    class appears in the records, auc_<class> per class and macro_auc.
+    class appears in the labels, auc_<class> per class and macro_auc.
     Per-class/macro intervals are omitted otherwise because resamples could
     never cover the missing class.
 
     The intervals resample the indices range(n) in blocks. Each metric
     turns a block into a [rows, n] matrix w of per-sample draw counts, one
     bincount, and weighs arrays built once here by it, so each row gives
-    exactly the value the same function would give on the list of drawn
-    records, and is undefined (NaN, redrawn) on the same draws.
+    exactly the value the same function would give on the drawn samples
+    alone, and is undefined (NaN, redrawn) on the same draws.
     """
-    recs = tuple(records)
-    if not recs:
-        raise ValueError("no records")
-    y, pred, probs = _rec_arrays(recs)
+    y = np.asarray(labels, dtype=np.int64)
+    probs = np.asarray(probs, dtype=np.float64)
+    pred = probs.argmax(axis=1)
     acc = accuracy(pred, y)
     bal = balanced_accuracy(pred, y)
     mc = multiclass_auc(probs, y)
     all_defined = all(a is not None for a in mc.per_class)
 
-    n = len(recs)
+    n = len(y)
     correct = (pred == y).astype(np.int64)
     onehot = (y[:, None] == np.arange(NUM_CLASSES)).astype(np.int64)
     hits = onehot * correct[:, None]
@@ -363,7 +341,7 @@ def build_report(records, rng: Rng, n_resamples: int = N_RESAMPLES,
         intervals[key] = bootstrap_ci(n, fn, rng.stream(key), n_resamples,
                                       alpha)
     return EvalReport(acc, bal, mc.per_class, mc.micro, mc.macro,
-                      intervals, recs, mc.roc_points)
+                      intervals, n, mc.roc_points)
 
 
 def format_report(report: EvalReport) -> str:
@@ -378,7 +356,7 @@ def format_report(report: EvalReport) -> str:
             body += f" ci95 = [{ci[0]:.6f}, {ci[1]:.6f}]"
         return body
 
-    out = [f"n_samples = {len(report.records)}",
+    out = [f"n_samples = {report.n_samples}",
            line("accuracy", report.accuracy),
            line("balanced_accuracy", report.balanced_accuracy)]
     for c in range(NUM_CLASSES):
@@ -415,14 +393,15 @@ def export_roc(report: EvalReport, out_dir) -> list[Path]:
     return written
 
 
-def write_logits_csv(records, path) -> Path:
-    """Per-sample probabilities: subject_id,label,p_cn,p_mci,p_ad,pred.
-    Labels and predictions are written as class names."""
+def write_logits_csv(subject_ids, labels, probs, path) -> Path:
+    """One row per sample, in order: subject_id,label,p_cn,p_mci,p_ad,pred,
+    the label and the prediction (the first maximal class) as class names."""
     lines = ["subject_id,label,p_cn,p_mci,p_ad,pred"]
-    for r in records:
-        probs = ",".join(f"{v:.6f}" for v in r.probs)
-        lines.append(f"{r.subject_id},{LABEL_NAMES[r.label]},{probs},"
-                     f"{LABEL_NAMES[r.pred]}")
+    for sid, label, p, pred in zip(subject_ids, labels, probs.tolist(),
+                                   probs.argmax(axis=1).tolist()):
+        cells = ",".join(f"{v:.6f}" for v in p)
+        lines.append(f"{sid},{LABEL_NAMES[label]},{cells},"
+                     f"{LABEL_NAMES[pred]}")
     path = Path(path)
     with atomic_write(path) as fh:
         fh.write("\n".join(lines) + "\n")

@@ -20,11 +20,11 @@ Age conditioning modes:
 Small-input adaptation: when a crop is too small for a block's printed
 hyperparameters, dilation shrinks to the largest value that keeps at least
 two output positions (falling back to one), and pooling windows shrink to
-the input extent. Keeping two positions matters because a 1-voxel feature
-map makes the following instance norm degenerate (its output collapses to
-the channel bias). Kernel sizes are never reduced, so genuinely undersized
-inputs still fail with a layer-named ShapeError. The full-size crop of 96
-never triggers any adaptation.
+the input extent. That does not keep instance norm from degenerating: the
+pools and the fallback still leave seven ablation configs with a 1-voxel
+norm, which outputs its channel bias (ROADMAP item 14, TestLiveness).
+Kernel sizes are never reduced, so undersized inputs fail with a
+layer-named ShapeError. The crop of 96 never triggers any adaptation.
 """
 
 from __future__ import annotations

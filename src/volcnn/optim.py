@@ -16,7 +16,6 @@ from __future__ import annotations
 import time
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -24,7 +23,7 @@ from . import metrics
 from . import model as network
 from . import ops
 from .config import TrainConfig
-from .data import LeakageError, atomic_write, check_blur, model_input
+from .data import LeakageError, check_blur, model_input
 from .tensor import Rng, Tensor
 
 
@@ -61,21 +60,6 @@ class EpochRecord:
                 f"{int(self.checkpointed)}")
 
 
-@dataclass
-class TrainLog:
-    records: list
-
-    def to_csv(self) -> str:
-        lines = [LOG_HEADER] + [r.csv_line() for r in self.records]
-        return "\n".join(lines) + "\n"
-
-    def write(self, path) -> Path:
-        path = Path(path)
-        with atomic_write(path) as fh:
-            fh.write(self.to_csv())
-        return path
-
-
 def sgd_step(params: dict, grads: dict, velocity: dict, lr: float,
              momentum: float) -> None:
     """Classical momentum: v <- momentum*v + g; p <- p - lr*v.
@@ -105,10 +89,11 @@ def _check_splits(train_samples, val_samples):
         raise LeakageError(sorted(overlap))
 
 
-def evaluate_samples(net, samples, batch_size: int) -> tuple[float, list]:
-    """Mean cross-entropy and per-sample records in eval mode, from a
-    forward that records no tape, on inputs preprocessed as the network's
-    config says.
+def evaluate_samples(net, samples,
+                     batch_size: int) -> tuple[float, np.ndarray]:
+    """Mean cross-entropy and the [len(samples), 3] class probabilities, in
+    sample order and the network's dtype, in eval mode, from a forward that
+    records no tape, on inputs preprocessed as the network's config says.
 
     Each sample's result is mathematically independent of how the set is
     chunked into batches; bitwise it varies at float32 rounding level
@@ -117,25 +102,23 @@ def evaluate_samples(net, samples, batch_size: int) -> tuple[float, list]:
         raise ValueError("nothing to evaluate")
     crop = net.config.crop_extent
     loss_sum = 0.0
-    records = []
+    probs = []
     for start in range(0, len(samples), batch_size):
         chunk = samples[start:start + batch_size]
         x = Tensor(model_input(chunk, crop, net.config.normalize))
         logits, _ = network.forward(net, x, ages=[s.age for s in chunk],
                                     mode="eval", tape=False)
-        labels = [s.label for s in chunk]
-        loss, _, probs = ops.softmax_xent(logits, labels)
+        loss, _, p = ops.softmax_xent(logits, [s.label for s in chunk])
         if not np.isfinite(loss):
             raise NumericError("non-finite loss during evaluation")
         loss_sum += loss * len(chunk)
-        for s, p in zip(chunk, probs.data):
-            records.append(metrics.make_record(s.subject_id, s.label, p))
-    return loss_sum / len(samples), records
+        probs.append(p.data)
+    return loss_sum / len(samples), np.concatenate(probs)
 
 
 def train(net, train_samples, val_samples, cfg: TrainConfig,
-          checkpoint_path) -> TrainLog:
-    """Trains net in place and returns the TrainLog. The network of the
+          checkpoint_path) -> list[EpochRecord]:
+    """Trains net in place and returns its EpochRecords. The network of the
     epoch with the lowest validation loss is written to checkpoint_path;
     that file is its only copy. The momentum buffers are not saved."""
     _check_splits(train_samples, val_samples)
@@ -194,11 +177,11 @@ def train(net, train_samples, val_samples, cfg: TrainConfig,
                 f"{bs} leave no batch of >= 2 for batch norm")
         train_loss = loss_sum / seen
 
-        val_loss, val_recs = evaluate_samples(net, val_samples, bs)
+        val_loss, val_probs = evaluate_samples(net, val_samples, bs)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")  # tiny val sets may miss a class
-            bal = metrics.balanced_accuracy([r.pred for r in val_recs],
-                                            [r.label for r in val_recs])
+            bal = metrics.balanced_accuracy(val_probs.argmax(axis=1),
+                                            [s.label for s in val_samples])
         improved = val_loss < best_val
         if improved:
             best_val = val_loss
@@ -209,4 +192,4 @@ def train(net, train_samples, val_samples, cfg: TrainConfig,
                           improved)
         records.append(rec)
         print(rec.csv_line())
-    return TrainLog(records)
+    return records

@@ -3,34 +3,27 @@
 Per-sample maps are the elementwise magnitude of the gradient of the
 pre-softmax target-class score with respect to the input volume. Maps can
 be aggregated over a sample set (voxelwise mean after max-normalizing each
-map to [0, 1]), smoothed with a Gaussian kernel, and exported as 8-bit
-grayscale slices plus the full 3D map in the native volume format.
+map to [0, 1]) and exported as 8-bit grayscale slices plus the full 3D map
+in the native volume format. Maps are float32 arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import model as network
-from .config import DEFAULT_VIEWS, SMOOTH_SIGMA  # DEFAULT_VIEWS: re-export
-from .data import NUM_CLASSES, atomic_write, gaussian_blur, write_native
+from .config import DEFAULT_VIEWS  # re-export
+from .data import NUM_CLASSES, atomic_write, write_native
 from .tensor import ShapeError, Tensor
 
 AXES = {"sagittal": 0, "coronal": 1, "axial": 2}
 
 
-@dataclass(frozen=True)
-class SaliencyMap:
-    values: Tensor        # input spatial extents, all values >= 0
-    target: int | None    # None for aggregated maps
-    sigma: float = 0.0    # smoothing applied to produce this map
-
-
-def saliency(net, volume, target: int, age=None) -> SaliencyMap:
-    """|d logit[target] / d input| for one volume.
+def saliency(net, volume, target: int, age=None) -> np.ndarray:
+    """|d logit[target] / d input| for one volume, as a float32 array of
+    its extents.
 
     The score is the pre-softmax logit: the post-softmax gradient carries a
     probability factor that vanishes at saturation and would flatten the
@@ -48,37 +41,26 @@ def saliency(net, volume, target: int, age=None) -> SaliencyMap:
     grad = np.zeros(logits.shape, dtype=net.dtype)
     grad[0, int(target)] = 1.0
     _, gx = network.backward(net, tape, Tensor(grad))
-    values = np.abs(gx.data[0, 0]).astype(np.float32)
-    return SaliencyMap(Tensor(values), int(target), 0.0)
+    return np.abs(gx.data[0, 0]).astype(np.float32)
 
 
-def aggregate(maps) -> SaliencyMap:
-    """Voxelwise mean of the maps, each max-normalized to [0, 1] first.
-    An all-zero map contributes zeros (nothing to normalize)."""
+def aggregate(maps) -> np.ndarray:
+    """Voxelwise float32 mean of the maps, each max-normalized to [0, 1]
+    first. An all-zero map contributes zeros (nothing to normalize)."""
     maps = list(maps)
     if not maps:
         raise ValueError("no maps to aggregate")
-    shape = maps[0].values.shape
+    shape = maps[0].shape
     acc = np.zeros(shape, dtype=np.float64)
     for m in maps:
-        if m.values.shape != shape:
-            raise ShapeError(
-                f"map extents {m.values.shape} do not match {shape}")
-        v = m.values.data.astype(np.float64)
+        if m.shape != shape:
+            raise ShapeError(f"map extents {m.shape} do not match {shape}")
+        v = m.astype(np.float64)
         peak = v.max()
         if peak > 0.0:
             v = v / peak
         acc += v
-    out = (acc / len(maps)).astype(np.float32)
-    return SaliencyMap(Tensor(out), None, 0.0)
-
-
-def smooth(smap: SaliencyMap, sigma: float = SMOOTH_SIGMA) -> SaliencyMap:
-    """Gaussian smoothing; the kernel is non-negative so the map stays
-    non-negative."""
-    out = gaussian_blur(smap.values.data, sigma)
-    return SaliencyMap(Tensor(np.ascontiguousarray(out, dtype=np.float32)),
-                       smap.target, float(sigma))
+    return (acc / len(maps)).astype(np.float32)
 
 
 def slice_to_pgm(sl: np.ndarray) -> bytes:
@@ -108,15 +90,13 @@ def check_views(views, shape) -> None:
                 f"{axis} index {index} out of range [0, {extent})")
 
 
-def export_slices(smap: SaliencyMap, views, prefix,
+def export_slices(vol: np.ndarray, views, prefix,
                   with_volume: bool = True) -> list[Path]:
     """Write one `{prefix}_{axis}{index}.pgm` per view and, unless
     disabled, the full map as `{prefix}_map.vol`. Returns the paths."""
-    vol = smap.values.data
     check_views(views, vol.shape)
     first = Path(f"{prefix}_map.vol")
-    if first.parent != Path(""):
-        first.parent.mkdir(parents=True, exist_ok=True)
+    first.parent.mkdir(parents=True, exist_ok=True)
     paths = []
     for axis, index in views:
         index = int(index)

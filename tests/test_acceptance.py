@@ -20,8 +20,7 @@ import volcnn
 from volcnn import data, gradcheck, metrics, ops
 from volcnn.cli import main
 from volcnn.model import ModelConfig, build, forward, infer_shapes
-from volcnn.saliency import DEFAULT_VIEWS, SaliencyMap, export_slices, \
-    saliency, smooth
+from volcnn.saliency import DEFAULT_VIEWS, export_slices, saliency
 from volcnn.tensor import Rng, Tensor
 
 from test_metrics import per_draw_ci
@@ -214,9 +213,7 @@ def test_criterion_05_metrics_oracle():
         res = metrics.multiclass_auc(probs, labels)
         assert res.macro == float(np.mean(res.per_class))
 
-        records = [metrics.make_record(f"s{i:03d}", int(labels[i]),
-                                       probs[i]) for i in range(50)]
-        preds = np.array([r.pred for r in records])
+        preds = probs.argmax(1)
         hit = (preds == labels).astype(np.float64)
 
         def acc_rows(idx):  # a block's accuracies, one per resample
@@ -228,7 +225,7 @@ def test_criterion_05_metrics_oracle():
         ci_a = metrics.bootstrap_ci(50, acc_rows, Rng(7), 500, 0.05)
         assert ci_a == metrics.bootstrap_ci(50, acc_rows, Rng(7), 500, 0.05)
         assert ci_a == per_draw_ci(50, acc_fn, Rng(7), 500, 0.05)
-        report = metrics.build_report(records, Rng(7), 500, 0.05)
+        report = metrics.build_report(labels, probs, Rng(7), 500, 0.05)
         assert report.intervals["accuracy"] == per_draw_ci(
             50, acc_fn, Rng(7).stream("accuracy"), 500, 0.05)
         point = metrics.accuracy(preds, labels)
@@ -405,15 +402,15 @@ def test_criterion_09_saliency(tmp_path):
 
         net = build(cfg, Rng(3))
         smap = saliency(net, vol32, target=1)
-        assert smap.values.shape == (32, 32, 32)
-        assert smap.values.data.min() >= 0.0
+        assert smap.shape == (32, 32, 32)
+        assert smap.min() >= 0.0
 
         zero_net = build(cfg, Rng(3))
         for p in zero_net.params.values():
             p.data[:] = 0.0
         zero_net.note_update()
         zmap = saliency(zero_net, vol32, target=0)
-        assert not zmap.values.data.any()
+        assert not zmap.any()
 
         net64 = build(cfg, Rng(3), dtype=np.float64)
         v64 = vol32.astype(np.float64)
@@ -436,18 +433,17 @@ def test_criterion_09_saliency(tmp_path):
             if probes[0][1] != probes[1][1]:
                 continue  # straddles a ReLU/pool kink, FD invalid there
             fd = abs((probes[0][0] - probes[1][0]) / (2.0 * h))
-            got = float(smap64.values.data[idx])
+            got = float(smap64[idx])
             assert abs(got - fd) / max(fd, 1e-8) <= 1e-3, idx
             checked += 1
         assert checked == 10
 
-        sm = smooth(smap64, 0.8)
-        assert sm.values.shape == (32, 32, 32)
-        assert sm.values.data.min() >= 0.0
+        sm = data.gaussian_blur(smap64, 0.8)
+        assert sm.shape == (32, 32, 32)
+        assert sm.min() >= 0.0
 
-        big = SaliencyMap(Tensor(np.abs(
-            rng.stream("big").normal((96, 96, 96)).astype(np.float32))),
-            target=None)
+        big = np.abs(
+            rng.stream("big").normal((96, 96, 96)).astype(np.float32))
         written = export_slices(big, DEFAULT_VIEWS, tmp_path / "fig",
                                 with_volume=False)
         assert len(written) == 4

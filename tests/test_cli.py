@@ -140,8 +140,6 @@ class TestConfigHandling:
             assert default(fn, "alpha") == SCHEMA["alpha"][1]
         assert (default(volcnn.data.generate_synthetic, "noise")
                 == SCHEMA["noise"][1])
-        assert (default(volcnn.saliency.smooth, "sigma")
-                == SCHEMA["smooth_sigma"][1])
         views = [(a, int(i)) for a, i in
                  (v.split(":") for v in SCHEMA["views"][1].split(","))]
         assert views == list(volcnn.saliency.DEFAULT_VIEWS)
@@ -310,6 +308,28 @@ class TestConfigHandling:
     def test_bad_threads_value_rejected(self, capsys):
         assert main(["synth", "--threads", "banana"]) == 2
         assert "threads" in capsys.readouterr().err
+
+    def test_generated_run_dir_is_always_new(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setattr(time, "strftime", lambda fmt: "20260101-120000")
+        (tmp_path / "runs" / "20260101-120000-seed4-2").mkdir(parents=True)
+        for _ in range(3):
+            assert main(["synth", "--seed", "4", "--n_per_class", "1",
+                         "--extent", "16"]) == 0
+        made = sorted(p.name for p in (tmp_path / "runs").iterdir())
+        assert made == ["20260101-120000-seed4", "20260101-120000-seed4-2",
+                        "20260101-120000-seed4-3", "20260101-120000-seed4-4"]
+        assert not (tmp_path / "runs" / made[1] / "config.txt").exists()
+        for name in made[:1] + made[2:]:
+            config = (tmp_path / "runs" / name / "config.txt").read_text()
+            assert f"run_dir = runs/{name}\n" in config
+
+    def test_explicit_run_dir_may_exist(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        for _ in range(2):
+            assert main(["synth", "--run_dir", "r", "--n_per_class", "1",
+                         "--extent", "16"]) == 0
+        assert [p.name for p in tmp_path.iterdir()] == ["r"]
 
     def test_negative_threads_rejected(self, tmp_path, capsys):
         run_dir = tmp_path / "r"
@@ -736,6 +756,24 @@ class TestAblate:
                      "--axis", "width", "--values", "1,x"]) == 2
         assert "widening_factor" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("axis,values,bad", [
+        ("first_layer", "K1S1,../../../x", "'../../../x'"),
+        ("norm", "instance,layer", "'layer'"),
+        ("width", "1,0", "0"),
+        ("depth", "0,-1", "-1"),
+        ("subsample", "0.5,1.5", "1.5"),
+        ("subsample", "1,0", "0.0")])
+    def test_rejected_value_exits_before_any_sub_run(
+            self, dataset, tmp_path, capsys, axis, values, bad):
+        run = tmp_path / "ab"
+        code = main(["ablate", "--run_dir", str(run),
+                     "--manifest", str(dataset), "--crop_extent", "32",
+                     "--max_epochs", "1", "--axis", axis, "--values", values])
+        assert code == 2
+        assert f"{axis} value {bad}: " in capsys.readouterr().err
+        assert [p.name for p in run.iterdir()] == ["config.txt"]
+        assert [p.name for p in tmp_path.iterdir()] == ["ab"]
+
 
 class TestSaliency:
     def test_exports_per_sample_and_aggregate(self, dataset, trained,
@@ -812,8 +850,10 @@ class TestCheckpointPreprocessing:
         samples = [volcnn.data.load_sample(manifest, r)
                    for r in manifest.rows if r.split == "val"]
         bs = optim.resolve_batch_size(optim.TrainConfig(), net.config)
-        _, records = optim.evaluate_samples(net, samples, bs)
-        want = metrics.write_logits_csv(records, tmp_path / "want.csv")
+        _, probs = optim.evaluate_samples(net, samples, bs)
+        want = metrics.write_logits_csv(
+            [s.subject_id for s in samples], [s.label for s in samples],
+            probs, tmp_path / "want.csv")
         for i, extra in enumerate(NORMALIZE_ARGS):
             run = tmp_path / f"e{i}"
             assert main(["eval", "--run_dir", str(run), "--manifest",
@@ -823,7 +863,7 @@ class TestCheckpointPreprocessing:
         # the setting matters on this model: z-scored inputs score otherwise
         net.config = dataclasses.replace(net.config, normalize=True)
         _, zscored = optim.evaluate_samples(net, samples, bs)
-        assert [r.probs for r in zscored] != [r.probs for r in records]
+        assert not np.array_equal(zscored, probs)
 
     def test_saliency_ignores_the_command_setting(self, dataset, raw_model,
                                                   tmp_path):

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 import volcnn
 from volcnn import data, optim
+from volcnn.cli import _write_text
 from volcnn.model import ModelConfig, build
 from volcnn.tensor import Rng
 
@@ -81,6 +82,25 @@ class TestNifti:
         (tmp_path / "p.hdr").write_bytes(hdr)
         (tmp_path / "p.img").write_bytes(payload)
         np.testing.assert_array_equal(data.read_nifti1(tmp_path / "p.hdr"), vol)
+
+    @pytest.mark.parametrize("offset", [0, 16])
+    def test_pair_image_starts_at_vox_offset(self, tmp_path, offset):
+        vol = np.arange(8, dtype=np.float32).reshape(2, 2, 2)
+        hdr, payload = nifti_bytes(vol, 16, magic=b"ni1\x00",
+                                   vox_offset=offset)
+        (tmp_path / "p.hdr").write_bytes(hdr)
+        (tmp_path / "p.img").write_bytes(b"\xff" * offset + payload)
+        np.testing.assert_array_equal(data.read_nifti1(tmp_path / "p.hdr"), vol)
+
+    @pytest.mark.parametrize("offset", [math.nan, -16.0])
+    def test_pair_rejects_bad_vox_offset(self, tmp_path, offset):
+        vol = np.zeros((2, 2, 2), dtype=np.float32)
+        hdr, payload = nifti_bytes(vol, 16, magic=b"ni1\x00",
+                                   vox_offset=offset)
+        (tmp_path / "p.hdr").write_bytes(hdr)
+        (tmp_path / "p.img").write_bytes(payload)
+        with pytest.raises(data.VolumeFormatError, match="vox_offset"):
+            data.read_nifti1(tmp_path / "p.hdr")
 
     def test_missing_image_sibling(self, tmp_path):
         vol = np.zeros((2, 2, 2), dtype=np.float32)
@@ -268,8 +288,8 @@ class TestOnDiskVolume:
             ckpt = tmp_path / f"{name}.ckpt"
             log = optim.train(net, train, val,
                               optim.TrainConfig(max_epochs=2), ckpt)
-            _, records = optim.evaluate_samples(net, loaded, 4)
-            runs.append((log.to_csv(), ckpt.read_bytes(), records))
+            _, probs = optim.evaluate_samples(net, loaded, 4)
+            runs.append((log, ckpt.read_bytes(), probs.tobytes()))
         assert runs[0] == runs[1]
 
     def test_eval_reads_each_whole_volume_once(self, tmp_path, monkeypatch):
@@ -286,14 +306,15 @@ class TestOnDiskVolume:
 
         monkeypatch.setattr(data, "_read_planes", counted)
         net = build(ModelConfig(crop_extent=32), Rng(0))
-        _, records = optim.evaluate_samples(net, loaded, 4)
+        _, probs = optim.evaluate_samples(net, loaded, 4)
         assert sorted(reads) == sorted(man.resolve(r) for r in man.rows)
         in_memory = [
             data.Sample(np.asarray(data.NativeVolume(man.resolve(r))),
                         r.subject_id, r.label, r.age, r.split)
             for r in man.rows]
         assert [s.zscore for s in loaded] == [s.zscore for s in in_memory]
-        assert records == optim.evaluate_samples(net, in_memory, 4)[1]
+        assert np.array_equal(
+            probs, optim.evaluate_samples(net, in_memory, 4)[1])
 
     def test_whole_window_keeps_the_constant_volume_message(self, tmp_path):
         _, s = self.load_one(tmp_path, np.full((8, 8, 8), 3.0, np.float32))
@@ -832,8 +853,8 @@ class TestAtomicWrite:
     def test_interrupted_log_and_volume_writes_keep_previous(
             self, tmp_path, monkeypatch):
         log_path, vol_path = tmp_path / "train_log.csv", tmp_path / "s.vol"
-        rec = optim.EpochRecord(1, 1.0, 0.9, 0.5, 0.0, True)
-        optim.TrainLog([rec]).write(log_path)
+        row = optim.EpochRecord(1, 1.0, 0.9, 0.5, 0.0, True).csv_line()
+        _write_text(log_path, f"{optim.LOG_HEADER}\n{row}\n")
         data.write_native(vol_path, np.zeros((2, 2, 2), np.float32))
         before = {p: p.read_bytes() for p in (log_path, vol_path)}
 
@@ -842,7 +863,7 @@ class TestAtomicWrite:
 
         monkeypatch.setattr(os, "replace", crash)
         with pytest.raises(OSError, match="killed"):
-            optim.TrainLog([rec, rec]).write(log_path)
+            _write_text(log_path, f"{optim.LOG_HEADER}\n{row}\n{row}\n")
         with pytest.raises(OSError, match="killed"):
             data.write_native(vol_path, np.ones((3, 3, 3), np.float32))
         assert {p: p.read_bytes() for p in before} == before

@@ -215,17 +215,18 @@ class TestMulticlassAuc:
             metrics.multiclass_auc(probs, [0, 1, 2, 0])
 
 
-def fake_records(n_per_class=8, seed=0, classes=(0, 1, 2), lift=1.5):
+def fake_eval(n_per_class=8, seed=0, classes=(0, 1, 2), lift=1.5):
+    """Labels and [n, 3] class probabilities that favour the true class."""
     g = np.random.default_rng(seed)
-    recs = []
+    labels, probs = [], []
     for c in classes:
         for i in range(n_per_class):
             logits = g.normal(size=3)
             logits[c] += lift
             p = np.exp(logits - logits.max())
-            p /= p.sum()
-            recs.append(metrics.make_record(f"s{c}-{i}", c, p))
-    return recs
+            labels.append(c)
+            probs.append(p / p.sum())
+    return np.array(labels), np.array(probs)
 
 
 def per_draw_ci(n, value, rng, n_resamples, alpha=0.05):
@@ -245,10 +246,10 @@ def per_draw_ci(n, value, rng, n_resamples, alpha=0.05):
     return float(lo), float(hi)
 
 
-def hits(records):
-    """Per record, 1 where the prediction is right: a block's row means
+def hits(labels, probs):
+    """Per sample, 1 where the prediction is right: a block's row means
     are the accuracies of its resamples."""
-    return np.array([r.pred == r.label for r in records], dtype=np.float64)
+    return (probs.argmax(1) == labels).astype(np.float64)
 
 
 class TestBootstrap:
@@ -258,7 +259,7 @@ class TestBootstrap:
         assert lo == hi == 0.25
 
     def test_deterministic_under_seed(self):
-        h = hits(fake_records(4))
+        h = hits(*fake_eval(4))
 
         def acc(idx):
             return h[idx].mean(1)
@@ -268,10 +269,9 @@ class TestBootstrap:
         assert a == b
 
     def test_interval_contains_point_estimate(self):
-        recs = fake_records(34, seed=2)[:100]
-        h = hits(recs)
-        point = metrics.accuracy([r.pred for r in recs],
-                                 [r.label for r in recs])
+        labels, probs = (a[:100] for a in fake_eval(34, seed=2))
+        h = hits(labels, probs)
+        point = metrics.accuracy(probs.argmax(1), labels)
         lo, hi = metrics.bootstrap_ci(len(h), lambda idx: h[idx].mean(1),
                                       Rng(0), n_resamples=1000)
         assert lo <= point <= hi
@@ -340,8 +340,7 @@ class TestBootstrap:
 
 class TestReport:
     def test_build_report_fields_and_invariant(self):
-        recs = fake_records(8)
-        rep = metrics.build_report(recs, Rng(0), n_resamples=200)
+        rep = metrics.build_report(*fake_eval(8), Rng(0), n_resamples=200)
         assert rep.macro_auc == np.mean(rep.auc_per_class)
         assert 0.0 <= rep.accuracy <= 1.0
         for key in ("accuracy", "balanced_accuracy", "micro_auc",
@@ -350,23 +349,22 @@ class TestReport:
             assert lo <= hi
 
     def test_report_deterministic(self):
-        recs = fake_records(6)
-        a = metrics.build_report(recs, Rng(4), n_resamples=100)
-        b = metrics.build_report(recs, Rng(4), n_resamples=100)
+        labels, probs = fake_eval(6)
+        a = metrics.build_report(labels, probs, Rng(4), n_resamples=100)
+        b = metrics.build_report(labels, probs, Rng(4), n_resamples=100)
         assert metrics.format_report(a) == metrics.format_report(b)
 
     def test_format_report_keys(self):
-        recs = fake_records(6)
-        rep = metrics.build_report(recs, Rng(0), n_resamples=50)
+        rep = metrics.build_report(*fake_eval(6), Rng(0), n_resamples=50)
         text = metrics.format_report(rep)
         for key in ("n_samples = 18", "accuracy = ", "balanced_accuracy = ",
                     "auc_cn = ", "micro_auc = ", "macro_auc = ", "ci95 = ["):
             assert key in text
 
     def test_missing_class_report(self):
-        recs = fake_records(6, classes=(0, 1))
         with pytest.warns(UserWarning):
-            rep = metrics.build_report(recs, Rng(0), n_resamples=50)
+            rep = metrics.build_report(*fake_eval(6, classes=(0, 1)), Rng(0),
+                                       n_resamples=50)
         assert rep.auc_per_class[2] is None
         assert "auc_ad" not in rep.intervals
         assert "macro_auc" not in rep.intervals
@@ -374,8 +372,8 @@ class TestReport:
         assert "auc_ad = undefined" in metrics.format_report(rep)
 
     def test_roc_export(self, tmp_path):
-        recs = fake_records(6)
-        rep = metrics.build_report(recs, Rng(0), n_resamples=50)
+        labels, probs = fake_eval(6)
+        rep = metrics.build_report(labels, probs, Rng(0), n_resamples=50)
         files = metrics.export_roc(rep, tmp_path)
         assert [f.name for f in files] == ["roc_cn.csv", "roc_mci.csv",
                                            "roc_ad.csv"]
@@ -385,40 +383,52 @@ class TestReport:
         assert body[-1].endswith(",-inf")
         fprs = [float(line.split(",")[0]) for line in body[1:]]
         assert fprs == sorted(fprs)
-        uniq = len({r.probs[0] for r in recs})
+        uniq = len(np.unique(probs[:, 0]))
         assert len(body) == 1 + uniq + 2
 
     def test_roc_export_skips_undefined_class(self, tmp_path):
-        recs = fake_records(6, classes=(0, 1))
         with pytest.warns(UserWarning):
-            rep = metrics.build_report(recs, Rng(0), n_resamples=50)
+            rep = metrics.build_report(*fake_eval(6, classes=(0, 1)), Rng(0),
+                                       n_resamples=50)
         files = metrics.export_roc(rep, tmp_path)
         assert [f.name for f in files] == ["roc_cn.csv", "roc_mci.csv"]
 
     def test_logits_csv(self, tmp_path):
-        recs = fake_records(2)
-        path = metrics.write_logits_csv(recs, tmp_path / "logits.csv")
+        labels, probs = fake_eval(2)
+        ids = [f"s{i}" for i in range(len(labels))]
+        path = metrics.write_logits_csv(ids, labels, probs,
+                                        tmp_path / "logits.csv")
         lines = path.read_text().splitlines()
         assert lines[0] == "subject_id,label,p_cn,p_mci,p_ad,pred"
-        assert len(lines) == 1 + len(recs)
+        assert len(lines) == 1 + len(labels)
         first = lines[1].split(",")
-        assert first[0] == "s0-0"
+        assert first[0] == "s0"
         assert first[1] == "CN"
         assert first[5] in ("CN", "MCI", "AD")
         probs = [float(v) for v in first[2:5]]
         assert abs(sum(probs) - 1.0) < 1e-5
 
+    def test_logits_csv_first_maximal_class_in_sample_order(self, tmp_path):
+        probs = np.array([[0.25, 0.375, 0.375], [0.5, 0.5, 0.0],
+                          [0.2, 0.3, 0.5]], dtype=np.float32)
+        path = metrics.write_logits_csv(["z", "a", "m"], [2, 1, 0], probs,
+                                        tmp_path / "logits.csv")
+        assert path.read_text().splitlines()[1:] == [
+            "z,AD,0.250000,0.375000,0.375000,MCI",
+            "a,MCI,0.500000,0.500000,0.000000,CN",
+            "m,CN,0.200000,0.300000,0.500000,AD"]
+
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
-            metrics.build_report([], Rng(0))
+            metrics.build_report([], np.zeros((0, 3)), Rng(0))
 
     def test_interrupted_write_keeps_previous_report(self, tmp_path,
                                                      monkeypatch):
         path = metrics.write_report(
-            metrics.build_report(fake_records(6), Rng(0), n_resamples=50),
+            metrics.build_report(*fake_eval(6), Rng(0), n_resamples=50),
             tmp_path / "report.txt")
         before = path.read_bytes()
-        other = metrics.build_report(fake_records(6, seed=1), Rng(0),
+        other = metrics.build_report(*fake_eval(6, seed=1), Rng(0),
                                      n_resamples=50)
 
         def crash(src, dst):
@@ -444,40 +454,31 @@ def counting_bootstrap(calls: list):
     return bootstrap_ci
 
 
-def record_list_intervals(records, rng, n_resamples, alpha, calls):
+def per_draw_intervals(labels, probs, rng, n_resamples, alpha, calls):
     """Reference for build_report's intervals: every draw of per_draw_ci
-    rebuilds the list of drawn records and reruns the public metric
-    functions on it, NaN where they raise ValueError. Appends 1 to calls
-    per draw."""
-    recs = tuple(records)
+    copies out the drawn labels, predictions and probabilities and reruns
+    the public metric functions on them, NaN where they raise ValueError.
+    Appends 1 to calls per draw."""
+    labels, probs = np.asarray(labels), np.asarray(probs)
+    preds = probs.argmax(1)
 
-    def arrays(rs):
-        return (np.array([r.label for r in rs]),
-                np.array([r.pred for r in rs]),
-                np.array([r.probs for r in rs]))
-
-    def acc_fn(rs):
-        y, p, _ = arrays(rs)
+    def acc_fn(y, p, _):
         return metrics.accuracy(p, y)
 
-    def bal_fn(rs):
-        y, p, _ = arrays(rs)
+    def bal_fn(y, p, _):
         return metrics.balanced_accuracy(p, y)
 
-    def micro_fn(rs):
-        y, _, pr = arrays(rs)
+    def micro_fn(y, _, pr):
         return metrics.multiclass_auc(pr, y).micro
 
-    def macro_fn(rs):
-        y, _, pr = arrays(rs)
+    def macro_fn(y, _, pr):
         out = metrics.multiclass_auc(pr, y)
         if any(a is None for a in out.per_class):
             raise ValueError("resample misses a class")
         return out.macro
 
     def class_fn(c):
-        def fn(rs):
-            y, _, pr = arrays(rs)
+        def fn(y, _, pr):
             return metrics.roc_auc(pr[:, c], (y == c).astype(int))[0]
         return fn
 
@@ -487,57 +488,57 @@ def record_list_intervals(records, rng, n_resamples, alpha, calls):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 try:
-                    return fn([recs[i] for i in idx.tolist()])
+                    return fn(labels[idx], preds[idx], probs[idx])
                 except ValueError:
                     return np.nan
         return value
 
     plan = [("accuracy", acc_fn), ("balanced_accuracy", bal_fn),
             ("micro_auc", micro_fn)]
-    if {r.label for r in recs} == set(range(metrics.NUM_CLASSES)):
+    if set(labels.tolist()) == set(range(metrics.NUM_CLASSES)):
         plan.append(("macro_auc", macro_fn))
         plan += [(f"auc_{name.lower()}", class_fn(c))
                  for c, name in enumerate(metrics.LABEL_NAMES)]
-    return {key: per_draw_ci(len(recs), on_draw(fn), rng.stream(key),
+    return {key: per_draw_ci(len(labels), on_draw(fn), rng.stream(key),
                              n_resamples, alpha)
             for key, fn in plan}
 
 
-def grid_records(n, seed):
+def grid_eval(n, seed):
     """Probabilities on a coarse grid, so scores tie within and across
     classes."""
     g = np.random.default_rng(seed)
-    recs = []
-    for i in range(n):
+    probs = []
+    for _ in range(n):
         k = g.integers(1, 4, size=3).astype(np.float64)
-        recs.append(metrics.make_record(f"g{i}", i % 3, k / k.sum()))
-    return recs
+        probs.append(k / k.sum())
+    return np.arange(n) % 3, np.array(probs)
 
 
 class TestReportIntervals:
     @pytest.mark.parametrize("name, records, n_resamples", [
-        ("random n=300", fake_records(100, seed=5), 100),
-        ("tied scores", grid_records(24, seed=6), 300),
-        ("n=5, redraws", fake_records(2, seed=7)[:5], 300),
-        ("class missing", fake_records(6, seed=8, classes=(0, 2)), 200),
+        ("random n=300", fake_eval(100, seed=5), 100),
+        ("tied scores", grid_eval(24, seed=6), 300),
+        ("n=5, redraws", [a[:5] for a in fake_eval(2, seed=7)], 300),
+        ("class missing", fake_eval(6, seed=8, classes=(0, 2)), 200),
     ])
     def test_equal_to_record_list_resampling(self, name, records,
                                              n_resamples, monkeypatch):
         ref_calls, calls = [], []
-        expected = record_list_intervals(records, Rng(3), n_resamples, 0.05,
-                                         ref_calls)
+        expected = per_draw_intervals(*records, Rng(3), n_resamples, 0.05,
+                                      ref_calls)
         monkeypatch.setattr(metrics, "bootstrap_ci", counting_bootstrap(calls))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            rep = metrics.build_report(records, Rng(3), n_resamples)
+            rep = metrics.build_report(*records, Rng(3), n_resamples)
         assert rep.intervals == expected
         assert sum(calls) == sum(ref_calls)
         if name.startswith("n=5"):
             assert sum(calls) > len(expected) * n_resamples  # redraws ran
 
     @pytest.mark.parametrize("records", [
-        fake_records(2, seed=7)[:5],
-        fake_records(6, seed=8, classes=(0, 2)),
+        [a[:5] for a in fake_eval(2, seed=7)],
+        fake_eval(6, seed=8, classes=(0, 2)),
     ], ids=["n=5, redraws", "class missing"])
     def test_block_size_does_not_change_intervals(self, records,
                                                   monkeypatch):
@@ -549,7 +550,7 @@ class TestReportIntervals:
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", UserWarning)
                 warnings.simplefilter("error", RuntimeWarning)
-                reports.append(metrics.build_report(records, Rng(3), 300))
+                reports.append(metrics.build_report(*records, Rng(3), 300))
         assert reports[0].intervals == reports[1].intervals
         assert reports[0].intervals == reports[2].intervals
 
@@ -562,5 +563,5 @@ class TestReportIntervals:
             return real(scores, labels)
 
         monkeypatch.setattr(metrics, "roc_auc", counted)
-        metrics.build_report(fake_records(10), Rng(0), n_resamples=200)
+        metrics.build_report(*fake_eval(10), Rng(0), n_resamples=200)
         assert len(calls) <= metrics.NUM_CLASSES + 1

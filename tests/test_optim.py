@@ -158,15 +158,12 @@ class TestTrainLoop:
         net = small_net()
         cfg = optim.TrainConfig(max_epochs=2, seed=1)
         log = optim.train(net, train, val, cfg, tmp_path / "best.ckpt")
-        assert [r.epoch for r in log.records] == [1, 2]
-        assert all(r.seconds == 0.0 for r in log.records)
-        assert log.records[0].checkpointed  # first epoch always improves
-        lines = log.to_csv().splitlines()
-        assert lines[0] == optim.LOG_HEADER
-        assert len(lines) == 3
+        assert [r.epoch for r in log] == [1, 2]
+        assert all(r.seconds == 0.0 for r in log)
+        assert log[0].checkpointed  # first epoch always improves
         out = capsys.readouterr().out.splitlines()
-        assert out[0] == optim.LOG_HEADER  # echoed to stdout
-        assert out[1] == log.records[0].csv_line()
+        # echoed to stdout
+        assert out == [optim.LOG_HEADER] + [r.csv_line() for r in log]
 
     def test_deterministic_under_seed(self, tmp_path):
         results = []
@@ -176,7 +173,7 @@ class TestTrainLoop:
             cfg = optim.TrainConfig(max_epochs=2, seed=7)
             ckpt = tmp_path / f"{run}.ckpt"
             log = optim.train(net, train, val, cfg, ckpt)
-            results.append((log.to_csv(), ckpt.read_bytes()))
+            results.append((log, ckpt.read_bytes()))
         assert results[0] == results[1]
 
     def test_checkpoint_tracks_best_val_loss(self, tmp_path):
@@ -186,7 +183,7 @@ class TestTrainLoop:
         cfg = optim.TrainConfig(max_epochs=4, seed=2)
         log = optim.train(net, train, val, cfg, ckpt)
         _, extra = load_checkpoint(ckpt)
-        val_losses = [r.val_loss for r in log.records]
+        val_losses = [r.val_loss for r in log]
         assert float(extra["val_loss"]) == min(val_losses)
         shapes = tensor_shapes(net.config, layer_plan(net.config))
         assert record_names(ckpt) == sorted(shapes)
@@ -197,7 +194,7 @@ class TestTrainLoop:
         cfg = optim.TrainConfig(max_epochs=4, seed=0)
         log = optim.train(net, train, val, cfg, tmp_path / "best.ckpt")
         running = float("inf")
-        for rec in log.records:
+        for rec in log:
             assert rec.checkpointed == (rec.val_loss < running)
             running = min(running, rec.val_loss)
 
@@ -209,7 +206,7 @@ class TestTrainLoop:
         best, _ = load_checkpoint(tmp_path / "best.ckpt")
         bs = optim.resolve_batch_size(cfg, net.config)
         best_loss, _ = optim.evaluate_samples(best, val, bs)
-        assert abs(best_loss - min(r.val_loss for r in log.records)) < 1e-6
+        assert abs(best_loss - min(r.val_loss for r in log)) < 1e-6
 
     def test_test_split_samples_are_rejected(self, tmp_path):
         train, val = synth_sets()
@@ -251,7 +248,7 @@ class TestTrainLoop:
             cfg = optim.TrainConfig(max_epochs=2, seed=7,
                                     class_weights=weights)
             log = optim.train(net, train, val, cfg, tmp_path / "best.ckpt")
-            logs.append(log.to_csv())
+            logs.append(log)
         assert logs[0] == logs[1]
 
     def test_timing_flag_fills_seconds(self, tmp_path):
@@ -259,7 +256,7 @@ class TestTrainLoop:
         cfg = optim.TrainConfig(max_epochs=1, timing=True)
         log = optim.train(small_net(), train, val, cfg,
                           tmp_path / "best.ckpt")
-        assert log.records[0].seconds > 0.0
+        assert log[0].seconds > 0.0
 
 
 class TestBatchNormHandling:
@@ -271,7 +268,7 @@ class TestBatchNormHandling:
         net = small_net(norm="batch")
         cfg = optim.TrainConfig(max_epochs=1, batch_size=4)
         log = optim.train(net, train, val, cfg, tmp_path / "best.ckpt")
-        assert len(log.records) == 1
+        assert len(log) == 1
 
     def test_all_batches_skipped_is_an_error(self, tmp_path):
         train, val = synth_sets()
@@ -287,20 +284,20 @@ class TestEvaluate:
         # f32 rounding level, not bitwise
         train, val = synth_sets()
         net = small_net(seed=1)
-        loss3, recs3 = optim.evaluate_samples(net, train, batch_size=3)
-        loss5, recs5 = optim.evaluate_samples(net, train, batch_size=5)
+        loss3, probs3 = optim.evaluate_samples(net, train, batch_size=3)
+        loss5, probs5 = optim.evaluate_samples(net, train, batch_size=5)
         assert abs(loss3 - loss5) < 1e-6
-        for a, b in zip(recs3, recs5):
-            assert a.subject_id == b.subject_id
-            assert a.pred == b.pred
-            assert np.allclose(a.probs, b.probs, atol=1e-6)
+        assert np.array_equal(probs3.argmax(1), probs5.argmax(1))
+        assert np.allclose(probs3, probs5, atol=1e-6)
 
     def test_records_carry_identity(self):
+        # row i is sample i's: the same as evaluating that sample alone
         train, _ = synth_sets()
         net = small_net()
-        _, recs = optim.evaluate_samples(net, train, batch_size=4)
-        assert [r.subject_id for r in recs] == [s.subject_id for s in train]
-        assert all(len(r.probs) == 3 for r in recs)
+        _, probs = optim.evaluate_samples(net, train, batch_size=4)
+        assert probs.shape == (len(train), 3) and probs.dtype == np.float32
+        alone = [optim.evaluate_samples(net, [s], 1)[1][0] for s in train]
+        assert np.allclose(probs, alone, atol=1e-6)
 
     def test_runs_tape_free(self, tmp_path, monkeypatch):
         def no_index_pass(*args):
@@ -309,8 +306,8 @@ class TestEvaluate:
         monkeypatch.setattr(ops, "maxpool3d_argmax", no_index_pass)
         train, val = synth_sets()
         net = small_net()
-        _, recs = optim.evaluate_samples(net, val, batch_size=4)
-        assert len(recs) == len(val)
+        _, probs = optim.evaluate_samples(net, val, batch_size=4)
+        assert len(probs) == len(val)
         cfg = optim.TrainConfig(max_epochs=1, batch_size=4)
         with pytest.raises(RuntimeError, match="pool argmax"):
             optim.train(net, train, val, cfg, tmp_path / "best.ckpt")

@@ -3,7 +3,8 @@ import pytest
 
 from volcnn import model as network
 from volcnn import saliency
-from volcnn.data import NativeVolume
+from volcnn.config import SMOOTH_SIGMA
+from volcnn.data import NativeVolume, gaussian_blur
 from volcnn.model import ModelConfig, build
 from volcnn.tensor import F64, Rng, ShapeError, Tensor
 
@@ -23,16 +24,15 @@ class TestSaliency:
     def test_map_extents_match_input(self):
         net = small_net()
         smap = saliency.saliency(net, rand_volume().astype(np.float32), 0)
-        assert smap.values.shape == (32, 32, 32)
-        assert smap.target == 0
-        assert (smap.values.data >= 0).all()
+        assert smap.shape == (32, 32, 32) and smap.dtype == np.float32
+        assert (smap >= 0).all()
 
     def test_zero_parameter_network_gives_zero_map(self):
         net = small_net()
         for t in net.params.values():
             t.data[...] = 0.0
         smap = saliency.saliency(net, rand_volume().astype(np.float32), 2)
-        assert np.all(smap.values.data == 0.0)
+        assert np.all(smap == 0.0)
 
     def test_invalid_target_rejected(self):
         net = small_net()
@@ -52,9 +52,9 @@ class TestSaliency:
         # cannot see it
         net = small_net(seed=4)
         vol = rand_volume(3).astype(np.float32)
-        before = saliency.saliency(net, vol, 1).values.data
+        before = saliency.saliency(net, vol, 1)
         net.params["fc2.bias"].data[1] += 5.0
-        after = saliency.saliency(net, vol, 1).values.data
+        after = saliency.saliency(net, vol, 1)
         assert np.array_equal(before, after)
 
     def test_finite_difference_agreement(self):
@@ -91,7 +91,7 @@ class TestSaliency:
             if pat_p != pat_m:
                 continue  # activation kink between the probes
             fd = abs((fp - fm) / (2 * h))
-            ana = float(smap.values.data[i, j, k])
+            ana = float(smap[i, j, k])
             rel = abs(ana - fd) / max(fd, 1e-8)
             assert rel <= 1e-3, f"voxel ({i},{j},{k}): {ana} vs {fd}"
             checked += 1
@@ -101,41 +101,39 @@ class TestSaliency:
 class TestAggregate:
     def maps(self, n, seed=0, extent=8):
         g = Rng(seed)
-        return [saliency.SaliencyMap(
-                    Tensor(np.abs(g.stream(i).normal(
-                        (extent,) * 3)).astype(np.float32)), 0)
+        return [np.abs(g.stream(i).normal((extent,) * 3)).astype(np.float32)
                 for i in range(n)]
 
     def test_single_map_is_max_normalized(self):
         (m,) = self.maps(1)
         agg = saliency.aggregate([m])
-        expect = m.values.data / m.values.data.max()
-        assert np.allclose(agg.values.data, expect, atol=1e-7)
-        assert agg.target is None
+        expect = m / m.max()
+        assert np.allclose(agg, expect, atol=1e-7)
+        assert agg.dtype == np.float32
 
     def test_mean_is_idempotent_on_identical_maps(self):
         (m,) = self.maps(1)
         once = saliency.aggregate([m])
         twice = saliency.aggregate([m, m])
-        assert np.array_equal(once.values.data, twice.values.data)
+        assert np.array_equal(once, twice)
 
     def test_permutation_invariance(self):
         ms = self.maps(4, seed=5)
         a = saliency.aggregate(ms)
         b = saliency.aggregate(ms[::-1])
-        assert np.allclose(a.values.data, b.values.data, atol=1e-7)
+        assert np.allclose(a, b, atol=1e-7)
 
     def test_values_stay_in_unit_interval(self):
         agg = saliency.aggregate(self.maps(5, seed=9))
-        assert agg.values.data.min() >= 0.0
-        assert agg.values.data.max() <= 1.0
+        assert agg.min() >= 0.0
+        assert agg.max() <= 1.0
 
     def test_zero_map_contributes_zeros(self):
         ms = self.maps(2, seed=3)
-        zero = saliency.SaliencyMap(Tensor(np.zeros((8, 8, 8), np.float32)), 0)
+        zero = np.zeros((8, 8, 8), np.float32)
         agg = saliency.aggregate([ms[0], zero])
-        expect = ms[0].values.data / ms[0].values.data.max() / 2.0
-        assert np.allclose(agg.values.data, expect, atol=1e-7)
+        expect = ms[0] / ms[0].max() / 2.0
+        assert np.allclose(agg, expect, atol=1e-7)
 
     def test_empty_and_mismatched_rejected(self):
         with pytest.raises(ValueError, match="no maps"):
@@ -147,39 +145,40 @@ class TestAggregate:
 
 
 class TestSmooth:
+    """The aggregate map's smoothing: data.gaussian_blur on a float32 map."""
+
     def bump_map(self, extent=32):
         arr = np.zeros((extent,) * 3, dtype=np.float32)
         g = Rng(8)
         arr[8:24, 8:24, 8:24] = np.abs(g.normal((16, 16, 16))).astype(
             np.float32)
-        return saliency.SaliencyMap(Tensor(arr), 1)
+        return arr
 
     def test_sigma_zero_is_identity(self):
         m = self.bump_map()
-        out = saliency.smooth(m, 0.0)
-        assert np.array_equal(out.values.data, m.values.data)
+        out = gaussian_blur(m, 0.0)
+        assert np.array_equal(out, m)
 
     def test_nonnegative_and_same_extents(self):
         m = self.bump_map()
-        out = saliency.smooth(m)
-        assert out.sigma == saliency.SMOOTH_SIGMA
-        assert out.values.shape == m.values.shape
-        assert (out.values.data >= 0).all()
+        out = gaussian_blur(m, SMOOTH_SIGMA)
+        assert out.shape == m.shape and out.dtype == np.float32
+        assert (out >= 0).all()
 
     def test_interior_mass_preserved(self):
         # support is >= kernel radius away from every face, so the
         # renormalized kernel conserves the total
         m = self.bump_map()
-        out = saliency.smooth(m, 0.8)
-        a = float(m.values.data.sum(dtype=np.float64))
-        b = float(out.values.data.sum(dtype=np.float64))
+        out = gaussian_blur(m, 0.8)
+        a = float(m.sum(dtype=np.float64))
+        b = float(out.sum(dtype=np.float64))
         assert abs(a - b) / a < 1e-4
 
     def test_smooth_aggregate_pipeline(self):
         maps = TestAggregate().maps(3, seed=2)
-        out = saliency.smooth(saliency.aggregate(maps))
-        assert out.values.shape == maps[0].values.shape
-        assert (out.values.data >= 0).all()
+        out = gaussian_blur(saliency.aggregate(maps), SMOOTH_SIGMA)
+        assert out.shape == maps[0].shape
+        assert (out >= 0).all()
 
 
 def parse_pgm(blob: bytes):
@@ -192,8 +191,7 @@ def parse_pgm(blob: bytes):
 
 class TestExport:
     def any_map(self, extent=16, seed=1):
-        vals = np.abs(Rng(seed).normal((extent,) * 3)).astype(np.float32)
-        return saliency.SaliencyMap(Tensor(vals), 0)
+        return np.abs(Rng(seed).normal((extent,) * 3)).astype(np.float32)
 
     def test_writes_named_slices_and_volume(self, tmp_path):
         m = self.any_map()
@@ -205,12 +203,10 @@ class TestExport:
         w, h, body = parse_pgm(paths[0].read_bytes())
         assert (w, h) == (16, 16)
         assert len(body) == 16 * 16
-        assert np.array_equal(np.asarray(NativeVolume(paths[2])),
-                              m.values.data)
+        assert np.array_equal(np.asarray(NativeVolume(paths[2])), m)
 
     def test_axis_mapping(self, tmp_path):
-        vals = np.zeros((4, 5, 6), dtype=np.float32)
-        m = saliency.SaliencyMap(Tensor(vals), 0)
+        m = np.zeros((4, 5, 6), dtype=np.float32)
         paths = saliency.export_slices(
             m, [("sagittal", 0), ("coronal", 0), ("axial", 0)],
             tmp_path / "ax", with_volume=False)
@@ -219,8 +215,7 @@ class TestExport:
         assert dims == [(6, 5), (6, 4), (5, 4)]
 
     def test_constant_slice_is_black(self, tmp_path):
-        vals = np.full((8, 8, 8), 3.25, dtype=np.float32)
-        m = saliency.SaliencyMap(Tensor(vals), 0)
+        m = np.full((8, 8, 8), 3.25, dtype=np.float32)
         (p,) = saliency.export_slices(m, [("axial", 2)], tmp_path / "c",
                                       with_volume=False)
         _, _, body = parse_pgm(p.read_bytes())
