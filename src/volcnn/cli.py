@@ -299,12 +299,16 @@ def _evaluate(cfg: dict, run_dir: Path, net, loaded: dict | None = None):
 
     manifest = _load_manifest(cfg)
     samples = _split_samples(manifest, cfg["split"], loaded)
-    bs = resolve_batch_size(TrainConfig(batch_size=cfg["batch_size"]),
-                            net.config)
+    tc = TrainConfig(batch_size=cfg["batch_size"])
+    # any size: eval-mode batch norm reads its running statistics
+    bs = tc.batch_size or resolve_batch_size(tc, net.config)
     loss, probs = evaluate_samples(net, samples, bs)
     labels = [s.label for s in samples]
-    report = build_report(labels, probs, Rng(cfg["seed"]),
-                          cfg["n_resamples"], cfg["alpha"])
+    try:
+        report = build_report(labels, probs, Rng(cfg["seed"]),
+                              cfg["n_resamples"], cfg["alpha"])
+    except ValueError as exc:  # the bootstrap keys are checked: the split's
+        raise DataError(str(exc)) from None
     write_report(report, run_dir / "report.txt")
     write_logits_csv([s.subject_id for s in samples], labels, probs,
                      run_dir / "logits.csv")

@@ -56,23 +56,8 @@ def atomic_write(path, mode: str = "w", newline: str | None = None):
 
 
 class VolumeFormatError(ValueError):
-    """A volume file violates its format contract."""
-
-
-class BadMagic(VolumeFormatError):
-    pass
-
-
-class UnsupportedVoxelType(VolumeFormatError):
-    pass
-
-
-class BadRank(VolumeFormatError):
-    pass
-
-
-class TruncatedVolume(VolumeFormatError):
-    pass
+    """A volume file violates its format contract; the message names the
+    fault."""
 
 
 class ManifestError(ValueError):
@@ -96,10 +81,10 @@ def read_nifti1(path) -> np.ndarray:
     path = Path(path)
     raw = path.read_bytes()
     if len(raw) < 348:
-        raise TruncatedVolume(f"{path}: header shorter than 348 bytes")
+        raise VolumeFormatError(f"{path}: header shorter than 348 bytes")
     magic = raw[344:348]
     if magic not in (b"n+1\x00", b"ni1\x00"):
-        raise BadMagic(f"{path}: magic {magic!r}")
+        raise VolumeFormatError(f"{path}: bad magic {magic!r}")
     # byte order: dim[0] is the rank and must land in [1, 7]
     (rank_le,) = struct.unpack_from("<h", raw, 40)
     if 1 <= rank_le <= 7:
@@ -113,13 +98,14 @@ def read_nifti1(path) -> np.ndarray:
         endian = ">"
         rank = rank_be
     if rank != 3:
-        raise BadRank(f"{path}: rank {rank}, only rank-3 volumes supported")
+        raise VolumeFormatError(
+            f"{path}: rank {rank}, only rank-3 volumes supported")
     d1, d2, d3 = struct.unpack_from(f"{endian}3h", raw, 42)
     if min(d1, d2, d3) < 1:
         raise VolumeFormatError(f"{path}: dims {(d1, d2, d3)} must be >= 1")
     (datatype,) = struct.unpack_from(f"{endian}h", raw, 70)
     if datatype not in _NIFTI_DTYPES:
-        raise UnsupportedVoxelType(f"{path}: datatype code {datatype}")
+        raise VolumeFormatError(f"{path}: unsupported datatype {datatype}")
     code, itemsize = _NIFTI_DTYPES[datatype]
     (vox_offset,) = struct.unpack_from(f"{endian}f", raw, 108)
     slope, inter = struct.unpack_from(f"{endian}2f", raw, 112)
@@ -135,12 +121,12 @@ def read_nifti1(path) -> np.ndarray:
     if not least:
         img = path.with_suffix(".img")
         if not img.exists():
-            raise TruncatedVolume(f"{path}: image sibling {img} missing")
+            raise VolumeFormatError(f"{path}: image sibling {img} missing")
         payload = img.read_bytes()
     count = d1 * d2 * d3
     need = offset + count * itemsize
     if len(payload) < need:
-        raise TruncatedVolume(
+        raise VolumeFormatError(
             f"{path}: payload holds {len(payload) - offset} bytes, "
             f"needs {count * itemsize}")
     vox = np.frombuffer(payload, dtype=endian + code, count=count,
@@ -159,7 +145,7 @@ NATIVE_VERSION = 1
 def write_native(path, volume: np.ndarray) -> None:
     vol = np.ascontiguousarray(volume, dtype="<f4")
     if vol.ndim != 3:
-        raise BadRank(f"native volumes are rank 3, got rank {vol.ndim}")
+        raise VolumeFormatError(f"native volumes are rank 3, not {vol.ndim}")
     with atomic_write(path, "wb") as fh:
         fh.write(NATIVE_MAGIC)
         fh.write(struct.pack("<I", NATIVE_VERSION))
@@ -172,16 +158,16 @@ def _native_extents(fh, path, size: int) -> tuple[int, int, int]:
     against its magic, version and exact byte size `size`."""
     head = fh.read(36)
     if len(head) < 36:
-        raise TruncatedVolume(f"{path}: shorter than the fixed header")
+        raise VolumeFormatError(f"{path}: shorter than the fixed header")
     if head[:8] != NATIVE_MAGIC:
-        raise BadMagic(f"{path}: magic {head[:8]!r}")
+        raise VolumeFormatError(f"{path}: bad magic {head[:8]!r}")
     (version,) = struct.unpack_from("<I", head, 8)
     if version != NATIVE_VERSION:
         raise VolumeFormatError(f"{path}: unsupported version {version}")
     shape = struct.unpack_from("<3Q", head, 12)
     count = math.prod(shape)
     if size != 36 + 4 * count:
-        raise TruncatedVolume(
+        raise VolumeFormatError(
             f"{path}: payload is {size - 36} bytes, extents "
             f"{tuple(shape)} require {4 * count}")
     return shape
@@ -193,7 +179,7 @@ def _read_planes(fh, path, shape, z0: int, z1: int) -> np.ndarray:
     vol = np.empty((z1 - z0,) + tuple(shape[1:]), dtype="<f4")
     fh.seek(36 + 4 * z0 * shape[1] * shape[2])
     if fh.readinto(vol.reshape(-1).view(np.uint8)) != vol.nbytes:
-        raise TruncatedVolume(f"{path}: payload shrank while reading")
+        raise VolumeFormatError(f"{path}: payload shrank while reading")
     return vol
 
 
@@ -367,7 +353,9 @@ def gaussian_blur(volume: np.ndarray, sigma: float) -> np.ndarray:
     bounds are check_blur's. Integer voxels give float32."""
     radius = check_blur(sigma, volume.shape)
     two_var = 2.0 * sigma * sigma
-    if radius == 0 or two_var == 0.0:  # kernel is numerically a delta
+    # the kernel is numerically a delta; a zero or subnormal two_var would
+    # overflow the division below
+    if radius == 0 or two_var < sys.float_info.min:
         return volume.astype(_real_dtype(volume.dtype))
     t = np.arange(-radius, radius + 1, dtype=np.float64)
     kernel = np.exp(-(t * t) / two_var)

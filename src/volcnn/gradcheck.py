@@ -204,8 +204,10 @@ def check_relu(seed: int = 0) -> list[CheckResult]:
         sign = np.where(rng.stream("sign").raw(size).reshape(shape)
                         & np.uint64(1), 1.0, -1.0)
         x = Tensor(mag * sign)
+        # relu writes over its input, so each forward gets a fresh copy
         results += check_op(
-            f"relu #{i}", rng.stream("r"), lambda: (ops.relu(x), None),
+            f"relu #{i}", rng.stream("r"),
+            lambda: (ops.relu(Tensor(x.data.copy())), None),
             lambda g, _: (ops.relu_backward(g, x.data > 0),), {"x": x})
     return results
 

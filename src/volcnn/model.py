@@ -258,11 +258,9 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
             # eval mode hands the running stats back unchanged
             h, cache, model.buffers[rm_key], model.buffers[rv_key] = (
                 ops.batch_norm_forward(h, gamma, beta, model.buffers[rm_key],
-                                       model.buffers[rv_key], mode, tape=tape,
-                                       out=None if tape else h.data))
+                                       model.buffers[rv_key], mode, tape=tape))
         else:
-            h, cache = ops.instance_norm_forward(
-                h, gamma, beta, tape=tape, out=None if tape else h.data)
+            h, cache = ops.instance_norm_forward(h, gamma, beta, tape=tape)
         record(("norm", bp.name, cache))
         if bp.pool is not None:
             pooled = ops.maxpool3d_forward(h, *bp.pool)
@@ -272,7 +270,7 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
             h = pooled
         # h is a fresh array nothing else holds: the norm output of an
         # extra block, else the pooled output.
-        h = ops.relu(h, out=h.data)
+        h = ops.relu(h)
         if tape:
             record(("relu", h.data > 0))
 
@@ -295,7 +293,7 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
                                 model.params["age.fc2.bias"])
         z.data += a2.data
         record(("age_head", ae, ln_cache, a1n))
-    h2 = ops.relu(z, out=z.data)
+    h2 = ops.relu(z)
     if tape:
         record(("relu", h2.data > 0))
     record(("fc2", h2))
@@ -483,8 +481,10 @@ def _read_checkpoint(path) -> tuple[ModelConfig, dict[str, str],
             if name in tensors:
                 raise ValueError(f"tensor {name!r} appears twice")
             raw = _read_exact(fh, n_bytes, f"tensor {name!r} payload")
-            tensors[name] = Tensor(
-                np.frombuffer(raw, dtype="<f4").reshape(shape).copy())
+            arr = np.frombuffer(raw, dtype="<f4").reshape(shape)
+            if not np.isfinite(arr).all():
+                raise ValueError(f"tensor {name!r} holds a non-finite value")
+            tensors[name] = Tensor(arr.copy())
         if fh.read(1):
             raise ValueError("trailing bytes after last tensor")
 

@@ -1,23 +1,23 @@
 """Differentiable layer kernels: each forward has an exact backward.
 
-Forward kernels are pure functions from Tensors to Tensors, except where
-the caller passes `out=`: then instance norm, batch norm and relu write
-their result into that array (which may be their own input) and return it.
-relu_backward and norm_backward always write the input gradient over
-grad_out's array and return it. The state backward reads is kept no wider
-than backward needs: relu_backward takes the bool mask x > 0,
-maxpool3d_argmax gives int32 indices, and norm_backward works in one
-full-size buffer besides grad_out. The normalizations subtract the mean
-once and take the variance from that difference. Convolution uses
-cross-correlation semantics (no kernel flip). The 3D convolution is lowered
-to im2col GEMMs (Chellapilla et al., 2006), one column slab per sample and
-first-axis kernel tap, so each BLAS call contracts over k*k*C and the
-column buffer stays at 1/k of a full im2col; a 1x1x1 stride-1 convolution
-of one input channel is a broadcast multiply instead. Max pooling is split
-in two ops: maxpool3d_forward takes the values from three 1-D maximum
-passes, and maxpool3d_argmax, which only a forward that records a tape for
-backward calls, recovers the first maximal tap by equality. A naive
-direct-loop oracle for the convolution lives in the test suite.
+Forward kernels return fresh Tensors, except that relu always writes its
+result over its input's array and returns it, and so does a normalization
+without a tape (with one it leaves its input alone). relu_backward and
+norm_backward always write the input gradient over grad_out's array and
+return it. The state backward reads is kept no wider than backward needs:
+relu_backward takes the bool mask x > 0, maxpool3d_argmax gives int32
+indices, and norm_backward works in one full-size buffer besides grad_out.
+The normalizations subtract the mean once and take the variance from that
+difference. Convolution uses cross-correlation semantics (no kernel flip).
+The 3D convolution is lowered to im2col GEMMs (Chellapilla et al., 2006),
+one column slab per sample and first-axis kernel tap, so each BLAS call
+contracts over k*k*C and the column buffer stays at 1/k of a full im2col; a
+1x1x1 stride-1 convolution of one input channel is a broadcast multiply
+instead. Max pooling is split in two ops: maxpool3d_forward takes the
+values from three 1-D maximum passes, and maxpool3d_argmax, which only a
+forward that records a tape for backward calls, recovers the first maximal
+tap by equality. A naive direct-loop oracle for the convolution lives in
+the test suite.
 
 Output extent per spatial axis:
     conv: floor((in + 2p - d*(k-1) - 1) / s) + 1
@@ -61,10 +61,6 @@ class ConvSpec:
     def __post_init__(self):
         if self.k < 1 or self.s < 1 or self.d < 1 or self.p < 0 or self.c_out < 1:
             raise ValueError(f"invalid conv spec {self}")
-
-    @property
-    def effective_k(self) -> int:
-        return self.d * (self.k - 1) + 1
 
 
 def _tap_slices(k: int, s: int, d: int, out_extents: tuple[int, ...], tap):
@@ -117,8 +113,8 @@ def conv3d_forward(x: Tensor, w: Tensor, b: Tensor, spec: ConvSpec) -> Tensor:
     outs = tuple(conv_out_extent(e, spec.k, spec.p, spec.s, spec.d) for e in spatial)
     if any(o < 1 for o in outs):
         raise ShapeError(
-            f"effective kernel {spec.effective_k} exceeds padded input "
-            f"{tuple(e + 2 * spec.p for e in spatial)}"
+            f"effective kernel {spec.d * (spec.k - 1) + 1} exceeds padded "
+            f"input {tuple(e + 2 * spec.p for e in spatial)}"
         )
     k, o = spec.k, spec.c_out
     if k == 1 and spec.s == 1 and spec.p == 0 and c == 1:
@@ -274,25 +270,16 @@ class NormCache:
     fixed_stats: bool = False    # eval-mode batch norm: mean/var are constants
 
 
-def _out_array(x: Tensor, out: np.ndarray | None) -> np.ndarray | None:
-    """`out` once checked to be an array of x's shape and dtype, or None."""
-    if out is not None and (out.shape != x.shape or out.dtype != x.dtype):
-        raise ShapeError(f"out {out.shape} {out.dtype} does not match input "
-                         f"{x.shape} {x.dtype}")
-    return out
-
-
 def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...],
-               channel_axis: int, tape: bool, stats=None, out=None):
+               channel_axis: int, tape: bool, stats=None):
     """gamma * (x - mean) / sqrt(var + EPS) + beta over `axes`, with one
     gamma and beta entry per index of `channel_axis`. mean and the biased
     var are x's, in x's dtype, or the per-channel constants stats = (mean,
-    var). y is written into `out` if given (it may be x.data itself).
-    Returns (y, cache, mean, var); without a tape the cache is None."""
+    var). Without a tape y is written over x's array and the cache is None;
+    with one x is left alone. Returns (y, cache, mean, var)."""
     c = x.shape[channel_axis]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"affine params {gamma.shape}/{beta.shape}, expected ({c},)")
-    out = _out_array(x, out)
     rank = x.data.ndim
     bshape = tuple(c if a == channel_axis else 1 for a in range(rank))
     gb = gamma.data.reshape(bshape)
@@ -310,7 +297,7 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...],
     # square, reduced and divided as numpy's var does, so bit for bit var's.
     # Without a batch axis the squares go one sample at a time through one
     # buffer, so the transient covers one sample, not the batch.
-    d = np.subtract(x.data, mean, out=None if tape else out)
+    d = np.subtract(x.data, mean, out=None if tape else x.data)
     if stats is None:
         count = np.intp(np.prod([x.shape[a] for a in axes]))
         if batch:
@@ -324,7 +311,7 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...],
     # In place, yet the same products in the same order as
     # gamma * ((x - mean) * invstd) + beta; without a tape y overwrites xhat.
     d *= invstd
-    y = np.multiply(gb, d, out=out if tape else d)
+    y = np.multiply(gb, d, out=None if tape else d)
     y += bb
     if not tape:
         return Tensor(y), None, mean, var
@@ -334,18 +321,17 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...],
 
 
 def instance_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
-                          tape: bool = True, out: np.ndarray | None = None
-                          ) -> tuple[Tensor, NormCache | None]:
+                          tape: bool = True) -> tuple[Tensor, NormCache | None]:
     """Normalize each (sample, channel) over its spatial positions. No batch
     statistics are involved, so train and eval behave identically. With
-    tape=False no backward state is kept and the cache is None. With `out`
-    the result is written there; out=x.data normalizes in place."""
-    return _normalize(x, gamma, beta, (2, 3, 4), 1, tape, out=out)[:2]
+    tape=False no backward state is kept, the cache is None and y is
+    written over x's array."""
+    return _normalize(x, gamma, beta, (2, 3, 4), 1, tape)[:2]
 
 
 def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
                        running_mean: Tensor, running_var: Tensor, mode: str,
-                       tape: bool = True, out: np.ndarray | None = None
+                       tape: bool = True
                        ) -> tuple[Tensor, NormCache | None, Tensor, Tensor]:
     """Per-channel normalization over batch and spatial positions.
 
@@ -353,19 +339,19 @@ def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     them into the returned running stats: running <- (1-m)*running + m*batch
     with m = BN_MOMENTUM, the unbiased variance entering the running
     estimate. Eval mode normalizes with the running stats unchanged. Returns
-    (y, cache, new_running_mean, new_running_var); the cache is None when
-    tape=False. With `out` y is written there; out=x.data works in place.
+    (y, cache, new_running_mean, new_running_var). With tape=False the
+    cache is None and y is written over x's array.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
     axes = (0, 2, 3, 4)
     if mode == "eval":
         y, cache, _, _ = _normalize(x, gamma, beta, axes, 1, tape,
-                                    (running_mean.data, running_var.data), out)
+                                    (running_mean.data, running_var.data))
         return y, cache, running_mean, running_var
     if x.shape[0] < 2:
         raise ValueError("batch norm in train mode needs a batch of >= 2")
-    y, cache, mean, var = _normalize(x, gamma, beta, axes, 1, tape, out=out)
+    y, cache, mean, var = _normalize(x, gamma, beta, axes, 1, tape)
     c = x.shape[1]
     m, mom = x.data.size // c, BN_MOMENTUM
     new_mean = (1 - mom) * running_mean.data + mom * mean.reshape(c)
@@ -377,7 +363,7 @@ def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
 def layer_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
                        tape: bool = True) -> tuple[Tensor, NormCache | None]:
     """Normalize over the trailing feature axis of each row. With
-    tape=False the cache is None."""
+    tape=False the cache is None and y is written over x's array."""
     last = x.data.ndim - 1
     return _normalize(x, gamma, beta, (last,), last, tape)[:2]
 
@@ -413,9 +399,9 @@ def norm_backward(grad_out: Tensor,
     return Tensor(dx), Tensor(dgamma), Tensor(dbeta)
 
 
-def relu(x: Tensor, out: np.ndarray | None = None) -> Tensor:
-    """max(x, 0), written into `out` if given; out=x.data works in place."""
-    return Tensor(np.maximum(x.data, x.dtype.type(0), out=_out_array(x, out)))
+def relu(x: Tensor) -> Tensor:
+    """max(x, 0), written over x's array, which is returned."""
+    return Tensor(np.maximum(x.data, x.dtype.type(0), out=x.data))
 
 
 def relu_backward(grad_out: Tensor, mask: np.ndarray) -> Tensor:

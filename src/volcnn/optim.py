@@ -35,8 +35,8 @@ LOG_HEADER = "epoch,train_loss,val_loss,val_bal_acc,seconds,checkpointed"
 
 
 def resolve_batch_size(cfg: TrainConfig, model_config) -> int:
-    """Explicit batch size, else 4 (16 for batch norm, which needs larger
-    batches for usable statistics)."""
+    """The training batch size: explicit, else 4 (16 for batch norm, which
+    needs larger batches for usable statistics)."""
     bs = cfg.batch_size
     if bs is None:
         bs = 16 if model_config.norm == "batch" else 4

@@ -138,10 +138,10 @@ class Rng:
 class Tensor:
     """Contiguous row-major float array with shape metadata.
 
-    Treat instances as immutable: ops return fresh tensors and write into
-    an input only as ``out=``. The raw array is exposed as ``.data`` for the
-    kernels in :mod:`volcnn.ops`; code that mutates it in place owns the
-    tensor exclusively (parameter updates, the forward's norms and ReLUs).
+    Treat instances as immutable, except where :mod:`volcnn.ops` says an op
+    writes over an input (relu, a tape-free norm, their backwards). The raw
+    array is exposed as ``.data`` for the kernels; code that mutates it in
+    place owns the tensor exclusively (parameter updates, the forward).
     """
 
     __slots__ = ("data",)

@@ -46,6 +46,20 @@ def trained(tmp_path_factory, dataset) -> Path:
     return run
 
 
+def one_cn_val_manifest(dataset, path) -> Path:
+    """The dataset's manifest with absolute paths, its val split cut to a
+    single CN subject."""
+    with open(dataset, newline="") as fh:
+        header, *rows = csv.reader(fh)
+    keep = [r for r in rows if r[4] == "train"]
+    keep.append(next(r for r in rows if r[4] == "val" and r[2] == "CN"))
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(
+            [header] + [[r[0], str(dataset.parent / r[1])] + r[2:]
+                        for r in keep])
+    return path
+
+
 class TestSynth:
     def test_dataset_layout(self, dataset):
         with open(dataset, newline="") as fh:
@@ -371,6 +385,18 @@ class TestTrain:
         assert not (run / "train_log.csv").exists()
         assert not (tmp_path / "missing").exists()
 
+    def test_batch_norm_batch_of_one_fails_first(self, dataset, tmp_path,
+                                                 capsys):
+        run = tmp_path / "r"
+        code = main(["train", "--run_dir", str(run), "--manifest",
+                     str(dataset), "--crop_extent", "32", "--max_epochs", "1",
+                     "--norm", "batch", "--batch_size", "1"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert "batch_size >= 2, got 1" in captured.err
+        assert "train_subjects" not in captured.out  # no manifest read
+        assert not (run / "train_log.csv").exists()
+
     def test_rerun_matches_byte_for_byte(self, dataset, trained, tmp_path):
         again = tmp_path / "again"
         assert main(["train", "--run_dir", str(again),
@@ -675,6 +701,60 @@ class TestEval:
         assert "age.fc1.weight" in err and err.count(str(ckpt)) == 1
 
 
+    def test_batch_norm_checkpoint_evaluates_one_at_a_time(
+            self, dataset, tmp_path, capsys):
+        # eval-mode batch norm reads its running statistics, so a batch of
+        # one is fine, unlike in training
+        ckpt = tmp_path / "bn.ckpt"
+        net = model.build(
+            model.ModelConfig(crop_extent=32, norm="batch"), Rng(3))
+        model.save_checkpoint(ckpt, net)
+        run = tmp_path / "e"
+        assert main(["eval", "--run_dir", str(run), "--manifest",
+                     str(dataset), "--checkpoint", str(ckpt),
+                     "--batch_size", "1", "--n_resamples", "10"]) == 0
+        assert "batch_size = 1" in capsys.readouterr().out
+        manifest = volcnn.data.load_manifest(dataset)
+        samples = [volcnn.data.load_sample(manifest, r)
+                   for r in manifest.rows if r.split == "val"]
+        _, probs = optim.evaluate_samples(net, samples, 1)
+        want = metrics.write_logits_csv(
+            [s.subject_id for s in samples], [s.label for s in samples],
+            probs, tmp_path / "want.csv")
+        assert (run / "logits.csv").read_bytes() == want.read_bytes()
+
+    @pytest.mark.parametrize("command", ["eval", "saliency"])
+    @pytest.mark.parametrize("name, value", [("fc2.bias", np.nan),
+                                             ("block2.conv.weight", np.inf)])
+    def test_non_finite_checkpoint_is_a_data_error(
+            self, dataset, trained, tmp_path, capsys, command, name, value):
+        net, extra = model.load_checkpoint(trained / "best.ckpt")
+        net.params[name].data.reshape(-1)[0] = value
+        ckpt = tmp_path / "bad.ckpt"
+        model.save_checkpoint(ckpt, net, extra)
+        run = tmp_path / "r"
+        assert main([command, "--run_dir", str(run), "--manifest",
+                     str(dataset), "--checkpoint", str(ckpt),
+                     "--views", "axial:5"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert f"tensor {name!r} holds a non-finite value" in err[0]
+        assert err[0].count(str(ckpt)) == 1
+        assert not (run / "report.txt").exists()
+        assert not (run / "saliency").exists()
+
+    def test_single_class_split_is_a_data_error(self, dataset, trained,
+                                                tmp_path, capsys):
+        # every AUC is undefined on a split of one class: the data's fault
+        manifest = one_cn_val_manifest(dataset, tmp_path / "one.csv")
+        run = tmp_path / "e"
+        assert main(["eval", "--run_dir", str(run), "--manifest",
+                     str(manifest), "--checkpoint", str(trained / "best.ckpt"),
+                     "--n_resamples", "10"]) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["error: AUC undefined for every class"]
+        assert not (run / "report.txt").exists()
+
 class TestAblate:
     def test_norm_axis_switches_batch_size(self, dataset, tmp_path, capsys):
         run = tmp_path / "ab"
@@ -694,6 +774,19 @@ class TestAblate:
         for sub in ("norm_instance", "norm_batch"):
             assert (run / sub / "best.ckpt").exists()
             assert (run / sub / "report.txt").exists()
+
+    def test_single_class_split_records_a_data_error(self, dataset,
+                                                      tmp_path, capsys):
+        manifest = one_cn_val_manifest(dataset, tmp_path / "one.csv")
+        run = tmp_path / "ab"
+        code = main(["ablate", "--run_dir", str(run), "--manifest",
+                     str(manifest), "--crop_extent", "32", "--max_epochs",
+                     "1", "--axis", "width", "--values", "1",
+                     "--n_resamples", "10"])
+        assert code == 3
+        assert "AUC undefined for every class" in capsys.readouterr().err
+        summary = (run / "summary.csv").read_text().splitlines()
+        assert summary[1] == "1,failed" + ",-" * 12
 
     def test_subsample_axis(self, dataset, tmp_path, capsys, monkeypatch):
         loads = []
