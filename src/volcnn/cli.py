@@ -524,6 +524,7 @@ def effective_config(args, override_tokens) -> dict:
     if args.command in BOOTSTRAP_COMMANDS:  # before any volume is read
         try:
             check_bootstrap(cfg["n_resamples"], cfg["alpha"])
+            TrainConfig(batch_size=cfg["batch_size"])
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     return cfg

@@ -136,6 +136,9 @@ LN_SHAPES = [(4, 6), (2, 9), (5, 3), (3, 8), (6, 4)]
 def check_norm(seed: int = 0) -> list[CheckResult]:
     results = []
 
+    def fresh(x):  # a norm writes over its input, so each forward gets a copy
+        return Tensor(x.data.copy())
+
     def run(name, rng, fwd, tensors):
         results.extend(check_op(name, rng.stream(name, "r"), fwd,
                                 ops.norm_backward,
@@ -148,7 +151,7 @@ def check_norm(seed: int = 0) -> list[CheckResult]:
         gamma = Tensor(rng.stream("in", "g").uniform((c,), 0.5, 1.5))
         beta = Tensor(rng.stream("in", "b").normal((c,)) * 0.2)
         run(f"instance norm #{i}", rng,
-            lambda: ops.instance_norm_forward(x, gamma, beta),
+            lambda: ops.instance_norm_forward(fresh(x), gamma, beta),
             (x, gamma, beta))
 
         bshape = (max(2, shape[0]),) + shape[1:]  # BN train needs N >= 2
@@ -158,12 +161,14 @@ def check_norm(seed: int = 0) -> list[CheckResult]:
         rm = Tensor(np.zeros(c))
         rv = Tensor(np.ones(c))
         run(f"batch norm train #{i}", rng,
-            lambda: ops.batch_norm_forward(xb, gb, bb, rm, rv, "train")[:2],
+            lambda: ops.batch_norm_forward(fresh(xb), gb, bb, rm, rv,
+                                           "train")[:2],
             (xb, gb, bb))
         rm2 = Tensor(rng.stream("bn", "rm").normal((c,)) * 0.3)
         rv2 = Tensor(rng.stream("bn", "rv").uniform((c,), 0.5, 2.0))
         run(f"batch norm eval #{i}", rng,
-            lambda: ops.batch_norm_forward(xb, gb, bb, rm2, rv2, "eval")[:2],
+            lambda: ops.batch_norm_forward(fresh(xb), gb, bb, rm2, rv2,
+                                           "eval")[:2],
             (xb, gb, bb))
 
         n_feat = LN_SHAPES[i][1]
@@ -171,7 +176,7 @@ def check_norm(seed: int = 0) -> list[CheckResult]:
         gl = Tensor(rng.stream("ln", "g").uniform((n_feat,), 0.5, 1.5))
         bl = Tensor(rng.stream("ln", "b").normal((n_feat,)) * 0.2)
         run(f"layer norm #{i}", rng,
-            lambda: ops.layer_norm_forward(xl, gl, bl), (xl, gl, bl))
+            lambda: ops.layer_norm_forward(fresh(xl), gl, bl), (xl, gl, bl))
     return results
 
 

@@ -195,8 +195,9 @@ class Tape:
     """Saved forward state, consumed exactly once by backward, which pops
     each entry once it has used it and leaves `entries` empty. An entry is
     a tuple whose first item names its kind. Each holds only what backward
-    reads: a conv entry its input, a norm entry its NormCache, a relu entry
-    the bool mask x > 0 of the ReLU input, and a pool entry the int32
+    reads: a conv entry its input, a norm entry its NormCache, whose xhat
+    lives in the conv output's array and which backward overwrites, a relu
+    entry the bool mask x > 0 of the ReLU input, and a pool entry the int32
     argmax indices and the pool's input shape. A pooling block
     records conv, norm, pool, relu, so its mask covers the pooled extent;
     an extra block records conv, norm, relu."""
@@ -225,11 +226,12 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
 
     With tape=False nothing is recorded for backward and the tape is None:
     no pool indices, no norm caches, and each intermediate activation is
-    freed once the next layer has read it. The norm then works in place
-    on the conv output, so a block holds one activation of its conv's
-    extent. The logits are bitwise the same. In both modes ReLU works in
-    place on the pooled output (on the norm output in an extra block), and
-    the age sum and the head's ReLU on fc1's output."""
+    freed once the next layer has read it. The norm writes over the conv
+    output in both modes: without a tape its output goes there, so a block
+    holds one activation of its conv's extent; with one xhat goes there,
+    beside a fresh output. The logits are bitwise the same. In both modes
+    ReLU works in place on the pooled output (on the norm output in an
+    extra block), and the age sum and the head's ReLU on fc1's output."""
     cfg = model.config
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
@@ -247,9 +249,9 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
         b = model.params[f"{bp.name}.conv.bias"]
         record(("conv", bp.name, h, bp.conv))
         h = ops.conv3d_forward(h, w, b, bp.conv)
-        # Without a tape nothing else holds the fresh conv output, so the
-        # norm overwrites it. No name keeps it past the block: the next conv
-        # runs beside its input only.
+        # Nothing else holds the fresh conv output, so the norm writes over
+        # it: xhat with a tape, its output without one. No name keeps it
+        # past the block: the next conv runs beside its input only.
         gamma = model.params[f"{bp.name}.norm.gamma"]
         beta = model.params[f"{bp.name}.norm.beta"]
         if bp.norm == "batch":

@@ -1,23 +1,25 @@
 """Differentiable layer kernels: each forward has an exact backward.
 
-Forward kernels return fresh Tensors, except that relu always writes its
-result over its input's array and returns it, and so does a normalization
-without a tape (with one it leaves its input alone). relu_backward and
-norm_backward always write the input gradient over grad_out's array and
-return it. The state backward reads is kept no wider than backward needs:
-relu_backward takes the bool mask x > 0, maxpool3d_argmax gives int32
-indices, and norm_backward works in one full-size buffer besides grad_out.
-The normalizations subtract the mean once and take the variance from that
-difference. Convolution uses cross-correlation semantics (no kernel flip).
-The 3D convolution is lowered to im2col GEMMs (Chellapilla et al., 2006),
-one column slab per sample and first-axis kernel tap, so each BLAS call
-contracts over k*k*C and the column buffer stays at 1/k of a full im2col; a
-1x1x1 stride-1 convolution of one input channel is a broadcast multiply
-instead. Max pooling is split in two ops: maxpool3d_forward takes the
-values from three 1-D maximum passes, and maxpool3d_argmax, which only a
-forward that records a tape for backward calls, recovers the first maximal
-tap by equality. A naive direct-loop oracle for the convolution lives in
-the test suite.
+Two rules of ownership. Every layer forward except conv, pool and linear
+writes over its input's array: relu returns it holding the result, and a
+normalization leaves xhat there, which a tape's cache keeps beside a fresh
+y, or without a tape y itself. The backward ops write the input gradient
+over grad_out's array and return it, and norm_backward consumes its cache:
+it overwrites xhat. The state backward reads is kept no wider than backward
+needs: relu_backward takes the bool mask x > 0, maxpool3d_argmax gives
+int32 indices, and neither the normalizations nor norm_backward hold a
+full-size scratch buffer, only one sample's. The normalizations subtract
+the mean once and take the variance from that difference. Convolution uses
+cross-correlation semantics (no kernel flip). The 3D convolution is lowered
+to im2col GEMMs (Chellapilla et al., 2006), one column slab per first-axis
+kernel tap and sample, so each BLAS call contracts over k*k*C and the
+column buffer stays at 1/k of a full im2col; the backward writes dX's
+columns into that same slab. A 1x1x1 stride-1 convolution of one input
+channel is a broadcast multiply instead. Max pooling is split in two ops:
+maxpool3d_forward takes the values from three 1-D maximum passes, and
+maxpool3d_argmax, which only a forward that records a tape for backward
+calls, recovers the first maximal tap by equality. A naive direct-loop
+oracle for the convolution lives in the test suite.
 
 Output extent per spatial axis:
     conv: floor((in + 2p - d*(k-1) - 1) / s) + 1
@@ -26,6 +28,7 @@ Output extent per spatial axis:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
@@ -93,12 +96,10 @@ def _windows(xp: np.ndarray, spec: ConvSpec,
         writeable=False)
 
 
-def _weight_slabs(w: Tensor) -> list[np.ndarray]:
-    """w[:, :, i] as a [c_out, k*k*C] matrix for each first-axis tap i, its
-    columns in the (j, l, c) order of the column slabs."""
-    o, c, k = w.shape[:3]
-    return [w.data[:, :, i].transpose(0, 2, 3, 1).reshape(o, -1)
-            for i in range(k)]
+def _weight_slab(w: Tensor, i: int) -> np.ndarray:
+    """w[:, :, i] as a [c_out, k*k*C] matrix, its columns in the (j, l, c)
+    order of the column slab of first-axis tap i."""
+    return w.data[:, :, i].transpose(0, 2, 3, 1).reshape(w.shape[0], -1)
 
 
 def conv3d_forward(x: Tensor, w: Tensor, b: Tensor, spec: ConvSpec) -> Tensor:
@@ -133,17 +134,19 @@ def conv3d_forward(x: Tensor, w: Tensor, b: Tensor, spec: ConvSpec) -> Tensor:
     # k*k*C. Channels run innermost, so each output sums channels within a
     # tap and taps in row-major order, as the direct loop does. A
     # channel-major order rounds differently enough in float32 to move one
-    # 6-epoch crop-32 training run by 1 % in loss.
+    # 6-epoch crop-32 training run by 1 % in loss. Taps run outermost, so
+    # one weight slab exists at a time; each sample still adds its slabs in
+    # tap order.
     cols = np.empty((k, k, c) + outs, dtype=x.dtype)
     cols2 = cols.reshape(k * k * c, -1)
-    w_slabs = _weight_slabs(w)
     out = np.zeros((n, o) + outs, dtype=x.dtype)
     prod = np.empty((o, cols2.shape[1]), dtype=x.dtype)
-    for ni in range(n):
-        acc = out[ni].reshape(o, -1)
-        for i in range(k):
+    for i in range(k):
+        w_slab = _weight_slab(w, i)
+        for ni in range(n):
             np.copyto(cols, win[ni, i])
-            acc += np.matmul(w_slabs[i], cols2, out=prod)
+            acc = out[ni].reshape(o, -1)
+            acc += np.matmul(w_slab, cols2, out=prod)
     out += b.data[None, :, None, None, None]
     return Tensor(out)
 
@@ -166,21 +169,23 @@ def conv3d_backward(grad_out: Tensor, x: Tensor, w: Tensor,
     gb = g.sum(axis=(0, 2, 3, 4))
     cols = np.empty((k, k, c) + outs, dtype=x.dtype)
     cols2 = cols.reshape(k * k * c, -1)
-    dcols = np.empty_like(cols)
-    dcols2 = dcols.reshape(cols2.shape)
-    w_slabs_t = [ws.T for ws in _weight_slabs(w)]
-    # (j, l, input slices) of each tap in slab i, for the scatter-add of dX
-    taps = [[(j, l, _tap_slices(k, spec.s, spec.d, outs, (i, j, l)))
-             for j in range(k) for l in range(k)] for i in range(k)]
-    for ni in range(n):
-        g_n = g[ni].reshape(o, -1)
-        gxs = gxp[ni]
-        for i in range(k):
+    # Taps outermost, as in the forward: one weight slab at a time, and each
+    # sample's dW and dX still take their terms in tap order. dX's columns go
+    # into the column slab once dW's GEMM has read it.
+    for i in range(k):
+        w_slab_t = _weight_slab(w, i).T
+        # (j, l, input slices) of each tap in slab i, for the scatter-add
+        taps = [(j, l, _tap_slices(k, spec.s, spec.d, outs, (i, j, l)))
+                for j in range(k) for l in range(k)]
+        for ni in range(n):
+            g_n = g[ni].reshape(o, -1)
+            gxs = gxp[ni]
             np.copyto(cols, win[ni, i])
             gw[:, :, i] += (g_n @ cols2.T).reshape(o, k, k, c).transpose(0, 3, 1, 2)
-            np.matmul(w_slabs_t[i], g_n, out=dcols2)
-            for j, l, sl in taps[i]:
-                gxs[:, sl[0], sl[1], sl[2]] += dcols[j, l]
+            np.matmul(w_slab_t, g_n, out=cols2)
+            for j, l, sl in taps:
+                gxs[:, sl[0], sl[1], sl[2]] += cols[j, l]
+    del cols, cols2  # the slab is freed before dX is cut out of its padding
     p = spec.p
     gx = gxp[:, :, p:p + spatial[0], p:p + spatial[1], p:p + spatial[2]]
     return Tensor(np.ascontiguousarray(gx)), Tensor(gw), Tensor(gb)
@@ -252,9 +257,11 @@ def maxpool3d_backward(grad_out: Tensor, idx: np.ndarray,
     vol = dd * hh * ww
     if idx.min() < 0 or idx.max() >= vol:
         raise ShapeError(f"argmax index out of range for volume of {vol} voxels")
-    g = np.zeros((n * c, vol), dtype=grad_out.dtype)
-    rows = np.arange(n * c)[:, None]
-    np.add.at(g, (rows, idx.reshape(n * c, -1)), grad_out.data.reshape(n * c, -1))
+    g = np.zeros(n * c * vol, dtype=grad_out.dtype)
+    # one flat index over all (sample, channel) volumes takes np.add.at's
+    # fast path for a 1-D index; the adds keep their row-major order
+    flat = idx.reshape(n * c, -1) + (np.arange(n * c, dtype=np.intp) * vol)[:, None]
+    np.add.at(g, flat.reshape(-1), grad_out.data.reshape(-1))
     return Tensor(g.reshape(input_shape))
 
 
@@ -270,13 +277,33 @@ class NormCache:
     fixed_stats: bool = False    # eval-mode batch norm: mean/var are constants
 
 
+def _sum_products(a: np.ndarray, b: np.ndarray, axes: tuple[int, ...],
+                  buf: np.ndarray) -> np.ndarray:
+    """a * b summed over `axes`, keeping them as unit axes, in a's dtype:
+    bit for bit numpy's one reduction of the whole product, yet the products
+    pass one sample at a time through buf, one sample's extent. When axis 0
+    is reduced the per-sample sums add onto 0 in sample order, which is
+    numpy's order too, except where every kept axis has extent 1: numpy sums
+    such an array as one flat run, so that product is formed whole."""
+    kept = [e for ax, e in enumerate(a.shape) if ax not in axes]
+    if 0 in axes and all(e == 1 for e in kept):
+        return np.add.reduce(np.multiply(a, b), axes, a.dtype, keepdims=True)
+    sub = tuple(ax - 1 for ax in axes if ax)
+    sums = (np.add.reduce(np.multiply(ai, bi, out=buf), sub, a.dtype,
+                          keepdims=True) for ai, bi in zip(a, b))
+    if 0 in axes:
+        return functools.reduce(np.add, sums, a.dtype.type(0))[None]
+    return np.stack(list(sums))
+
+
 def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...],
                channel_axis: int, tape: bool, stats=None):
     """gamma * (x - mean) / sqrt(var + EPS) + beta over `axes`, with one
     gamma and beta entry per index of `channel_axis`. mean and the biased
     var are x's, in x's dtype, or the per-channel constants stats = (mean,
-    var). Without a tape y is written over x's array and the cache is None;
-    with one x is left alone. Returns (y, cache, mean, var)."""
+    var). x's array is written over: it holds xhat, which a tape's cache
+    keeps beside a fresh y, and without a tape it holds y and the cache is
+    None. Returns (y, cache, mean, var)."""
     c = x.shape[channel_axis]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"affine params {gamma.shape}/{beta.shape}, expected ({c},)")
@@ -284,28 +311,21 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...],
     bshape = tuple(c if a == channel_axis else 1 for a in range(rank))
     gb = gamma.data.reshape(bshape)
     bb = beta.data.reshape(bshape)
-    batch = 0 in axes
-    sub = tuple(a - 1 for a in axes)
     if stats is not None:
         mean, var = (s.reshape(bshape) for s in stats)
-    elif batch:
+    elif 0 in axes:
         mean = x.data.mean(axis=axes, keepdims=True, dtype=x.dtype)
     else:
+        sub = tuple(a - 1 for a in axes)
         mean = np.stack([xi.mean(axis=sub, keepdims=True, dtype=x.dtype)
                          for xi in x.data])
-    # x - mean once: it is xhat before scaling, and var is the mean of its
-    # square, reduced and divided as numpy's var does, so bit for bit var's.
-    # Without a batch axis the squares go one sample at a time through one
-    # buffer, so the transient covers one sample, not the batch.
-    d = np.subtract(x.data, mean, out=None if tape else x.data)
+    # x - mean once, over x: it is xhat before scaling, and var is the mean
+    # of its square, reduced and divided as numpy's var does, so bit for bit
+    # var's, with a transient of one sample.
+    d = np.subtract(x.data, mean, out=x.data)
     if stats is None:
         count = np.intp(np.prod([x.shape[a] for a in axes]))
-        if batch:
-            var = np.add.reduce(np.square(d), axes, x.dtype, keepdims=True)
-        else:
-            sq = np.empty(x.shape[1:], dtype=x.dtype)
-            var = np.stack([np.add.reduce(np.square(di, out=sq), sub, x.dtype,
-                                          keepdims=True) for di in d])
+        var = _sum_products(d, d, axes, np.empty(x.shape[1:], x.dtype))
         np.true_divide(var, count, out=var, casting="unsafe")
     invstd = 1.0 / np.sqrt(var + EPS)
     # In place, yet the same products in the same order as
@@ -373,28 +393,29 @@ def norm_backward(grad_out: Tensor,
     """Gradients through any normalization forward, including the dependence
     of mean and variance on the input (except eval-mode batch norm, whose
     statistics are constants). dx overwrites grad_out's array, which is
-    returned as dx."""
+    returned as dx, and the cache is consumed: its xhat is overwritten."""
     if grad_out.shape != cache.xhat.shape:
         raise ShapeError(
             f"grad_out shape {grad_out.shape} does not match saved forward "
             f"state for input {cache.xhat.shape}"
         )
     g, xhat = grad_out.data, cache.xhat
-    # One full-size buffer besides g, each product in the order of
-    # dx = invstd * (dxhat - m1 - xhat * m2), so the result is bit for bit
-    # that expression's.
-    buf = np.multiply(g, xhat)
-    dgamma = buf.sum(axis=cache.param_axes)
+    # Each product in the order of dx = invstd * (dxhat - m1 - xhat * m2),
+    # so the result is bit for bit that expression's. Besides g, the only
+    # buffer covers one sample: the products summed for dgamma and m2 pass
+    # through it, and xhat * m2 overwrites xhat, its last use.
+    buf = np.empty(g.shape[1:], g.dtype)
+    dgamma = _sum_products(g, xhat, cache.param_axes, buf).reshape(-1)
     dbeta = g.sum(axis=cache.param_axes)
     # g is read for the last time here, so dx overwrites it
     dx = np.multiply(g, cache.gamma_b, out=g)  # dxhat until the last step
     if not cache.fixed_stats:
+        count = np.intp(np.prod([g.shape[a] for a in cache.axes]))
         m1 = dx.mean(axis=cache.axes, keepdims=True, dtype=g.dtype)
-        m2 = np.multiply(dx, xhat, out=buf).mean(
-            axis=cache.axes, keepdims=True, dtype=g.dtype)
-        np.multiply(xhat, m2, out=buf)
+        m2 = _sum_products(dx, xhat, cache.axes, buf)
+        np.true_divide(m2, count, out=m2, casting="unsafe")  # numpy's mean
         dx -= m1
-        dx -= buf
+        dx -= np.multiply(xhat, m2, out=xhat)
     dx *= cache.invstd
     return Tensor(dx), Tensor(dgamma), Tensor(dbeta)
 

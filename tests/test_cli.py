@@ -202,6 +202,28 @@ class TestConfigHandling:
         assert reads == [] and loads == []
         assert not list(tmp_path.rglob("best.ckpt"))
 
+    @pytest.mark.parametrize("command", ["eval", "ablate"])
+    def test_bad_batch_size_exits_before_any_read(
+            self, dataset, trained, tmp_path, capsys, command):
+        # The val volume was deleted, so a read would exit 3.
+        with open(dataset, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        gone = tmp_path / "val.vol"
+        rows = [[r[0], str(gone) if r[4] == "val" else
+                 str(dataset.parent / r[1])] + r[2:] for r in rows]
+        manifest = tmp_path / "manifest.csv"
+        with open(manifest, "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        args = {"eval": ["--checkpoint", str(trained / "best.ckpt")],
+                "ablate": ["--axis", "norm", "--values", "instance,batch",
+                           "--crop_extent", "32", "--max_epochs", "1"]}
+        code = main([command, "--run_dir", str(tmp_path / "r"),
+                     "--manifest", str(manifest), "--batch_size", "0"]
+                    + args[command])
+        assert code == 2
+        assert "batch_size" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("report.txt"))
+
     @pytest.mark.parametrize("key,value", [
         ("learning_rate", "nan"), ("learning_rate", "inf"),
         ("class_weights", "1,nan,1"), ("blur_hi", "inf")])

@@ -394,21 +394,24 @@ class TestTapeFree:
         assert x.data.tobytes() == before
 
     def test_peak_memory_below_taped_forward(self):
-        # Without a tape a crop-32 batch of 4 peaks at two block1-sized
-        # activations (4.2 MB); the taped forward holds every activation
-        # it will need for backward (8.4 MB).
+        # In block1 activations (crop 32, batch 4: 2.1 MB), measured with
+        # numpy 2.4: without a tape the forward peaks at 1.71; the taped
+        # forward holds what backward needs and peaks at 2.71, where a
+        # taped norm that kept its input beside xhat and y read 3.25.
         net = m.build(m.ModelConfig(crop_extent=32), Rng(24))
         x = Tensor(Rng(25).normal((4, 1, 32, 32, 32)).astype(np.float32))
+        activation = 4 * 4 * 32 ** 3 * 4   # block1: 4 channels, float32
         peaks = {}
         for tape in (True, False):
             tracemalloc.start()
             try:
                 out = m.forward(net, x, None, "eval", tape=tape)
-                peaks[tape] = tracemalloc.get_traced_memory()[1]
+                peaks[tape] = tracemalloc.get_traced_memory()[1] / activation
             finally:
                 tracemalloc.stop()
             del out
-        assert peaks[False] < 0.6 * peaks[True], peaks
+        assert peaks[False] <= 1.8, peaks
+        assert peaks[True] <= 2.8, peaks
 
     def test_peak_below_two_block1_activations(self):
         # Each block's activation is freed before the next block's conv
@@ -427,6 +430,28 @@ class TestTapeFree:
         del out
         activation = n * 4 * e ** 3 * 4   # block1: 4 channels, float32
         assert peak <= 2.0 * activation, peak / activation
+
+
+class TestStepMemory:
+    def test_train_step_peak(self):
+        # A taped forward and its backward, crop 32, batch 4, peak at 3.32
+        # block1 activations (numpy 2.4): the norm keeps xhat in the conv
+        # output's array and its backward overwrites it, and the conv
+        # backward holds one column slab. A norm that kept its input beside
+        # xhat and y, a norm backward with a full-size scratch buffer, and a
+        # conv backward with a second slab read 3.91.
+        net = m.build(m.ModelConfig(crop_extent=32), Rng(24))
+        x = Tensor(Rng(25).normal((4, 1, 32, 32, 32)).astype(np.float32))
+        activation = 4 * 4 * 32 ** 3 * 4   # block1: 4 channels, float32
+        tracemalloc.start()
+        try:
+            logits, tape = m.forward(net, x, None, "train")
+            grads, _ = m.backward(net, tape, Tensor(np.ones_like(logits.data)))
+            peak = tracemalloc.get_traced_memory()[1] / activation
+        finally:
+            tracemalloc.stop()
+        assert set(grads) == set(net.params)
+        assert peak <= 3.4, peak
 
 
 def tape_footprint(tape) -> dict[str, int]:

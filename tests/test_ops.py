@@ -249,6 +249,31 @@ class TestConv:
             assert peak < full, f"traced peak {peak} B >= {full} B"
 
 
+    def test_backward_transient_peak(self):
+        # The backward holds one column slab, one weight slab, dW, the
+        # padded input and padded dX, and one GEMM product; numpy's ufunc
+        # loops add up to three 8192-element buffers. A second slab for dX's
+        # columns and every weight slab at once read 6.96 MB here, against
+        # 3.96 MB measured and a 4.00 MB budget.
+        n, c, e, spec = 2, 16, 12, ops.ConvSpec(k=5, c_out=8, p=2)
+        k, o, item = spec.k, spec.c_out, 4
+        rng = Rng(5).stream("conv-memory")
+        x = Tensor(rng.stream("x").normal((n, c, e, e, e)).astype(np.float32))
+        w = Tensor(rng.stream("w").normal((o, c, k, k, k)).astype(np.float32))
+        g = Tensor(np.ones((n, o, e, e, e), dtype=np.float32))
+        slab = k * k * c * e ** 3 * item
+        w_slab = o * k * k * c * item   # also the size of dW's GEMM product
+        padded = n * c * (e + 2 * spec.p) ** 3 * item
+        budget = slab + 2 * w_slab + w.data.nbytes + 2 * padded + 3 * 8192 * item
+        tracemalloc.start()
+        try:
+            ops.conv3d_backward(g, x, w, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, (peak, budget)
+
+
 class TestMaxPool:
     def test_values_and_indices(self):
         x = np.zeros((1, 1, 4, 4, 4), dtype=np.float32)
@@ -416,7 +441,7 @@ class TestNorms:
         x = Rng(seed).stream("in-inv").normal((1, 2, 4, 4, 4))
         ones = Tensor(np.ones(2))
         zeros = Tensor(np.zeros(2))
-        y0, _ = ops.instance_norm_forward(Tensor(x), ones, zeros)
+        y0, _ = ops.instance_norm_forward(Tensor(x.copy()), ones, zeros)
         y1, _ = ops.instance_norm_forward(Tensor(a * x + b), ones, zeros)
         np.testing.assert_allclose(y1.data, y0.data, atol=1e-4)
 
@@ -424,8 +449,8 @@ class TestNorms:
         rng = Rng(4).stream("in-batch")
         x = rng.normal((3, 2, 4, 4, 4))
         ones, zeros = Tensor(np.ones(2)), Tensor(np.zeros(2))
-        y_all, _ = ops.instance_norm_forward(Tensor(x), ones, zeros)
-        y_one, _ = ops.instance_norm_forward(Tensor(x[:1]), ones, zeros)
+        y_all, _ = ops.instance_norm_forward(Tensor(x.copy()), ones, zeros)
+        y_one, _ = ops.instance_norm_forward(Tensor(x[:1].copy()), ones, zeros)
         np.testing.assert_allclose(y_all.data[:1], y_one.data, atol=1e-12)
 
     def test_batch_norm_depends_on_batch_composition(self):
@@ -433,8 +458,10 @@ class TestNorms:
         x = rng.normal((3, 2, 4, 4, 4))
         ones, zeros = Tensor(np.ones(2)), Tensor(np.zeros(2))
         rm, rv = Tensor(np.zeros(2)), Tensor(np.ones(2))
-        y_all, _, _, _ = ops.batch_norm_forward(Tensor(x), ones, zeros, rm, rv, "train")
-        y_sub, _, _, _ = ops.batch_norm_forward(Tensor(x[:2]), ones, zeros, rm, rv, "train")
+        y_all, _, _, _ = ops.batch_norm_forward(Tensor(x.copy()), ones, zeros,
+                                                rm, rv, "train")
+        y_sub, _, _, _ = ops.batch_norm_forward(Tensor(x[:2].copy()), ones,
+                                                zeros, rm, rv, "train")
         assert not np.allclose(y_all.data[:2], y_sub.data, atol=1e-6)
 
     def test_batch_norm_running_stat_update(self):
@@ -442,24 +469,27 @@ class TestNorms:
         x = rng.normal((4, 2, 3, 3, 3)) + 1.5
         ones, zeros = Tensor(np.ones(2)), Tensor(np.zeros(2))
         rm, rv = Tensor(np.zeros(2)), Tensor(np.ones(2))
-        _, _, nm, nv = ops.batch_norm_forward(Tensor(x), ones, zeros, rm, rv,
-                                              "train")
+        _, _, nm, nv = ops.batch_norm_forward(Tensor(x.copy()), ones, zeros,
+                                              rm, rv, "train")
         m = x.size // 2
         mean = x.mean(axis=(0, 2, 3, 4))
         var = x.var(axis=(0, 2, 3, 4)) * m / (m - 1)
         np.testing.assert_allclose(nm.data, 0.1 * mean, rtol=1e-12)
         np.testing.assert_allclose(nv.data, 0.9 + 0.1 * var, rtol=1e-12)
         # eval mode leaves the stats alone
-        _, _, em, ev = ops.batch_norm_forward(Tensor(x), ones, zeros, nm, nv, "eval")
+        _, _, em, ev = ops.batch_norm_forward(Tensor(x.copy()), ones, zeros,
+                                              nm, nv, "eval")
         assert em is nm and ev is nv
 
     def test_batch_norm_train_vs_eval_differ(self):
         rng = Rng(6).stream("bn-mode")
-        x = Tensor(rng.normal((3, 2, 4, 4, 4)) + 2.0)
+        x = rng.normal((3, 2, 4, 4, 4)) + 2.0
         ones, zeros = Tensor(np.ones(2)), Tensor(np.zeros(2))
         rm, rv = Tensor(np.zeros(2)), Tensor(np.ones(2))
-        y_tr, _, _, _ = ops.batch_norm_forward(x, ones, zeros, rm, rv, "train")
-        y_ev, _, _, _ = ops.batch_norm_forward(x, ones, zeros, rm, rv, "eval")
+        y_tr, _, _, _ = ops.batch_norm_forward(Tensor(x.copy()), ones, zeros,
+                                               rm, rv, "train")
+        y_ev, _, _, _ = ops.batch_norm_forward(Tensor(x.copy()), ones, zeros,
+                                               rm, rv, "eval")
         assert not np.allclose(y_tr.data, y_ev.data, atol=1e-3)
 
     def test_batch_norm_needs_two_samples(self):
@@ -482,8 +512,8 @@ class TestNorms:
         rm = rng.stream("rm").normal((c,)).astype(dtype)
         rv = rng.stream("rv").uniform((c,), 0.5, 2.0).astype(dtype)
         y, cache, nm, nv = ops.batch_norm_forward(
-            Tensor(x), Tensor(gamma), Tensor(beta), Tensor(rm), Tensor(rv),
-            "train")
+            Tensor(x.copy()), Tensor(gamma), Tensor(beta), Tensor(rm),
+            Tensor(rv), "train")
         b = (1, c, 1, 1, 1)
         mean = x.mean(axis=(0, 2, 3, 4))
         var = x.var(axis=(0, 2, 3, 4))
@@ -579,8 +609,9 @@ class TestNorms:
             _, cache, _, _ = ops.batch_norm_forward(
                 x, gamma, beta, rm, rv, kind.split()[1])
         g = rng.stream("grad").normal(shape).astype(dtype)
+        want = norm_backward_expression(g, cache)  # before the cache is used
         got = ops.norm_backward(Tensor(g.copy()), cache)  # overwrites its g
-        for a, b in zip(got, norm_backward_expression(g, cache)):
+        for a, b in zip(got, want):
             assert a.data.dtype == b.dtype == dtype
             assert a.data.tobytes() == b.tobytes()
 
@@ -603,6 +634,27 @@ class TestNorms:
         assert mean.dtype == var.dtype == dtype
         assert mean.tobytes() == want_mean.tobytes()
         assert var.tobytes() == want_var.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, axes", [
+        ((2, 5, 7, 9, 11), (2, 3, 4)), ((2, 5, 7, 9, 11), (0, 2, 3, 4)),
+        ((3, 32, 43, 43, 43), (2, 3, 4)), ((3, 32, 43, 43, 43), (0, 2, 3, 4)),
+        ((4, 2, 13, 17, 19), (0, 2, 3, 4)), ((1, 3, 5, 5, 5), (0, 2, 3, 4)),
+        ((3, 1, 6, 7, 8), (2, 3, 4)), ((3, 1, 6, 7, 8), (0, 2, 3, 4)),
+        ((5, 37), (1,)), ((5, 37), (0,)), ((6, 1), (0,)), ((3, 512), (0,)),
+    ])
+    def test_sum_products_equals_whole_batch_reduction(self, shape, axes,
+                                                       dtype):
+        # The norms' one-sample sums give the bytes of numpy's one reduction
+        # of the whole product, with the batch axis reduced or kept; a
+        # single channel reduced with the batch is the one flat run.
+        rng = Rng(51).stream("sum-products", *shape)
+        a = (rng.stream("a").normal(shape) * 3.0 - 1.0).astype(dtype)
+        b = rng.stream("b").normal(shape).astype(dtype)
+        got = ops._sum_products(a, b, axes, np.empty(shape[1:], dtype))
+        want = np.add.reduce(a * b, axes, dtype, keepdims=True)
+        assert got.dtype == dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("case", ["spread", "constant", "near 1e3"])
@@ -662,11 +714,12 @@ class TestNorms:
                 Tensor(np.ones(c, np.float32)), "train")
         g0 = rng.stream("grad").normal(shape).astype(np.float32)
         g = Tensor(g0.copy())
+        want = norm_backward_expression(g0, cache)  # before the cache is used
         got = ops.norm_backward(g, cache)
         # dx is written over grad_out's own array, with the bytes of the
         # pure expression of the same gradient
         assert got[0].data is g.data
-        for a, b in zip(got, norm_backward_expression(g0, cache)):
+        for a, b in zip(got, want):
             assert a.data.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("tape", [True, False])
@@ -680,17 +733,17 @@ class TestNorms:
 
         def run(x, tape):
             if kind == "instance":
-                return ops.instance_norm_forward(x, gamma, beta, tape)[0]
+                return ops.instance_norm_forward(x, gamma, beta, tape)
             return ops.batch_norm_forward(x, gamma, beta, rm, rv,
-                                          kind.split()[1], tape=tape)[0]
+                                          kind.split()[1], tape=tape)[:2]
 
-        x0 = x.data.copy()
-        taped = run(Tensor(x0.copy()), True)
-        y = run(x, tape)
-        if tape:  # a taped norm leaves x alone
+        taped, _ = run(Tensor(x.data.copy()), True)
+        y, cache = run(x, tape)
+        if tape:  # x's own array holds the cache's xhat, beside a fresh y
+            assert cache.xhat is x.data
             assert y.data is not x.data
-            assert x.data.tobytes() == x0.tobytes()
-        else:  # a tape-free one writes over x's own array
+        else:  # a tape-free one writes y over x's own array
+            assert cache is None
             assert y.data is x.data
         assert y.data.tobytes() == taped.data.tobytes()
 
