@@ -130,20 +130,26 @@ def _format_value(key: str, value) -> str:
 
 
 def load_config_file(path) -> dict:
-    out = {}
+    """The file's settings. A comment is a whole line whose first non-blank
+    character is #, so a value may hold a #; a key set twice is an error."""
+    out, line_of = {}, {}
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from None
     for lineno, line in enumerate(text.splitlines(), 1):
-        body = line.split("#", 1)[0].strip()
-        if not body:
+        body = line.strip()
+        if not body or body.startswith("#"):
             continue
         if "=" not in body:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
         key, val = (s.strip() for s in body.split("=", 1))
         if key not in SCHEMA:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in line_of:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is already set "
+                              f"on line {line_of[key]}")
+        line_of[key] = lineno
         out[key] = _parse_value(key, val)
     return out
 
@@ -259,9 +265,7 @@ def cmd_train(cfg: dict, run_dir: Path, loaded: dict | None = None) -> int:
     model_cfg = ModelConfig(**{k: cfg[k] for k in MODEL_KEYS})
     train_cfg = TrainConfig(**{k: cfg[k] for k in TRAIN_KEYS})
     batch_size = resolve_batch_size(train_cfg, model_cfg)
-    ckpt = cfg["checkpoint"] or str(run_dir / "best.ckpt")
-    if not Path(ckpt).parent.is_dir():  # before any epoch, not after one
-        raise ConfigError(f"checkpoint {ckpt}: its directory does not exist")
+    ckpt = str(run_dir / "best.ckpt")  # the checkpoint key names an input only
     net = build(model_cfg, Rng(cfg["seed"]))  # MemoryError before any read
     manifest = _load_manifest(cfg)
     manifest = data_mod.subsample(manifest, cfg["subsample_rate"],
@@ -423,12 +427,14 @@ def cmd_saliency(cfg: dict, run_dir: Path, net) -> int:
     samples = _split_samples(manifest, cfg["split"])
     out_dir = run_dir / "saliency"
 
-    maps = []
+    maps, scans = [], {}
     for s in samples:
         vol = model_input([s], crop, net.config.normalize)[0, 0]
         smap = saliency(net, vol, s.label, age=s.age)
-        export_slices(smap, views, out_dir / s.subject_id,
-                      with_volume=False)
+        # a subject's later scans get "~2", "~3", ...: ~ is no id character
+        k = scans[s.subject_id] = scans.get(s.subject_id, 0) + 1
+        name = s.subject_id if k == 1 else f"{s.subject_id}~{k}"
+        export_slices(smap, views, out_dir / name, with_volume=False)
         maps.append(smap)
     combined = gaussian_blur(aggregate(maps), cfg["smooth_sigma"])
     export_slices(combined, views, out_dir / "aggregate", with_volume=True)

@@ -409,11 +409,10 @@ def zscore_stats(volume: np.ndarray) -> tuple[np.float64, np.float64]:
     return volume.mean(dtype=np.float64), std
 
 
-def intensity_normalize(volume: np.ndarray, stats=None) -> np.ndarray:
-    """Per-volume z-score. `stats` is the (mean, std) to apply, from
-    zscore_stats of the whole volume when `volume` is a window of it;
-    without it, the volume's own. Integer voxels give float32."""
-    mean, std = zscore_stats(volume) if stats is None else stats
+def intensity_normalize(volume: np.ndarray, stats) -> np.ndarray:
+    """Per-volume z-score: `stats` is zscore_stats of the whole volume, of
+    which `volume` may be a window. Integer voxels give float32."""
+    mean, std = stats
     return ((volume - mean) / std).astype(_real_dtype(volume.dtype))
 
 

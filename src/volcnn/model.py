@@ -285,7 +285,7 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
     record(("fc1", h))
     z = ops.linear_forward(h, model.params["fc1.weight"], model.params["fc1.bias"])
     if cfg.age_mode == "encoded":
-        ae = ops.age_encode(ages_arr, ops.D_MODEL, model.dtype)
+        ae = ops.age_encode(ages_arr, model.dtype)
         a1 = ops.linear_forward(ae, model.params["age.fc1.weight"],
                                 model.params["age.fc1.bias"])
         a1n, ln_cache = ops.layer_norm_forward(

@@ -313,12 +313,8 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...],
     bb = beta.data.reshape(bshape)
     if stats is not None:
         mean, var = (s.reshape(bshape) for s in stats)
-    elif 0 in axes:
-        mean = x.data.mean(axis=axes, keepdims=True, dtype=x.dtype)
     else:
-        sub = tuple(a - 1 for a in axes)
-        mean = np.stack([xi.mean(axis=sub, keepdims=True, dtype=x.dtype)
-                         for xi in x.data])
+        mean = x.data.mean(axis=axes, keepdims=True, dtype=x.dtype)
     # x - mean once, over x: it is xhat before scaling, and var is the mean
     # of its square, reduced and divided as numpy's var does, so bit for bit
     # var's, with a transient of one sample.
@@ -493,19 +489,17 @@ def round_age(age):
     return np.floor(np.asarray(age) * 2.0 + 0.5) / 2.0
 
 
-def age_encode(age, d_model: int = D_MODEL, dtype=np.float32) -> Tensor:
-    """Fixed sinusoidal embedding of ages in years, [d_model] for one age
-    and [N, d_model] for N. Each age is rounded to 0.5-year resolution, then
-    for each frequency index i the pair (sin, cos) of age / 10000^(2i/d_model)
+def age_encode(age, dtype=np.float32) -> Tensor:
+    """Fixed sinusoidal embedding of ages in years, [D_MODEL] for one age
+    and [N, D_MODEL] for N. Each age is rounded to 0.5-year resolution, then
+    for each frequency index i the pair (sin, cos) of age / 10000^(2i/D_MODEL)
     fills components 2i and 2i+1."""
     ages = np.asarray(age, dtype=np.float64)
     if not ((ages >= 0.0) & (ages <= MAX_AGE)).all():  # NaN fails too
         raise ValueError(f"ages outside [0, {MAX_AGE:g}]: {ages}")
-    if d_model < 2 or d_model % 2:
-        raise ValueError(f"d_model must be even and positive, got {d_model}")
-    i = np.arange(d_model // 2, dtype=np.float64)
-    angles = np.divide.outer(round_age(ages), 10000.0 ** (2.0 * i / d_model))
-    out = np.empty(ages.shape + (d_model,), dtype=np.float64)
+    i = np.arange(D_MODEL // 2, dtype=np.float64)
+    angles = np.divide.outer(round_age(ages), 10000.0 ** (2.0 * i / D_MODEL))
+    out = np.empty(ages.shape + (D_MODEL,), dtype=np.float64)
     out[..., 0::2] = np.sin(angles)
     out[..., 1::2] = np.cos(angles)
     return Tensor(out.astype(dtype))

@@ -24,22 +24,20 @@ class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
 
-def _mix64(z: int) -> int:
-    """SplitMix64 finalizer on a 64-bit integer (pure Python ints)."""
-    z &= _MASK64
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
-    return z ^ (z >> 31)
-
-
 def _finalize(z: np.ndarray) -> np.ndarray:
-    """The SplitMix64 finalizer of `_mix64`, in place on a uint64 array."""
+    """The SplitMix64 finalizer, in place on a uint64 array (wrapping mod
+    2^64, which an array does without numpy's scalar overflow warning)."""
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
     z *= np.uint64(0x94D049BB133111EB)
     z ^= z >> np.uint64(31)
     return z
+
+
+def _mix64(z: int) -> int:
+    """`_finalize` of one integer, taken mod 2^64."""
+    return int(_finalize(np.array([z & _MASK64], dtype=np.uint64))[0])
 
 
 def _hash_token(token: int | str) -> int:
@@ -49,7 +47,7 @@ def _hash_token(token: int | str) -> int:
         for b in token.encode("utf-8"):
             h = ((h ^ b) * 0x100000001B3) & _MASK64
         return _mix64(h)
-    return _mix64(int(token) & _MASK64)
+    return _mix64(int(token))
 
 
 class Rng:
@@ -66,7 +64,7 @@ class Rng:
     __slots__ = ("_key", "_counter")
 
     def __init__(self, seed: int):
-        self._key = _mix64(int(seed) & _MASK64)
+        self._key = _mix64(int(seed))
         self._counter = 0
 
     def stream(self, *tokens: int | str) -> "Rng":

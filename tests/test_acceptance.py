@@ -341,7 +341,7 @@ def test_criterion_07_data_integrity(tmp_path):
 def test_criterion_08_age_encoding(monkeypatch):
     with criterion(8, "sinusoidal identity, rounding, head isolation"):
         for age in (0.0, 40.25, 63.5, 77.7, 100.0):
-            e = ops.age_encode(age, 128, np.float64).data
+            e = ops.age_encode(age, np.float64).data
             pair = e[0::2] ** 2 + e[1::2] ** 2
             assert np.abs(pair - 1.0).max() <= 1e-12
         for raw, rounded in ((70.0, 70.0), (70.24, 70.0), (70.25, 70.5),
@@ -367,8 +367,8 @@ def test_criterion_08_age_encoding(monkeypatch):
 
         real = ops.age_encode
 
-        def tampered(age, d_model=128, dtype=np.float32):
-            out = real(age, d_model, dtype)
+        def tampered(age, dtype=np.float32):
+            out = real(age, dtype)
             out.data[:] += 3.0
             return out
 

@@ -299,6 +299,36 @@ class TestConfigHandling:
         out = capsys.readouterr().out
         assert out.startswith((run / "config.txt").read_text())
 
+    def test_config_txt_with_hash_in_paths_reproduces_run(
+            self, dataset, trained, tmp_path):
+        data_dir = tmp_path / "d#1"
+        data_dir.mkdir()
+        for f in dataset.parent.iterdir():
+            (data_dir / f.name).write_bytes(f.read_bytes())
+        run = tmp_path / "r#2"
+        assert main(["eval", "--run_dir", str(run), "--manifest",
+                     str(data_dir / "manifest.csv"),
+                     "--checkpoint", str(trained / "best.ckpt")]) == 0
+        names = ("config.txt", "report.txt", "logits.csv")
+        first = {n: (run / n).read_bytes() for n in names}
+        assert f"run_dir = {run}\n".encode() in first["config.txt"]
+        for n in names[1:]:
+            (run / n).unlink()
+        assert main(["eval", "--config", str(run / "config.txt")]) == 0
+        assert {n: (run / n).read_bytes() for n in names} == first
+
+    def test_key_set_twice_exits_before_any_read(self, dataset, trained,
+                                                 tmp_path, capsys):
+        cfg = tmp_path / "cfg.txt"
+        run = tmp_path / "r"
+        cfg.write_text(f"  # indented comment\nmanifest = {dataset}\n"
+                       f"run_dir = {run}\nmanifest = {dataset}\n")
+        assert main(["eval", "--config", str(cfg),
+                     "--checkpoint", str(trained / "best.ckpt")]) == 2
+        err = capsys.readouterr().err
+        assert "cfg.txt:4" in err and "'manifest'" in err and "line 2" in err
+        assert not run.exists()
+
     def test_config_txt_reproduces_run(self, tmp_path):
         first = tmp_path / "first"
         assert main(["synth", "--run_dir", str(first), "--seed", "3",
@@ -392,20 +422,21 @@ class TestTrain:
         assert "resolved batch_size = 4" in out
         assert LOG_HEADER in out
 
-    def test_missing_checkpoint_directory_fails_first(self, dataset,
-                                                      tmp_path, capsys):
-        run = tmp_path / "r"
-        ckpt = tmp_path / "missing" / "dir" / "x.ckpt"
-        code = main(["train", "--run_dir", str(run), "--manifest",
-                     str(dataset), "--crop_extent", "32", "--max_epochs", "1",
-                     "--checkpoint", str(ckpt)])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert str(ckpt) in captured.err and "Traceback" not in captured.err
-        assert "train_subjects" not in captured.out  # no manifest read
-        assert LOG_HEADER not in captured.out
-        assert not (run / "train_log.csv").exists()
-        assert not (tmp_path / "missing").exists()
+    def test_config_of_an_eval_run_leaves_its_checkpoint(
+            self, dataset, trained, tmp_path, capsys):
+        ckpt = tmp_path / "model" / "best.ckpt"
+        ckpt.parent.mkdir()
+        ckpt.write_bytes((trained / "best.ckpt").read_bytes())
+        assert main(["eval", "--run_dir", str(tmp_path / "e"), "--manifest",
+                     str(dataset), "--checkpoint", str(ckpt)]) == 0
+        run = tmp_path / "t"
+        capsys.readouterr()
+        assert main(["train", "--config", str(tmp_path / "e" / "config.txt"),
+                     "--run_dir", str(run), "--max_epochs", "1",
+                     "--seed", "1"]) == 0
+        assert ckpt.read_bytes() == (trained / "best.ckpt").read_bytes()
+        assert f"checkpoint = {run / 'best.ckpt'}\n" in capsys.readouterr().out
+        assert (run / "best.ckpt").exists()
 
     def test_batch_norm_batch_of_one_fails_first(self, dataset, tmp_path,
                                                  capsys):
@@ -906,6 +937,29 @@ class TestSaliency:
         assert "aggregate_map.vol" in files
         assert "aggregate_axial5.pgm" in files
         assert sum(f.endswith(".pgm") for f in files) == 8
+
+    def test_repeated_subject_keeps_every_scan(self, dataset, trained,
+                                               tmp_path, capsys):
+        with open(dataset, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        rows = [[r[0], str(dataset.parent / r[1])] + r[2:] for r in rows]
+        first = next(r for r in rows if r[4] == "val")
+        other = next(r for r in rows if r[4] == "train" and r[2] == first[2])
+        rows.append([first[0], other[1]] + first[2:])  # a second val scan
+        manifest = tmp_path / "manifest.csv"
+        with open(manifest, "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        run = tmp_path / "sal"
+        assert main(["saliency", "--run_dir", str(run),
+                     "--manifest", str(manifest),
+                     "--checkpoint", str(trained / "best.ckpt"),
+                     "--split", "val", "--views", "axial:5,coronal:7"]) == 0
+        out = capsys.readouterr().out
+        assert "saliency_files = 11" in out  # 4 scans x 2 views + 2 + 1
+        files = {p.name for p in (run / "saliency").iterdir()}
+        assert len(files) == 11
+        for name in (first[0], f"{first[0]}~2"):
+            assert {f"{name}_axial5.pgm", f"{name}_coronal7.pgm"} <= files
 
     def test_bad_view_spec(self, dataset, trained, tmp_path):
         assert main(["saliency", "--run_dir", str(tmp_path / "r"),

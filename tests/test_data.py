@@ -20,6 +20,9 @@ from volcnn.cli import _write_text
 from volcnn.model import ModelConfig, build
 from volcnn.tensor import Rng
 
+# an overflow or invalid value in these tests is a failure, not a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def nifti_bytes(vol, dtype_code, endian="<", magic=b"n+1\x00",
                 slope=0.0, inter=0.0, vox_offset=352.0, rank=None):
@@ -554,19 +557,21 @@ class TestCrops:
 class TestNormalize:
     def test_zero_mean_unit_std(self):
         vol = (Rng(6).stream("nz").normal((8, 8, 8)) * 4 + 3).astype(np.float32)
-        out = data.intensity_normalize(vol)
+        out = data.intensity_normalize(vol, data.zscore_stats(vol))
         assert abs(float(out.mean())) < 1e-5
         assert abs(float(out.std()) - 1.0) < 1e-4
 
     def test_affine_invariance(self):
         vol = Rng(7).stream("na").normal((6, 6, 6)).astype(np.float32)
-        a = data.intensity_normalize(vol)
-        b = data.intensity_normalize((2.5 * vol + 11.0).astype(np.float32))
+        a = data.intensity_normalize(vol, data.zscore_stats(vol))
+        vol2 = (2.5 * vol + 11.0).astype(np.float32)
+        b = data.intensity_normalize(vol2, data.zscore_stats(vol2))
         np.testing.assert_allclose(a, b, atol=1e-5)
 
     def test_constant_rejected(self):
         with pytest.raises(ValueError, match="constant"):
-            data.intensity_normalize(np.full((4, 4, 4), 2.0, np.float32))
+            vol = np.full((4, 4, 4), 2.0, np.float32)
+            data.intensity_normalize(vol, data.zscore_stats(vol))
 
 
 class TestModelInput:
@@ -584,7 +589,8 @@ class TestModelInput:
             aug = Rng(4).stream("augment", i)  # a copy of the same stream
             sigma = float(aug.uniform(lo=0.0, hi=1.5))
             want = data.random_crop(data.gaussian_blur(
-                data.intensity_normalize(s.volume), sigma), 8, aug)
+                data.intensity_normalize(s.volume, data.zscore_stats(s.volume)),
+                sigma), 8, aug)
             assert out[i, 0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("normalize", [True, False])
@@ -592,7 +598,9 @@ class TestModelInput:
         samples = self.samples()
         out = data.model_input(samples, 8, normalize)
         for i, s in enumerate(samples):
-            vol = data.intensity_normalize(s.volume) if normalize else s.volume
+            vol = (data.intensity_normalize(s.volume,
+                                            data.zscore_stats(s.volume))
+                   if normalize else s.volume)
             assert out[i, 0].tobytes() == data.center_crop(vol, 8).tobytes()
 
     def test_non_float32_volume_yields_float32(self):
@@ -708,7 +716,8 @@ class TestCropFirst:
         shape, extent, sigma, corner, seed = case
         vol = (Rng(seed).stream("cf").normal(shape) * 3 + 1).astype(np.float32)
         s = data.Sample(vol, "v", 0, 70.0, "train")
-        full = data.intensity_normalize(vol) if normalize else vol
+        full = (data.intensity_normalize(vol, data.zscore_stats(vol))
+                if normalize else vol)
         want = data.random_crop(data.gaussian_blur(full, sigma), extent,
                                 PinnedDraws(sigma, corner))
         got = data.model_input([s], extent, normalize,

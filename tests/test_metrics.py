@@ -8,6 +8,9 @@ from hypothesis import given, settings, strategies as st
 from volcnn import metrics
 from volcnn.tensor import Rng
 
+# an overflow or invalid value in these tests is a failure, not a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def pairwise_auc(scores, labels):
     """O(P*N) oracle: concordant pairs count 1, ties 0.5."""

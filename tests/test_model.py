@@ -13,6 +13,9 @@ from hypothesis import given, settings, strategies as st
 from volcnn import gradcheck, model as m, ops
 from volcnn.tensor import Rng, ShapeError, Tensor
 
+# an overflow or invalid value in these tests is a failure, not a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 EXPECTED_96 = [
     ("input", (1, 96, 96, 96)),
     ("block1.conv", (4, 96, 96, 96)),

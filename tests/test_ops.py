@@ -11,6 +11,9 @@ from hypothesis.extra import numpy as hnp
 from volcnn import gradcheck, ops
 from volcnn.tensor import Rng, Tensor, ShapeError
 
+# an overflow or invalid value in these tests is a failure, not a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def naive_conv3d(x, w, b, spec):
     """Direct-loop cross-correlation, one multiply-add at a time. Oracle for
@@ -857,18 +860,19 @@ class TestGradcheckHarness:
 
 class TestAgeEncode:
     def test_first_pair_is_sin_cos_of_age(self):
-        v = ops.age_encode(76.5, d_model=8)
+        v = ops.age_encode(76.5)
         assert v.data[0] == pytest.approx(np.sin(76.5), rel=1e-6)
         assert v.data[1] == pytest.approx(np.cos(76.5), rel=1e-6)
 
     def test_pairs_have_unit_norm(self):
-        v = ops.age_encode(63.0, d_model=128)
+        v = ops.age_encode(63.0)
         sq = v.data[0::2] ** 2 + v.data[1::2] ** 2
         np.testing.assert_allclose(sq, 1.0, rtol=1e-5)
 
     def test_frequency_ladder(self):
-        d = 16
-        v = ops.age_encode(80.0, d_model=d)
+        d = ops.D_MODEL
+        v = ops.age_encode(80.0)
+        assert v.shape == (d,)
         for i in range(d // 2):
             angle = 80.0 / 10000.0 ** (2.0 * i / d)
             assert v.data[2 * i] == pytest.approx(np.sin(angle), abs=1e-6)
@@ -880,16 +884,16 @@ class TestAgeEncode:
     ])
     def test_rounding_to_half_years(self, raw, rounded):
         assert ops.round_age(raw) == rounded
-        v = ops.age_encode(raw, d_model=4)
-        w = ops.age_encode(rounded, d_model=4)
+        v = ops.age_encode(raw)
+        w = ops.age_encode(rounded)
         np.testing.assert_array_equal(v.data, w.data)
 
     def test_array_rows_equal_single_ages(self):
         ages = [0.0, 63.0, 76.3, 120.0]
-        rows = ops.age_encode(np.array(ages), 16, np.float32).data
-        assert rows.shape == (4, 16)
+        rows = ops.age_encode(np.array(ages), np.float32).data
+        assert rows.shape == (4, ops.D_MODEL)
         for age, row in zip(ages, rows):
-            assert row.tobytes() == ops.age_encode(age, 16).data.tobytes()
+            assert row.tobytes() == ops.age_encode(age).data.tobytes()
 
     def test_age_out_of_range(self):
         with pytest.raises(ValueError):
@@ -898,7 +902,3 @@ class TestAgeEncode:
             ops.age_encode(120.5)
         with pytest.raises(ValueError, match="outside"):
             ops.age_encode(np.array([70.0, np.nan]))
-
-    def test_odd_d_model_rejected(self):
-        with pytest.raises(ValueError):
-            ops.age_encode(70.0, d_model=7)

@@ -11,6 +11,9 @@ from volcnn.model import (ModelConfig, build, forward, layer_plan,
                           load_checkpoint, tensor_shapes)
 from volcnn.tensor import Rng, Tensor
 
+# an overflow or invalid value in these tests is a failure, not a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def synth_sets(n_per_class=4, extent=40, seed=5, noise=0.1):
     samples = data.generate_synthetic(n_per_class, extent, Rng(seed),

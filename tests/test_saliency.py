@@ -8,6 +8,9 @@ from volcnn.data import NativeVolume, gaussian_blur
 from volcnn.model import ModelConfig, build
 from volcnn.tensor import F64, Rng, ShapeError, Tensor
 
+# an overflow or invalid value in these tests is a failure, not a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def small_net(seed=0, dtype=None, **overrides):
     cfg = ModelConfig(crop_extent=32, **overrides)

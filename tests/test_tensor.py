@@ -3,6 +3,9 @@ import pytest
 
 from volcnn import tensor as T
 
+# an overflow or invalid value in these tests is a failure, not a warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 class TestInit:
     def test_kaiming_deterministic(self):
