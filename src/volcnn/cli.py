@@ -427,18 +427,20 @@ def cmd_saliency(cfg: dict, run_dir: Path, net) -> int:
     samples = _split_samples(manifest, cfg["split"])
     out_dir = run_dir / "saliency"
 
-    maps, scans = [], {}
+    maps, scans, total = [], {}, 0
     for s in samples:
         vol = model_input([s], crop, net.config.normalize)[0, 0]
         smap = saliency(net, vol, s.label, age=s.age)
         # a subject's later scans get "~2", "~3", ...: ~ is no id character
         k = scans[s.subject_id] = scans.get(s.subject_id, 0) + 1
         name = s.subject_id if k == 1 else f"{s.subject_id}~{k}"
-        export_slices(smap, views, out_dir / name, with_volume=False)
+        total += len(export_slices(smap, views, out_dir / name,
+                                   with_volume=False))
         maps.append(smap)
     combined = gaussian_blur(aggregate(maps), cfg["smooth_sigma"])
-    export_slices(combined, views, out_dir / "aggregate", with_volume=True)
-    total = len(samples) * len(views) + len(views) + 1
+    # ~ starts no subject id, so no subject's slices share these names
+    total += len(export_slices(combined, views, out_dir / "~aggregate",
+                               with_volume=True))
     print(f"saliency_files = {total}")
     print(f"saliency_dir = {out_dir}")
     return EXIT_OK

@@ -196,11 +196,13 @@ class Tape:
     each entry once it has used it and leaves `entries` empty. An entry is
     a tuple whose first item names its kind. Each holds only what backward
     reads: a conv entry its input, a norm entry its NormCache, whose xhat
-    lives in the conv output's array and which backward overwrites, a relu
-    entry the bool mask x > 0 of the ReLU input, and a pool entry the int32
-    argmax indices and the pool's input shape. A pooling block
+    lives in the conv output's array and which backward overwrites with dx,
+    a relu entry the bool mask x > 0 of the ReLU input, and a pool entry
+    the int32 argmax indices and the pool's input shape. A pooling block
     records conv, norm, pool, relu, so its mask covers the pooled extent;
-    an extra block records conv, norm, relu."""
+    backward takes its pool and norm entries together. Block1's NormCache
+    holds no xhat: backward rebuilds it from the conv entry's input. An
+    extra block records conv, norm, relu."""
     model_version: int
     entries: list
 
@@ -229,7 +231,9 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
     freed once the next layer has read it. The norm writes over the conv
     output in both modes: without a tape its output goes there, so a block
     holds one activation of its conv's extent; with one xhat goes there,
-    beside a fresh output. The logits are bitwise the same. In both modes
+    and a pooling block forms its norm output one sample at a time in a
+    one-sample buffer, pooling each sample's (an extra block forms it
+    whole). The logits are bitwise the same. In both modes
     ReLU works in place on the pooled output (on the norm output in an
     extra block), and the age sum and the head's ReLU on fc1's output."""
     cfg = model.config
@@ -254,22 +258,29 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
         # past the block: the next conv runs beside its input only.
         gamma = model.params[f"{bp.name}.norm.gamma"]
         beta = model.params[f"{bp.name}.norm.beta"]
+        # a taped pooling block pools its norm output a sample at a time
+        pool_taped = tape and bp.pool is not None
         if bp.norm == "batch":
             rm_key = f"{bp.name}.norm.running_mean"
             rv_key = f"{bp.name}.norm.running_var"
             # eval mode hands the running stats back unchanged
             h, cache, model.buffers[rm_key], model.buffers[rv_key] = (
                 ops.batch_norm_forward(h, gamma, beta, model.buffers[rm_key],
-                                       model.buffers[rv_key], mode, tape=tape))
+                                       model.buffers[rv_key], mode, tape=tape,
+                                       form_y=not pool_taped))
         else:
-            h, cache = ops.instance_norm_forward(h, gamma, beta, tape=tape)
+            h, cache = ops.instance_norm_forward(h, gamma, beta, tape=tape,
+                                                 form_y=not pool_taped)
         record(("norm", bp.name, cache))
-        if bp.pool is not None:
-            pooled = ops.maxpool3d_forward(h, *bp.pool)
-            if tape:
-                record(("pool", ops.maxpool3d_argmax(h, pooled, *bp.pool),
-                        h.shape))
-            h = pooled
+        if pool_taped:
+            h, idx = ops.norm_pool_forward(cache, beta, *bp.pool)
+            record(("pool", idx, cache.xhat.shape))
+            if bp.in_channels == 1:
+                # block1: the cheapest conv and the largest output, so
+                # backward rebuilds its xhat from the conv input instead
+                cache.xhat = None
+        elif bp.pool is not None:
+            h = ops.maxpool3d_forward(h, *bp.pool)
         # h is a fresh array nothing else holds: the norm output of an
         # extra block, else the pooled output.
         h = ops.relu(h)
@@ -322,7 +333,7 @@ def backward(model: Model, tape: Tape,
     grads: dict[str, Tensor] = {}
     g = grad_logits
     while entries:
-        g = _backward_entry(model, entries.pop(), g, grads)
+        g = _backward_entry(model, entries, g, grads)
     missing = set(model.params) - set(grads)
     if missing:
         raise RuntimeError(f"backward left parameters without gradients: "
@@ -330,11 +341,13 @@ def backward(model: Model, tape: Tape,
     return grads, g
 
 
-def _backward_entry(model: Model, entry: tuple, g: Tensor,
+def _backward_entry(model: Model, entries: list, g: Tensor,
                     grads: dict[str, Tensor]) -> Tensor:
-    """Backward through one tape entry: adds its parameter gradients to
-    `grads` and returns the gradient at its input. A function of its own,
-    so the entry's state is freed when it returns."""
+    """Backward through the last tape entry, which it pops, and a pool's
+    norm entry with it: adds their parameter gradients to `grads` and
+    returns the gradient at their input. A function of its own, so the
+    entries' state is freed when it returns."""
+    entry = entries.pop()
     kind = entry[0]
     if kind in ("fc1", "fc2"):
         g, gw, gb = ops.linear_backward(g, entry[1],
@@ -357,12 +370,18 @@ def _backward_entry(model: Model, entry: tuple, g: Tensor,
         g = Tensor(g.data[:, :-1])
     elif kind == "flatten":
         g = Tensor(g.data.reshape(entry[1]))
-    elif kind == "pool":
-        _, idx, shape = entry
-        g = ops.maxpool3d_backward(g, idx, shape)
-    elif kind == "norm":
+    elif kind in ("pool", "norm"):
+        pool = conv = None
+        if kind == "pool":
+            # The pool and the norm before it go back together, one sample
+            # at a time, so no full-size routed gradient exists.
+            pool, entry = entry[1:], entries.pop()
         _, name, cache = entry
-        g, dgm, dbt = ops.norm_backward(g, cache)
+        if cache.xhat is None:  # block1: rebuilt from the conv's input
+            _, _, x_in, spec = entries[-1]
+            conv = (x_in, model.params[f"{name}.conv.weight"],
+                    model.params[f"{name}.conv.bias"], spec)
+        g, dgm, dbt = ops.norm_backward(g, cache, pool, conv)
         grads[f"{name}.norm.gamma"] = dgm
         grads[f"{name}.norm.beta"] = dbt
     elif kind == "conv":

@@ -3,13 +3,17 @@
 Two rules of ownership. Every layer forward except conv, pool and linear
 writes over its input's array: relu returns it holding the result, and a
 normalization leaves xhat there, which a tape's cache keeps beside a fresh
-y, or without a tape y itself. The backward ops write the input gradient
-over grad_out's array and return it, and norm_backward consumes its cache:
-it overwrites xhat. The state backward reads is kept no wider than backward
-needs: relu_backward takes the bool mask x > 0, maxpool3d_argmax gives
-int32 indices, and neither the normalizations nor norm_backward hold a
-full-size scratch buffer, only one sample's. The normalizations subtract
-the mean once and take the variance from that difference. Convolution uses
+y, or without a tape y itself. A taped y that is only max pooled is never
+whole: norm_pool_forward forms it one sample at a time. relu_backward
+writes the input gradient over grad_out's array and returns it;
+norm_backward only reads grad_out and consumes its cache: it writes dx over
+xhat. The state backward reads is kept no wider than backward needs:
+relu_backward takes the bool mask x > 0, maxpool3d_argmax gives int32
+indices, norm_backward routes a pooled gradient itself and can rebuild
+xhat from the conv input, and neither the normalizations nor norm_backward
+hold a full-size scratch buffer, only one sample's or part of one. The
+normalizations subtract the mean once and take the variance from that
+difference. Convolution uses
 cross-correlation semantics (no kernel flip). The 3D convolution is lowered
 to im2col GEMMs (Chellapilla et al., 2006), one column slab per first-axis
 kernel tap and sample, so each BLAS call contracts over k*k*C and the
@@ -38,6 +42,7 @@ from .config import MAX_AGE
 from .tensor import Tensor, ShapeError
 
 EPS = 1e-5  # added to the variance of every normalization
+PRODUCT_BLOCK = 1 << 16  # norm_backward's product buffer, unless 1 channel is more
 BN_MOMENTUM = 0.1  # weight of a batch's statistics in batch norm's running ones
 D_MODEL = 128  # width of the sinusoidal age embedding
 
@@ -233,9 +238,10 @@ def maxpool3d_argmax(x: Tensor, pooled: Tensor, k: int, s: int) -> np.ndarray:
     eq = np.empty(cur.shape, dtype=bool)
     hit = np.empty(cur.shape, dtype=key_type)
     offset = np.zeros(taps + 1, dtype=np.int32)
+    # per axis, the input slice of each tap index, formed once per call
+    sl = [_tap_slices(k, s, 1, outs, (t, t, t)) for t in range(k)]
     for t, (i, j, l) in enumerate(itertools.product(range(k), repeat=3)):
-        sl = _tap_slices(k, s, 1, outs, (i, j, l))
-        np.equal(x.data[:, :, sl[0], sl[1], sl[2]], cur, out=eq)
+        np.equal(x.data[:, :, sl[i][0], sl[j][1], sl[l][2]], cur, out=eq)
         np.multiply(eq, key_type(taps - t), out=hit)
         np.maximum(key, hit, out=key)
         offset[taps - t] = (i * hh + j) * ww + l
@@ -271,39 +277,77 @@ class NormCache:
 
     axes: tuple[int, ...]       # reduction axes of the normalization
     param_axes: tuple[int, ...]  # axes summed over for gamma/beta grads
-    xhat: np.ndarray
+    xhat: np.ndarray | None      # None: norm_backward rebuilds it from the conv
+    mean: np.ndarray
     invstd: np.ndarray
     gamma_b: np.ndarray          # gamma broadcast to x's rank
     fixed_stats: bool = False    # eval-mode batch norm: mean/var are constants
+
+    def stats(self, sl: slice) -> tuple[np.ndarray, np.ndarray]:
+        """mean and invstd of the samples sl: the batch's own where the
+        batch axis is reduced."""
+        if 0 in self.axes:
+            return self.mean, self.invstd
+        return self.mean[sl], self.invstd[sl]
 
 
 def _sum_products(a: np.ndarray, b: np.ndarray, axes: tuple[int, ...],
                   buf: np.ndarray) -> np.ndarray:
     """a * b summed over `axes`, keeping them as unit axes, in a's dtype:
     bit for bit numpy's one reduction of the whole product, yet the products
-    pass one sample at a time through buf, one sample's extent. When axis 0
-    is reduced the per-sample sums add onto 0 in sample order, which is
-    numpy's order too, except where every kept axis has extent 1: numpy sums
-    such an array as one flat run, so that product is formed whole."""
+    pass one sample at a time through buf, in groups of len(buf) of its
+    leading axis: numpy reduces each channel's run on its own either way.
+    When axis 0 is reduced the per-sample sums add onto 0 in sample order,
+    which is numpy's order too, except where every kept axis has extent 1:
+    numpy sums such an array as one flat run, so that product is formed
+    whole."""
     kept = [e for ax, e in enumerate(a.shape) if ax not in axes]
     if 0 in axes and all(e == 1 for e in kept):
         return np.add.reduce(np.multiply(a, b), axes, a.dtype, keepdims=True)
     sub = tuple(ax - 1 for ax in axes if ax)
-    sums = (np.add.reduce(np.multiply(ai, bi, out=buf), sub, a.dtype,
-                          keepdims=True) for ai, bi in zip(a, b))
+    w = len(buf)
+
+    def sample_sums(ai, bi):
+        parts = [np.add.reduce(
+            np.multiply(ai[c:c + w], bi[c:c + w], out=buf[:len(ai) - c]),
+            sub, a.dtype, keepdims=True) for c in range(0, len(ai), w)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+    sums = (sample_sums(ai, bi) for ai, bi in zip(a, b))
     if 0 in axes:
         return functools.reduce(np.add, sums, a.dtype.type(0))[None]
     return np.stack(list(sums))
 
 
+def _standardize(u: np.ndarray, mean: np.ndarray, invstd=None,
+                 axes: tuple[int, ...] = ()):
+    """xhat = (u - mean) * invstd, written over u's array: a forward's
+    normalization and norm_backward's rebuild of xhat take these same two
+    steps. Without invstd it comes from the biased variance of u - mean
+    over `axes`, reduced and divided as numpy's var does, so bit for bit
+    var's, with a transient of one sample. Returns (xhat, var, invstd), var
+    None where invstd was given."""
+    d = np.subtract(u, mean, out=u)
+    var = None
+    if invstd is None:
+        count = np.intp(np.prod([u.shape[a] for a in axes]))
+        var = _sum_products(d, d, axes, np.empty(u.shape[1:], u.dtype))
+        np.true_divide(var, count, out=var, casting="unsafe")
+        invstd = 1.0 / np.sqrt(var + EPS)
+    d *= invstd
+    return d, var, invstd
+
+
 def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...],
-               channel_axis: int, tape: bool, stats=None):
+               channel_axis: int, tape: bool, stats=None, form_y: bool = True):
     """gamma * (x - mean) / sqrt(var + EPS) + beta over `axes`, with one
     gamma and beta entry per index of `channel_axis`. mean and the biased
     var are x's, in x's dtype, or the per-channel constants stats = (mean,
     var). x's array is written over: it holds xhat, which a tape's cache
     keeps beside a fresh y, and without a tape it holds y and the cache is
-    None. Returns (y, cache, mean, var)."""
+    None. With a tape and form_y=False no y is formed and None takes its
+    place: norm_pool_forward pools y from the cache a sample at a time.
+    Returns (y, cache, mean, var)."""
     c = x.shape[channel_axis]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"affine params {gamma.shape}/{beta.shape}, expected ({c},)")
@@ -313,42 +357,62 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...],
     bb = beta.data.reshape(bshape)
     if stats is not None:
         mean, var = (s.reshape(bshape) for s in stats)
+        d, _, invstd = _standardize(x.data, mean, 1.0 / np.sqrt(var + EPS))
     else:
         mean = x.data.mean(axis=axes, keepdims=True, dtype=x.dtype)
-    # x - mean once, over x: it is xhat before scaling, and var is the mean
-    # of its square, reduced and divided as numpy's var does, so bit for bit
-    # var's, with a transient of one sample.
-    d = np.subtract(x.data, mean, out=x.data)
-    if stats is None:
-        count = np.intp(np.prod([x.shape[a] for a in axes]))
-        var = _sum_products(d, d, axes, np.empty(x.shape[1:], x.dtype))
-        np.true_divide(var, count, out=var, casting="unsafe")
-    invstd = 1.0 / np.sqrt(var + EPS)
-    # In place, yet the same products in the same order as
-    # gamma * ((x - mean) * invstd) + beta; without a tape y overwrites xhat.
-    d *= invstd
-    y = np.multiply(gb, d, out=None if tape else d)
-    y += bb
+        d, var, invstd = _standardize(x.data, mean, axes=axes)
+    y = None
+    if form_y or not tape:
+        # The same products in the same order as gamma * ((x - mean) *
+        # invstd) + beta; without a tape y overwrites xhat.
+        y = np.multiply(gb, d, out=None if tape else d)
+        y += bb
+        y = Tensor(y)
     if not tape:
-        return Tensor(y), None, mean, var
+        return y, None, mean, var
     param_axes = tuple(a for a in range(rank) if a != channel_axis)
-    cache = NormCache(axes, param_axes, d, invstd, gb, stats is not None)
-    return Tensor(y), cache, mean, var
+    cache = NormCache(axes, param_axes, d, mean, invstd, gb, stats is not None)
+    return y, cache, mean, var
+
+
+def norm_pool_forward(cache: NormCache, beta: Tensor, k: int,
+                      s: int) -> tuple[Tensor, np.ndarray]:
+    """maxpool3d_forward of a taped norm's output y = gamma * xhat + beta,
+    and its maxpool3d_argmax indices, with each sample's y formed in one
+    reused buffer: the products and sums of _normalize's whole y, so the
+    same bits, without a full-size y. Returns (pooled, indices)."""
+    xhat = cache.xhat
+    n = xhat.shape[0]
+    bb = beta.data.reshape(cache.gamma_b.shape)
+    buf = np.empty((1,) + xhat.shape[1:], xhat.dtype)
+    for i in range(n):
+        y = np.multiply(cache.gamma_b, xhat[i:i + 1], out=buf)
+        y += bb
+        y = Tensor(y)
+        p = maxpool3d_forward(y, k, s)
+        if i == 0:
+            pooled = np.empty((n,) + p.shape[1:], p.dtype)
+            idx = np.empty(pooled.shape, np.int32)
+        pooled[i] = p.data[0]
+        idx[i] = maxpool3d_argmax(y, p, k, s)[0]
+    return Tensor(pooled), idx
 
 
 def instance_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
-                          tape: bool = True) -> tuple[Tensor, NormCache | None]:
+                          tape: bool = True, form_y: bool = True
+                          ) -> tuple[Tensor | None, NormCache | None]:
     """Normalize each (sample, channel) over its spatial positions. No batch
     statistics are involved, so train and eval behave identically. With
     tape=False no backward state is kept, the cache is None and y is
-    written over x's array."""
-    return _normalize(x, gamma, beta, (2, 3, 4), 1, tape)[:2]
+    written over x's array. With a tape and form_y=False, y is None."""
+    return _normalize(x, gamma, beta, (2, 3, 4), 1, tape, form_y=form_y)[:2]
 
 
 def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
                        running_mean: Tensor, running_var: Tensor, mode: str,
-                       tape: bool = True
-                       ) -> tuple[Tensor, NormCache | None, Tensor, Tensor]:
+                       tape: bool = True, form_y: bool = True
+                       ) -> tuple[Tensor | None, NormCache | None, Tensor,
+                                  Tensor]:
     """Per-channel normalization over batch and spatial positions.
 
     Train mode normalizes with batch statistics (biased variance) and blends
@@ -356,18 +420,21 @@ def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     with m = BN_MOMENTUM, the unbiased variance entering the running
     estimate. Eval mode normalizes with the running stats unchanged. Returns
     (y, cache, new_running_mean, new_running_var). With tape=False the
-    cache is None and y is written over x's array.
+    cache is None and y is written over x's array. With a tape and
+    form_y=False, y is None.
     """
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
     axes = (0, 2, 3, 4)
     if mode == "eval":
         y, cache, _, _ = _normalize(x, gamma, beta, axes, 1, tape,
-                                    (running_mean.data, running_var.data))
+                                    (running_mean.data, running_var.data),
+                                    form_y)
         return y, cache, running_mean, running_var
     if x.shape[0] < 2:
         raise ValueError("batch norm in train mode needs a batch of >= 2")
-    y, cache, mean, var = _normalize(x, gamma, beta, axes, 1, tape)
+    y, cache, mean, var = _normalize(x, gamma, beta, axes, 1, tape,
+                                     form_y=form_y)
     c = x.shape[1]
     m, mom = x.data.size // c, BN_MOMENTUM
     new_mean = (1 - mom) * running_mean.data + mom * mean.reshape(c)
@@ -384,36 +451,97 @@ def layer_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     return _normalize(x, gamma, beta, (last,), last, tape)[:2]
 
 
-def norm_backward(grad_out: Tensor,
-                  cache: NormCache) -> tuple[Tensor, Tensor, Tensor]:
+def norm_backward(grad_out: Tensor, cache: NormCache, pool=None,
+                  conv=None) -> tuple[Tensor, Tensor, Tensor]:
     """Gradients through any normalization forward, including the dependence
     of mean and variance on the input (except eval-mode batch norm, whose
-    statistics are constants). dx overwrites grad_out's array, which is
-    returned as dx, and the cache is consumed: its xhat is overwritten."""
-    if grad_out.shape != cache.xhat.shape:
+    statistics are constants). Returns (dx, dgamma, dbeta).
+
+    The samples pass one at a time. With pool = (idx, input_shape),
+    grad_out is the gradient at the max pool of the norm's output, whose
+    maxpool3d_argmax indices are idx, and maxpool3d_backward routes each
+    sample's. With conv = (x, w, b, spec) the cache holds no xhat: each
+    sample's is rebuilt from the conv input x through conv3d_forward and
+    _standardize. grad_out is only read. The cache is consumed: dx is
+    written over its xhat, and a rebuilt one is dx's own array at batch 1."""
+    shape = grad_out.shape if pool is None else pool[1]
+    if cache.xhat is not None and cache.xhat.shape != shape:
         raise ShapeError(
-            f"grad_out shape {grad_out.shape} does not match saved forward "
+            f"grad_out shape {shape} does not match saved forward "
             f"state for input {cache.xhat.shape}"
         )
-    g, xhat = grad_out.data, cache.xhat
+    n, dtype = shape[0], grad_out.dtype
+    # Sums over the batch add the per-sample sums onto 0 in sample order,
+    # which is numpy's order for one reduction of the whole batch, except
+    # where every axis the sum keeps has extent 1: numpy sums that as one
+    # flat run, so there the batch passes whole (see _sum_products).
+    kept = [e for ax, e in enumerate(shape) if ax not in cache.param_axes]
+    step = n if all(e == 1 for e in kept) else 1
+    chunks = [slice(i, i + step) for i in range(0, n, step)]
+    count = np.intp(np.prod([shape[a] for a in cache.axes]))
+
+    def grad(sl):  # the samples' output gradient, in a fresh array
+        if pool is None:
+            return grad_out.data[sl].copy()
+        return maxpool3d_backward(Tensor(grad_out.data[sl]), pool[0][sl],
+                                  (step,) + shape[1:]).data
+
+    def xhat(sl):
+        if conv is None:
+            return cache.xhat[sl]
+        x, w, b, spec = conv
+        u = conv3d_forward(Tensor(x.data[sl]), w, b, spec).data
+        return _standardize(u, *cache.stats(sl))[0]
+
+    # A sample's products pass through buf in groups of its channels of at
+    # most PRODUCT_BLOCK elements, or one channel where that is more,
+    # unless the channel axis is reduced (layer norm).
+    width = shape[1]
+    if 1 not in cache.axes and len(shape) > 2:
+        width = max(1, min(width, PRODUCT_BLOCK // int(np.prod(shape[2:]))))
+    buf = np.empty((width,) + shape[2:], dtype)
+    pa = cache.param_axes
+
     # Each product in the order of dx = invstd * (dxhat - m1 - xhat * m2),
-    # so the result is bit for bit that expression's. Besides g, the only
-    # buffer covers one sample: the products summed for dgamma and m2 pass
-    # through it, and xhat * m2 overwrites xhat, its last use.
-    buf = np.empty(g.shape[1:], g.dtype)
-    dgamma = _sum_products(g, xhat, cache.param_axes, buf).reshape(-1)
-    dbeta = g.sum(axis=cache.param_axes)
-    # g is read for the last time here, so dx overwrites it
-    dx = np.multiply(g, cache.gamma_b, out=g)  # dxhat until the last step
-    if not cache.fixed_stats:
-        count = np.intp(np.prod([g.shape[a] for a in cache.axes]))
-        m1 = dx.mean(axis=cache.axes, keepdims=True, dtype=g.dtype)
-        m2 = _sum_products(dx, xhat, cache.axes, buf)
-        np.true_divide(m2, count, out=m2, casting="unsafe")  # numpy's mean
-        dx -= m1
-        dx -= np.multiply(xhat, m2, out=xhat)
-    dx *= cache.invstd
-    return Tensor(dx), Tensor(dgamma), Tensor(dbeta)
+    # so the result is bit for bit that expression's. Besides xhat (and dx
+    # where it is rebuilt), one sample's gradient is all that exists.
+    zero = dtype.type(0)
+    dgamma = dbeta = zero
+    batch_stats = 0 in cache.axes and not cache.fixed_stats
+    if batch_stats:  # m1 and m2 span the batch: a first pass sums them
+        m1 = m2 = zero
+        for sl in chunks:
+            g, xh = grad(sl), xhat(sl)
+            dgamma = dgamma + _sum_products(g, xh, pa, buf)
+            dbeta = dbeta + g.sum(pa, keepdims=True)
+            dxhat = np.multiply(g, cache.gamma_b, out=g)
+            m1 = m1 + dxhat.sum(cache.axes, keepdims=True)
+            m2 = m2 + _sum_products(dxhat, xh, cache.axes, buf)
+            del g, dxhat, xh  # freed before the next sample's are made
+        for m in (m1, m2):  # numpy's mean
+            np.true_divide(m, count, out=m, casting="unsafe")
+    dx = cache.xhat
+    if dx is None and len(chunks) > 1:
+        dx = np.empty(shape, dtype)
+    for sl in chunks:
+        g, xh = grad(sl), xhat(sl)
+        if not batch_stats:
+            dgamma = dgamma + _sum_products(g, xh, pa, buf)
+            dbeta = dbeta + g.sum(pa, keepdims=True)
+        dxhat = np.multiply(g, cache.gamma_b, out=g)
+        if not (cache.fixed_stats or batch_stats):
+            m1 = dxhat.mean(axis=cache.axes, keepdims=True, dtype=dtype)
+            m2 = _sum_products(dxhat, xh, cache.axes, buf)
+            np.true_divide(m2, count, out=m2, casting="unsafe")
+        if not cache.fixed_stats:
+            dxhat -= m1
+            dxhat = np.subtract(dxhat, np.multiply(xh, m2, out=xh), out=xh)
+        out = xh if dx is None else dx[sl]
+        np.multiply(dxhat, cache.stats(sl)[1], out=out)
+        del g, dxhat, xh
+    if dx is None:  # one rebuilt chunk: its array is dx
+        dx = out
+    return Tensor(dx), Tensor(dgamma.reshape(-1)), Tensor(dbeta.reshape(-1))
 
 
 def relu(x: Tensor) -> Tensor:

@@ -164,7 +164,8 @@ def train(net, train_samples, val_samples, cfg: TrainConfig,
                 raise NumericError(
                     f"non-finite loss at epoch {epoch}, "
                     f"batch {start // bs + 1}")
-            grads, _ = network.backward(net, tape, grad)
+            # the input gradient is dropped at once: training never reads it
+            grads = network.backward(net, tape, grad)[0]
             sgd_step(net.params, grads, velocity, cfg.learning_rate,
                      cfg.momentum)
             del grads  # not alive while the next batch is taped

@@ -934,8 +934,8 @@ class TestSaliency:
         assert "saliency_files = 9" in out  # 3 samples x 2 views + 2 + 1
         files = sorted(p.name for p in (run / "saliency").iterdir())
         assert len(files) == 9
-        assert "aggregate_map.vol" in files
-        assert "aggregate_axial5.pgm" in files
+        assert "~aggregate_map.vol" in files
+        assert "~aggregate_axial5.pgm" in files
         assert sum(f.endswith(".pgm") for f in files) == 8
 
     def test_repeated_subject_keeps_every_scan(self, dataset, trained,
@@ -960,6 +960,30 @@ class TestSaliency:
         assert len(files) == 11
         for name in (first[0], f"{first[0]}~2"):
             assert {f"{name}_axial5.pgm", f"{name}_coronal7.pgm"} <= files
+
+    def test_subject_named_aggregate_keeps_its_slices(self, dataset, trained,
+                                                      tmp_path, capsys):
+        # "aggregate" is a valid subject id: its slices and the aggregate
+        # map's must not share a file name, and the count printed is the
+        # count written
+        with open(dataset, newline="") as fh:
+            header, *rows = csv.reader(fh)
+        rows = [[r[0], str(dataset.parent / r[1])] + r[2:] for r in rows]
+        first = next(r for r in rows if r[4] == "val")
+        first[0] = "aggregate"
+        manifest = tmp_path / "manifest.csv"
+        with open(manifest, "w", newline="") as fh:
+            csv.writer(fh).writerows([header] + rows)
+        run = tmp_path / "sal"
+        assert main(["saliency", "--run_dir", str(run),
+                     "--manifest", str(manifest),
+                     "--checkpoint", str(trained / "best.ckpt"),
+                     "--split", "val", "--views", "axial:5,coronal:7"]) == 0
+        out = capsys.readouterr().out
+        files = {p.name for p in (run / "saliency").iterdir()}
+        assert f"saliency_files = {len(files)}" in out
+        assert len(files) == 9  # 3 samples x 2 views + 2 + 1
+        assert {"aggregate_axial5.pgm", "aggregate_coronal7.pgm"} <= files
 
     def test_bad_view_spec(self, dataset, trained, tmp_path):
         assert main(["saliency", "--run_dir", str(tmp_path / "r"),

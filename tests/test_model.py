@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 from volcnn import gradcheck, model as m, ops
 from volcnn.tensor import Rng, ShapeError, Tensor
 
+from test_ops import norm_backward_expression
+
 # an overflow or invalid value in these tests is a failure, not a warning
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -370,7 +372,8 @@ class TestTapeFree:
         m.forward(net, x, None, "eval", tape=False)
         assert calls == []
         logits, tape = m.forward(net, x, None, "train")
-        assert calls == [bp.pool for bp in net.plan.blocks]
+        # a taped pool takes each sample's indices on its own
+        assert calls == [bp.pool for bp in net.plan.blocks for _ in range(2)]
         m.backward(net, tape, Tensor(np.ones_like(logits.data)))
 
     def test_forward_without_tape_builds_no_norm_cache(self, monkeypatch):
@@ -399,8 +402,10 @@ class TestTapeFree:
     def test_peak_memory_below_taped_forward(self):
         # In block1 activations (crop 32, batch 4: 2.1 MB), measured with
         # numpy 2.4: without a tape the forward peaks at 1.71; the taped
-        # forward holds what backward needs and peaks at 2.71, where a
-        # taped norm that kept its input beside xhat and y read 3.25.
+        # forward holds what backward needs and peaks at 1.67, as it forms
+        # each pooling block's y a sample at a time and keeps no block1
+        # xhat. A whole-batch y read 2.71, and a taped norm that also kept
+        # its input beside xhat and y 3.25.
         net = m.build(m.ModelConfig(crop_extent=32), Rng(24))
         x = Tensor(Rng(25).normal((4, 1, 32, 32, 32)).astype(np.float32))
         activation = 4 * 4 * 32 ** 3 * 4   # block1: 4 channels, float32
@@ -414,7 +419,7 @@ class TestTapeFree:
                 tracemalloc.stop()
             del out
         assert peaks[False] <= 1.8, peaks
-        assert peaks[True] <= 2.8, peaks
+        assert peaks[True] <= 1.75, peaks
 
     def test_peak_below_two_block1_activations(self):
         # Each block's activation is freed before the next block's conv
@@ -435,37 +440,193 @@ class TestTapeFree:
         assert peak <= 2.0 * activation, peak / activation
 
 
+def step_peak(n: int, crop: int) -> float:
+    """tracemalloc's peak over a taped forward and its backward, in block1
+    activations (4 channels, float32)."""
+    net = m.build(m.ModelConfig(crop_extent=crop), Rng(24))
+    x = Tensor(Rng(25).normal((n, 1, crop, crop, crop)).astype(np.float32))
+    tracemalloc.start()
+    try:
+        logits, tape = m.forward(net, x, None, "train")
+        grads, _ = m.backward(net, tape, Tensor(np.ones_like(logits.data)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert set(grads) == set(net.params)
+    return peak / (n * 4 * crop ** 3 * 4)
+
+
 class TestStepMemory:
     def test_train_step_peak(self):
-        # A taped forward and its backward, crop 32, batch 4, peak at 3.32
-        # block1 activations (numpy 2.4): the norm keeps xhat in the conv
-        # output's array and its backward overwrites it, and the conv
-        # backward holds one column slab. A norm that kept its input beside
-        # xhat and y, a norm backward with a full-size scratch buffer, and a
-        # conv backward with a second slab read 3.91.
-        net = m.build(m.ModelConfig(crop_extent=32), Rng(24))
-        x = Tensor(Rng(25).normal((4, 1, 32, 32, 32)).astype(np.float32))
-        activation = 4 * 4 * 32 ** 3 * 4   # block1: 4 channels, float32
-        tracemalloc.start()
-        try:
-            logits, tape = m.forward(net, x, None, "train")
-            grads, _ = m.backward(net, tape, Tensor(np.ones_like(logits.data)))
-            peak = tracemalloc.get_traced_memory()[1] / activation
-        finally:
-            tracemalloc.stop()
-        assert set(grads) == set(net.params)
-        assert peak <= 3.4, peak
+        # Crop 32, batch 4, peak at 2.70 block1 activations (numpy 2.4): a
+        # pooling block forms y, routes its gradient and sums its products
+        # a sample at a time, dx overwrites xhat, block1's xhat is rebuilt
+        # in backward, and the conv backward holds one column slab. A
+        # whole-batch y and routed gradient with block1's xhat on the tape
+        # read 3.32; a norm that also kept its input beside xhat and y, a
+        # norm backward with a full-size scratch buffer, and a conv backward
+        # with a second slab 3.91.
+        assert step_peak(4, 32) <= 2.8
+
+    def test_batch_one_step_peak(self):
+        # At batch 1 a sample is the batch: block1's rebuilt xhat becomes
+        # dx in its own array, with no second full-size array to copy it
+        # into. Crop 48 peaks at 3.48 block1 activations (numpy 2.4); such
+        # a copy reads 4.5, and the whole-batch composition read 4.01.
+        assert step_peak(1, 48) <= 3.6
+
+
+def whole_batch_step(net, x, ages, mode, labels):
+    """A taped forward and its backward composed batch-wide, from the ops:
+    every norm forms its whole y and keeps its xhat, every pool routes the
+    whole gradient, and norm_backward_expression takes each norm back. The
+    test-only oracle of model.forward and model.backward, which go a
+    sample at a time through each pooling block. Returns (logits, grads,
+    input gradient) and updates batch norm's running stats as they do."""
+    cfg, n = net.config, x.shape[0]
+    par = net.params
+    saved = []
+    h = x
+    for bp in net.plan.blocks:
+        w, b = par[f"{bp.name}.conv.weight"], par[f"{bp.name}.conv.bias"]
+        gamma, beta = par[f"{bp.name}.norm.gamma"], par[f"{bp.name}.norm.beta"]
+        u = ops.conv3d_forward(h, w, b, bp.conv)
+        if bp.norm == "batch":
+            keys = [f"{bp.name}.norm.running_{k}" for k in ("mean", "var")]
+            y, cache, *stats = ops.batch_norm_forward(
+                u, gamma, beta, *(net.buffers[k] for k in keys), mode)
+            net.buffers.update(zip(keys, stats))
+        else:
+            y, cache = ops.instance_norm_forward(u, gamma, beta)
+        pool = None
+        if bp.pool is not None:
+            pooled = ops.maxpool3d_forward(y, *bp.pool)
+            pool = (ops.maxpool3d_argmax(y, pooled, *bp.pool), y.shape)
+            y = pooled
+        saved.append((bp, h, cache, pool, y.data > 0))
+        h = ops.relu(y)
+    feats = h.data.reshape(n, -1)
+    if cfg.age_mode == "concat":
+        col = (np.asarray(ages) / m.MAX_AGE).astype(x.dtype).reshape(n, 1)
+        feats = np.concatenate([feats, col], axis=1)
+    z = ops.linear_forward(Tensor(feats), par["fc1.weight"], par["fc1.bias"])
+    if cfg.age_mode == "encoded":
+        ae = ops.age_encode(ages, x.dtype)
+        a1 = ops.linear_forward(ae, par["age.fc1.weight"], par["age.fc1.bias"])
+        a1n, ln_cache = ops.layer_norm_forward(a1, par["age.norm.gamma"],
+                                               par["age.norm.beta"])
+        z.data += ops.linear_forward(a1n, par["age.fc2.weight"],
+                                     par["age.fc2.bias"]).data
+    fc1_mask = z.data > 0
+    h2 = ops.relu(z)
+    logits = ops.linear_forward(h2, par["fc2.weight"], par["fc2.bias"])
+
+    grads = {}
+    _, g, _ = ops.softmax_xent(logits, labels)
+    g, grads["fc2.weight"], grads["fc2.bias"] = ops.linear_backward(
+        g, h2, par["fc2.weight"])
+    g = ops.relu_backward(g, fc1_mask)
+    if cfg.age_mode == "encoded":
+        ga, grads["age.fc2.weight"], grads["age.fc2.bias"] = (
+            ops.linear_backward(g, a1n, par["age.fc2.weight"]))
+        ga, grads["age.norm.gamma"], grads["age.norm.beta"] = (
+            norm_backward_expression(ga.data, ln_cache))
+        _, grads["age.fc1.weight"], grads["age.fc1.bias"] = (
+            ops.linear_backward(Tensor(ga), ae, par["age.fc1.weight"]))
+    g, grads["fc1.weight"], grads["fc1.bias"] = ops.linear_backward(
+        g, Tensor(feats), par["fc1.weight"])
+    g = g.data[:, :net.plan.flat_features].reshape(h.shape)
+    for bp, x_in, cache, pool, mask in reversed(saved):
+        g = ops.relu_backward(Tensor(g), mask)
+        if pool is not None:
+            g = ops.maxpool3d_backward(g, *pool)
+        g, dgamma, dbeta = norm_backward_expression(g.data, cache)
+        grads[f"{bp.name}.norm.gamma"] = dgamma
+        grads[f"{bp.name}.norm.beta"] = dbeta
+        g, grads[f"{bp.name}.conv.weight"], grads[f"{bp.name}.conv.bias"] = (
+            ops.conv3d_backward(Tensor(g), x_in, par[f"{bp.name}.conv.weight"],
+                                bp.conv))
+        g = g.data
+    return logits, {k: np.asarray(getattr(v, "data", v))
+                    for k, v in grads.items()}, g
+
+
+class TestWholeBatchOracle:
+    """A training step, a sample at a time through each pooling block with
+    block1's xhat rebuilt, gives the bytes of the whole-batch composition."""
+
+    @pytest.mark.parametrize("crop, n, dtype, mode, axis, inputs", [
+        (32, 4, np.float32, "train", {}, "ties"),
+        (32, 4, np.float32, "train", {}, "nan"),
+        (32, 4, np.float32, "train", {}, "normal"),
+        (32, 3, np.float64, "train", {"norm": "batch"}, "normal"),
+        (48, 4, np.float32, "eval", {"norm": "batch"}, "normal"),
+        (32, 1, np.float32, "eval", {"norm": "batch"}, "normal"),
+        (48, 1, np.float64, "train", {"first_layer": "K3S2"}, "normal"),
+        (32, 3, np.float32, "train", {"first_layer": "K7S4", "norm": "batch"}, "normal"),
+        (48, 3, np.float32, "train", {"first_layer": "K7S4",
+                                      "age_mode": "encoded"}, "normal"),
+        (32, 4, np.float64, "train", {"widening_factor": 2,
+                                      "age_mode": "concat"}, "normal"),
+        (48, 4, np.float32, "train", {"widening_factor": 2, "extra_blocks": 1,
+                                      "norm": "batch"}, "normal"),
+        (32, 1, np.float32, "train", {"extra_blocks": 1,
+                                      "age_mode": "encoded"}, "normal"),
+        (48, 3, np.float64, "eval", {"first_layer": "K3S2", "norm": "batch",
+                                     "age_mode": "concat"}, "normal"),
+        (32, 4, np.float32, "train", {"widening_factor": 2,
+                                      "first_layer": "K3S2", "norm": "batch",
+                                      "age_mode": "encoded"}, "normal"),
+    ])
+    def test_step_bytes_equal_whole_batch(self, crop, n, dtype, mode, axis,
+                                          inputs):
+        cfg = m.ModelConfig(crop_extent=crop, **axis)
+        nets = [m.build(cfg, Rng(31), dtype) for _ in range(2)]
+        for net in nets:  # affine params and running stats do work
+            g = Rng(32)
+            for name, t in list(net.params.items()) + list(net.buffers.items()):
+                if name.endswith((".gamma", ".running_var")):
+                    t.data[...] = 1.0 + 0.2 * g.stream(name).normal(t.shape)
+                elif not name.endswith(".weight"):
+                    t.data[...] = 0.1 * g.stream(name).normal(t.shape)
+        x = Rng(33).normal((n, 1, crop, crop, crop))
+        if inputs == "ties":  # integer voxels tie in many pool windows
+            x = np.round(x * 2.0)
+        elif inputs == "nan":  # one sample's NaN windows through every block
+            x[0, 0, 5, 6, 7] = np.nan
+        ages = [63.5 + 7 * i for i in range(n)]
+        labels = [i % 3 for i in range(n)]
+        ages_in = ages if cfg.age_mode != "none" else None
+
+        logits, tape = m.forward(nets[0], Tensor(x.astype(dtype)), ages_in,
+                                 mode)
+        _, grad, _ = ops.softmax_xent(logits, labels)
+        grads, gx = m.backward(nets[0], tape, grad)
+        want_logits, want_grads, want_gx = whole_batch_step(
+            nets[1], Tensor(x.astype(dtype)), ages, mode, labels)
+
+        if inputs == "nan":  # sample 0 is NaN through, the others are not
+            assert np.isnan(logits.data[0]).all()
+            assert not np.isnan(logits.data[1:]).any()
+        assert logits.data.tobytes() == want_logits.data.tobytes()
+        assert grads.keys() == want_grads.keys()
+        for name, t in grads.items():
+            assert t.data.dtype == want_grads[name].dtype, name
+            assert t.data.tobytes() == want_grads[name].tobytes(), name
+        assert gx.data.tobytes() == want_gx.tobytes()
+        for name, t in nets[0].buffers.items():
+            assert t.data.tobytes() == nets[1].buffers[name].data.tobytes()
 
 
 def tape_footprint(tape) -> dict[str, int]:
     """Summed nbytes of the saved state per entry kind: conv inputs, norm
-    xhat (the age head's layer norm included), ReLU masks, pool indices and
-    linear-layer inputs."""
+    xhat (the age head's layer norm included; block1 keeps none), ReLU
+    masks, pool indices and linear-layer inputs."""
     kinds = dict.fromkeys(("conv", "norm", "relu", "pool", "linear"), 0)
     for e in tape.entries:
         if e[0] == "conv":
             kinds["conv"] += e[2].data.nbytes
-        elif e[0] in ("norm", "age_head"):
+        elif e[0] in ("norm", "age_head") and e[2].xhat is not None:
             kinds["norm"] += e[2].xhat.nbytes
         elif e[0] == "relu":
             kinds["relu"] += e[1].nbytes
@@ -485,7 +646,8 @@ class TestTapeFootprint:
         # ReLU masks take 1 byte per voxel of the ReLU input: the pooled
         # output where a block pools, the conv output in an extra block.
         # Pool indices take 4 per pool-output voxel, norm xhat and conv
-        # inputs the dtype's itemsize.
+        # inputs the dtype's itemsize. Block1's xhat is rebuilt in backward,
+        # so it is not on the tape.
         cfg = m.ModelConfig(crop_extent=32, **axis)
         net = m.build(cfg, Rng(26))
         n, item = 2, np.dtype(np.float32).itemsize
@@ -501,7 +663,8 @@ class TestTapeFootprint:
         extra_out = sum(v for k, v in size.items() if k.startswith("extra"))
         want = {
             "conv": item * sum(size[rows[i - 1][0]] for i in convs),
-            "norm": item * (conv_out + size.get("age.fc1", 0)),
+            "norm": item * (conv_out - size["block1.conv"]
+                            + size.get("age.fc1", 0)),
             "relu": pooled + extra_out + size["fc1"],
             "pool": 4 * pooled,
             "linear": item * (size["flatten"] + size["fc1"]),

@@ -649,15 +649,20 @@ class TestNorms:
     def test_sum_products_equals_whole_batch_reduction(self, shape, axes,
                                                        dtype):
         # The norms' one-sample sums give the bytes of numpy's one reduction
-        # of the whole product, with the batch axis reduced or kept; a
-        # single channel reduced with the batch is the one flat run.
+        # of the whole product, with the batch axis reduced or kept, whether
+        # a sample's channels pass at once or in groups; a single channel
+        # reduced with the batch is the one flat run.
         rng = Rng(51).stream("sum-products", *shape)
         a = (rng.stream("a").normal(shape) * 3.0 - 1.0).astype(dtype)
         b = rng.stream("b").normal(shape).astype(dtype)
-        got = ops._sum_products(a, b, axes, np.empty(shape[1:], dtype))
         want = np.add.reduce(a * b, axes, dtype, keepdims=True)
-        assert got.dtype == dtype and got.shape == want.shape
-        assert got.tobytes() == want.tobytes()
+        # a sample's products at once, and one or two channels at a time
+        widths = [shape[1]] + ([1, 2] if len(shape) == 5 else [])
+        for width in widths:
+            buf = np.empty((width,) + shape[2:], dtype)
+            got = ops._sum_products(a, b, axes, buf)
+            assert got.dtype == dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), width
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("case", ["spread", "constant", "near 1e3"])
@@ -717,11 +722,13 @@ class TestNorms:
                 Tensor(np.ones(c, np.float32)), "train")
         g0 = rng.stream("grad").normal(shape).astype(np.float32)
         g = Tensor(g0.copy())
+        xhat = cache.xhat
         want = norm_backward_expression(g0, cache)  # before the cache is used
         got = ops.norm_backward(g, cache)
-        # dx is written over grad_out's own array, with the bytes of the
-        # pure expression of the same gradient
-        assert got[0].data is g.data
+        # dx is written over the cache's xhat, with the bytes of the pure
+        # expression of the same gradient, and grad_out is left as it was
+        assert got[0].data is xhat
+        assert g.data.tobytes() == g0.tobytes()
         for a, b in zip(got, want):
             assert a.data.tobytes() == b.tobytes()
 
@@ -749,6 +756,103 @@ class TestNorms:
             assert cache is None
             assert y.data is x.data
         assert y.data.tobytes() == taped.data.tobytes()
+
+
+def tied_cache(kind: str, n: int, dtype) -> ops.NormCache:
+    """A norm cache over [n, 3, 9, 8, 7] whose xhat ties in many pool
+    windows (half-integer values, +0.0 beside -0.0) and holds a NaN in one
+    window of sample 0, channel 1. Its channel 2 has gamma 0, so all of its
+    y ties, and beta -0.0."""
+    rng = Rng(61).stream("tied", kind, n)
+    x = np.round(rng.stream("x").normal((n, 3, 9, 8, 7)) * 2.0) / 2.0
+    x[x == 0] = np.where(rng.stream("s").normal((n, 3, 9, 8, 7)) > 0,
+                         0.0, -0.0)[x == 0]
+    gamma = Tensor(np.array([1.5, -0.5, 0.0], dtype))
+    beta = Tensor(np.array([0.25, 0.0, -0.0], dtype))
+    xt = Tensor(x.astype(dtype))
+    if kind == "instance":
+        _, cache = ops.instance_norm_forward(xt, gamma, beta, form_y=False)
+    else:
+        stats = [Tensor(np.full(3, v, dtype)) for v in (0.1, 1.3)]
+        _, cache, _, _ = ops.batch_norm_forward(
+            xt, gamma, beta, *stats, kind.split()[1], form_y=False)
+    cache.xhat[0, 1, 2, 3, 4] = np.nan
+    return cache
+
+
+class TestPooledNorm:
+    """norm_pool_forward and a pooled norm_backward against the whole-batch
+    composition: a whole y pooled at once, and the whole routed gradient
+    through norm_backward_expression."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k, s", [(3, 2), (2, 1), (5, 2)])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_forward_equals_whole_y(self, n, k, s, dtype):
+        cache = tied_cache("instance", n, dtype)
+        beta = Tensor(np.array([0.25, 0.0, -0.0], dtype))
+        y = Tensor(cache.gamma_b * cache.xhat + beta.data.reshape(1, 3, 1, 1, 1))
+        want = ops.maxpool3d_forward(y, k, s)
+        want_idx = ops.maxpool3d_argmax(y, want, k, s)
+        got, idx = ops.norm_pool_forward(cache, beta, k, s)
+        assert np.isnan(got.data[0, 1]).any()
+        assert got.data.tobytes() == want.data.tobytes()
+        assert idx.dtype == np.int32
+        assert idx.tobytes() == want_idx.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind, n", [
+        ("instance", 1), ("instance", 3), ("batch train", 2),
+        ("batch train", 3), ("batch eval", 1), ("batch eval", 3)])
+    def test_backward_equals_whole_routing(self, kind, n, dtype):
+        cache = tied_cache(kind, n, dtype)
+        shape = cache.xhat.shape
+        beta = Tensor(np.array([0.25, 0.0, -0.0], dtype))
+        pooled, idx = ops.norm_pool_forward(cache, beta, 3, 2)
+        g = Rng(62).normal(pooled.shape).astype(dtype)
+        routed = ops.maxpool3d_backward(Tensor(g), idx, shape).data
+        want = norm_backward_expression(routed, cache)
+        xhat = cache.xhat
+        got = ops.norm_backward(Tensor(g), cache, (idx, shape))
+        assert got[0].data is xhat  # dx is written over xhat
+        for a, b in zip(got, want):
+            assert a.data.dtype == b.dtype == dtype
+            assert a.data.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("stem", [(1, 0, 1), (3, 1, 2), (7, 3, 4)])
+    @pytest.mark.parametrize("kind, n", [
+        ("instance", 1), ("instance", 3), ("batch train", 3),
+        ("batch eval", 1), ("batch eval", 2)])
+    def test_rebuilt_xhat_equals_kept(self, kind, n, stem):
+        # a one-channel conv feeds the norm, as in block1 at K1S1, K3S2 and
+        # K7S4; without xhat the backward rebuilds it from the conv input
+        k, p, st = stem
+        spec = ops.ConvSpec(k=k, c_out=4, p=p, s=st)
+        rng = Rng(63).stream(kind, n, k)
+        x = Tensor(rng.stream("x").normal((n, 1, 17, 17, 17)).astype(np.float32))
+        w = Tensor(rng.stream("w").normal((4, 1, k, k, k)).astype(np.float32))
+        b = Tensor(rng.stream("b").normal((4,)).astype(np.float32))
+        gamma = Tensor(rng.stream("g").uniform((4,), 0.5, 1.5).astype(np.float32))
+        beta = Tensor(rng.stream("be").normal((4,)).astype(np.float32))
+
+        def taped():
+            u = ops.conv3d_forward(x, w, b, spec)
+            if kind == "instance":
+                return ops.instance_norm_forward(u, gamma, beta, form_y=False)[1]
+            stats = [Tensor(np.full(4, v, np.float32)) for v in (0.1, 1.3)]
+            return ops.batch_norm_forward(u, gamma, beta, *stats,
+                                          kind.split()[1], form_y=False)[1]
+
+        kept, rebuilt = taped(), taped()
+        _, idx = ops.norm_pool_forward(kept, beta, 3, 2)
+        shape = kept.xhat.shape
+        rebuilt.xhat = None
+        g = Tensor(rng.stream("grad").normal(idx.shape).astype(np.float32))
+        want = norm_backward_expression(
+            ops.maxpool3d_backward(g, idx, shape).data, kept)
+        got = ops.norm_backward(g, rebuilt, (idx, shape), (x, w, b, spec))
+        for a, b_ in zip(got, want):
+            assert a.data.tobytes() == b_.tobytes()
 
 
 class TestReluLinear:
