@@ -201,8 +201,9 @@ class Tape:
     the int32 argmax indices and the pool's input shape. A pooling block
     records conv, norm, pool, relu, so its mask covers the pooled extent;
     backward takes its pool and norm entries together. Block1's NormCache
-    holds no xhat: backward rebuilds it from the conv entry's input. An
-    extra block records conv, norm, relu."""
+    holds no xhat: backward rebuilds it from the conv entry's input a
+    sample at a time and takes block1's pool, norm and conv entries
+    together. An extra block records conv, norm, relu."""
     model_version: int
     entries: list
 
@@ -228,14 +229,17 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
 
     With tape=False nothing is recorded for backward and the tape is None:
     no pool indices, no norm caches, and each intermediate activation is
-    freed once the next layer has read it. The norm writes over the conv
-    output in both modes: without a tape its output goes there, so a block
-    holds one activation of its conv's extent; with one xhat goes there,
-    and a pooling block forms its norm output one sample at a time in a
-    one-sample buffer, pooling each sample's (an extra block forms it
-    whole). The logits are bitwise the same. In both modes
-    ReLU works in place on the pooled output (on the norm output in an
-    extra block), and the age sum and the head's ReLU on fc1's output."""
+    freed once the next layer has read it. Block1, whose conv output is the
+    network's largest array, runs conv, norm and pool one sample at a time
+    in both modes (train-mode batch norm takes its statistics in two
+    passes first), so that output never exists whole. In the other blocks
+    the norm writes over the conv output: without a tape its output goes
+    there, so a block holds one activation of its conv's extent; with one
+    xhat goes there, and a pooling block forms its norm output one sample
+    at a time in a one-sample buffer, pooling each sample's (an extra block
+    forms it whole). The logits are bitwise the same. In both modes ReLU
+    works in place on the pooled output (on the norm output in an extra
+    block), and the age sum and the head's ReLU on fc1's output."""
     cfg = model.config
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
@@ -251,36 +255,42 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
     for bp in model.plan.blocks:
         w = model.params[f"{bp.name}.conv.weight"]
         b = model.params[f"{bp.name}.conv.bias"]
-        record(("conv", bp.name, h, bp.conv))
-        h = ops.conv3d_forward(h, w, b, bp.conv)
-        # Nothing else holds the fresh conv output, so the norm writes over
-        # it: xhat with a tape, its output without one. No name keeps it
-        # past the block: the next conv runs beside its input only.
         gamma = model.params[f"{bp.name}.norm.gamma"]
         beta = model.params[f"{bp.name}.norm.beta"]
-        # a taped pooling block pools its norm output a sample at a time
-        pool_taped = tape and bp.pool is not None
-        if bp.norm == "batch":
-            rm_key = f"{bp.name}.norm.running_mean"
-            rv_key = f"{bp.name}.norm.running_var"
-            # eval mode hands the running stats back unchanged
-            h, cache, model.buffers[rm_key], model.buffers[rv_key] = (
-                ops.batch_norm_forward(h, gamma, beta, model.buffers[rm_key],
-                                       model.buffers[rv_key], mode, tape=tape,
-                                       form_y=not pool_taped))
+        keys = ([f"{bp.name}.norm.running_{s}" for s in ("mean", "var")]
+                if bp.norm == "batch" else [])
+        running = tuple(model.buffers[k] for k in keys) or None
+        record(("conv", bp.name, h, bp.conv))
+        if bp.in_channels == 1:
+            # block1, the cheapest conv and the largest output: conv, norm
+            # and pool a sample at a time, and backward rebuilds its xhat
+            h, idx, cache, running = ops.conv_norm_pool_forward(
+                h, (w, b, bp.conv), gamma, beta, bp.pool, tape, running, mode)
+            record(("norm", bp.name, cache))
+            record(("pool", idx, (n, bp.conv.c_out) + (bp.conv_extent,) * 3))
         else:
-            h, cache = ops.instance_norm_forward(h, gamma, beta, tape=tape,
-                                                 form_y=not pool_taped)
-        record(("norm", bp.name, cache))
-        if pool_taped:
-            h, idx = ops.norm_pool_forward(cache, beta, *bp.pool)
-            record(("pool", idx, cache.xhat.shape))
-            if bp.in_channels == 1:
-                # block1: the cheapest conv and the largest output, so
-                # backward rebuilds its xhat from the conv input instead
-                cache.xhat = None
-        elif bp.pool is not None:
-            h = ops.maxpool3d_forward(h, *bp.pool)
+            h = ops.conv3d_forward(h, w, b, bp.conv)
+            # Nothing else holds the fresh conv output, so the norm writes
+            # over it: xhat with a tape, its output without one. No name
+            # keeps it past the block: the next conv runs beside its input
+            # only. A taped pooling block pools its norm output a sample
+            # at a time.
+            pool_taped = tape and bp.pool is not None
+            if running:  # eval mode hands the running stats back unchanged
+                h, cache, *running = ops.batch_norm_forward(
+                    h, gamma, beta, *running, mode, tape=tape,
+                    form_y=not pool_taped)
+            else:
+                h, cache = ops.instance_norm_forward(h, gamma, beta, tape=tape,
+                                                     form_y=not pool_taped)
+            record(("norm", bp.name, cache))
+            if pool_taped:
+                h, idx = ops.norm_pool_forward(cache, beta, *bp.pool)
+                record(("pool", idx, cache.xhat.shape))
+            elif bp.pool is not None:
+                h = ops.maxpool3d_forward(h, *bp.pool)
+        if running:
+            model.buffers.update(zip(keys, running))
         # h is a fresh array nothing else holds: the norm output of an
         # extra block, else the pooled output.
         h = ops.relu(h)
@@ -377,13 +387,15 @@ def _backward_entry(model: Model, entries: list, g: Tensor,
             # at a time, so no full-size routed gradient exists.
             pool, entry = entry[1:], entries.pop()
         _, name, cache = entry
-        if cache.xhat is None:  # block1: rebuilt from the conv's input
-            _, _, x_in, spec = entries[-1]
+        if cache.xhat is None:  # block1: its conv goes back with its norm
+            _, _, x_in, spec = entries.pop()
             conv = (x_in, model.params[f"{name}.conv.weight"],
                     model.params[f"{name}.conv.bias"], spec)
-        g, dgm, dbt = ops.norm_backward(g, cache, pool, conv)
+        g, dgm, dbt, *conv_grads = ops.norm_backward(g, cache, pool, conv)
         grads[f"{name}.norm.gamma"] = dgm
         grads[f"{name}.norm.beta"] = dbt
+        if conv_grads:
+            grads[f"{name}.conv.weight"], grads[f"{name}.conv.bias"] = conv_grads
     elif kind == "conv":
         _, name, x_in, spec = entry
         g, gw, gb = ops.conv3d_backward(

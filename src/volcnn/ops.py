@@ -4,26 +4,29 @@ Two rules of ownership. Every layer forward except conv, pool and linear
 writes over its input's array: relu returns it holding the result, and a
 normalization leaves xhat there, which a tape's cache keeps beside a fresh
 y, or without a tape y itself. A taped y that is only max pooled is never
-whole: norm_pool_forward forms it one sample at a time. relu_backward
-writes the input gradient over grad_out's array and returns it;
-norm_backward only reads grad_out and consumes its cache: it writes dx over
-xhat. The state backward reads is kept no wider than backward needs:
+whole: norm_pool_forward forms it one sample at a time. Block1's conv
+output is never whole either: conv_norm_pool_forward runs conv, norm and
+pool one sample at a time, and norm_backward rebuilds each sample's xhat
+from the conv input and takes its dx straight through the conv's backward.
+relu_backward writes the input gradient over grad_out's array and returns
+it; norm_backward only reads grad_out and consumes its cache: it writes dx
+over xhat. The state backward reads is kept no wider than backward needs:
 relu_backward takes the bool mask x > 0, maxpool3d_argmax gives int32
-indices, norm_backward routes a pooled gradient itself and can rebuild
-xhat from the conv input, and neither the normalizations nor norm_backward
-hold a full-size scratch buffer, only one sample's or part of one. The
-normalizations subtract the mean once and take the variance from that
-difference. Convolution uses
-cross-correlation semantics (no kernel flip). The 3D convolution is lowered
-to im2col GEMMs (Chellapilla et al., 2006), one column slab per first-axis
-kernel tap and sample, so each BLAS call contracts over k*k*C and the
-column buffer stays at 1/k of a full im2col; the backward writes dX's
-columns into that same slab. A 1x1x1 stride-1 convolution of one input
-channel is a broadcast multiply instead. Max pooling is split in two ops:
-maxpool3d_forward takes the values from three 1-D maximum passes, and
-maxpool3d_argmax, which only a forward that records a tape for backward
-calls, recovers the first maximal tap by equality. A naive direct-loop
-oracle for the convolution lives in the test suite.
+indices, norm_backward routes a pooled gradient itself, and neither the
+normalizations nor norm_backward hold a full-size scratch buffer, only one
+sample's or part of one. The normalizations subtract the mean once and take
+the variance from that difference. Convolution uses cross-correlation
+semantics (no kernel flip). The 3D convolution is lowered to im2col GEMMs
+(Chellapilla et al., 2006), one column slab per first-axis kernel tap and
+sample, so each BLAS call contracts over k*k*C and the column buffer stays
+at 1/k of a full im2col; the backward writes dX's columns into that same
+slab, pads one sample at a time and adds dX straight into the unpadded
+gradient. A 1x1x1 stride-1 convolution of one input channel is a broadcast
+multiply instead. Max pooling is split in two ops: maxpool3d_forward takes
+the values from three 1-D maximum passes, and maxpool3d_argmax, which only
+a forward that records a tape for backward calls, recovers the first
+maximal tap by equality. A naive direct-loop oracle for the convolution
+lives in the test suite.
 
 Output extent per spatial axis:
     conv: floor((in + 2p - d*(k-1) - 1) / s) + 1
@@ -79,9 +82,22 @@ def _tap_slices(k: int, s: int, d: int, out_extents: tuple[int, ...], tap):
     )
 
 
-def _padded(x: Tensor, p: int) -> np.ndarray:
-    """The input zero-padded by p on every spatial side."""
-    return np.pad(x.data, ((0, 0), (0, 0)) + ((p, p),) * 3) if p else x.data
+def _clipped_tap(spec: ConvSpec, outs: tuple[int, ...],
+                 spatial: tuple[int, ...], tap):
+    """(output index, input index) of a kernel tap of a padded convolution:
+    the output positions whose tap input lies inside the unpadded input,
+    and those inputs, channels whole. None where no such position exists."""
+    src, dst = [slice(None)], [slice(None)]
+    for t, o, e in zip(tap, outs, spatial):
+        off = t * spec.d - spec.p  # input position of output 0
+        lo = max(0, -(off // spec.s))
+        hi = min(o, (e - 1 - off) // spec.s + 1)
+        if hi <= lo:
+            return None
+        start = off + spec.s * lo
+        src.append(slice(lo, hi))
+        dst.append(slice(start, start + spec.s * (hi - lo - 1) + 1, spec.s))
+    return tuple(src), tuple(dst)
 
 
 def _windows(xp: np.ndarray, spec: ConvSpec,
@@ -132,7 +148,8 @@ def conv3d_forward(x: Tensor, w: Tensor, b: Tensor, spec: ConvSpec) -> Tensor:
         np.multiply(x.data, w.data.reshape(1, o, 1, 1, 1), out=out)
         out += (b.data + 0)[None, :, None, None, None]
         return Tensor(out)
-    xp = _padded(x, spec.p)
+    p = spec.p
+    xp = np.pad(x.data, ((0, 0), (0, 0)) + ((p, p),) * 3) if p else x.data
     win = _windows(xp, spec, outs)
     # One [k*k*C, P] column slab per first-axis tap, reused for every
     # sample: 1/k of the full im2col buffer, and each GEMM contracts over
@@ -165,11 +182,18 @@ def conv3d_backward(grad_out: Tensor, x: Tensor, w: Tensor,
         raise ShapeError(
             f"grad_out shape {grad_out.shape}, expected {(n, spec.c_out) + outs}"
         )
-    xp = _padded(x, spec.p)
+    k, o, p = spec.k, spec.c_out, spec.p
+    # Padding goes one sample at a time: each sample is copied into the
+    # interior of one zero-bordered buffer, and dX adds only the taps'
+    # positions inside the input, straight into its gradient, in the order
+    # a padded gradient would take them. Unpadded, the windows are x's own.
+    xp = x.data
+    if p:
+        xp = np.zeros((1, c) + tuple(e + 2 * p for e in spatial), x.dtype)
+        interior = xp[0, :, p:-p, p:-p, p:-p]
     win = _windows(xp, spec, outs)
-    k, o = spec.k, spec.c_out
     g = grad_out.data
-    gxp = np.zeros_like(xp)
+    gx = np.zeros_like(x.data)
     gw = np.zeros_like(w.data)
     gb = g.sum(axis=(0, 2, 3, 4))
     cols = np.empty((k, k, c) + outs, dtype=x.dtype)
@@ -179,21 +203,20 @@ def conv3d_backward(grad_out: Tensor, x: Tensor, w: Tensor,
     # into the column slab once dW's GEMM has read it.
     for i in range(k):
         w_slab_t = _weight_slab(w, i).T
-        # (j, l, input slices) of each tap in slab i, for the scatter-add
-        taps = [(j, l, _tap_slices(k, spec.s, spec.d, outs, (i, j, l)))
-                for j in range(k) for l in range(k)]
+        # (j, l, output and input index) of each tap in slab i that reaches
+        # the input, for the scatter-add
+        taps = [(j, l, sl) for j in range(k) for l in range(k)
+                if (sl := _clipped_tap(spec, outs, spatial, (i, j, l)))]
         for ni in range(n):
             g_n = g[ni].reshape(o, -1)
-            gxs = gxp[ni]
-            np.copyto(cols, win[ni, i])
+            if p:
+                np.copyto(interior, x.data[ni])
+            np.copyto(cols, win[0 if p else ni, i])
             gw[:, :, i] += (g_n @ cols2.T).reshape(o, k, k, c).transpose(0, 3, 1, 2)
             np.matmul(w_slab_t, g_n, out=cols2)
-            for j, l, sl in taps:
-                gxs[:, sl[0], sl[1], sl[2]] += cols[j, l]
-    del cols, cols2  # the slab is freed before dX is cut out of its padding
-    p = spec.p
-    gx = gxp[:, :, p:p + spatial[0], p:p + spatial[1], p:p + spatial[2]]
-    return Tensor(np.ascontiguousarray(gx)), Tensor(gw), Tensor(gb)
+            for j, l, (src, dst) in taps:
+                gx[ni][dst] += cols[j, l][src]
+    return Tensor(gx), Tensor(gw), Tensor(gb)
 
 
 def maxpool3d_forward(x: Tensor, k: int, s: int) -> Tensor:
@@ -319,19 +342,31 @@ def _sum_products(a: np.ndarray, b: np.ndarray, axes: tuple[int, ...],
     return np.stack(list(sums))
 
 
+def _product_buffer(shape: tuple[int, ...], axes: tuple[int, ...],
+                    dtype) -> np.ndarray:
+    """_sum_products' buffer for arrays of `shape` reduced over `axes`: a
+    group of a sample's channels of at most PRODUCT_BLOCK elements, or one
+    channel where that is more, unless the channel axis is reduced (layer
+    norm), which takes the whole sample."""
+    width = shape[1]
+    if 1 not in axes and len(shape) > 2:
+        width = max(1, min(width, PRODUCT_BLOCK // int(np.prod(shape[2:]))))
+    return np.empty((width,) + tuple(shape[2:]), dtype)
+
+
 def _standardize(u: np.ndarray, mean: np.ndarray, invstd=None,
                  axes: tuple[int, ...] = ()):
     """xhat = (u - mean) * invstd, written over u's array: a forward's
     normalization and norm_backward's rebuild of xhat take these same two
     steps. Without invstd it comes from the biased variance of u - mean
     over `axes`, reduced and divided as numpy's var does, so bit for bit
-    var's, with a transient of one sample. Returns (xhat, var, invstd), var
+    var's, through _product_buffer. Returns (xhat, var, invstd), var
     None where invstd was given."""
     d = np.subtract(u, mean, out=u)
     var = None
     if invstd is None:
         count = np.intp(np.prod([u.shape[a] for a in axes]))
-        var = _sum_products(d, d, axes, np.empty(u.shape[1:], u.dtype))
+        var = _sum_products(d, d, axes, _product_buffer(u.shape, axes, u.dtype))
         np.true_divide(var, count, out=var, casting="unsafe")
         invstd = 1.0 / np.sqrt(var + EPS)
     d *= invstd
@@ -398,6 +433,83 @@ def norm_pool_forward(cache: NormCache, beta: Tensor, k: int,
     return Tensor(pooled), idx
 
 
+def _batch_stats(sample, shape: tuple[int, ...],
+                 axes: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The mean and biased variance over `axes`, the batch axis among them,
+    of the batch of `shape`, two or more channels, whose sample i is the
+    fresh array sample(i): the mean, then the variance of the difference
+    from it, each a pass of per-sample sums added onto 0 in sample order.
+    That is numpy's order for one reduction of the whole batch (see
+    _sum_products), so the figures are bit for bit _normalize's."""
+    n = shape[0]
+    count = np.intp(np.prod([shape[a] for a in axes]))
+    mean = sum(np.add.reduce(sample(i), axes, keepdims=True) for i in range(n))
+    np.true_divide(mean, count, out=mean, casting="unsafe")
+
+    def diff(i):  # sample i less the mean, in its own array
+        u = sample(i)
+        return np.subtract(u, mean, out=u)
+
+    buf = _product_buffer(shape, axes, mean.dtype)
+    var = sum(_sum_products(d, d, axes, buf) for d in map(diff, range(n)))
+    np.true_divide(var, count, out=var, casting="unsafe")
+    return mean, var
+
+
+def conv_norm_pool_forward(x: Tensor, conv, gamma: Tensor, beta: Tensor,
+                           pool: tuple[int, int], tape: bool, running=None,
+                           mode: str = "train"):
+    """maxpool3d_forward of a normalization of conv3d_forward(x, *conv),
+    conv = (w, b, spec) with two or more output channels, and with a tape
+    its maxpool3d_argmax indices, formed one sample at a time: no array of
+    the whole batch at the conv's extent exists, and every bit is the
+    whole-batch composition's. The norm is instance norm where running is
+    None, else batch norm in `mode` with running = (running_mean,
+    running_var); in train mode its statistics take two passes over the
+    samples first, each recomputing the conv. Returns (pooled, idx, cache,
+    running): idx and the cache None without a tape, the cache with no
+    xhat (norm_backward rebuilds it from x), and the running stats as
+    batch_norm_forward returns them (None for instance norm)."""
+    w, b, spec = conv
+    n = x.shape[0]
+    shape = (n, spec.c_out) + tuple(
+        conv_out_extent(e, spec.k, spec.p, spec.s, spec.d) for e in x.shape[2:])
+    axes = (2, 3, 4) if running is None else (0, 2, 3, 4)
+    fixed = None if running is None else _fixed_stats(*running, mode, n)
+
+    def conv_out(i):  # sample i's conv output, in a fresh array
+        return conv3d_forward(Tensor(x.data[i:i + 1]), w, b, spec).data
+
+    stats = fixed
+    if running is not None and fixed is None:
+        stats = _batch_stats(conv_out, shape, axes)
+    means, variances = [], []
+    for i in range(n):
+        y, _, mean, var = _normalize(Tensor(conv_out(i)), gamma, beta, axes,
+                                     1, False, stats)
+        means.append(mean)
+        variances.append(var)
+        p = maxpool3d_forward(y, *pool)
+        if i == 0:
+            pooled = np.empty((n,) + p.shape[1:], p.dtype)
+            idx = np.empty(pooled.shape, np.int32) if tape else None
+        pooled[i] = p.data[0]
+        if tape:
+            idx[i] = maxpool3d_argmax(y, p, *pool)[0]
+    if stats is None:  # instance norm: each sample's own statistics
+        mean, var = np.concatenate(means), np.concatenate(variances)
+    if running is not None:
+        running = _blend_running(*running, fixed, mean, var,
+                                 int(np.prod(shape)) // shape[1])
+    cache = None
+    if tape:
+        cache = NormCache(axes, (0, 2, 3, 4), None, mean,
+                          1.0 / np.sqrt(var + EPS),
+                          gamma.data.reshape(1, -1, 1, 1, 1),
+                          fixed is not None)
+    return Tensor(pooled), idx, cache, running
+
+
 def instance_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
                           tape: bool = True, form_y: bool = True
                           ) -> tuple[Tensor | None, NormCache | None]:
@@ -423,24 +535,38 @@ def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     cache is None and y is written over x's array. With a tape and
     form_y=False, y is None.
     """
+    stats = _fixed_stats(running_mean, running_var, mode, x.shape[0])
+    y, cache, mean, var = _normalize(x, gamma, beta, (0, 2, 3, 4), 1, tape,
+                                     stats, form_y)
+    return (y, cache) + _blend_running(running_mean, running_var, stats,
+                                       mean, var, x.data.size // x.shape[1])
+
+
+def _fixed_stats(running_mean: Tensor, running_var: Tensor, mode: str,
+                 n: int):
+    """Batch norm's constant statistics in `mode`: the running ones in eval
+    mode, None in train mode, which needs a batch of two or more."""
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
-    axes = (0, 2, 3, 4)
     if mode == "eval":
-        y, cache, _, _ = _normalize(x, gamma, beta, axes, 1, tape,
-                                    (running_mean.data, running_var.data),
-                                    form_y)
-        return y, cache, running_mean, running_var
-    if x.shape[0] < 2:
+        return running_mean.data, running_var.data
+    if n < 2:
         raise ValueError("batch norm in train mode needs a batch of >= 2")
-    y, cache, mean, var = _normalize(x, gamma, beta, axes, 1, tape,
-                                     form_y=form_y)
-    c = x.shape[1]
-    m, mom = x.data.size // c, BN_MOMENTUM
+    return None
+
+
+def _blend_running(running_mean: Tensor, running_var: Tensor, stats,
+                   mean: np.ndarray, var: np.ndarray,
+                   m: int) -> tuple[Tensor, Tensor]:
+    """The running stats after a batch norm of m values per channel: the
+    same ones where its statistics were the fixed `stats`."""
+    if stats is not None:
+        return running_mean, running_var
+    c, mom = running_mean.shape[0], BN_MOMENTUM
     new_mean = (1 - mom) * running_mean.data + mom * mean.reshape(c)
     new_var = (1 - mom) * running_var.data + mom * var.reshape(c) * m / (m - 1)
-    return (y, cache, Tensor(new_mean.astype(x.dtype)),
-            Tensor(new_var.astype(x.dtype)))
+    return (Tensor(new_mean.astype(mean.dtype)),
+            Tensor(new_var.astype(mean.dtype)))
 
 
 def layer_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -452,7 +578,7 @@ def layer_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
 
 
 def norm_backward(grad_out: Tensor, cache: NormCache, pool=None,
-                  conv=None) -> tuple[Tensor, Tensor, Tensor]:
+                  conv=None) -> tuple[Tensor, ...]:
     """Gradients through any normalization forward, including the dependence
     of mean and variance on the input (except eval-mode batch norm, whose
     statistics are constants). Returns (dx, dgamma, dbeta).
@@ -460,10 +586,14 @@ def norm_backward(grad_out: Tensor, cache: NormCache, pool=None,
     The samples pass one at a time. With pool = (idx, input_shape),
     grad_out is the gradient at the max pool of the norm's output, whose
     maxpool3d_argmax indices are idx, and maxpool3d_backward routes each
-    sample's. With conv = (x, w, b, spec) the cache holds no xhat: each
-    sample's is rebuilt from the conv input x through conv3d_forward and
-    _standardize. grad_out is only read. The cache is consumed: dx is
-    written over its xhat, and a rebuilt one is dx's own array at batch 1."""
+    sample's. With conv = (x, w, b, spec) the norm's input is that conv's
+    output and the cache holds no xhat: each sample's is rebuilt from x
+    through conv3d_forward and _standardize, and its dx, written over it,
+    goes straight into conv3d_backward, so no dx of the whole batch exists.
+    Then the returns are (dx at x, dgamma, dbeta, dw, db), dw and db the
+    per-sample ones added onto 0 in sample order, bit for bit the whole
+    batch's. grad_out is only read. The cache is consumed: dx is written
+    over its xhat."""
     shape = grad_out.shape if pool is None else pool[1]
     if cache.xhat is not None and cache.xhat.shape != shape:
         raise ShapeError(
@@ -486,26 +616,23 @@ def norm_backward(grad_out: Tensor, cache: NormCache, pool=None,
         return maxpool3d_backward(Tensor(grad_out.data[sl]), pool[0][sl],
                                   (step,) + shape[1:]).data
 
+    zero = dtype.type(0)
+    if conv is not None:
+        x, w, b, spec = conv
+        gx, gw, gb = [], zero, zero
+
     def xhat(sl):
         if conv is None:
             return cache.xhat[sl]
-        x, w, b, spec = conv
         u = conv3d_forward(Tensor(x.data[sl]), w, b, spec).data
         return _standardize(u, *cache.stats(sl))[0]
 
-    # A sample's products pass through buf in groups of its channels of at
-    # most PRODUCT_BLOCK elements, or one channel where that is more,
-    # unless the channel axis is reduced (layer norm).
-    width = shape[1]
-    if 1 not in cache.axes and len(shape) > 2:
-        width = max(1, min(width, PRODUCT_BLOCK // int(np.prod(shape[2:]))))
-    buf = np.empty((width,) + shape[2:], dtype)
+    buf = _product_buffer(shape, cache.axes, dtype)
     pa = cache.param_axes
 
     # Each product in the order of dx = invstd * (dxhat - m1 - xhat * m2),
-    # so the result is bit for bit that expression's. Besides xhat (and dx
-    # where it is rebuilt), one sample's gradient is all that exists.
-    zero = dtype.type(0)
+    # so the result is bit for bit that expression's. Besides a kept xhat,
+    # one sample's gradient (and a rebuilt xhat) is all that exists.
     dgamma = dbeta = zero
     batch_stats = 0 in cache.axes and not cache.fixed_stats
     if batch_stats:  # m1 and m2 span the batch: a first pass sums them
@@ -520,9 +647,6 @@ def norm_backward(grad_out: Tensor, cache: NormCache, pool=None,
             del g, dxhat, xh  # freed before the next sample's are made
         for m in (m1, m2):  # numpy's mean
             np.true_divide(m, count, out=m, casting="unsafe")
-    dx = cache.xhat
-    if dx is None and len(chunks) > 1:
-        dx = np.empty(shape, dtype)
     for sl in chunks:
         g, xh = grad(sl), xhat(sl)
         if not batch_stats:
@@ -536,12 +660,19 @@ def norm_backward(grad_out: Tensor, cache: NormCache, pool=None,
         if not cache.fixed_stats:
             dxhat -= m1
             dxhat = np.subtract(dxhat, np.multiply(xh, m2, out=xh), out=xh)
-        out = xh if dx is None else dx[sl]
-        np.multiply(dxhat, cache.stats(sl)[1], out=out)
-        del g, dxhat, xh
-    if dx is None:  # one rebuilt chunk: its array is dx
-        dx = out
-    return Tensor(dx), Tensor(dgamma.reshape(-1)), Tensor(dbeta.reshape(-1))
+        dx = np.multiply(dxhat, cache.stats(sl)[1], out=xh)
+        del g, dxhat, xh  # freed before a conv backward runs beside dx
+        if conv is not None:
+            gxs, gws, gbs = conv3d_backward(Tensor(dx), Tensor(x.data[sl]),
+                                            w, spec)
+            gx.append(gxs.data)
+            gw, gb = gw + gws.data, gb + gbs.data
+        del dx
+    grads = (Tensor(dgamma.reshape(-1)), Tensor(dbeta.reshape(-1)))
+    if conv is None:
+        return (Tensor(cache.xhat),) + grads
+    gx = gx[0] if len(gx) == 1 else np.concatenate(gx)
+    return (Tensor(gx),) + grads + (Tensor(gw), Tensor(gb))
 
 
 def relu(x: Tensor) -> Tensor:

@@ -18,6 +18,7 @@ _SUPPORTED = (F32, F64)
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
+INIT_CHUNK = 1 << 16  # draws per step of kaiming_uniform
 
 
 class ShapeError(ValueError):
@@ -169,6 +170,13 @@ class Tensor:
 def kaiming_uniform(shape: Sequence[int], rng: Rng, dtype=F32) -> Tensor:
     """Uniform init in [-bound, bound) with bound sqrt(6 / fan_in). For
     weight layouts [out, in, ...] fan_in is the product of all trailing
-    extents (input channels times kernel volume)."""
+    extents (input channels times kernel volume). The draws fill the
+    output in chunks of INIT_CHUNK: the counter-based stream makes that
+    exactly the one-call draw, without its float64 temporaries."""
     bound = float(np.sqrt(6.0 / int(np.prod(shape[1:]))))
-    return Tensor(rng.uniform(shape, -bound, bound).astype(dtype))
+    out = np.empty(shape, dtype)
+    flat = out.reshape(-1)
+    for a in range(0, flat.size, INIT_CHUNK):
+        part = flat[a:a + INIT_CHUNK]
+        part[...] = rng.uniform(part.shape, -bound, bound)
+    return Tensor(out)

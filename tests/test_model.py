@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from volcnn import gradcheck, model as m, ops
+from volcnn import gradcheck, model as m, ops, tensor
 from volcnn.tensor import Rng, ShapeError, Tensor
 
 from test_ops import norm_backward_expression
@@ -166,6 +166,22 @@ class TestConfig:
             h.update(name.encode())
             h.update(named[name].data.tobytes())
         assert h.hexdigest() == digest
+
+    def test_build_peak_near_parameter_bytes(self):
+        # Each weight is drawn in chunks of INIT_CHUNK straight into its
+        # own dtype: at f=2, crop 32 the build peaks 1.5 MiB above the
+        # 6.2 MiB of tensors it returns (numpy 2.4). Drawing a weight whole
+        # in float64 first read 17.3 MiB above them.
+        cfg = m.ModelConfig(crop_extent=32, widening_factor=2)
+        tracemalloc.start()
+        try:
+            net = m.build(cfg, Rng(7))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        kept = sum(t.data.nbytes for t in [*net.params.values(),
+                                           *net.buffers.values()])
+        assert peak <= kept + 32 * tensor.INIT_CHUNK, (peak, kept)
 
 
 class TestForwardBackward:
@@ -401,11 +417,11 @@ class TestTapeFree:
 
     def test_peak_memory_below_taped_forward(self):
         # In block1 activations (crop 32, batch 4: 2.1 MB), measured with
-        # numpy 2.4: without a tape the forward peaks at 1.71; the taped
-        # forward holds what backward needs and peaks at 1.67, as it forms
-        # each pooling block's y a sample at a time and keeps no block1
-        # xhat. A whole-batch y read 2.71, and a taped norm that also kept
-        # its input beside xhat and y 3.25.
+        # numpy 2.4: block1 runs a sample at a time, so without a tape the
+        # forward peaks at 0.76, and the taped forward, which holds what
+        # backward needs, at 1.27. A whole-batch block1 conv output read
+        # 1.71 and 1.67; a whole-batch y 2.71, and a taped norm that also
+        # kept its input beside xhat and y 3.25.
         net = m.build(m.ModelConfig(crop_extent=32), Rng(24))
         x = Tensor(Rng(25).normal((4, 1, 32, 32, 32)).astype(np.float32))
         activation = 4 * 4 * 32 ** 3 * 4   # block1: 4 channels, float32
@@ -418,14 +434,15 @@ class TestTapeFree:
             finally:
                 tracemalloc.stop()
             del out
-        assert peaks[False] <= 1.8, peaks
-        assert peaks[True] <= 1.75, peaks
+        assert peaks[False] <= 0.8, peaks
+        assert peaks[True] <= 1.33, peaks
 
     def test_peak_below_two_block1_activations(self):
         # Each block's activation is freed before the next block's conv
-        # output is complete, so the peak is the input, block1's conv
-        # output and a little more: 1.72 activations. A name holding the
-        # previous block's activation through the next conv makes it 2.14.
+        # output is complete. Block1's conv output exists a sample at a
+        # time, so the peak is 1.29 activations; with it whole it was 1.72,
+        # and a name holding the previous block's activation through the
+        # next conv made that 2.14.
         n, e = 2, 48
         net = m.build(m.ModelConfig(crop_extent=e), Rng(24))
         x = Tensor(Rng(25).normal((n, 1, e, e, e)).astype(np.float32))
@@ -458,21 +475,31 @@ def step_peak(n: int, crop: int) -> float:
 
 class TestStepMemory:
     def test_train_step_peak(self):
-        # Crop 32, batch 4, peak at 2.70 block1 activations (numpy 2.4): a
-        # pooling block forms y, routes its gradient and sums its products
-        # a sample at a time, dx overwrites xhat, block1's xhat is rebuilt
-        # in backward, and the conv backward holds one column slab. A
-        # whole-batch y and routed gradient with block1's xhat on the tape
-        # read 3.32; a norm that also kept its input beside xhat and y, a
-        # norm backward with a full-size scratch buffer, and a conv backward
-        # with a second slab 3.91.
-        assert step_peak(4, 32) <= 2.8
+        # Crop 32, batch 4, peak at 2.05 block1 activations (numpy 2.4):
+        # block1's conv, norm and pool run a sample at a time in forward,
+        # and in backward each sample's rebuilt xhat becomes its dx and goes
+        # straight into its conv backward; the other pooling blocks form y,
+        # route their gradient and sum their products a sample at a time,
+        # dx overwrites xhat, and the conv backward holds one column slab
+        # and pads one sample. Block1 whole in forward and its dx whole in
+        # backward read 2.69; a whole-batch y and routed gradient with
+        # block1's xhat on the tape 3.32; a norm that also kept its input
+        # beside xhat and y, a norm backward with a full-size scratch
+        # buffer, and a conv backward with a second slab 3.91.
+        assert step_peak(4, 32) <= 2.1
+
+    def test_train_step_peak_crop48(self):
+        # Block1 grows with the crop faster than the rest of the network,
+        # so at crop 48 the step peaks at 1.35 activations; with block1
+        # whole in forward and its dx whole in backward it read 2.04.
+        assert step_peak(4, 48) <= 1.4
 
     def test_batch_one_step_peak(self):
         # At batch 1 a sample is the batch: block1's rebuilt xhat becomes
-        # dx in its own array, with no second full-size array to copy it
-        # into. Crop 48 peaks at 3.48 block1 activations (numpy 2.4); such
-        # a copy reads 4.5, and the whole-batch composition read 4.01.
+        # dx in its own array, and its conv backward's input gradient is
+        # returned as it is, with no second full-size array to copy either
+        # into. Crop 48 peaks at 3.48 block1 activations (numpy 2.4); a
+        # copy of dx reads 4.5, and the whole-batch composition read 4.01.
         assert step_peak(1, 48) <= 3.6
 
 
@@ -553,7 +580,8 @@ def whole_batch_step(net, x, ages, mode, labels):
 
 class TestWholeBatchOracle:
     """A training step, a sample at a time through each pooling block with
-    block1's xhat rebuilt, gives the bytes of the whole-batch composition."""
+    block1's conv, norm and pool never whole and its xhat rebuilt, gives the
+    bytes of the whole-batch composition, and so does a tape-free forward."""
 
     @pytest.mark.parametrize("crop, n, dtype, mode, axis, inputs", [
         (32, 4, np.float32, "train", {}, "ties"),
@@ -577,11 +605,20 @@ class TestWholeBatchOracle:
         (32, 4, np.float32, "train", {"widening_factor": 2,
                                       "first_layer": "K3S2", "norm": "batch",
                                       "age_mode": "encoded"}, "normal"),
+        (32, 4, np.float32, "train", {"norm": "batch"}, "ties"),
+        (32, 3, np.float64, "train", {"norm": "batch", "first_layer": "K7S4",
+                                      "widening_factor": 2}, "nan"),
+        (32, 4, np.float32, "eval", {"norm": "batch", "first_layer": "K3S2"},
+         "nan"),
+        (32, 1, np.float64, "train", {"first_layer": "K7S4",
+                                      "widening_factor": 2}, "ties"),
+        (48, 3, np.float32, "train", {"first_layer": "K3S2"}, "nan"),
+        (32, 4, np.float64, "eval", {"widening_factor": 2}, "ties"),
     ])
     def test_step_bytes_equal_whole_batch(self, crop, n, dtype, mode, axis,
                                           inputs):
         cfg = m.ModelConfig(crop_extent=crop, **axis)
-        nets = [m.build(cfg, Rng(31), dtype) for _ in range(2)]
+        nets = [m.build(cfg, Rng(31), dtype) for _ in range(3)]
         for net in nets:  # affine params and running stats do work
             g = Rng(32)
             for name, t in list(net.params.items()) + list(net.buffers.items()):
@@ -604,18 +641,24 @@ class TestWholeBatchOracle:
         grads, gx = m.backward(nets[0], tape, grad)
         want_logits, want_grads, want_gx = whole_batch_step(
             nets[1], Tensor(x.astype(dtype)), ages, mode, labels)
+        free, _ = m.forward(nets[2], Tensor(x.astype(dtype)), ages_in, mode,
+                            tape=False)
 
         if inputs == "nan":  # sample 0 is NaN through, the others are not
-            assert np.isnan(logits.data[0]).all()
-            assert not np.isnan(logits.data[1:]).any()
+            assert np.isnan(logits.data[0]).all()  # unless batch stats mix
+            mixed = cfg.norm == "batch" and mode == "train"
+            assert np.isnan(logits.data[1:]).all() == mixed
+            assert np.isnan(logits.data[1:]).any() == mixed
         assert logits.data.tobytes() == want_logits.data.tobytes()
+        assert free.data.tobytes() == want_logits.data.tobytes()
         assert grads.keys() == want_grads.keys()
         for name, t in grads.items():
             assert t.data.dtype == want_grads[name].dtype, name
             assert t.data.tobytes() == want_grads[name].tobytes(), name
         assert gx.data.tobytes() == want_gx.tobytes()
-        for name, t in nets[0].buffers.items():
-            assert t.data.tobytes() == nets[1].buffers[name].data.tobytes()
+        for name, t in nets[1].buffers.items():
+            for net in (nets[0], nets[2]):
+                assert net.buffers[name].data.tobytes() == t.data.tobytes()
 
 
 def tape_footprint(tape) -> dict[str, int]:

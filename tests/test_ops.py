@@ -45,6 +45,34 @@ def naive_conv3d(x, w, b, spec):
     return out
 
 
+def whole_batch_conv3d_backward(g, x, w, spec):
+    """conv3d_backward as it was before it padded one sample at a time: the
+    whole batch padded, and dX scattered into a padded gradient whose
+    interior is cut out at the end. The byte oracle for the kernel."""
+    n, c, *spatial = x.shape
+    k, o, p = spec.k, spec.c_out, spec.p
+    outs = g.shape[2:]
+    xp = np.pad(x, ((0, 0), (0, 0)) + ((p, p),) * 3)
+    win = ops._windows(xp, spec, outs)
+    gxp = np.zeros_like(xp)
+    gw = np.zeros_like(w)
+    cols = np.empty((k, k, c) + outs, dtype=x.dtype)
+    cols2 = cols.reshape(k * k * c, -1)
+    for i in range(k):
+        w_slab_t = w[:, :, i].transpose(0, 2, 3, 1).reshape(o, -1).T
+        for ni in range(n):
+            g_n = g[ni].reshape(o, -1)
+            np.copyto(cols, win[ni, i])
+            gw[:, :, i] += (g_n @ cols2.T).reshape(o, k, k, c).transpose(0, 3, 1, 2)
+            np.matmul(w_slab_t, g_n, out=cols2)
+            for j in range(k):
+                for l in range(k):
+                    sl = ops._tap_slices(k, spec.s, spec.d, outs, (i, j, l))
+                    gxp[ni][(slice(None),) + sl] += cols[j, l]
+    gx = gxp[:, :, p:p + spatial[0], p:p + spatial[1], p:p + spatial[2]]
+    return np.ascontiguousarray(gx), gw, g.sum(axis=(0, 2, 3, 4))
+
+
 def pool_with_argmax(x, k, s):
     """Pooled values and the argmax indices a taped forward records, which
     are int32."""
@@ -230,6 +258,34 @@ class TestConv:
         for res in gradcheck.check_conv():
             assert res.passed, f"{res.name}: rel err {res.rel_err:.3e}"
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("n, c, e, spec", [
+        (3, 2, 9, ops.ConvSpec(k=3, c_out=5, p=1)),
+        (2, 3, 11, ops.ConvSpec(k=5, c_out=4, p=2, d=2)),   # block3 form
+        (2, 4, 8, ops.ConvSpec(k=3, c_out=3, p=1, d=2)),    # block4 form
+        (2, 2, 9, ops.ConvSpec(k=3, c_out=3, d=2)),         # block2 form
+        (3, 1, 17, ops.ConvSpec(k=3, c_out=4, p=1, s=2)),   # K3S2 stem
+        (3, 1, 19, ops.ConvSpec(k=7, c_out=4, p=3, s=4)),   # K7S4 stem
+        (2, 1, 6, ops.ConvSpec(k=1, c_out=4)),              # K1S1 stem
+        (2, 2, 9, ops.ConvSpec(k=3, c_out=2, p=2, s=2, d=2)),
+        (1, 2, 2, ops.ConvSpec(k=3, c_out=2, p=5, s=4)),    # taps in padding only
+    ])
+    def test_backward_equals_whole_batch_padding(self, n, c, e, spec, dtype):
+        # One padded sample at a time and dX added through clipped taps
+        # give the bytes of the padded whole batch: every kept element
+        # takes its terms in the same order.
+        rng = Rng(44).stream("conv-bwd", n, c, e, spec.k, spec.p, spec.s)
+        x = rng.stream("x").normal((n, c, e, e + 1, e + 2)).astype(dtype)
+        w = rng.stream("w").normal((spec.c_out, c) + (spec.k,) * 3).astype(dtype)
+        outs = tuple(ops.conv_out_extent(a, spec.k, spec.p, spec.s, spec.d)
+                     for a in x.shape[2:])
+        g = rng.stream("g").normal((n, spec.c_out) + outs).astype(dtype)
+        got = ops.conv3d_backward(Tensor(g), Tensor(x), Tensor(w), spec)
+        want = whole_batch_conv3d_backward(g, x, w, spec)
+        for a, b in zip(got, want):
+            assert a.data.dtype == b.dtype == dtype
+            assert a.data.tobytes() == b.tobytes()
+
     def test_column_buffer_stays_below_full_im2col(self):
         # A full [C*k^3, P] column matrix for one sample would take 13.8 MB;
         # at widening factor 8 the same lowering of block3 needs 629 MB.
@@ -253,11 +309,12 @@ class TestConv:
 
 
     def test_backward_transient_peak(self):
-        # The backward holds one column slab, one weight slab, dW, the
-        # padded input and padded dX, and one GEMM product; numpy's ufunc
-        # loops add up to three 8192-element buffers. A second slab for dX's
-        # columns and every weight slab at once read 6.96 MB here, against
-        # 3.96 MB measured and a 4.00 MB budget.
+        # The backward holds one column slab, one weight slab, dW, dX, one
+        # padded sample, and one GEMM product; numpy's ufunc loops add up to
+        # three 8192-element buffers. It peaks at 3.45 MB against a 4.00 MB
+        # budget; the whole batch padded, with a padded dX, read 3.96 MB,
+        # and a second slab for dX's columns and every weight slab at once
+        # 6.96 MB.
         n, c, e, spec = 2, 16, 12, ops.ConvSpec(k=5, c_out=8, p=2)
         k, o, item = spec.k, spec.c_out, 4
         rng = Rng(5).stream("conv-memory")
@@ -780,10 +837,61 @@ def tied_cache(kind: str, n: int, dtype) -> ops.NormCache:
     return cache
 
 
+def stem_case(kind: str, n: int, inputs: str, stem, dtype):
+    """Block1 at one stem: a one-channel input and the conv, norm params and
+    running stats that feed conv_norm_pool_forward. stem = (k, p, s, c_out).
+    "ties" makes every value a multiple of 1/2, so the conv is exact and
+    pool windows tie; "nan" puts a NaN in sample 0."""
+    k, p, st, c = stem
+    spec = ops.ConvSpec(k=k, c_out=c, p=p, s=st)
+    rng = Rng(63).stream(kind, n, inputs, k, c)
+    x = rng.stream("x").normal((n, 1, 17, 18, 19))
+    w = rng.stream("w").normal((c, 1, k, k, k))
+    b = rng.stream("b").normal((c,))
+    if inputs == "ties":
+        x, w, b = (np.round(a * 2.0) / 2.0 for a in (x, w, b))
+    elif inputs == "nan":
+        x[0, 0, 5, 6, 7] = np.nan
+    gamma = rng.stream("g").uniform((c,), 0.5, 1.5)
+    beta = rng.stream("be").normal((c,))
+
+    def t(a):
+        return Tensor(np.asarray(a).astype(dtype))
+
+    running = None
+    if kind != "instance":
+        running = (t(rng.stream("rm").normal((c,))),
+                   t(rng.stream("rv").uniform((c,), 0.5, 2.0)))
+    return t(x), (t(w), t(b), spec), t(gamma), t(beta), running
+
+
+def whole_stem(x, conv, gamma, beta, running, mode, pool=(3, 2)):
+    """The whole-batch composition conv_norm_pool_forward replaces: the
+    batch's conv output, its taped norm with a whole y, and the pool.
+    Returns (pooled, idx, cache, running, y's shape)."""
+    u = ops.conv3d_forward(x, *conv)
+    if running is None:
+        y, cache = ops.instance_norm_forward(u, gamma, beta)
+    else:
+        y, cache, *running = ops.batch_norm_forward(u, gamma, beta, *running,
+                                                    mode)
+    pooled, idx = pool_with_argmax(y, *pool)
+    return pooled, idx, cache, running, y.shape
+
+
+STEM_CASES = [("instance", 1, "normal"), ("instance", 3, "ties"),
+              ("instance", 4, "nan"), ("batch train", 2, "normal"),
+              ("batch train", 3, "ties"), ("batch train", 4, "nan"),
+              ("batch eval", 1, "normal"), ("batch eval", 4, "ties"),
+              ("batch eval", 3, "nan")]
+STEMS = [(1, 0, 1, 4), (3, 1, 2, 8), (7, 3, 4, 4)]   # K1S1, K3S2, K7S4
+
+
 class TestPooledNorm:
-    """norm_pool_forward and a pooled norm_backward against the whole-batch
-    composition: a whole y pooled at once, and the whole routed gradient
-    through norm_backward_expression."""
+    """norm_pool_forward, conv_norm_pool_forward and a pooled norm_backward,
+    with block1's conv or without, against the whole-batch composition: a
+    whole conv output and y pooled at once, and the whole routed gradient
+    through norm_backward_expression and the conv's backward."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k, s", [(3, 2), (2, 1), (5, 2)])
@@ -819,40 +927,83 @@ class TestPooledNorm:
             assert a.data.dtype == b.dtype == dtype
             assert a.data.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("stem", [(1, 0, 1), (3, 1, 2), (7, 3, 4)])
+    @pytest.mark.parametrize("stem", STEMS)
     @pytest.mark.parametrize("kind, n", [
         ("instance", 1), ("instance", 3), ("batch train", 3),
-        ("batch eval", 1), ("batch eval", 2)])
+        ("batch eval", 1), ("batch eval", 2), ("instance", 4),
+        ("batch train", 2), ("batch train", 4), ("batch eval", 4)])
     def test_rebuilt_xhat_equals_kept(self, kind, n, stem):
-        # a one-channel conv feeds the norm, as in block1 at K1S1, K3S2 and
-        # K7S4; without xhat the backward rebuilds it from the conv input
-        k, p, st = stem
-        spec = ops.ConvSpec(k=k, c_out=4, p=p, s=st)
-        rng = Rng(63).stream(kind, n, k)
-        x = Tensor(rng.stream("x").normal((n, 1, 17, 17, 17)).astype(np.float32))
-        w = Tensor(rng.stream("w").normal((4, 1, k, k, k)).astype(np.float32))
-        b = Tensor(rng.stream("b").normal((4,)).astype(np.float32))
-        gamma = Tensor(rng.stream("g").uniform((4,), 0.5, 1.5).astype(np.float32))
-        beta = Tensor(rng.stream("be").normal((4,)).astype(np.float32))
+        # Block1's norm keeps no xhat: backward rebuilds each sample's from
+        # the conv input, and its dx goes straight into that sample's conv
+        # backward, whose dw and db add up in sample order. The oracle keeps
+        # the whole xhat and takes the whole dx back through the conv.
+        mode = kind.split()[-1]
+        for inputs, dtype in [("normal", np.float32), ("normal", np.float64),
+                              ("ties", np.float32), ("nan", np.float64)]:
+            x, conv, gamma, beta, running = stem_case(kind, n, inputs, stem,
+                                                      dtype)
+            pooled, idx, cache, _, shape = whole_stem(x, conv, gamma, beta,
+                                                      running, mode)
+            g = Rng(64).normal(pooled.shape).astype(dtype)
+            routed = ops.maxpool3d_backward(Tensor(g), idx, shape).data
+            dx, dgamma, dbeta = norm_backward_expression(routed, cache)
+            w, b, spec = conv
+            gx, gw, gb = whole_batch_conv3d_backward(dx, x.data, w.data, spec)
+            _, got_idx, rebuilt, _ = ops.conv_norm_pool_forward(
+                x, conv, gamma, beta, (3, 2), True, running, mode)
+            got = ops.norm_backward(Tensor(g), rebuilt, (got_idx, shape),
+                                    (x, w, b, spec))
+            assert len(got) == 5  # dx at the conv input, dgamma, dbeta, dw, db
+            for a, b_ in zip(got, (gx, dgamma, dbeta, gw, gb)):
+                assert a.data.dtype == b_.dtype == dtype
+                assert a.data.tobytes() == b_.tobytes(), (inputs, dtype)
 
-        def taped():
-            u = ops.conv3d_forward(x, w, b, spec)
-            if kind == "instance":
-                return ops.instance_norm_forward(u, gamma, beta, form_y=False)[1]
-            stats = [Tensor(np.full(4, v, np.float32)) for v in (0.1, 1.3)]
-            return ops.batch_norm_forward(u, gamma, beta, *stats,
-                                          kind.split()[1], form_y=False)[1]
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("stem", STEMS)
+    @pytest.mark.parametrize("kind, n, inputs", STEM_CASES)
+    def test_conv_forward_equals_whole(self, kind, n, inputs, stem, dtype):
+        x, conv, gamma, beta, running = stem_case(kind, n, inputs, stem, dtype)
+        mode = kind.split()[-1]
+        pooled, idx, cache, new_running, _ = whole_stem(x, conv, gamma, beta,
+                                                        running, mode)
+        if inputs == "nan":
+            assert np.isnan(pooled.data[0]).any()
+        for tape in (True, False):
+            got, got_idx, got_cache, got_running = ops.conv_norm_pool_forward(
+                x, conv, gamma, beta, (3, 2), tape, running, mode)
+            assert got.data.tobytes() == pooled.data.tobytes()
+            assert (got_running is None) == (running is None)
+            for a, b in zip(got_running or (), new_running or ()):
+                assert a.data.dtype == b.data.dtype == dtype
+                assert a.data.tobytes() == b.data.tobytes()
+            if not tape:
+                assert got_idx is None and got_cache is None
+                continue
+            assert got_idx.dtype == np.int32
+            assert got_idx.tobytes() == idx.tobytes()
+            assert got_cache.xhat is None  # backward rebuilds it from x
+            for name in ("axes", "param_axes", "fixed_stats"):
+                assert getattr(got_cache, name) == getattr(cache, name)
+            for name in ("mean", "invstd", "gamma_b"):
+                assert (getattr(got_cache, name).tobytes()
+                        == getattr(cache, name).tobytes())
 
-        kept, rebuilt = taped(), taped()
-        _, idx = ops.norm_pool_forward(kept, beta, 3, 2)
-        shape = kept.xhat.shape
-        rebuilt.xhat = None
-        g = Tensor(rng.stream("grad").normal(idx.shape).astype(np.float32))
-        want = norm_backward_expression(
-            ops.maxpool3d_backward(g, idx, shape).data, kept)
-        got = ops.norm_backward(g, rebuilt, (idx, shape), (x, w, b, spec))
-        for a, b_ in zip(got, want):
-            assert a.data.tobytes() == b_.tobytes()
+    @pytest.mark.parametrize("shape, dtype", [
+        ((2, 4, 9, 10, 11), np.float32), ((2, 4, 9, 10, 11), np.float64),
+        ((3, 8, 17, 17, 17), np.float32), ((3, 8, 17, 17, 17), np.float64),
+        ((4, 2, 5, 6, 7), np.float64), ((4, 4, 96, 96, 96), np.float32)])
+    def test_batch_stats_equal_numpy(self, shape, dtype):
+        # a pass of one-sample sums each: numpy's mean and var of the batch,
+        # at crop 96 among other shapes
+        u = np.random.default_rng(65).standard_normal(shape, dtype)
+        u = u * dtype(3.0) + dtype(1.5)
+        axes = (0, 2, 3, 4)
+        mean, var = ops._batch_stats(lambda i: u[i:i + 1].copy(), shape, axes)
+        want_mean = u.mean(axis=axes, keepdims=True, dtype=dtype)
+        want_var = u.var(axis=axes, keepdims=True, dtype=dtype)
+        assert mean.dtype == var.dtype == dtype
+        assert mean.tobytes() == want_mean.tobytes()
+        assert var.tobytes() == want_var.tobytes()
 
 
 class TestReluLinear:
