@@ -17,16 +17,20 @@ normalizations nor norm_backward hold a full-size scratch buffer, only one
 sample's or part of one. The normalizations subtract the mean once and take
 the variance from that difference. Convolution uses cross-correlation
 semantics (no kernel flip). The 3D convolution is lowered to im2col GEMMs
-(Chellapilla et al., 2006), one column slab per first-axis kernel tap and
-sample, so each BLAS call contracts over k*k*C and the column buffer stays
-at 1/k of a full im2col; the backward writes dX's columns into that same
-slab, pads one sample at a time and adds dX straight into the unpadded
-gradient. A 1x1x1 stride-1 convolution of one input channel is a broadcast
-multiply instead. Max pooling is split in two ops: maxpool3d_forward takes
-the values from three 1-D maximum passes, and maxpool3d_argmax, which only
-a forward that records a tape for backward calls, recovers the first
-maximal tap by equality. A naive direct-loop oracle for the convolution
-lives in the test suite.
+(Chellapilla et al., 2006), one per first-axis kernel tap and sample, so
+each BLAS call contracts over k*k*C. The forward copies each sample once,
+from the unpadded input, into a run buffer whose strided views are the
+taps' column matrices, which BLAS reads in place, as in the low-memory
+GEMM convolutions of Anderson et al. (arXiv 1709.03395): the same
+operands as a slab copied per tap, so the same bits. The backward copies
+one column slab per tap, 1/k of a full im2col, from one padded sample at a
+time, writes dX's columns into that same slab and adds dX straight into
+the unpadded gradient. A 1x1x1 stride-1 convolution of one input channel
+is a broadcast multiply instead. Max pooling is split in two ops:
+maxpool3d_forward takes the values from three 1-D maximum passes, and
+maxpool3d_argmax, which only a forward that records a tape for backward
+calls, recovers the first maximal tap by equality. A naive direct-loop
+oracle for the convolution lives in the test suite.
 
 Output extent per spatial axis:
     conv: floor((in + 2p - d*(k-1) - 1) / s) + 1
@@ -46,6 +50,7 @@ from .tensor import Tensor, ShapeError
 
 EPS = 1e-5  # added to the variance of every normalization
 PRODUCT_BLOCK = 1 << 16  # norm_backward's product buffer, unless 1 channel is more
+RUN_BLOCK = 1 << 16  # conv run buffer, unless 1 sample or weight slab is more
 BN_MOMENTUM = 0.1  # weight of a batch's statistics in batch norm's running ones
 D_MODEL = 128  # width of the sinusoidal age embedding
 
@@ -82,22 +87,16 @@ def _tap_slices(k: int, s: int, d: int, out_extents: tuple[int, ...], tap):
     )
 
 
-def _clipped_tap(spec: ConvSpec, outs: tuple[int, ...],
-                 spatial: tuple[int, ...], tap):
-    """(output index, input index) of a kernel tap of a padded convolution:
-    the output positions whose tap input lies inside the unpadded input,
-    and those inputs, channels whole. None where no such position exists."""
-    src, dst = [slice(None)], [slice(None)]
-    for t, o, e in zip(tap, outs, spatial):
-        off = t * spec.d - spec.p  # input position of output 0
-        lo = max(0, -(off // spec.s))
-        hi = min(o, (e - 1 - off) // spec.s + 1)
-        if hi <= lo:
-            return None
-        start = off + spec.s * lo
-        src.append(slice(lo, hi))
-        dst.append(slice(start, start + spec.s * (hi - lo - 1) + 1, spec.s))
-    return tuple(src), tuple(dst)
+def _clip(off: int, s: int, o: int, e: int):
+    """(output slice, input slice) along one axis: the outputs 0..o-1 whose
+    input position off + s*out lies in [0, e), and those inputs. None where
+    no output does."""
+    lo = max(0, -(off // s))
+    hi = min(o, (e - 1 - off) // s + 1)
+    if hi <= lo:
+        return None
+    start = off + s * lo
+    return slice(lo, hi), slice(start, start + s * (hi - lo - 1) + 1, s)
 
 
 def _windows(xp: np.ndarray, spec: ConvSpec,
@@ -115,6 +114,74 @@ def _windows(xp: np.ndarray, spec: ConvSpec,
         xp, shape=(xp.shape[0], k, k, k, xp.shape[1]) + outs,
         strides=(sn, d * sd, d * sh, d * sw, sc, s * sd, s * sh, s * sw),
         writeable=False)
+
+
+def _tap_groups(spec: ConvSpec, o: int, e: int):
+    """The kernel taps along one axis of extent e, o outputs, grouped into
+    runs of consecutive taps whose _clip output slice is the same: (first
+    tap, tap count, output slice, input start) each."""
+    groups = []
+    for t in range(spec.k):
+        if sl := _clip(t * spec.d - spec.p, spec.s, o, e):
+            last = groups[-1] if groups else None
+            if last and last[0] + last[1] == t and last[2] == sl[0]:
+                last[1] += 1
+            else:
+                groups.append([t, 1, sl[0], sl[1].start])
+    return groups
+
+
+def _run_buffer(x: np.ndarray, spec: ConvSpec, outs: tuple[int, ...],
+                budget: int):
+    """A buffer that holds samples of x, each gathered once for every kernel
+    tap of a padded convolution: runs[m, j, l, c, Z, y, x] is the padded
+    sample at [c, Z, j*d + y*s, l*d + x*s], over the Zn = (k-1)*d + (oD-1)*s
+    + 1 padded planes the taps read, ordered by phase Z mod s and then by
+    Z. First-axis tap i reads planes i*d + z*s for z < oD, consecutive ones
+    of phase i*d mod s, so its [k*k*C, P] column matrix for sample m is the
+    strided view cols[i][m] of runs, which numpy hands to BLAS without a
+    copy. Its values, rows in _weight_slab's (j, l, c) order, are those of
+    the column slab an im2col lowering copies for that tap. runs holds as
+    many samples as fit in `budget` elements, one at least.
+
+    runs comes zero-filled and each (dst, src) of fills copies into its
+    interior: np.copyto(dst[:m], src[i:i + m]) gathers samples i to i + m - 1,
+    one box per phase and run of second- and third-axis taps with the same
+    clipped outputs (_tap_groups), so the border stays zero from sample to
+    sample and no padded copy of x is made. src views the buffer of x,
+    which is C-contiguous, as a Tensor's data is. Returns (runs, fills,
+    cols).
+
+    conv3d_backward keeps one slab per tap instead: run on this buffer, one
+    f=8, crop-96, batch-1 training step peaked at 745 MiB, not 559 MiB."""
+    n, c, *spatial = x.shape
+    k, s, d, p = spec.k, spec.s, spec.d, spec.p
+    zn = (k - 1) * d + (outs[0] - 1) * s + 1
+    plane = outs[1] * outs[2]
+    g = min(n, max(1, budget // (k * k * c * zn * plane)))
+    counts = [len(range(r, zn, s)) for r in range(s)]
+    first = list(itertools.accumulate(counts, initial=0))  # per phase
+    runs = np.zeros((g, k, k, c, zn) + tuple(outs[1:]), x.dtype)
+    sn, sc, sd, sh, sw = x.strides
+    fills = []
+    hw = itertools.product(*(_tap_groups(spec, o, e)
+                             for o, e in zip(outs[1:], spatial[1:])))
+    for (j0, nj, ry, y0), (l0, nl, rx, x0) in hw:
+        for r in range(s):
+            if not (zs := _clip(r - p, s, counts[r], spatial[0])):
+                continue
+            rz = slice(first[r] + zs[0].start, first[r] + zs[0].stop)
+            dst = runs[:, j0:j0 + nj, l0:l0 + nl, :, rz, ry, rx]
+            src = np.ndarray((n,) + dst.shape[1:], x.dtype, x,
+                             zs[1].start * sd + y0 * sh + x0 * sw,
+                             (sn, d * sh, d * sw, sc, s * sd, s * sh, s * sw))
+            fills.append((dst, src))
+    flat = runs.reshape(g, k * k * c, -1)
+    cols = []
+    for i in range(k):
+        z0 = first[i * d % s] + i * d // s
+        cols.append(flat[:, :, z0 * plane:(z0 + outs[0]) * plane])
+    return runs, fills, cols
 
 
 def _weight_slab(w: Tensor, i: int) -> np.ndarray:
@@ -148,27 +215,31 @@ def conv3d_forward(x: Tensor, w: Tensor, b: Tensor, spec: ConvSpec) -> Tensor:
         np.multiply(x.data, w.data.reshape(1, o, 1, 1, 1), out=out)
         out += (b.data + 0)[None, :, None, None, None]
         return Tensor(out)
-    p = spec.p
-    xp = np.pad(x.data, ((0, 0), (0, 0)) + ((p, p),) * 3) if p else x.data
-    win = _windows(xp, spec, outs)
-    # One [k*k*C, P] column slab per first-axis tap, reused for every
-    # sample: 1/k of the full im2col buffer, and each GEMM contracts over
-    # k*k*C. Channels run innermost, so each output sums channels within a
-    # tap and taps in row-major order, as the direct loop does. A
-    # channel-major order rounds differently enough in float32 to move one
-    # 6-epoch crop-32 training run by 1 % in loss. Taps run outermost, so
-    # one weight slab exists at a time; each sample still adds its slabs in
-    # tap order.
-    cols = np.empty((k, k, c) + outs, dtype=x.dtype)
-    cols2 = cols.reshape(k * k * c, -1)
+    # Each sample is gathered once into the run buffer, whose views are the
+    # [k*k*C, P] column matrices of the k first-axis taps, so each GEMM
+    # contracts over k*k*C. Channels run innermost, so each output sums
+    # channels within a tap and taps in row-major order, as the direct loop
+    # does. A channel-major order rounds differently enough in float32 to
+    # move one 6-epoch crop-32 training run by 1 % in loss. Each sample adds
+    # its taps in order onto a zeroed output. One weight slab exists at a
+    # time, and serves every sample in the buffer, which holds as many as
+    # fit in RUN_BLOCK elements or one weight slab's size: small convs, where
+    # forming the slabs and views costs more than the GEMMs, form them once
+    # for several samples.
+    runs, fills, cols = _run_buffer(x.data, spec, outs,
+                                    max(RUN_BLOCK, o * k * k * c))
     out = np.zeros((n, o) + outs, dtype=x.dtype)
-    prod = np.empty((o, cols2.shape[1]), dtype=x.dtype)
-    for i in range(k):
-        w_slab = _weight_slab(w, i)
-        for ni in range(n):
-            np.copyto(cols, win[ni, i])
-            acc = out[ni].reshape(o, -1)
-            acc += np.matmul(w_slab, cols2, out=prod)
+    accs = out.reshape(n, o, -1)
+    prod = np.empty(accs.shape[1:], dtype=x.dtype)
+    for n0 in range(0, n, len(runs)):
+        group = range(n0, min(n, n0 + len(runs)))
+        for dst, src in fills:
+            np.copyto(dst[:len(group)], src[n0:group.stop])
+        for i in range(k):
+            w_slab = _weight_slab(w, i)
+            for m, ni in enumerate(group):
+                accs[ni] += np.matmul(w_slab, cols[i][m], out=prod)
+            del w_slab  # freed before the next tap's is formed
     out += b.data[None, :, None, None, None]
     return Tensor(out)
 
@@ -198,15 +269,14 @@ def conv3d_backward(grad_out: Tensor, x: Tensor, w: Tensor,
     gb = g.sum(axis=(0, 2, 3, 4))
     cols = np.empty((k, k, c) + outs, dtype=x.dtype)
     cols2 = cols.reshape(k * k * c, -1)
-    # Taps outermost, as in the forward: one weight slab at a time, and each
-    # sample's dW and dX still take their terms in tap order. dX's columns go
-    # into the column slab once dW's GEMM has read it.
-    for i in range(k):
+    # Taps outermost: one weight slab at a time, and each sample's dW and dX
+    # still take their terms in tap order. dX's columns go into the column
+    # slab once dW's GEMM has read it. Per axis and tap, clips holds the
+    # (output, input) slices of the tap's positions inside the input.
+    clips = [[_clip(t * spec.d - p, spec.s, oe, e) for t in range(k)]
+             for oe, e in zip(outs, spatial)]
+    for i, cz in enumerate(clips[0]):
         w_slab_t = _weight_slab(w, i).T
-        # (j, l, output and input index) of each tap in slab i that reaches
-        # the input, for the scatter-add
-        taps = [(j, l, sl) for j in range(k) for l in range(k)
-                if (sl := _clipped_tap(spec, outs, spatial, (i, j, l)))]
         for ni in range(n):
             g_n = g[ni].reshape(o, -1)
             if p:
@@ -214,8 +284,11 @@ def conv3d_backward(grad_out: Tensor, x: Tensor, w: Tensor,
             np.copyto(cols, win[0 if p else ni, i])
             gw[:, :, i] += (g_n @ cols2.T).reshape(o, k, k, c).transpose(0, 3, 1, 2)
             np.matmul(w_slab_t, g_n, out=cols2)
-            for j, l, (src, dst) in taps:
-                gx[ni][dst] += cols[j, l][src]
+            for (j, cy), (l, cx) in itertools.product(enumerate(clips[1]),
+                                                      enumerate(clips[2])):
+                if cz and cy and cx:
+                    src = cols[j, l][:, cz[0], cy[0], cx[0]]
+                    gx[ni][:, cz[1], cy[1], cx[1]] += src
     return Tensor(gx), Tensor(gw), Tensor(gb)
 
 

@@ -73,6 +73,30 @@ def whole_batch_conv3d_backward(g, x, w, spec):
     return np.ascontiguousarray(gx), gw, g.sum(axis=(0, 2, 3, 4))
 
 
+def slab_conv3d_forward(x, w, b, spec):
+    """conv3d_forward as it was before it gathered each sample once: the
+    whole batch padded, and the [k*k*C, P] column slab of each first-axis
+    tap copied again for every sample, taps outermost. The byte oracle for
+    the run-buffer kernel."""
+    n, c, *spatial = x.shape
+    k, o, p = spec.k, spec.c_out, spec.p
+    outs = tuple(ops.conv_out_extent(e, k, p, spec.s, spec.d) for e in spatial)
+    xp = np.pad(x, ((0, 0), (0, 0)) + ((p, p),) * 3)
+    win = ops._windows(xp, spec, outs)
+    cols = np.empty((k, k, c) + outs, dtype=x.dtype)
+    cols2 = cols.reshape(k * k * c, -1)
+    out = np.zeros((n, o) + outs, dtype=x.dtype)
+    prod = np.empty((o, cols2.shape[1]), dtype=x.dtype)
+    for i in range(k):
+        w_slab = w[:, :, i].transpose(0, 2, 3, 1).reshape(o, -1)
+        for ni in range(n):
+            np.copyto(cols, win[ni, i])
+            acc = out[ni].reshape(o, -1)
+            acc += np.matmul(w_slab, cols2, out=prod)
+    out += b[None, :, None, None, None]
+    return out
+
+
 def pool_with_argmax(x, k, s):
     """Pooled values and the argmax indices a taped forward records, which
     are int32."""
@@ -308,10 +332,76 @@ class TestConv:
             assert peak < full, f"traced peak {peak} B >= {full} B"
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("inputs", ["normal", "nonfinite"])
+    @pytest.mark.parametrize("n, c, shape, spec", [
+        (3, 2, (7, 8, 9), ops.ConvSpec(k=3, c_out=3, p=1)),
+        (3, 5, (8, 8, 8), ops.ConvSpec(k=3, c_out=3, p=1)),  # 2 per buffer
+        (1, 3, (9, 10, 11), ops.ConvSpec(k=3, c_out=2, s=2)),
+        (3, 2, (9, 10, 11), ops.ConvSpec(k=3, c_out=2, p=2, s=2, d=2)),
+        (3, 1, (17, 18, 19), ops.ConvSpec(k=3, c_out=4, p=1, s=2)),  # K3S2
+        (3, 1, (19, 20, 21), ops.ConvSpec(k=7, c_out=4, p=3, s=4)),  # K7S4
+        (1, 2, (2, 3, 4), ops.ConvSpec(k=3, c_out=2, p=5, s=4)),  # padding only
+        (3, 3, (8, 9, 10), ops.ConvSpec(k=1, c_out=4, s=2)),
+        (3, 3, (6, 7, 8), ops.ConvSpec(k=1, c_out=4)),
+        (3, 4, (15,) * 3, ops.ConvSpec(k=3, c_out=32, d=2)),        # c32 block2
+        (3, 32, (5,) * 3, ops.ConvSpec(k=5, c_out=64, p=2)),        # c32 block3
+        (3, 64, (2,) * 3, ops.ConvSpec(k=3, c_out=64, p=1)),        # c32 block4
+        (1, 4, (47,) * 3, ops.ConvSpec(k=3, c_out=32, d=2)),        # c96 block2
+        (1, 32, (21,) * 3, ops.ConvSpec(k=5, c_out=64, p=2, d=2)),  # c96 block3
+        (1, 64, (8,) * 3, ops.ConvSpec(k=3, c_out=64, p=1, d=2)),   # c96 block4
+    ])
+    def test_forward_equals_slab_forward(self, n, c, shape, spec, inputs,
+                                         dtype):
+        # Gathering each sample once and reading every tap's column matrix
+        # as a strided view gives the bytes of a column slab copied per tap
+        # and sample: BLAS gets the same operands, and each output adds its
+        # taps in the same order, NaN, infinities and a -0 bias included.
+        rng = Rng(45).stream("conv-fwd", n, c, *shape, spec.k, spec.p, spec.s,
+                             spec.d)
+        x = rng.stream("x").normal((n, c) + shape).astype(dtype)
+        if inputs == "nonfinite":
+            flat = x.reshape(-1)
+            flat[::7], flat[3::11], flat[5::13] = np.nan, np.inf, -np.inf
+        w = rng.stream("w").normal((spec.c_out, c) + (spec.k,) * 3)
+        w = w.astype(dtype)
+        b = rng.stream("b").normal((spec.c_out,)).astype(dtype)
+        b[0] = -0.0
+        with np.errstate(invalid="ignore"):  # inf - inf makes NaN
+            got = ops.conv3d_forward(Tensor(x), Tensor(w), Tensor(b), spec)
+            want = slab_conv3d_forward(x, w, b, spec)
+        assert got.data.dtype == want.dtype == dtype
+        assert got.data.tobytes() == want.tobytes()
+
+    def test_forward_transient_peak(self):
+        # The forward holds one sample's run buffer, the output, one GEMM
+        # product and one weight slab; numpy's ufunc loops add up to three
+        # 8192-element buffers. It peaks at 3.89 MB against a 3.96 MB
+        # budget. The batch padded whole, as the per-tap slab kernel did,
+        # would add 0.52 MB, and a second run buffer 3.69 MB.
+        n, c, e, spec = 2, 16, 12, ops.ConvSpec(k=5, c_out=8, p=2)
+        k, o, item = spec.k, spec.c_out, 4
+        rng = Rng(5).stream("conv-memory")
+        x = Tensor(rng.stream("x").normal((n, c, e, e, e)).astype(np.float32))
+        w = Tensor(rng.stream("w").normal((o, c, k, k, k)).astype(np.float32))
+        b = Tensor(np.zeros(o, dtype=np.float32))
+        planes = (k - 1) * spec.d + e   # the padded planes the taps read
+        runs = k * k * c * planes * e * e * item
+        out = n * o * e ** 3 * item
+        budget = (runs + out + out // n + o * k * k * c * item
+                  + 3 * 8192 * item)
+        tracemalloc.start()
+        try:
+            ops.conv3d_forward(x, w, b, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= budget, (peak, budget)
+
     def test_backward_transient_peak(self):
         # The backward holds one column slab, one weight slab, dW, dX, one
         # padded sample, and one GEMM product; numpy's ufunc loops add up to
-        # three 8192-element buffers. It peaks at 3.45 MB against a 4.00 MB
+        # three 8192-element buffers. It peaks at 3.43 MB against a 3.44 MB
         # budget; the whole batch padded, with a padded dX, read 3.96 MB,
         # and a second slab for dX's columns and every weight slab at once
         # 6.96 MB.
@@ -323,8 +413,9 @@ class TestConv:
         g = Tensor(np.ones((n, o, e, e, e), dtype=np.float32))
         slab = k * k * c * e ** 3 * item
         w_slab = o * k * k * c * item   # also the size of dW's GEMM product
-        padded = n * c * (e + 2 * spec.p) ** 3 * item
-        budget = slab + 2 * w_slab + w.data.nbytes + 2 * padded + 3 * 8192 * item
+        padded = c * (e + 2 * spec.p) ** 3 * item   # one sample
+        budget = (slab + 2 * w_slab + w.data.nbytes + x.data.nbytes + padded
+                  + 3 * 8192 * item)
         tracemalloc.start()
         try:
             ops.conv3d_backward(g, x, w, spec)
