@@ -198,12 +198,13 @@ class Tape:
     reads: a conv entry its input, a norm entry its NormCache, whose xhat
     lives in the conv output's array and which backward overwrites with dx,
     a relu entry the bool mask x > 0 of the ReLU input, and a pool entry
-    the int32 argmax indices and the pool's input shape. A pooling block
-    records conv, norm, pool, relu, so its mask covers the pooled extent;
-    backward takes its pool and norm entries together. Block1's NormCache
-    holds no xhat: backward rebuilds it from the conv entry's input a
-    sample at a time and takes block1's pool, norm and conv entries
-    together. An extra block records conv, norm, relu."""
+    the int32 argmax indices and the pool's input shape. A pooling block,
+    whose conv, norm and pool ops.conv_norm_pool_forward runs, records
+    conv, norm, pool, relu, so its mask covers the pooled extent; backward
+    takes its pool and norm entries together. Block1's NormCache holds no
+    xhat: backward rebuilds it from the conv entry's input a sample at a
+    time and takes block1's pool, norm and conv entries together. An extra
+    block records conv, norm, relu."""
     model_version: int
     entries: list
 
@@ -229,17 +230,18 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
 
     With tape=False nothing is recorded for backward and the tape is None:
     no pool indices, no norm caches, and each intermediate activation is
-    freed once the next layer has read it. Block1, whose conv output is the
-    network's largest array, runs conv, norm and pool one sample at a time
-    in both modes (train-mode batch norm takes its statistics in two
+    freed once the next layer has read it. Each pooling block is one
+    ops.conv_norm_pool_forward call. Block1, whose conv output is the
+    network's largest array, runs conv, norm and pool there one sample at a
+    time in both modes (train-mode batch norm takes its statistics in two
     passes first), so that output never exists whole. In the other blocks
     the norm writes over the conv output: without a tape its output goes
     there, so a block holds one activation of its conv's extent; with one
     xhat goes there, and a pooling block forms its norm output one sample
-    at a time in a one-sample buffer, pooling each sample's (an extra block
-    forms it whole). The logits are bitwise the same. In both modes ReLU
-    works in place on the pooled output (on the norm output in an extra
-    block), and the age sum and the head's ReLU on fc1's output."""
+    at a time, pooling each sample's (an extra block forms it whole). The
+    logits are bitwise the same. In both modes ReLU works in place on the
+    pooled output (on the norm output in an extra block), and the age sum
+    and the head's ReLU on fc1's output."""
     cfg = model.config
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
@@ -261,34 +263,15 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
                 if bp.norm == "batch" else [])
         running = tuple(model.buffers[k] for k in keys) or None
         record(("conv", bp.name, h, bp.conv))
-        if bp.in_channels == 1:
-            # block1, the cheapest conv and the largest output: conv, norm
-            # and pool a sample at a time, and backward rebuilds its xhat
+        if bp.pool is not None:
             h, idx, cache, running = ops.conv_norm_pool_forward(
                 h, (w, b, bp.conv), gamma, beta, bp.pool, tape, running, mode)
             record(("norm", bp.name, cache))
             record(("pool", idx, (n, bp.conv.c_out) + (bp.conv_extent,) * 3))
-        else:
+        else:  # an extra block: its instance norm writes over the conv output
             h = ops.conv3d_forward(h, w, b, bp.conv)
-            # Nothing else holds the fresh conv output, so the norm writes
-            # over it: xhat with a tape, its output without one. No name
-            # keeps it past the block: the next conv runs beside its input
-            # only. A taped pooling block pools its norm output a sample
-            # at a time.
-            pool_taped = tape and bp.pool is not None
-            if running:  # eval mode hands the running stats back unchanged
-                h, cache, *running = ops.batch_norm_forward(
-                    h, gamma, beta, *running, mode, tape=tape,
-                    form_y=not pool_taped)
-            else:
-                h, cache = ops.instance_norm_forward(h, gamma, beta, tape=tape,
-                                                     form_y=not pool_taped)
+            h, cache = ops.instance_norm_forward(h, gamma, beta, tape=tape)
             record(("norm", bp.name, cache))
-            if pool_taped:
-                h, idx = ops.norm_pool_forward(cache, beta, *bp.pool)
-                record(("pool", idx, cache.xhat.shape))
-            elif bp.pool is not None:
-                h = ops.maxpool3d_forward(h, *bp.pool)
         if running:
             model.buffers.update(zip(keys, running))
         # h is a fresh array nothing else holds: the norm output of an

@@ -4,10 +4,11 @@ Two rules of ownership. Every layer forward except conv, pool and linear
 writes over its input's array: relu returns it holding the result, and a
 normalization leaves xhat there, which a tape's cache keeps beside a fresh
 y, or without a tape y itself. A taped y that is only max pooled is never
-whole: norm_pool_forward forms it one sample at a time. Block1's conv
-output is never whole either: conv_norm_pool_forward runs conv, norm and
-pool one sample at a time, and norm_backward rebuilds each sample's xhat
-from the conv input and takes its dx straight through the conv's backward.
+whole: conv_norm_pool_forward, every pooling block's forward, forms and
+pools it one sample at a time. Block1's conv output is never whole
+either: there its conv runs one sample at a time too, and norm_backward
+rebuilds each sample's xhat from the conv input and takes its dx straight
+through the conv's backward.
 relu_backward writes the input gradient over grad_out's array and returns
 it; norm_backward only reads grad_out and consumes its cache: it writes dx
 over xhat. The state backward reads is kept no wider than backward needs:
@@ -447,15 +448,13 @@ def _standardize(u: np.ndarray, mean: np.ndarray, invstd=None,
 
 
 def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...],
-               channel_axis: int, tape: bool, stats=None, form_y: bool = True):
+               channel_axis: int, tape: bool, stats=None):
     """gamma * (x - mean) / sqrt(var + EPS) + beta over `axes`, with one
     gamma and beta entry per index of `channel_axis`. mean and the biased
     var are x's, in x's dtype, or the per-channel constants stats = (mean,
     var). x's array is written over: it holds xhat, which a tape's cache
     keeps beside a fresh y, and without a tape it holds y and the cache is
-    None. With a tape and form_y=False no y is formed and None takes its
-    place: norm_pool_forward pools y from the cache a sample at a time.
-    Returns (y, cache, mean, var)."""
+    None. Returns (y, cache, mean, var)."""
     c = x.shape[channel_axis]
     if gamma.shape != (c,) or beta.shape != (c,):
         raise ShapeError(f"affine params {gamma.shape}/{beta.shape}, expected ({c},)")
@@ -469,41 +468,15 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...],
     else:
         mean = x.data.mean(axis=axes, keepdims=True, dtype=x.dtype)
         d, var, invstd = _standardize(x.data, mean, axes=axes)
-    y = None
-    if form_y or not tape:
-        # The same products in the same order as gamma * ((x - mean) *
-        # invstd) + beta; without a tape y overwrites xhat.
-        y = np.multiply(gb, d, out=None if tape else d)
-        y += bb
-        y = Tensor(y)
+    # The same products in the same order as gamma * ((x - mean) * invstd)
+    # + beta; without a tape y overwrites xhat.
+    y = np.multiply(gb, d, out=None if tape else d)
+    y += bb
     if not tape:
-        return y, None, mean, var
+        return Tensor(y), None, mean, var
     param_axes = tuple(a for a in range(rank) if a != channel_axis)
     cache = NormCache(axes, param_axes, d, mean, invstd, gb, stats is not None)
-    return y, cache, mean, var
-
-
-def norm_pool_forward(cache: NormCache, beta: Tensor, k: int,
-                      s: int) -> tuple[Tensor, np.ndarray]:
-    """maxpool3d_forward of a taped norm's output y = gamma * xhat + beta,
-    and its maxpool3d_argmax indices, with each sample's y formed in one
-    reused buffer: the products and sums of _normalize's whole y, so the
-    same bits, without a full-size y. Returns (pooled, indices)."""
-    xhat = cache.xhat
-    n = xhat.shape[0]
-    bb = beta.data.reshape(cache.gamma_b.shape)
-    buf = np.empty((1,) + xhat.shape[1:], xhat.dtype)
-    for i in range(n):
-        y = np.multiply(cache.gamma_b, xhat[i:i + 1], out=buf)
-        y += bb
-        y = Tensor(y)
-        p = maxpool3d_forward(y, k, s)
-        if i == 0:
-            pooled = np.empty((n,) + p.shape[1:], p.dtype)
-            idx = np.empty(pooled.shape, np.int32)
-        pooled[i] = p.data[0]
-        idx[i] = maxpool3d_argmax(y, p, k, s)[0]
-    return Tensor(pooled), idx
+    return Tensor(y), cache, mean, var
 
 
 def _batch_stats(sample, shape: tuple[int, ...],
@@ -531,73 +504,93 @@ def _batch_stats(sample, shape: tuple[int, ...],
 
 def conv_norm_pool_forward(x: Tensor, conv, gamma: Tensor, beta: Tensor,
                            pool: tuple[int, int], tape: bool, running=None,
-                           mode: str = "train"):
-    """maxpool3d_forward of a normalization of conv3d_forward(x, *conv),
-    conv = (w, b, spec) with two or more output channels, and with a tape
-    its maxpool3d_argmax indices, formed one sample at a time: no array of
-    the whole batch at the conv's extent exists, and every bit is the
+                           mode: str = "train"
+                           ) -> tuple[Tensor, np.ndarray | None,
+                                      NormCache | None,
+                                      tuple[Tensor, Tensor] | None]:
+    """Every pooling block's forward: maxpool3d_forward of a normalization
+    of conv3d_forward(x, *conv), conv = (w, b, spec) with two or more output
+    channels, and with a tape its maxpool3d_argmax indices, bit for bit the
     whole-batch composition's. The norm is instance norm where running is
     None, else batch norm in `mode` with running = (running_mean,
-    running_var); in train mode its statistics take two passes over the
-    samples first, each recomputing the conv. Returns (pooled, idx, cache,
-    running): idx and the cache None without a tape, the cache with no
-    xhat (norm_backward rebuilds it from x), and the running stats as
-    batch_norm_forward returns them (None for instance norm)."""
+    running_var), whose statistics are fixed first: the running ones in
+    eval mode, the batch's from _batch_stats in train mode.
+
+    The samples pass in chunks, each normalized, pooled and, with a tape,
+    its argmax taken. A one-channel x (block1, the network's largest conv
+    output) recomputes its conv a sample at a time, so that output never
+    exists whole, and the cache keeps no xhat: norm_backward rebuilds it
+    from x. Any other x runs its conv once, and that array holds xhat: a
+    chunk is one sample with a tape, each with a fresh y, and the whole
+    batch without one. Returns (pooled, idx, cache, running): idx and the
+    cache None without a tape, running as batch_norm_forward returns it
+    (None for instance norm)."""
     w, b, spec = conv
     n = x.shape[0]
     shape = (n, spec.c_out) + tuple(
         conv_out_extent(e, spec.k, spec.p, spec.s, spec.d) for e in x.shape[2:])
     axes = (2, 3, 4) if running is None else (0, 2, 3, 4)
-    fixed = None if running is None else _fixed_stats(*running, mode, n)
+    if x.shape[1] == 1:
+        u, step = None, 1
 
-    def conv_out(i):  # sample i's conv output, in a fresh array
-        return conv3d_forward(Tensor(x.data[i:i + 1]), w, b, spec).data
+        def sample(i):  # sample i's conv output, in a fresh array
+            return conv3d_forward(Tensor(x.data[i:i + 1]), w, b, spec).data
+    else:
+        u, step = conv3d_forward(x, w, b, spec).data, 1 if tape else n
 
-    stats = fixed
-    if running is not None and fixed is None:
-        stats = _batch_stats(conv_out, shape, axes)
-    means, variances = [], []
-    for i in range(n):
-        y, _, mean, var = _normalize(Tensor(conv_out(i)), gamma, beta, axes,
-                                     1, False, stats)
-        means.append(mean)
-        variances.append(var)
+        def sample(i):  # a copy: _batch_stats writes over it
+            return u[i:i + 1].copy()
+    fixed = stats = None
+    if running is not None:
+        fixed = stats = _fixed_stats(*running, mode, n)
+        if fixed is None:
+            stats = _batch_stats(sample, shape, axes)
+    means, invstds = [], []
+    for i in range(0, n, step):
+        sl = slice(i, i + step)
+        chunk = Tensor(sample(i) if u is None else u[sl])
+        # instance norm through its public op, whose span a traced
+        # perfbench run times
+        y, cache = (instance_norm_forward(chunk, gamma, beta, tape)
+                    if running is None else
+                    _normalize(chunk, gamma, beta, axes, 1, tape, stats)[:2])
         p = maxpool3d_forward(y, *pool)
         if i == 0:
             pooled = np.empty((n,) + p.shape[1:], p.dtype)
             idx = np.empty(pooled.shape, np.int32) if tape else None
-        pooled[i] = p.data[0]
+        pooled[sl] = p.data
         if tape:
-            idx[i] = maxpool3d_argmax(y, p, *pool)[0]
-    if stats is None:  # instance norm: each sample's own statistics
-        mean, var = np.concatenate(means), np.concatenate(variances)
+            idx[sl] = maxpool3d_argmax(y, p, *pool)
+            means.append(cache.mean)
+            invstds.append(cache.invstd)
+        del y, cache, chunk  # freed before the next chunk's are made
     if running is not None:
-        running = _blend_running(*running, fixed, mean, var,
+        running = _blend_running(*running, fixed, *stats,
                                  int(np.prod(shape)) // shape[1])
     cache = None
-    if tape:
-        cache = NormCache(axes, (0, 2, 3, 4), None, mean,
-                          1.0 / np.sqrt(var + EPS),
+    if tape:  # batch norm's statistics are the same for every chunk
+        mean, invstd = ((a[0] if 0 in axes else np.concatenate(a))
+                        for a in (means, invstds))
+        cache = NormCache(axes, (0, 2, 3, 4), u, mean, invstd,
                           gamma.data.reshape(1, -1, 1, 1, 1),
                           fixed is not None)
     return Tensor(pooled), idx, cache, running
 
 
 def instance_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
-                          tape: bool = True, form_y: bool = True
-                          ) -> tuple[Tensor | None, NormCache | None]:
+                          tape: bool = True
+                          ) -> tuple[Tensor, NormCache | None]:
     """Normalize each (sample, channel) over its spatial positions. No batch
     statistics are involved, so train and eval behave identically. With
     tape=False no backward state is kept, the cache is None and y is
-    written over x's array. With a tape and form_y=False, y is None."""
-    return _normalize(x, gamma, beta, (2, 3, 4), 1, tape, form_y=form_y)[:2]
+    written over x's array."""
+    return _normalize(x, gamma, beta, (2, 3, 4), 1, tape)[:2]
 
 
 def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
                        running_mean: Tensor, running_var: Tensor, mode: str,
-                       tape: bool = True, form_y: bool = True
-                       ) -> tuple[Tensor | None, NormCache | None, Tensor,
-                                  Tensor]:
+                       tape: bool = True
+                       ) -> tuple[Tensor, NormCache | None, Tensor, Tensor]:
     """Per-channel normalization over batch and spatial positions.
 
     Train mode normalizes with batch statistics (biased variance) and blends
@@ -605,12 +598,11 @@ def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     with m = BN_MOMENTUM, the unbiased variance entering the running
     estimate. Eval mode normalizes with the running stats unchanged. Returns
     (y, cache, new_running_mean, new_running_var). With tape=False the
-    cache is None and y is written over x's array. With a tape and
-    form_y=False, y is None.
+    cache is None and y is written over x's array.
     """
     stats = _fixed_stats(running_mean, running_var, mode, x.shape[0])
     y, cache, mean, var = _normalize(x, gamma, beta, (0, 2, 3, 4), 1, tape,
-                                     stats, form_y)
+                                     stats)
     return (y, cache) + _blend_running(running_mean, running_var, stats,
                                        mean, var, x.data.size // x.shape[1])
 

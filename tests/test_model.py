@@ -382,11 +382,21 @@ class TestTapeFree:
             calls.append(args[2:])
             return real(*args)
 
+        real_pool, pooled = m.ops.maxpool3d_forward, []
+
+        def pool_counted(x, k, s):
+            pooled.append(x.shape[0])
+            return real_pool(x, k, s)
+
         monkeypatch.setattr(m.ops, "maxpool3d_argmax", counted)
+        monkeypatch.setattr(m.ops, "maxpool3d_forward", pool_counted)
         net = m.build(m.ModelConfig(crop_extent=16), Rng(8))
         x = Tensor(Rng(9).normal((2, 1, 16, 16, 16)).astype(np.float32))
         m.forward(net, x, None, "eval", tape=False)
         assert calls == []
+        # without a tape block1 pools a sample at a time, blocks 2-4 the
+        # whole batch at once
+        assert pooled == [1, 1, 2, 2, 2]
         logits, tape = m.forward(net, x, None, "train")
         # a taped pool takes each sample's indices on its own
         assert calls == [bp.pool for bp in net.plan.blocks for _ in range(2)]

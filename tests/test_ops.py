@@ -906,38 +906,19 @@ class TestNorms:
         assert y.data.tobytes() == taped.data.tobytes()
 
 
-def tied_cache(kind: str, n: int, dtype) -> ops.NormCache:
-    """A norm cache over [n, 3, 9, 8, 7] whose xhat ties in many pool
-    windows (half-integer values, +0.0 beside -0.0) and holds a NaN in one
-    window of sample 0, channel 1. Its channel 2 has gamma 0, so all of its
-    y ties, and beta -0.0."""
-    rng = Rng(61).stream("tied", kind, n)
-    x = np.round(rng.stream("x").normal((n, 3, 9, 8, 7)) * 2.0) / 2.0
-    x[x == 0] = np.where(rng.stream("s").normal((n, 3, 9, 8, 7)) > 0,
-                         0.0, -0.0)[x == 0]
-    gamma = Tensor(np.array([1.5, -0.5, 0.0], dtype))
-    beta = Tensor(np.array([0.25, 0.0, -0.0], dtype))
-    xt = Tensor(x.astype(dtype))
-    if kind == "instance":
-        _, cache = ops.instance_norm_forward(xt, gamma, beta, form_y=False)
-    else:
-        stats = [Tensor(np.full(3, v, dtype)) for v in (0.1, 1.3)]
-        _, cache, _, _ = ops.batch_norm_forward(
-            xt, gamma, beta, *stats, kind.split()[1], form_y=False)
-    cache.xhat[0, 1, 2, 3, 4] = np.nan
-    return cache
-
-
 def stem_case(kind: str, n: int, inputs: str, stem, dtype):
-    """Block1 at one stem: a one-channel input and the conv, norm params and
-    running stats that feed conv_norm_pool_forward. stem = (k, p, s, c_out).
-    "ties" makes every value a multiple of 1/2, so the conv is exact and
-    pool windows tie; "nan" puts a NaN in sample 0."""
-    k, p, st, c = stem
-    spec = ops.ConvSpec(k=k, c_out=c, p=p, s=st)
+    """A pooling block at one stem: an input and the conv, norm params and
+    running stats that feed conv_norm_pool_forward. stem = (input
+    channels, ConvSpec, pool): one input channel is block1, whose xhat is
+    rebuilt, more a block that keeps its xhat. "ties" makes every value a
+    multiple of 1/2, so the conv is exact and pool windows tie; "nan" puts
+    a NaN in sample 0. A kept block's last channel has gamma 0 and beta
+    -0.0, so its y is +0.0 and -0.0 and ties in every window."""
+    c_in, spec, _ = stem
+    k, c = spec.k, spec.c_out
     rng = Rng(63).stream(kind, n, inputs, k, c)
-    x = rng.stream("x").normal((n, 1, 17, 18, 19))
-    w = rng.stream("w").normal((c, 1, k, k, k))
+    x = rng.stream("x").normal((n, c_in, 17, 18, 19))
+    w = rng.stream("w").normal((c, c_in, k, k, k))
     b = rng.stream("b").normal((c,))
     if inputs == "ties":
         x, w, b = (np.round(a * 2.0) / 2.0 for a in (x, w, b))
@@ -945,6 +926,8 @@ def stem_case(kind: str, n: int, inputs: str, stem, dtype):
         x[0, 0, 5, 6, 7] = np.nan
     gamma = rng.stream("g").uniform((c,), 0.5, 1.5)
     beta = rng.stream("be").normal((c,))
+    if c_in > 1:
+        gamma[-1], beta[-1] = 0.0, -0.0
 
     def t(a):
         return Tensor(np.asarray(a).astype(dtype))
@@ -956,7 +939,7 @@ def stem_case(kind: str, n: int, inputs: str, stem, dtype):
     return t(x), (t(w), t(b), spec), t(gamma), t(beta), running
 
 
-def whole_stem(x, conv, gamma, beta, running, mode, pool=(3, 2)):
+def whole_stem(x, conv, gamma, beta, running, mode, pool):
     """The whole-batch composition conv_norm_pool_forward replaces: the
     batch's conv output, its taped norm with a whole y, and the pool.
     Returns (pooled, idx, cache, running, y's shape)."""
@@ -975,48 +958,18 @@ STEM_CASES = [("instance", 1, "normal"), ("instance", 3, "ties"),
               ("batch train", 3, "ties"), ("batch train", 4, "nan"),
               ("batch eval", 1, "normal"), ("batch eval", 4, "ties"),
               ("batch eval", 3, "nan")]
-STEMS = [(1, 0, 1, 4), (3, 1, 2, 8), (7, 3, 4, 4)]   # K1S1, K3S2, K7S4
+STEMS = [(1, ops.ConvSpec(k=1, c_out=4), (3, 2)),            # block1 K1S1
+         (1, ops.ConvSpec(k=3, c_out=8, p=1, s=2), (3, 2)),  # block1 K3S2
+         (1, ops.ConvSpec(k=7, c_out=4, p=3, s=4), (3, 2)),  # block1 K7S4
+         (3, ops.ConvSpec(k=3, c_out=5, p=1), (5, 2)),       # kept xhat
+         (3, ops.ConvSpec(k=5, c_out=4, p=2, d=2), (2, 1))]  # kept, dilated
 
 
 class TestPooledNorm:
-    """norm_pool_forward, conv_norm_pool_forward and a pooled norm_backward,
-    with block1's conv or without, against the whole-batch composition: a
+    """conv_norm_pool_forward and a pooled norm_backward, with block1's
+    rebuilt xhat or a kept one, against the whole-batch composition: a
     whole conv output and y pooled at once, and the whole routed gradient
     through norm_backward_expression and the conv's backward."""
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("k, s", [(3, 2), (2, 1), (5, 2)])
-    @pytest.mark.parametrize("n", [1, 3])
-    def test_forward_equals_whole_y(self, n, k, s, dtype):
-        cache = tied_cache("instance", n, dtype)
-        beta = Tensor(np.array([0.25, 0.0, -0.0], dtype))
-        y = Tensor(cache.gamma_b * cache.xhat + beta.data.reshape(1, 3, 1, 1, 1))
-        want = ops.maxpool3d_forward(y, k, s)
-        want_idx = ops.maxpool3d_argmax(y, want, k, s)
-        got, idx = ops.norm_pool_forward(cache, beta, k, s)
-        assert np.isnan(got.data[0, 1]).any()
-        assert got.data.tobytes() == want.data.tobytes()
-        assert idx.dtype == np.int32
-        assert idx.tobytes() == want_idx.tobytes()
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    @pytest.mark.parametrize("kind, n", [
-        ("instance", 1), ("instance", 3), ("batch train", 2),
-        ("batch train", 3), ("batch eval", 1), ("batch eval", 3)])
-    def test_backward_equals_whole_routing(self, kind, n, dtype):
-        cache = tied_cache(kind, n, dtype)
-        shape = cache.xhat.shape
-        beta = Tensor(np.array([0.25, 0.0, -0.0], dtype))
-        pooled, idx = ops.norm_pool_forward(cache, beta, 3, 2)
-        g = Rng(62).normal(pooled.shape).astype(dtype)
-        routed = ops.maxpool3d_backward(Tensor(g), idx, shape).data
-        want = norm_backward_expression(routed, cache)
-        xhat = cache.xhat
-        got = ops.norm_backward(Tensor(g), cache, (idx, shape))
-        assert got[0].data is xhat  # dx is written over xhat
-        for a, b in zip(got, want):
-            assert a.data.dtype == b.dtype == dtype
-            assert a.data.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("stem", STEMS)
     @pytest.mark.parametrize("kind, n", [
@@ -1026,53 +979,79 @@ class TestPooledNorm:
     def test_rebuilt_xhat_equals_kept(self, kind, n, stem):
         # Block1's norm keeps no xhat: backward rebuilds each sample's from
         # the conv input, and its dx goes straight into that sample's conv
-        # backward, whose dw and db add up in sample order. The oracle keeps
-        # the whole xhat and takes the whole dx back through the conv.
+        # backward, whose dw and db add up in sample order. Any other block
+        # keeps its xhat, whose dx goes back through the conv as the model
+        # takes it. The oracle keeps the whole xhat and takes the whole dx
+        # back through the conv.
         mode = kind.split()[-1]
         for inputs, dtype in [("normal", np.float32), ("normal", np.float64),
                               ("ties", np.float32), ("nan", np.float64)]:
             x, conv, gamma, beta, running = stem_case(kind, n, inputs, stem,
                                                       dtype)
             pooled, idx, cache, _, shape = whole_stem(x, conv, gamma, beta,
-                                                      running, mode)
+                                                      running, mode, stem[2])
             g = Rng(64).normal(pooled.shape).astype(dtype)
             routed = ops.maxpool3d_backward(Tensor(g), idx, shape).data
             dx, dgamma, dbeta = norm_backward_expression(routed, cache)
             w, b, spec = conv
             gx, gw, gb = whole_batch_conv3d_backward(dx, x.data, w.data, spec)
-            _, got_idx, rebuilt, _ = ops.conv_norm_pool_forward(
-                x, conv, gamma, beta, (3, 2), True, running, mode)
-            got = ops.norm_backward(Tensor(g), rebuilt, (got_idx, shape),
-                                    (x, w, b, spec))
-            assert len(got) == 5  # dx at the conv input, dgamma, dbeta, dw, db
-            for a, b_ in zip(got, (gx, dgamma, dbeta, gw, gb)):
+            _, got_idx, got_cache, _ = ops.conv_norm_pool_forward(
+                x, conv, gamma, beta, stem[2], True, running, mode)
+            if got_cache.xhat is None:
+                got = ops.norm_backward(Tensor(g), got_cache, (got_idx, shape),
+                                        (x, w, b, spec))
+                assert len(got) == 5  # dx at the conv input, dgamma, dbeta, dw, db
+            else:
+                xhat = got_cache.xhat
+                got = ops.norm_backward(Tensor(g), got_cache, (got_idx, shape))
+                assert got[0].data is xhat  # dx is written over xhat
+                gx_, gw_, gb_ = ops.conv3d_backward(got[0], x, w, spec)
+                got = (gx_,) + got[1:] + (gw_, gb_)
+            for a, b_ in zip(got, (gx, dgamma, dbeta, gw, gb), strict=True):
                 assert a.data.dtype == b_.dtype == dtype
                 assert a.data.tobytes() == b_.tobytes(), (inputs, dtype)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("stem", STEMS)
     @pytest.mark.parametrize("kind, n, inputs", STEM_CASES)
-    def test_conv_forward_equals_whole(self, kind, n, inputs, stem, dtype):
+    def test_conv_forward_equals_whole(self, kind, n, inputs, stem, dtype,
+                                       monkeypatch):
         x, conv, gamma, beta, running = stem_case(kind, n, inputs, stem, dtype)
         mode = kind.split()[-1]
         pooled, idx, cache, new_running, _ = whole_stem(x, conv, gamma, beta,
-                                                        running, mode)
+                                                        running, mode, stem[2])
         if inputs == "nan":
             assert np.isnan(pooled.data[0]).any()
+        real, outs = ops.conv3d_forward, []
+
+        def conv3d_forward(*args):
+            outs.append(real(*args).data)
+            return Tensor(outs[-1])
+
+        monkeypatch.setattr(ops, "conv3d_forward", conv3d_forward)
         for tape in (True, False):
+            outs.clear()
             got, got_idx, got_cache, got_running = ops.conv_norm_pool_forward(
-                x, conv, gamma, beta, (3, 2), tape, running, mode)
+                x, conv, gamma, beta, stem[2], tape, running, mode)
             assert got.data.tobytes() == pooled.data.tobytes()
             assert (got_running is None) == (running is None)
             for a, b in zip(got_running or (), new_running or ()):
                 assert a.data.dtype == b.data.dtype == dtype
                 assert a.data.tobytes() == b.data.tobytes()
+            # block1 recomputes each sample's conv, twice more for train-mode
+            # batch statistics; a kept block runs its conv once
+            passes = 3 if kind == "batch train" else 1
+            assert len(outs) == (n * passes if stem[0] == 1 else 1)
             if not tape:
                 assert got_idx is None and got_cache is None
                 continue
             assert got_idx.dtype == np.int32
             assert got_idx.tobytes() == idx.tobytes()
-            assert got_cache.xhat is None  # backward rebuilds it from x
+            if stem[0] == 1:
+                assert got_cache.xhat is None  # backward rebuilds it from x
+            else:  # xhat lives in the conv output's own array
+                assert got_cache.xhat is outs[0]
+                assert got_cache.xhat.tobytes() == cache.xhat.tobytes()
             for name in ("axes", "param_axes", "fixed_stats"):
                 assert getattr(got_cache, name) == getattr(cache, name)
             for name in ("mean", "invstd", "gamma_b"):

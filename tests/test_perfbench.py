@@ -4,6 +4,7 @@ perfbench/workloads.py builds its inputs with the data layer, so renaming
 an op, changing its arguments or changing what the data layer writes must
 fail here, not only when the benchmark runs."""
 
+import collections
 import json
 import os
 import subprocess
@@ -42,10 +43,13 @@ def test_trace_mode_records_the_wrapped_ops(tmp_path):
         "train", "--manifest", str(manifest), "--crop_extent", "32",
         "--max_epochs", "1", "--threads", "1", "--run_dir", str(run)])
     assert result["code"] == 0
-    names = {s[0] for s in result["spans"]}
+    names = collections.Counter(s[0] for s in result["spans"])
     for op in ("ops.conv3d_forward", "ops.instance_norm_forward",
                "ops.norm_backward"):
         assert op in names
+    # every pooled chunk, block1's samples among them, is normalized through
+    # the wrapped op, so ops.norm_forward.s covers every instance norm
+    assert names["ops.instance_norm_forward"] == names["ops.maxpool3d_forward"]
     conv = [s[4] for s in result["spans"] if s[0] == "ops.conv3d_forward"]
     assert all(a["macs"] > 0 for a in conv)
 
