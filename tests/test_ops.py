@@ -965,11 +965,75 @@ STEMS = [(1, ops.ConvSpec(k=1, c_out=4), (3, 2)),            # block1 K1S1
          (3, ops.ConvSpec(k=5, c_out=4, p=2, d=2), (2, 1))]  # kept, dilated
 
 
+def tied_stem(kind: str, n: int, dtype):
+    """A kept-xhat block over [n, 3, 9, 8, 7] whose conv is the identity, so
+    its output is x: half-integer values that tie in many pool windows.
+    Channel 2 has gamma 0, so all of its y ties, and beta -0.0. In eval
+    mode, whose statistics are fixed, x holds a NaN in one window of
+    sample 0; elsewhere it would spread over whole channels."""
+    rng = Rng(61).stream("tied", kind, n)
+    x = np.round(rng.stream("x").normal((n, 3, 9, 8, 7)) * 2.0) / 2.0
+    if kind == "batch eval":
+        x[0, 1, 2, 3, 4] = np.nan
+    w = np.eye(3).reshape(3, 3, 1, 1, 1)
+    running = None
+    if kind != "instance":
+        running = tuple(Tensor(np.full(3, v, dtype)) for v in (0.1, 1.3))
+    return (Tensor(x.astype(dtype)),
+            (Tensor(w.astype(dtype)), Tensor(np.zeros(3, dtype)),
+             ops.ConvSpec(k=1, c_out=3)),
+            Tensor(np.array([1.5, -0.5, 0.0], dtype)),
+            Tensor(np.array([0.25, 0.0, -0.0], dtype)), running)
+
+
 class TestPooledNorm:
     """conv_norm_pool_forward and a pooled norm_backward, with block1's
     rebuilt xhat or a kept one, against the whole-batch composition: a
     whole conv output and y pooled at once, and the whole routed gradient
     through norm_backward_expression and the conv's backward."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k, s", [(3, 2), (2, 1), (5, 2)])
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_forward_equals_whole_y(self, n, k, s, dtype):
+        # a kept xhat pooled a sample at a time, and the whole batch at once
+        # without a tape, against the whole y pooled at once
+        for kind in ("instance", "batch eval"):
+            x, conv, gamma, beta, running = tied_stem(kind, n, dtype)
+            mode = kind.split()[-1]
+            want, want_idx, _, _, _ = whole_stem(x, conv, gamma, beta,
+                                                 running, mode, (k, s))
+            for tape in (True, False):
+                got, idx, _, _ = ops.conv_norm_pool_forward(
+                    x, conv, gamma, beta, (k, s), tape, running, mode)
+                if kind == "batch eval":
+                    assert np.isnan(got.data[0, 1]).any()
+                    assert not np.isnan(got.data[0, 1]).all()
+                assert got.data.tobytes() == want.data.tobytes()
+                if tape:
+                    assert idx.dtype == np.int32
+                    assert idx.tobytes() == want_idx.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("kind, n", [
+        ("instance", 1), ("instance", 3), ("batch train", 2),
+        ("batch train", 3), ("batch eval", 1), ("batch eval", 3)])
+    def test_backward_equals_whole_routing(self, kind, n, dtype):
+        x, conv, gamma, beta, running = tied_stem(kind, n, dtype)
+        mode = kind.split()[-1]
+        pooled, want_idx, want_cache, _, shape = whole_stem(
+            x, conv, gamma, beta, running, mode, (3, 2))
+        g = Rng(62).normal(pooled.shape).astype(dtype)
+        routed = ops.maxpool3d_backward(Tensor(g), want_idx, shape).data
+        want = norm_backward_expression(routed, want_cache)
+        _, idx, cache, _ = ops.conv_norm_pool_forward(
+            x, conv, gamma, beta, (3, 2), True, running, mode)
+        xhat = cache.xhat
+        got = ops.norm_backward(Tensor(g), cache, (idx, shape))
+        assert got[0].data is xhat  # dx is written over xhat
+        for a, b in zip(got, want, strict=True):
+            assert a.data.dtype == b.dtype == dtype
+            assert a.data.tobytes() == b.tobytes()
 
     @pytest.mark.parametrize("stem", STEMS)
     @pytest.mark.parametrize("kind, n", [
