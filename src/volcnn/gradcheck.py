@@ -123,7 +123,7 @@ def check_pool(seed: int = 0) -> list[CheckResult]:
         results += check_op(
             name, rng.stream("r"), lambda: (ops.maxpool3d_forward(x, k, s),) * 2,
             lambda g, out: (ops.maxpool3d_backward(
-                g, ops.maxpool3d_argmax(x, out, k, s), x.shape),),
+                g, ops.maxpool3d_argmax(x, out, k, s), k, s, x.shape),),
             {"x": x})
     return results
 
@@ -246,7 +246,8 @@ def check_model(seed: int = 0, n_coords: int = 20) -> list[CheckResult]:
     still exercised everywhere through the surviving coordinates. If no
     coordinate survives, the check fails with an infinite error.
     """
-    from .model import NUM_CLASSES, ModelConfig, build, forward, backward
+    from .model import (NUM_CLASSES, ModelConfig, activation_pattern,
+                        backward, build, forward)
 
     cfg = ModelConfig(crop_extent=32)
     rng = Rng(seed).stream("gradcheck", "model")
@@ -256,11 +257,7 @@ def check_model(seed: int = 0, n_coords: int = 20) -> list[CheckResult]:
 
     def probe():
         logits, tape = forward(model, x, None, "eval")
-        pattern = []
-        for e in tape.entries:
-            if e[0] in ("relu", "pool"):
-                pattern.append(e[1].tobytes())
-        return _probe(logits, r), b"".join(pattern)
+        return _probe(logits, r), activation_pattern(tape)
 
     logits, tape = forward(model, x, None, "eval")
     grads, _ = backward(model, tape, Tensor(r))

@@ -4,9 +4,9 @@ optional age conditioning.
 Every block is conv -> norm -> max pool -> ReLU, which is the paper's
 conv -> norm -> ReLU -> max pool: ReLU is monotone, so it commutes with max,
 and the pooled values agree bit for bit (np.maximum(-0.0, 0.0) is +0.0 and a
-NaN passes through both), while ReLU and its mask cover the pooled extent
-only. Widths scale with a single widening factor f: the blocks carry 4f,
-32f, 64f, 64f channels. Optional extra blocks (conv k3 s1 p1, instance norm,
+NaN passes through both), while ReLU covers the pooled extent only.
+Widths scale with a single widening factor f: the blocks carry 4f, 32f,
+64f, 64f channels. Optional extra blocks (conv k3 s1 p1, instance norm,
 ReLU) sit between block4 and the classifier head and preserve both extent
 and channel count.
 
@@ -194,19 +194,27 @@ def build(config: ModelConfig, rng: Rng, dtype=tensor.F32) -> Model:
 class Tape:
     """Saved forward state, consumed exactly once by backward, which pops
     each entry once it has used it and leaves `entries` empty. An entry is
-    a tuple whose first item names its kind. Each holds only what backward
-    reads: a conv entry its input, a norm entry its NormCache, whose xhat
-    lives in the conv output's array and which backward overwrites with dx,
-    a relu entry the bool mask x > 0 of the ReLU input, and a pool entry
-    the int32 argmax indices and the pool's input shape. A pooling block,
-    whose conv, norm and pool ops.conv_norm_pool_forward runs, records
-    conv, norm, pool, relu, so its mask covers the pooled extent; backward
-    takes its pool and norm entries together. Block1's NormCache holds no
-    xhat: backward rebuilds it from the conv entry's input a sample at a
-    time and takes block1's pool, norm and conv entries together. An extra
-    block records conv, norm, relu."""
+    a tuple whose first item names its kind, and holds only what backward
+    reads. A block records ("block", its BlockPlan, its conv input, its
+    NormCache, the pool's tap keys or None). The cache's xhat lives in the
+    conv output's array, which backward overwrites with dx; block1's cache
+    holds none, and backward rebuilds it from the input. No ReLU mask is
+    kept: each is h > 0 of a ReLU output h the tape holds as an input."""
     model_version: int
     entries: list
+
+
+def activation_pattern(tape: Tape) -> bytes:
+    """The tape's kink state: every pool's tap keys and the mask h > 0 of
+    every ReLU output h. Two forwards whose patterns are equal take the
+    same linear piece of the network."""
+    blocks = [e for e in tape.entries if e[0] == "block"]
+    head = {e[0]: e for e in tape.entries}
+    flat = math.prod(head["flatten"][1][1:])  # fc1's input up to an age column
+    parts = [e[4] for e in blocks if e[4] is not None]
+    parts += [e[2].data > 0 for e in blocks[1:]]  # block1's input is the scan
+    parts += [head["fc1"][1].data[:, :flat] > 0, head["fc2"][1].data > 0]
+    return b"".join(p.tobytes() for p in parts)
 
 
 def _validate_ages(config: ModelConfig, ages, n: int) -> np.ndarray | None:
@@ -229,19 +237,12 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
     tape needed for backward. Train mode updates batch-norm running stats.
 
     With tape=False nothing is recorded for backward and the tape is None:
-    no pool indices, no norm caches, and each intermediate activation is
-    freed once the next layer has read it. Each pooling block is one
-    ops.conv_norm_pool_forward call. Block1, whose conv output is the
-    network's largest array, runs conv, norm and pool there one sample at a
-    time in both modes (train-mode batch norm takes its statistics in two
-    passes first), so that output never exists whole. In the other blocks
-    the norm writes over the conv output: without a tape its output goes
-    there, so a block holds one activation of its conv's extent; with one
-    xhat goes there, and a pooling block forms its norm output one sample
-    at a time, pooling each sample's (an extra block forms it whole). The
-    logits are bitwise the same. In both modes ReLU works in place on the
-    pooled output (on the norm output in an extra block), and the age sum
-    and the head's ReLU on fc1's output."""
+    no pool tap keys, no norm caches, and each intermediate activation is
+    freed once the next layer has read it. The logits are bitwise the same.
+    Each block is one ops.conv_norm_pool_forward call, in which block1's
+    conv output, the network's largest array, never exists whole. ReLU
+    works in place on the block's output, and the age sum and the head's
+    ReLU on fc1's output. A taped block records one entry (see Tape)."""
     cfg = model.config
     if mode not in ("train", "eval"):
         raise ValueError(f"mode must be train or eval, got {mode!r}")
@@ -262,23 +263,12 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
         keys = ([f"{bp.name}.norm.running_{s}" for s in ("mean", "var")]
                 if bp.norm == "batch" else [])
         running = tuple(model.buffers[k] for k in keys) or None
-        record(("conv", bp.name, h, bp.conv))
-        if bp.pool is not None:
-            h, idx, cache, running = ops.conv_norm_pool_forward(
-                h, (w, b, bp.conv), gamma, beta, bp.pool, tape, running, mode)
-            record(("norm", bp.name, cache))
-            record(("pool", idx, (n, bp.conv.c_out) + (bp.conv_extent,) * 3))
-        else:  # an extra block: its instance norm writes over the conv output
-            h = ops.conv3d_forward(h, w, b, bp.conv)
-            h, cache = ops.instance_norm_forward(h, gamma, beta, tape=tape)
-            record(("norm", bp.name, cache))
+        out, taps, cache, running = ops.conv_norm_pool_forward(
+            h, (w, b, bp.conv), gamma, beta, bp.pool, tape, running, mode)
+        record(("block", bp, h, cache, taps))
         if running:
             model.buffers.update(zip(keys, running))
-        # h is a fresh array nothing else holds: the norm output of an
-        # extra block, else the pooled output.
-        h = ops.relu(h)
-        if tape:
-            record(("relu", h.data > 0))
+        h = ops.relu(out)  # a fresh array nothing else holds
 
     record(("flatten", h.shape))
     h = Tensor(h.data.reshape(n, model.plan.flat_features))
@@ -300,8 +290,6 @@ def forward(model: Model, x: Tensor, ages=None, mode: str = "train",
         z.data += a2.data
         record(("age_head", ae, ln_cache, a1n))
     h2 = ops.relu(z)
-    if tape:
-        record(("relu", h2.data > 0))
     record(("fc2", h2))
     logits = ops.linear_forward(h2, model.params["fc2.weight"],
                                 model.params["fc2.bias"])
@@ -336,20 +324,21 @@ def backward(model: Model, tape: Tape,
 
 def _backward_entry(model: Model, entries: list, g: Tensor,
                     grads: dict[str, Tensor]) -> Tensor:
-    """Backward through the last tape entry, which it pops, and a pool's
-    norm entry with it: adds their parameter gradients to `grads` and
-    returns the gradient at their input. A function of its own, so the
-    entries' state is freed when it returns."""
+    """Backward through the last tape entry, which it pops: adds its
+    parameter gradients to `grads` and returns the gradient at its input,
+    or, where that input is a ReLU output h, at the ReLU's input, through
+    the mask h > 0, which relu_backward applies to the fresh input
+    gradient in place. A function of its own, so the entry's state is
+    freed when it returns."""
     entry = entries.pop()
     kind = entry[0]
     if kind in ("fc1", "fc2"):
-        g, gw, gb = ops.linear_backward(g, entry[1],
-                                        model.params[f"{kind}.weight"])
+        x = entry[1]
+        g, gw, gb = ops.linear_backward(g, x, model.params[f"{kind}.weight"])
         grads[f"{kind}.weight"], grads[f"{kind}.bias"] = gw, gb
-    elif kind == "relu":
-        # g is always a fresh array only backward holds (fc2 goes first, so
-        # never the caller's grad_logits): it takes its own gradient in place
-        g = ops.relu_backward(g, entry[1])
+        # fc2's input is the head's ReLU output, fc1's the last block's and
+        # a concat mode's age column, whose gradient drop_age_column drops
+        g = ops.relu_backward(g, x.data > 0)
     elif kind == "age_head":
         _, ae, ln_cache, a1n = entry
         ga, gw, gb = ops.linear_backward(g, a1n, model.params["age.fc2.weight"])
@@ -363,28 +352,16 @@ def _backward_entry(model: Model, entries: list, g: Tensor,
         g = Tensor(g.data[:, :-1])
     elif kind == "flatten":
         g = Tensor(g.data.reshape(entry[1]))
-    elif kind in ("pool", "norm"):
-        pool = conv = None
-        if kind == "pool":
-            # The pool and the norm before it go back together, one sample
-            # at a time, so no full-size routed gradient exists.
-            pool, entry = entry[1:], entries.pop()
-        _, name, cache = entry
-        if cache.xhat is None:  # block1: its conv goes back with its norm
-            _, _, x_in, spec = entries.pop()
-            conv = (x_in, model.params[f"{name}.conv.weight"],
-                    model.params[f"{name}.conv.bias"], spec)
-        g, dgm, dbt, *conv_grads = ops.norm_backward(g, cache, pool, conv)
-        grads[f"{name}.norm.gamma"] = dgm
-        grads[f"{name}.norm.beta"] = dbt
-        if conv_grads:
-            grads[f"{name}.conv.weight"], grads[f"{name}.conv.bias"] = conv_grads
-    elif kind == "conv":
-        _, name, x_in, spec = entry
-        g, gw, gb = ops.conv3d_backward(
-            g, x_in, model.params[f"{name}.conv.weight"], spec)
-        grads[f"{name}.conv.weight"] = gw
-        grads[f"{name}.conv.bias"] = gb
+    elif kind == "block":
+        _, bp, x_in, cache, taps = entry
+        names = [f"{bp.name}.{leaf}" for leaf in ("norm.gamma", "norm.beta",
+                                                  "conv.weight", "conv.bias")]
+        conv = (model.params[names[2]], model.params[names[3]], bp.conv)
+        g, *block_grads = ops.conv_norm_pool_backward(g, x_in, conv, cache,
+                                                      bp.pool, taps)
+        grads.update(zip(names, block_grads))
+        if bp != model.plan.blocks[0]:  # x_in is the block before's h
+            g = ops.relu_backward(g, x_in.data > 0)
     else:
         raise RuntimeError(f"unknown tape entry {kind!r}")
     return g

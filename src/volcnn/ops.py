@@ -12,8 +12,8 @@ through the conv's backward.
 relu_backward writes the input gradient over grad_out's array and returns
 it; norm_backward only reads grad_out and consumes its cache: it writes dx
 over xhat. The state backward reads is kept no wider than backward needs:
-relu_backward takes the bool mask x > 0, maxpool3d_argmax gives int32
-indices, norm_backward routes a pooled gradient itself, and neither the
+relu_backward takes the bool mask x > 0, maxpool3d_argmax gives uint8 tap
+keys, norm_backward routes a pooled gradient itself, and neither the
 normalizations nor norm_backward hold a full-size scratch buffer, only one
 sample's or part of one. The normalizations subtract the mean once and take
 the variance from that difference. Convolution uses cross-correlation
@@ -30,8 +30,8 @@ the unpadded gradient. A 1x1x1 stride-1 convolution of one input channel
 is a broadcast multiply instead. Max pooling is split in two ops:
 maxpool3d_forward takes the values from three 1-D maximum passes, and
 maxpool3d_argmax, which only a forward that records a tape for backward
-calls, recovers the first maximal tap by equality. A naive direct-loop
-oracle for the convolution lives in the test suite.
+calls, recovers the key of the first maximal tap by equality. A naive
+direct-loop oracle for the convolution lives in the test suite.
 
 Output extent per spatial axis:
     conv: floor((in + 2p - d*(k-1) - 1) / s) + 1
@@ -315,55 +315,57 @@ def maxpool3d_forward(x: Tensor, k: int, s: int) -> Tensor:
 
 def maxpool3d_argmax(x: Tensor, pooled: Tensor, k: int, s: int) -> np.ndarray:
     """Per output position of maxpool3d_forward(x, k, s), which gave
-    `pooled`, the int32 row-major flat index of the chosen input voxel
-    within its (sample, channel) volume: the state maxpool3d_backward needs.
-    A volume of 2^31 voxels or more raises ShapeError. Ties go to
-    the first element in row-major window order. Where a window holds a NaN,
-    the index points at the window's first voxel."""
-    dd, hh, ww = x.shape[2:]
-    if dd * hh * ww >= 2 ** 31:
-        raise ShapeError(f"pool input volume {(dd, hh, ww)} has 2^31 or more "
-                         f"voxels, beyond int32 argmax indices")
-    outs = pooled.shape[2:]
+    `pooled`, the tap key of the chosen input voxel: the state
+    maxpool3d_backward needs, in the smallest unsigned type that holds k^3
+    (uint8 up to k = 6). Tap t of a window, in row-major window order, has
+    key k^3 - t; ties go to the first tap. A window holding a NaN equals no
+    tap and gets key 0, which stands for its first voxel."""
     cur = pooled.data
-    # Tap t (row-major window order) that equals the max gets the key
-    # taps - t, and a running maximum keeps the first such tap's key. Key 0
-    # (no tap equal: a NaN window) maps to offset 0, the window's first voxel.
     taps = k ** 3
-    key_type = np.min_scalar_type(taps).type  # uint8 up to k = 6
+    key_type = np.min_scalar_type(taps).type
     key = np.zeros(cur.shape, dtype=key_type)
     eq = np.empty(cur.shape, dtype=bool)
     hit = np.empty(cur.shape, dtype=key_type)
-    offset = np.zeros(taps + 1, dtype=np.int32)
     # per axis, the input slice of each tap index, formed once per call
-    sl = [_tap_slices(k, s, 1, outs, (t, t, t)) for t in range(k)]
+    sl = [_tap_slices(k, s, 1, cur.shape[2:], (t, t, t)) for t in range(k)]
+    # a running maximum of the keys of the equal taps keeps the first one
     for t, (i, j, l) in enumerate(itertools.product(range(k), repeat=3)):
         np.equal(x.data[:, :, sl[i][0], sl[j][1], sl[l][2]], cur, out=eq)
         np.multiply(eq, key_type(taps - t), out=hit)
         np.maximum(key, hit, out=key)
-        offset[taps - t] = (i * hh + j) * ww + l
-    base = (
-        (np.arange(outs[0], dtype=np.int32) * s)[:, None, None] * (hh * ww)
-        + (np.arange(outs[1], dtype=np.int32) * s)[None, :, None] * ww
-        + (np.arange(outs[2], dtype=np.int32) * s)[None, None, :]
-    )
-    return base + offset[key]
+    return key
 
 
-def maxpool3d_backward(grad_out: Tensor, idx: np.ndarray,
+def maxpool3d_backward(grad_out: Tensor, key: np.ndarray, k: int, s: int,
                        input_shape: tuple[int, ...]) -> Tensor:
-    """Route each output gradient to its argmax voxel, accumulating where
-    pooling windows overlap."""
+    """Route each output gradient of maxpool3d_forward(x, k, s), x of
+    `input_shape`, to the voxel its maxpool3d_argmax key names,
+    accumulating where pooling windows overlap. A volume of 2^31 voxels or
+    more raises ShapeError."""
     n, c, dd, hh, ww = input_shape
-    if grad_out.shape != idx.shape:
-        raise ShapeError(f"grad_out shape {grad_out.shape} vs indices {idx.shape}")
+    outs = tuple(pool_out_extent(e, k, s) for e in (dd, hh, ww))
+    if grad_out.shape != key.shape or key.shape != (n, c) + outs:
+        raise ShapeError(f"grad_out shape {grad_out.shape} and keys "
+                         f"{key.shape}, expected {(n, c) + outs}")
     vol = dd * hh * ww
-    if idx.min() < 0 or idx.max() >= vol:
-        raise ShapeError(f"argmax index out of range for volume of {vol} voxels")
+    if vol >= 2 ** 31:
+        raise ShapeError(f"pool input volume {(dd, hh, ww)} has 2^31 or more "
+                         f"voxels, beyond int32 flat indices")
+    taps = k ** 3
+    if key.max() > taps:
+        raise ShapeError(f"tap key {key.max()} out of range for {taps} taps")
+    # offset[key] is the key's tap as a flat offset within its window, key
+    # 0 (a NaN window's) the first voxel; base the windows' first voxels
+    t = np.arange(k, dtype=np.int32)
+    offset = np.zeros(taps + 1, dtype=np.int32)
+    offset[:0:-1] = ((t[:, None, None] * hh + t[:, None]) * ww + t).reshape(-1)
+    z, y, x = (np.arange(o, dtype=np.int32) * s for o in outs)
+    base = (z[:, None, None] * hh + y[:, None]) * ww + x
     g = np.zeros(n * c * vol, dtype=grad_out.dtype)
     # one flat index over all (sample, channel) volumes takes np.add.at's
     # fast path for a 1-D index; the adds keep their row-major order
-    flat = idx.reshape(n * c, -1) + (np.arange(n * c, dtype=np.intp) * vol)[:, None]
+    flat = (base + offset[key]).reshape(n * c, -1) + (
+        np.arange(n * c, dtype=np.intp) * vol)[:, None]
     np.add.at(g, flat.reshape(-1), grad_out.data.reshape(-1))
     return Tensor(g.reshape(input_shape))
 
@@ -374,6 +376,7 @@ class NormCache:
 
     axes: tuple[int, ...]       # reduction axes of the normalization
     param_axes: tuple[int, ...]  # axes summed over for gamma/beta grads
+    shape: tuple[int, ...]       # of the normalized array
     xhat: np.ndarray | None      # None: norm_backward rebuilds it from the conv
     mean: np.ndarray
     invstd: np.ndarray
@@ -475,7 +478,8 @@ def _normalize(x: Tensor, gamma: Tensor, beta: Tensor, axes: tuple[int, ...],
     if not tape:
         return Tensor(y), None, mean, var
     param_axes = tuple(a for a in range(rank) if a != channel_axis)
-    cache = NormCache(axes, param_axes, d, mean, invstd, gb, stats is not None)
+    cache = NormCache(axes, param_axes, d.shape, d, mean, invstd, gb,
+                      stats is not None)
     return Tensor(y), cache, mean, var
 
 
@@ -503,14 +507,15 @@ def _batch_stats(sample, shape: tuple[int, ...],
 
 
 def conv_norm_pool_forward(x: Tensor, conv, gamma: Tensor, beta: Tensor,
-                           pool: tuple[int, int], tape: bool, running=None,
-                           mode: str = "train"
+                           pool: tuple[int, int] | None, tape: bool,
+                           running=None, mode: str = "train"
                            ) -> tuple[Tensor, np.ndarray | None,
                                       NormCache | None,
                                       tuple[Tensor, Tensor] | None]:
-    """Every pooling block's forward: maxpool3d_forward of a normalization
-    of conv3d_forward(x, *conv), conv = (w, b, spec) with two or more output
-    channels, and with a tape its maxpool3d_argmax indices, bit for bit the
+    """Every block's forward: maxpool3d_forward (pool = (k, s); None for an
+    extra block, which does not pool) of a normalization of
+    conv3d_forward(x, *conv), conv = (w, b, spec) with two or more output
+    channels, and with a tape its maxpool3d_argmax tap keys, bit for bit the
     whole-batch composition's. The norm is instance norm where running is
     None, else batch norm in `mode` with running = (running_mean,
     running_var), whose statistics are fixed first: the running ones in
@@ -522,9 +527,9 @@ def conv_norm_pool_forward(x: Tensor, conv, gamma: Tensor, beta: Tensor,
     exists whole, and the cache keeps no xhat: norm_backward rebuilds it
     from x. Any other x runs its conv once, and that array holds xhat: a
     chunk is one sample with a tape, each with a fresh y, and the whole
-    batch without one. Returns (pooled, idx, cache, running): idx and the
-    cache None without a tape, running as batch_norm_forward returns it
-    (None for instance norm)."""
+    batch without one. Returns (pooled, taps, cache, running): the keys
+    None without a tape or a pool, the cache None without a tape, running
+    as batch_norm_forward returns it (None for instance norm)."""
     w, b, spec = conv
     n = x.shape[0]
     shape = (n, spec.c_out) + tuple(
@@ -554,16 +559,18 @@ def conv_norm_pool_forward(x: Tensor, conv, gamma: Tensor, beta: Tensor,
         y, cache = (instance_norm_forward(chunk, gamma, beta, tape)
                     if running is None else
                     _normalize(chunk, gamma, beta, axes, 1, tape, stats)[:2])
-        p = maxpool3d_forward(y, *pool)
+        p = y if pool is None else maxpool3d_forward(y, *pool)
+        key = maxpool3d_argmax(y, p, *pool) if tape and pool else None
         if i == 0:
             pooled = np.empty((n,) + p.shape[1:], p.dtype)
-            idx = np.empty(pooled.shape, np.int32) if tape else None
+            taps = None if key is None else np.empty(pooled.shape, key.dtype)
         pooled[sl] = p.data
+        if key is not None:
+            taps[sl] = key
         if tape:
-            idx[sl] = maxpool3d_argmax(y, p, *pool)
             means.append(cache.mean)
             invstds.append(cache.invstd)
-        del y, cache, chunk  # freed before the next chunk's are made
+        del y, cache, chunk, key  # freed before the next chunk's are made
     if running is not None:
         running = _blend_running(*running, fixed, *stats,
                                  int(np.prod(shape)) // shape[1])
@@ -571,10 +578,10 @@ def conv_norm_pool_forward(x: Tensor, conv, gamma: Tensor, beta: Tensor,
     if tape:  # batch norm's statistics are the same for every chunk
         mean, invstd = ((a[0] if 0 in axes else np.concatenate(a))
                         for a in (means, invstds))
-        cache = NormCache(axes, (0, 2, 3, 4), u, mean, invstd,
+        cache = NormCache(axes, (0, 2, 3, 4), shape, u, mean, invstd,
                           gamma.data.reshape(1, -1, 1, 1, 1),
                           fixed is not None)
-    return Tensor(pooled), idx, cache, running
+    return Tensor(pooled), taps, cache, running
 
 
 def instance_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
@@ -648,9 +655,9 @@ def norm_backward(grad_out: Tensor, cache: NormCache, pool=None,
     of mean and variance on the input (except eval-mode batch norm, whose
     statistics are constants). Returns (dx, dgamma, dbeta).
 
-    The samples pass one at a time. With pool = (idx, input_shape),
-    grad_out is the gradient at the max pool of the norm's output, whose
-    maxpool3d_argmax indices are idx, and maxpool3d_backward routes each
+    The samples pass one at a time. With pool = (taps, k, s), grad_out is
+    the gradient at the k, s max pool of the norm's output, whose
+    maxpool3d_argmax keys are taps, and maxpool3d_backward routes each
     sample's. With conv = (x, w, b, spec) the norm's input is that conv's
     output and the cache holds no xhat: each sample's is rebuilt from x
     through conv3d_forward and _standardize, and its dx, written over it,
@@ -659,12 +666,10 @@ def norm_backward(grad_out: Tensor, cache: NormCache, pool=None,
     per-sample ones added onto 0 in sample order, bit for bit the whole
     batch's. grad_out is only read. The cache is consumed: dx is written
     over its xhat."""
-    shape = grad_out.shape if pool is None else pool[1]
-    if cache.xhat is not None and cache.xhat.shape != shape:
-        raise ShapeError(
-            f"grad_out shape {shape} does not match saved forward "
-            f"state for input {cache.xhat.shape}"
-        )
+    shape = cache.shape
+    if pool is None and grad_out.shape != shape:
+        raise ShapeError(f"grad_out shape {grad_out.shape} does not match "
+                         f"saved forward state for input {shape}")
     n, dtype = shape[0], grad_out.dtype
     # Sums over the batch add the per-sample sums onto 0 in sample order,
     # which is numpy's order for one reduction of the whole batch, except
@@ -678,7 +683,8 @@ def norm_backward(grad_out: Tensor, cache: NormCache, pool=None,
     def grad(sl):  # the samples' output gradient, in a fresh array
         if pool is None:
             return grad_out.data[sl].copy()
-        return maxpool3d_backward(Tensor(grad_out.data[sl]), pool[0][sl],
+        taps, k, s = pool
+        return maxpool3d_backward(Tensor(grad_out.data[sl]), taps[sl], k, s,
                                   (step,) + shape[1:]).data
 
     zero = dtype.type(0)
@@ -738,6 +744,23 @@ def norm_backward(grad_out: Tensor, cache: NormCache, pool=None,
         return (Tensor(cache.xhat),) + grads
     gx = gx[0] if len(gx) == 1 else np.concatenate(gx)
     return (Tensor(gx),) + grads + (Tensor(gw), Tensor(gb))
+
+
+def conv_norm_pool_backward(grad_out: Tensor, x: Tensor, conv,
+                            cache: NormCache, pool: tuple[int, int] | None,
+                            taps: np.ndarray | None) -> tuple[Tensor, ...]:
+    """The backward of conv_norm_pool_forward, given its cache and tap keys.
+    grad_out is only read; the cache is consumed. Returns (dx, dgamma,
+    dbeta, dw, db). Block1's rebuilt xhat takes each sample's dx through
+    the conv in norm_backward; a kept xhat becomes the whole dx, which one
+    conv3d_backward takes back."""
+    w, b, spec = conv
+    routing = None if pool is None else (taps, *pool)
+    if cache.xhat is None:
+        return norm_backward(grad_out, cache, routing, (x, w, b, spec))
+    dx, dgamma, dbeta = norm_backward(grad_out, cache, routing)
+    gx, gw, gb = conv3d_backward(dx, x, w, spec)
+    return gx, dgamma, dbeta, gw, gb
 
 
 def relu(x: Tensor) -> Tensor:

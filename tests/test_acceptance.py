@@ -19,7 +19,8 @@ import pytest
 import volcnn
 from volcnn import data, gradcheck, metrics, ops
 from volcnn.cli import main
-from volcnn.model import ModelConfig, build, forward, infer_shapes
+from volcnn.model import (ModelConfig, activation_pattern, build, forward,
+                          infer_shapes)
 from volcnn.saliency import DEFAULT_VIEWS, export_slices, saliency
 from volcnn.tensor import Rng, Tensor
 
@@ -93,12 +94,14 @@ def test_criterion_01_shape_suite():
             logits, tape = forward(net, x, mode="eval")
             if f == 1:
                 t_f1 = time.time() - t0
-            conv_in = [e[2].shape[-1] for e in tape.entries
-                       if e[0] == "conv"]
-            pool_in = [e[2][-1] for e in tape.entries if e[0] == "pool"]
+            blocks = [e for e in tape.entries if e[0] == "block"]
+            conv_in = [e[2].shape[-1] for e in blocks]
+            pool_in = [e[1].conv_extent for e in blocks]
+            pool_out = [e[4].shape[-1] for e in blocks]
             flat = next(e[1] for e in tape.entries if e[0] == "flatten")
             assert conv_in == [96, 47, 21, 8]   # input + pool outputs
             assert pool_in == [96, 43, 17, 6]   # conv outputs
+            assert pool_out == [47, 21, 8, 1]   # the tap keys' extents
             assert flat == (1, 64 * f, 1, 1, 1)  # final pool output
             assert logits.shape == (1, 3)
         assert t_f1 < 60.0, f"f=1 forward took {t_f1:.1f}s"
@@ -384,16 +387,6 @@ def test_criterion_08_age_encoding(monkeypatch):
 
 # ---------------------------------------------------------------- 9
 
-def fingerprint(tape) -> bytes:
-    parts = []
-    for e in tape.entries:
-        if e[0] == "relu":
-            parts.append(e[1].tobytes())
-        elif e[0] == "pool":
-            parts.append(e[1].tobytes())
-    return b"".join(parts)
-
-
 def test_criterion_09_saliency(tmp_path):
     with criterion(9, "saliency extents, zero net, FD, smoothing, PGMs"):
         cfg = ModelConfig(crop_extent=32)
@@ -429,7 +422,8 @@ def test_criterion_09_saliency(tmp_path):
                 v[idx] += delta
                 logits, tape = forward(
                     net64, Tensor(v[None, None]), mode="eval")
-                probes.append((float(logits.data[0, 2]), fingerprint(tape)))
+                probes.append((float(logits.data[0, 2]),
+                               activation_pattern(tape)))
             if probes[0][1] != probes[1][1]:
                 continue  # straddles a ReLU/pool kink, FD invalid there
             fd = abs((probes[0][0] - probes[1][0]) / (2.0 * h))

@@ -300,18 +300,15 @@ class TestForwardBackward:
             assert res.passed, f"{res.name}: rel err {res.rel_err:.3e}"
 
     def test_no_surviving_coordinate_fails_the_check(self, monkeypatch):
-        real = m.forward
+        real = m.activation_pattern
         calls = itertools.count()
 
-        def forward(model, x, ages=None, mode="train"):
-            logits, tape = real(model, x, ages, mode)
-            if next(calls):  # every probe after the backward's own forward
-                # a pooling pattern that differs on every call, so each
-                # coordinate looks like it straddles a kink
-                tape.entries.append(("pool", np.array([next(calls)]), None))
-            return logits, tape
+        def activation_pattern(tape):
+            # a pattern that differs on every call, so each coordinate
+            # looks like it straddles a kink
+            return real(tape) + str(next(calls)).encode()
 
-        monkeypatch.setattr(m, "forward", forward)
+        monkeypatch.setattr(m, "activation_pattern", activation_pattern)
         (res,) = gradcheck.check_model(n_coords=1)
         assert res.rel_err == float("inf")
         assert not res.passed
@@ -538,7 +535,8 @@ def whole_batch_step(net, x, ages, mode, labels):
         pool = None
         if bp.pool is not None:
             pooled = ops.maxpool3d_forward(y, *bp.pool)
-            pool = (ops.maxpool3d_argmax(y, pooled, *bp.pool), y.shape)
+            pool = (ops.maxpool3d_argmax(y, pooled, *bp.pool), *bp.pool,
+                    y.shape)
             y = pooled
         saved.append((bp, h, cache, pool, y.data > 0))
         h = ops.relu(y)
@@ -624,6 +622,7 @@ class TestWholeBatchOracle:
                                       "widening_factor": 2}, "ties"),
         (48, 3, np.float32, "train", {"first_layer": "K3S2"}, "nan"),
         (32, 4, np.float64, "eval", {"widening_factor": 2}, "ties"),
+        (32, 4, np.float32, "train", {}, "zeros"),
     ])
     def test_step_bytes_equal_whole_batch(self, crop, n, dtype, mode, axis,
                                           inputs):
@@ -636,9 +635,15 @@ class TestWholeBatchOracle:
                     t.data[...] = 1.0 + 0.2 * g.stream(name).normal(t.shape)
                 elif not name.endswith(".weight"):
                     t.data[...] = 0.1 * g.stream(name).normal(t.shape)
+            if inputs == "zeros":  # each block's last channel's y is +-0
+                for bp in net.plan.blocks:
+                    net.params[f"{bp.name}.norm.gamma"].data[-1] = 0.0
+                    net.params[f"{bp.name}.norm.beta"].data[-1] = -0.0
         x = Rng(33).normal((n, 1, crop, crop, crop))
         if inputs == "ties":  # integer voxels tie in many pool windows
             x = np.round(x * 2.0)
+        elif inputs == "zeros":  # so the ReLU sees +-0 at the pooled extent
+            x = np.where(np.abs(x) < 0.5, -0.0, x)
         elif inputs == "nan":  # one sample's NaN windows through every block
             x[0, 0, 5, 6, 7] = np.nan
         ages = [63.5 + 7 * i for i in range(n)]
@@ -672,19 +677,18 @@ class TestWholeBatchOracle:
 
 
 def tape_footprint(tape) -> dict[str, int]:
-    """Summed nbytes of the saved state per entry kind: conv inputs, norm
-    xhat (the age head's layer norm included; block1 keeps none), ReLU
-    masks, pool indices and linear-layer inputs."""
-    kinds = dict.fromkeys(("conv", "norm", "relu", "pool", "linear"), 0)
+    """Summed nbytes of the saved state per kind: block conv inputs, norm
+    xhat (the age head's layer norm included; block1 keeps none), pool tap
+    keys and linear-layer inputs."""
+    kinds = dict.fromkeys(("conv", "norm", "pool", "linear"), 0)
     for e in tape.entries:
-        if e[0] == "conv":
-            kinds["conv"] += e[2].data.nbytes
-        elif e[0] in ("norm", "age_head") and e[2].xhat is not None:
+        if e[0] == "block":
+            _, _, x_in, cache, taps = e
+            kinds["conv"] += x_in.data.nbytes
+            kinds["norm"] += 0 if cache.xhat is None else cache.xhat.nbytes
+            kinds["pool"] += 0 if taps is None else taps.nbytes
+        elif e[0] == "age_head":
             kinds["norm"] += e[2].xhat.nbytes
-        elif e[0] == "relu":
-            kinds["relu"] += e[1].nbytes
-        elif e[0] == "pool":
-            kinds["pool"] += e[1].nbytes
         elif e[0] in ("fc1", "fc2"):
             kinds["linear"] += e[1].data.nbytes
     return kinds
@@ -696,11 +700,10 @@ class TestTapeFootprint:
         {"age_mode": "concat"}, {"age_mode": "encoded"},
     ])
     def test_matches_inferred_shapes(self, axis):
-        # ReLU masks take 1 byte per voxel of the ReLU input: the pooled
-        # output where a block pools, the conv output in an extra block.
-        # Pool indices take 4 per pool-output voxel, norm xhat and conv
-        # inputs the dtype's itemsize. Block1's xhat is rebuilt in backward,
-        # so it is not on the tape.
+        # Pool tap keys take 1 byte per pool-output voxel, norm xhat and
+        # conv inputs the dtype's itemsize. Block1's xhat is rebuilt in
+        # backward, so it is not on the tape, and no ReLU mask is: backward
+        # takes each from the ReLU output the tape holds as an input.
         cfg = m.ModelConfig(crop_extent=32, **axis)
         net = m.build(cfg, Rng(26))
         n, item = 2, np.dtype(np.float32).itemsize
@@ -713,16 +716,19 @@ class TestTapeFootprint:
         convs = [i for i, (name, _) in enumerate(rows) if name.endswith(".conv")]
         conv_out = sum(size[rows[i][0]] for i in convs)
         pooled = sum(v for k, v in size.items() if k.endswith(".pool"))
-        extra_out = sum(v for k, v in size.items() if k.startswith("extra"))
         want = {
             "conv": item * sum(size[rows[i - 1][0]] for i in convs),
             "norm": item * (conv_out - size["block1.conv"]
                             + size.get("age.fc1", 0)),
-            "relu": pooled + extra_out + size["fc1"],
-            "pool": 4 * pooled,
+            "pool": pooled,
             "linear": item * (size["flatten"] + size["fc1"]),
         }
         assert tape_footprint(tape) == want
+        blocks = len(net.plan.blocks)
+        assert len(tape.entries) == blocks + 3 + (cfg.age_mode != "none")
+        assert [e[0] for e in tape.entries[:blocks]] == ["block"] * blocks
+        taps = [e[4] for e in tape.entries[:blocks] if e[4] is not None]
+        assert {t.dtype for t in taps} == {np.dtype(np.uint8)}
 
 
 class TestCheckpoint:

@@ -98,35 +98,34 @@ def slab_conv3d_forward(x, w, b, spec):
 
 
 def pool_with_argmax(x, k, s):
-    """Pooled values and the argmax indices a taped forward records, which
-    are int32."""
+    """Pooled values and the tap keys a taped forward records, which are
+    uint8 for windows up to 6^3."""
     out = ops.maxpool3d_forward(x, k, s)
-    idx = ops.maxpool3d_argmax(x, out, k, s)
-    assert idx.dtype == np.int32
-    return out, idx
+    key = ops.maxpool3d_argmax(x, out, k, s)
+    assert key.dtype == np.min_scalar_type(k ** 3)
+    return out, key
+
+
+def key_of(k, tap):
+    """The tap key of window tap (i, j, l): k^3 less its row-major index."""
+    return k ** 3 - np.ravel_multi_index(tap, (k, k, k))
 
 
 def masked_copy_argmax(x, pooled, k, s):
     """maxpool3d_argmax as a reverse-order loop of k^3 equality tests and
-    masked index copies, so the last write is the first tap equal to the
-    max, and a NaN window keeps its first voxel: the reference for the
-    key-maximum kernel."""
-    hh, ww = x.shape[3:]
+    masked key copies, so the last write is the first tap equal to the
+    max, and a NaN window keeps key 0: the reference for the key-maximum
+    kernel."""
     outs = pooled.shape[2:]
-    base = (
-        (np.arange(outs[0], dtype=np.int32) * s)[:, None, None] * (hh * ww)
-        + (np.arange(outs[1], dtype=np.int32) * s)[None, :, None] * ww
-        + (np.arange(outs[2], dtype=np.int32) * s)[None, None, :]
-    )
-    idx = np.broadcast_to(base, pooled.shape).copy()
+    key = np.zeros(pooled.shape, dtype=np.min_scalar_type(k ** 3))
     eq = np.empty(pooled.shape, dtype=bool)
     for i in reversed(range(k)):
         for j in reversed(range(k)):
             for l in reversed(range(k)):
                 sl = ops._tap_slices(k, s, 1, outs, (i, j, l))
                 np.equal(x[:, :, sl[0], sl[1], sl[2]], pooled, out=eq)
-                np.copyto(idx, base + ((i * hh + j) * ww + l), where=eq)
-    return idx
+                key[eq] = key_of(k, (i, j, l))
+    return key
 
 
 def norm_backward_expression(g, cache):
@@ -430,18 +429,25 @@ class TestMaxPool:
         x = np.zeros((1, 1, 4, 4, 4), dtype=np.float32)
         x[0, 0, 1, 2, 2] = 5.0   # inside the first 3x3x3 window
         x[0, 0, 3, 3, 3] = 7.0   # outside it
-        out, idx = pool_with_argmax(Tensor(x), 3, 1)
+        out, key = pool_with_argmax(Tensor(x), 3, 1)
         assert out.shape == (1, 1, 2, 2, 2)
         assert out.data[0, 0, 0, 0, 0] == 5.0
-        assert idx[0, 0, 0, 0, 0] == (1 * 4 + 2) * 4 + 2
+        assert key[0, 0, 0, 0, 0] == key_of(3, (1, 2, 2))
         assert out.data[0, 0, 1, 1, 1] == 7.0
-        assert idx[0, 0, 1, 1, 1] == (3 * 4 + 3) * 4 + 3
+        assert key[0, 0, 1, 1, 1] == key_of(3, (2, 2, 2))
+        # the keys route the gradient to those voxels: the 5 is the max of
+        # every window but the one that holds the 7
+        gx = ops.maxpool3d_backward(Tensor(np.ones(out.shape, np.float32)),
+                                    key, 3, 1, x.shape)
+        assert gx.data[0, 0, 1, 2, 2] == 7.0
+        assert gx.data[0, 0, 3, 3, 3] == 1.0
+        assert gx.data.sum() == 8.0
 
     def test_tie_goes_to_first_in_window_order(self):
         x = Tensor(np.ones((1, 1, 3, 3, 3), dtype=np.float32))
-        out, idx = pool_with_argmax(x, 3, 1)
+        out, key = pool_with_argmax(x, 3, 1)
         assert out.data[0, 0, 0, 0, 0] == 1.0
-        assert idx[0, 0, 0, 0, 0] == 0
+        assert key[0, 0, 0, 0, 0] == key_of(3, (0, 0, 0))
 
     def test_window_larger_than_input_rejected(self):
         x = Tensor(np.ones((1, 1, 2, 2, 2), dtype=np.float32))
@@ -451,18 +457,18 @@ class TestMaxPool:
     def test_backward_conserves_gradient_mass(self):
         rng = Rng(3).stream("pool-mass")
         x = Tensor(rng.permutation(2 * 216).astype(np.float64).reshape(2, 1, 6, 6, 6))
-        out, idx = pool_with_argmax(x, 2, 2)  # disjoint windows
+        out, key = pool_with_argmax(x, 2, 2)  # disjoint windows
         g = Tensor(rng.stream("g").normal(out.shape))
-        gx = ops.maxpool3d_backward(g, idx, x.shape)
+        gx = ops.maxpool3d_backward(g, key, 2, 2, x.shape)
         assert gx.shape == x.shape
         np.testing.assert_allclose(gx.data.sum(), g.data.sum(), rtol=1e-12)
 
     def test_backward_accumulates_on_overlap(self):
         x = Tensor(np.zeros((1, 1, 3, 3, 3), dtype=np.float64))
         x.data[0, 0, 1, 1, 1] = 1.0  # shared max of all four stride-1 windows
-        out, idx = pool_with_argmax(x, 2, 1)
+        out, key = pool_with_argmax(x, 2, 1)
         g = Tensor(np.ones(out.shape, dtype=np.float64))
-        gx = ops.maxpool3d_backward(g, idx, x.shape)
+        gx = ops.maxpool3d_backward(g, key, 2, 1, x.shape)
         assert gx.data[0, 0, 1, 1, 1] == 8.0
         assert gx.data.sum() == 8.0
 
@@ -477,15 +483,13 @@ class TestMaxPool:
         # Few distinct integer values, so most windows hold ties.
         x = data.draw(hnp.arrays(np.float32, shape,
                                  elements=st.integers(0, 3).map(float)))
-        out, idx = pool_with_argmax(Tensor(x), k, s)
-        hh, ww = shape[3], shape[4]
+        out, key = pool_with_argmax(Tensor(x), k, s)
         for pos in np.ndindex(*out.shape):
             ni, ci, z, y, xx = pos
             win = x[ni, ci, z * s:z * s + k, y * s:y * s + k, xx * s:xx * s + k]
             t = int(np.argmax(win))  # first maximum in row-major order
-            i, j, l = np.unravel_index(t, win.shape)
             assert out.data[pos] == win.flat[t]
-            assert idx[pos] == ((z * s + i) * hh + y * s + j) * ww + xx * s + l
+            assert key[pos] == k ** 3 - t
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7])
@@ -502,24 +506,24 @@ class TestMaxPool:
                                  -0.0, 0.0)[x == 0]
             x[r.stream("nan").uniform(shape) < 0.02] = np.nan
             pooled = ops.maxpool3d_forward(Tensor(x), k, s)
-            idx = ops.maxpool3d_argmax(Tensor(x), pooled, k, s)
-            assert idx.dtype == np.int32
-            assert np.array_equal(idx, masked_copy_argmax(x, pooled.data, k, s))
+            key = ops.maxpool3d_argmax(Tensor(x), pooled, k, s)
+            want = masked_copy_argmax(x, pooled.data, k, s)
+            assert key.dtype == want.dtype
+            assert np.array_equal(key, want)
 
     def test_nan_propagates_and_index_stays_in_window(self):
         x = np.zeros((1, 1, 4, 4, 4), dtype=np.float32)
         x[0, 0, 1, 1, 1] = np.nan  # not the first tap of window (0, 0, 0)
         x[0, 0, 0, 0, 2] = 5.0
-        out, idx = pool_with_argmax(Tensor(x), 2, 2)
+        out, key = pool_with_argmax(Tensor(x), 2, 2)
         assert np.isnan(out.data[0, 0, 0, 0, 0])
         assert out.data[0, 0, 0, 0, 1] == 5.0
         assert np.isnan(out.data).sum() == 1
-        window0 = {(a * 4 + bb) * 4 + cc for a in (0, 1) for bb in (0, 1)
-                   for cc in (0, 1)}
-        assert idx[0, 0, 0, 0, 0] in window0
+        assert key[0, 0, 0, 0, 0] == 0  # no tap equals a NaN
         gx = ops.maxpool3d_backward(Tensor(np.ones(out.shape, dtype=np.float32)),
-                                    idx, x.shape)
+                                    key, 2, 2, x.shape)
         assert gx.data.sum() == out.data.size
+        assert gx.data[0, 0, 0, 0, 0] == 1.0  # the NaN window's first voxel
 
     def test_gradients(self):
         for res in gradcheck.check_pool():
@@ -535,17 +539,17 @@ class TestBlockTail:
     def relu_then_pool(y, grad, k, s):
         r = ops.relu(Tensor(y.data.copy()))  # relu writes over its input
         pooled = ops.maxpool3d_forward(r, k, s)
-        idx = ops.maxpool3d_argmax(r, pooled, k, s)
-        g = ops.maxpool3d_backward(grad, idx, y.shape)
+        key = ops.maxpool3d_argmax(r, pooled, k, s)
+        g = ops.maxpool3d_backward(grad, key, k, s, y.shape)
         return pooled, ops.relu_backward(g, y.data > 0)
 
     @staticmethod
     def pool_then_relu(y, grad, k, s):
         pooled = ops.maxpool3d_forward(y, k, s)
-        idx = ops.maxpool3d_argmax(y, pooled, k, s)
+        key = ops.maxpool3d_argmax(y, pooled, k, s)
         pooled = ops.relu(pooled)
         g = ops.relu_backward(Tensor(grad.data.copy()), pooled.data > 0)
-        return pooled, ops.maxpool3d_backward(g, idx, y.shape)
+        return pooled, ops.maxpool3d_backward(g, key, k, s, y.shape)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k, s", [(3, 2), (5, 2), (2, 2), (3, 1)])
@@ -942,15 +946,15 @@ def stem_case(kind: str, n: int, inputs: str, stem, dtype):
 def whole_stem(x, conv, gamma, beta, running, mode, pool):
     """The whole-batch composition conv_norm_pool_forward replaces: the
     batch's conv output, its taped norm with a whole y, and the pool.
-    Returns (pooled, idx, cache, running, y's shape)."""
+    Returns (pooled, taps, cache, running, y's shape)."""
     u = ops.conv3d_forward(x, *conv)
     if running is None:
         y, cache = ops.instance_norm_forward(u, gamma, beta)
     else:
         y, cache, *running = ops.batch_norm_forward(u, gamma, beta, *running,
                                                     mode)
-    pooled, idx = pool_with_argmax(y, *pool)
-    return pooled, idx, cache, running, y.shape
+    pooled, taps = pool_with_argmax(y, *pool)
+    return pooled, taps, cache, running, y.shape
 
 
 STEM_CASES = [("instance", 1, "normal"), ("instance", 3, "ties"),
@@ -987,10 +991,11 @@ def tied_stem(kind: str, n: int, dtype):
 
 
 class TestPooledNorm:
-    """conv_norm_pool_forward and a pooled norm_backward, with block1's
-    rebuilt xhat or a kept one, against the whole-batch composition: a
-    whole conv output and y pooled at once, and the whole routed gradient
-    through norm_backward_expression and the conv's backward."""
+    """conv_norm_pool_forward, a pooled norm_backward and
+    conv_norm_pool_backward, with block1's rebuilt xhat or a kept one,
+    against the whole-batch composition: a whole conv output and y pooled
+    at once, and the whole routed gradient through norm_backward_expression
+    and the conv's backward."""
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k, s", [(3, 2), (2, 1), (5, 2)])
@@ -1011,7 +1016,7 @@ class TestPooledNorm:
                     assert not np.isnan(got.data[0, 1]).all()
                 assert got.data.tobytes() == want.data.tobytes()
                 if tape:
-                    assert idx.dtype == np.int32
+                    assert idx.dtype == np.uint8
                     assert idx.tobytes() == want_idx.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1024,12 +1029,12 @@ class TestPooledNorm:
         pooled, want_idx, want_cache, _, shape = whole_stem(
             x, conv, gamma, beta, running, mode, (3, 2))
         g = Rng(62).normal(pooled.shape).astype(dtype)
-        routed = ops.maxpool3d_backward(Tensor(g), want_idx, shape).data
+        routed = ops.maxpool3d_backward(Tensor(g), want_idx, 3, 2, shape).data
         want = norm_backward_expression(routed, want_cache)
         _, idx, cache, _ = ops.conv_norm_pool_forward(
             x, conv, gamma, beta, (3, 2), True, running, mode)
         xhat = cache.xhat
-        got = ops.norm_backward(Tensor(g), cache, (idx, shape))
+        got = ops.norm_backward(Tensor(g), cache, (idx, 3, 2))
         assert got[0].data is xhat  # dx is written over xhat
         for a, b in zip(got, want, strict=True):
             assert a.data.dtype == b.dtype == dtype
@@ -1041,12 +1046,12 @@ class TestPooledNorm:
         ("batch eval", 1), ("batch eval", 2), ("instance", 4),
         ("batch train", 2), ("batch train", 4), ("batch eval", 4)])
     def test_rebuilt_xhat_equals_kept(self, kind, n, stem):
-        # Block1's norm keeps no xhat: backward rebuilds each sample's from
-        # the conv input, and its dx goes straight into that sample's conv
-        # backward, whose dw and db add up in sample order. Any other block
-        # keeps its xhat, whose dx goes back through the conv as the model
-        # takes it. The oracle keeps the whole xhat and takes the whole dx
-        # back through the conv.
+        # Block1's norm keeps no xhat: conv_norm_pool_backward rebuilds each
+        # sample's from the conv input, and its dx goes straight into that
+        # sample's conv backward, whose dw and db add up in sample order.
+        # Any other block keeps its xhat, whose whole dx goes back through
+        # one conv backward. The oracle keeps the whole xhat and takes the
+        # whole dx back through the conv.
         mode = kind.split()[-1]
         for inputs, dtype in [("normal", np.float32), ("normal", np.float64),
                               ("ties", np.float32), ("nan", np.float64)]:
@@ -1055,22 +1060,18 @@ class TestPooledNorm:
             pooled, idx, cache, _, shape = whole_stem(x, conv, gamma, beta,
                                                       running, mode, stem[2])
             g = Rng(64).normal(pooled.shape).astype(dtype)
-            routed = ops.maxpool3d_backward(Tensor(g), idx, shape).data
+            routed = ops.maxpool3d_backward(Tensor(g), idx, *stem[2],
+                                            shape).data
             dx, dgamma, dbeta = norm_backward_expression(routed, cache)
             w, b, spec = conv
             gx, gw, gb = whole_batch_conv3d_backward(dx, x.data, w.data, spec)
             _, got_idx, got_cache, _ = ops.conv_norm_pool_forward(
                 x, conv, gamma, beta, stem[2], True, running, mode)
-            if got_cache.xhat is None:
-                got = ops.norm_backward(Tensor(g), got_cache, (got_idx, shape),
-                                        (x, w, b, spec))
-                assert len(got) == 5  # dx at the conv input, dgamma, dbeta, dw, db
-            else:
-                xhat = got_cache.xhat
-                got = ops.norm_backward(Tensor(g), got_cache, (got_idx, shape))
-                assert got[0].data is xhat  # dx is written over xhat
-                gx_, gw_, gb_ = ops.conv3d_backward(got[0], x, w, spec)
-                got = (gx_,) + got[1:] + (gw_, gb_)
+            assert (got_cache.xhat is None) == (stem[0] == 1)
+            g_in = g.copy()
+            got = ops.conv_norm_pool_backward(Tensor(g), x, conv, got_cache,
+                                              stem[2], got_idx)
+            assert g.tobytes() == g_in.tobytes()  # grad_out is only read
             for a, b_ in zip(got, (gx, dgamma, dbeta, gw, gb), strict=True):
                 assert a.data.dtype == b_.dtype == dtype
                 assert a.data.tobytes() == b_.tobytes(), (inputs, dtype)
@@ -1109,7 +1110,7 @@ class TestPooledNorm:
             if not tape:
                 assert got_idx is None and got_cache is None
                 continue
-            assert got_idx.dtype == np.int32
+            assert got_idx.dtype == idx.dtype
             assert got_idx.tobytes() == idx.tobytes()
             if stem[0] == 1:
                 assert got_cache.xhat is None  # backward rebuilds it from x

@@ -44,8 +44,11 @@ def test_trace_mode_records_the_wrapped_ops(tmp_path):
         "--max_epochs", "1", "--threads", "1", "--run_dir", str(run)])
     assert result["code"] == 0
     names = collections.Counter(s[0] for s in result["spans"])
+    # the block backward goes through the public ops too, so the per-layer
+    # pool-backward and ReLU figures see it
     for op in ("ops.conv3d_forward", "ops.instance_norm_forward",
-               "ops.norm_backward"):
+               "ops.norm_backward", "ops.conv3d_backward",
+               "ops.maxpool3d_backward", "ops.relu_backward"):
         assert op in names
     # every pooled chunk, block1's samples among them, is normalized through
     # the wrapped op, so ops.norm_forward.s covers every instance norm

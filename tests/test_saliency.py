@@ -69,13 +69,8 @@ class TestSaliency:
         def logit_and_pattern(arr):
             logits, tape = network.forward(net, Tensor(arr[None, None]),
                                            mode="eval")
-            pat = []
-            for entry in tape.entries:
-                if entry[0] == "relu":
-                    pat.append(entry[1].tobytes())
-                elif entry[0] == "pool":
-                    pat.append(entry[1].tobytes())
-            return float(logits.data[0, target]), b"".join(pat)
+            return (float(logits.data[0, target]),
+                    network.activation_pattern(tape))
 
         h = 1e-3
         g = Rng(77)
