@@ -23,7 +23,9 @@ each BLAS call contracts over k*k*C. The forward copies each sample once,
 from the unpadded input, into a run buffer whose strided views are the
 taps' column matrices, which BLAS reads in place, as in the low-memory
 GEMM convolutions of Anderson et al. (arXiv 1709.03395): the same
-operands as a slab copied per tap, so the same bits. The backward copies
+operands as a slab copied per tap, so the same bits. A forward that fills
+its run buffer more times than the kernel has taps forms its k weight
+slabs once; any other holds one at a time. The backward copies
 one column slab per tap, 1/k of a full im2col, from one padded sample at a
 time, writes dX's columns into that same slab and adds dX straight into
 the unpadded gradient. A 1x1x1 stride-1 convolution of one input channel
@@ -222,13 +224,17 @@ def conv3d_forward(x: Tensor, w: Tensor, b: Tensor, spec: ConvSpec) -> Tensor:
     # channels within a tap and taps in row-major order, as the direct loop
     # does. A channel-major order rounds differently enough in float32 to
     # move one 6-epoch crop-32 training run by 1 % in loss. Each sample adds
-    # its taps in order onto a zeroed output. One weight slab exists at a
-    # time, and serves every sample in the buffer, which holds as many as
-    # fit in RUN_BLOCK elements or one weight slab's size: small convs, where
-    # forming the slabs and views costs more than the GEMMs, form them once
-    # for several samples.
+    # its taps in order onto a zeroed output. The buffer holds as many
+    # samples as fit in RUN_BLOCK elements or one weight slab's size: small
+    # convs, where forming the slabs and views costs more than the GEMMs,
+    # form them once for several samples. Each weight slab serves every
+    # sample in the buffer. A call that fills the buffer more times than
+    # there are taps forms all k slabs once, up front; any other holds one
+    # slab at a time, formed again for each fill.
     runs, fills, cols = _run_buffer(x.data, spec, outs,
                                     max(RUN_BLOCK, o * k * k * c))
+    slabs = ([_weight_slab(w, i) for i in range(k)]
+             if -(-n // len(runs)) > k else None)
     out = np.zeros((n, o) + outs, dtype=x.dtype)
     accs = out.reshape(n, o, -1)
     prod = np.empty(accs.shape[1:], dtype=x.dtype)
@@ -237,7 +243,7 @@ def conv3d_forward(x: Tensor, w: Tensor, b: Tensor, spec: ConvSpec) -> Tensor:
         for dst, src in fills:
             np.copyto(dst[:len(group)], src[n0:group.stop])
         for i in range(k):
-            w_slab = _weight_slab(w, i)
+            w_slab = slabs[i] if slabs else _weight_slab(w, i)
             for m, ni in enumerate(group):
                 accs[ni] += np.matmul(w_slab, cols[i][m], out=prod)
             del w_slab  # freed before the next tap's is formed
@@ -306,8 +312,11 @@ def maxpool3d_forward(x: Tensor, k: int, s: int) -> Tensor:
     for axis, o in zip((2, 3, 4), outs):
         taps = [(slice(None),) * axis + (slice(t, t + s * (o - 1) + 1, s),)
                 for t in range(k)]
-        red = cur[taps[0]].copy()
-        for t in taps[1:]:
+        # the pass's fresh array is its first two taps' maximum; tap 0 stays
+        # the first operand, so signed-zero ties and NaNs keep their bytes
+        red = (np.maximum(cur[taps[0]], cur[taps[1]]) if k > 1
+               else cur[taps[0]].copy())
+        for t in taps[2:]:
             np.maximum(red, cur[t], out=red)
         cur = red
     return Tensor(cur)

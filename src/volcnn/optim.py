@@ -13,6 +13,7 @@ counter, so a run is reproducible sample-for-sample under its seed.
 
 from __future__ import annotations
 
+import math
 import time
 import warnings
 from dataclasses import dataclass
@@ -32,6 +33,7 @@ class NumericError(RuntimeError):
 
 
 LOG_HEADER = "epoch,train_loss,val_loss,val_bal_acc,seconds,checkpointed"
+EVAL_BLOCK = 1 << 21  # elements of its largest layer output an eval chunk may hold
 
 
 def resolve_batch_size(cfg: TrainConfig, model_config) -> int:
@@ -95,24 +97,38 @@ def evaluate_samples(net, samples,
     sample order and the network's dtype, in eval mode, from a forward that
     records no tape, on inputs preprocessed as the network's config says.
 
-    Each sample's result is mathematically independent of how the set is
-    chunked into batches; bitwise it varies at float32 rounding level
-    because the BLAS kernels block differently per matrix shape."""
+    Each forward takes a chunk of whole batches of batch_size samples: as
+    many as keep the chunk's largest layer output, by the per-sample shapes
+    model.infer_shapes lists, within EVAL_BLOCK elements, and one batch at
+    least. Each sample's result is mathematically independent of the
+    chunking. Bitwise it can vary at float32 rounding level, because a BLAS
+    GEMM may round a row by the panel of rows it falls in: with 4-row
+    panels, whole batches of 4 or 16 keep every row in the panel a forward
+    per batch gives it, while chunks of 5 to 7 moved rows by 1.2e-7. The
+    loss is summed from batch_size-sample means, as a forward per batch
+    sums it."""
     if not samples:
         raise ValueError("nothing to evaluate")
     crop = net.config.crop_extent
+    largest = max(math.prod(shape)
+                  for _, shape in network.infer_shapes(net.config))
+    size = batch_size * max(1, EVAL_BLOCK // (largest * batch_size))
     loss_sum = 0.0
     probs = []
-    for start in range(0, len(samples), batch_size):
-        chunk = samples[start:start + batch_size]
+    for start in range(0, len(samples), size):
+        chunk = samples[start:start + size]
         x = Tensor(model_input(chunk, crop, net.config.normalize))
         logits, _ = network.forward(net, x, ages=[s.age for s in chunk],
                                     mode="eval", tape=False)
-        loss, _, p = ops.softmax_xent(logits, [s.label for s in chunk])
-        if not np.isfinite(loss):
-            raise NumericError("non-finite loss during evaluation")
-        loss_sum += loss * len(chunk)
-        probs.append(p.data)
+        for b in range(0, len(chunk), batch_size):
+            batch = chunk[b:b + batch_size]
+            loss, _, p = ops.softmax_xent(
+                Tensor(logits.data[b:b + batch_size]),
+                [s.label for s in batch])
+            if not np.isfinite(loss):
+                raise NumericError("non-finite loss during evaluation")
+            loss_sum += loss * len(batch)
+            probs.append(p.data)
     return loss_sum / len(samples), np.concatenate(probs)
 
 

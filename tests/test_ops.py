@@ -97,6 +97,22 @@ def slab_conv3d_forward(x, w, b, spec):
     return out
 
 
+def copy_first_maxpool(x, k, s):
+    """maxpool3d_forward as it was before each axis pass started from the
+    first two taps' maximum: tap 0 copied, then each later tap's maximum
+    taken into the copy. The byte oracle for signed zeros and NaN."""
+    cur = x
+    for axis in (2, 3, 4):
+        o = ops.pool_out_extent(cur.shape[axis], k, s)
+        taps = [(slice(None),) * axis + (slice(t, t + s * (o - 1) + 1, s),)
+                for t in range(k)]
+        red = cur[taps[0]].copy()
+        for t in taps[1:]:
+            np.maximum(red, cur[t], out=red)
+        cur = red
+    return cur
+
+
 def pool_with_argmax(x, k, s):
     """Pooled values and the tap keys a taped forward records, which are
     uint8 for windows up to 6^3."""
@@ -346,6 +362,8 @@ class TestConv:
         (3, 4, (15,) * 3, ops.ConvSpec(k=3, c_out=32, d=2)),        # c32 block2
         (3, 32, (5,) * 3, ops.ConvSpec(k=5, c_out=64, p=2)),        # c32 block3
         (3, 64, (2,) * 3, ops.ConvSpec(k=3, c_out=64, p=1)),        # c32 block4
+        (6, 32, (5,) * 3, ops.ConvSpec(k=5, c_out=64, p=2)),        # slabs once
+        (4, 4, (15,) * 3, ops.ConvSpec(k=3, c_out=32, d=2)),        # slabs once
         (1, 4, (47,) * 3, ops.ConvSpec(k=3, c_out=32, d=2)),        # c96 block2
         (1, 32, (21,) * 3, ops.ConvSpec(k=5, c_out=64, p=2, d=2)),  # c96 block3
         (1, 64, (8,) * 3, ops.ConvSpec(k=3, c_out=64, p=1, d=2)),   # c96 block4
@@ -371,6 +389,31 @@ class TestConv:
             want = slab_conv3d_forward(x, w, b, spec)
         assert got.data.dtype == want.dtype == dtype
         assert got.data.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n, c, e, spec, slabs", [
+        (6, 32, 5, ops.ConvSpec(k=5, c_out=64, p=2), 5),    # c32 block3
+        (4, 4, 15, ops.ConvSpec(k=3, c_out=32, d=2), 3),    # c32 block2
+        (5, 32, 5, ops.ConvSpec(k=5, c_out=64, p=2), 25),   # 5 fills, 5 taps
+        (3, 4, 15, ops.ConvSpec(k=3, c_out=32, d=2), 9),
+    ])
+    def test_weight_slabs_formed_once_past_k_fills(self, n, c, e, spec,
+                                                   slabs, monkeypatch):
+        # One sample fills each of these run buffers. A call that fills it
+        # more times than there are taps forms its k slabs once; any other
+        # forms one slab per tap and fill, and holds one at a time
+        calls = []
+        slab = ops._weight_slab
+
+        def counted(w, i):
+            calls.append(i)
+            return slab(w, i)
+
+        monkeypatch.setattr(ops, "_weight_slab", counted)
+        x = Tensor(np.ones((n, c, e, e, e), np.float32))
+        w = Tensor(np.ones((spec.c_out, c) + (spec.k,) * 3, np.float32))
+        ops.conv3d_forward(x, w, Tensor(np.zeros(spec.c_out, np.float32)),
+                           spec)
+        assert len(calls) == slabs
 
     def test_forward_transient_peak(self):
         # The forward holds one sample's run buffer, the output, one GEMM
@@ -490,6 +533,23 @@ class TestMaxPool:
             t = int(np.argmax(win))  # first maximum in row-major order
             assert out.data[pos] == win.flat[t]
             assert key[pos] == k ** 3 - t
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k, s", [(1, 1), (1, 2), (2, 2), (3, 1), (3, 2),
+                                      (5, 3)])
+    def test_forward_equals_copy_first(self, k, s, dtype):
+        # Each pass's first maximum takes tap 0 and tap 1 in the order the
+        # copy of tap 0 did, so which of -0.0 and +0.0 wins, and which NaN,
+        # keeps its bytes; a window of one tap still returns a fresh array
+        r = Rng(18).stream("pool-fwd", k, s, np.dtype(dtype).name)
+        shape = (2, 3, 9, 10, 11)
+        x = (r.stream("x").integers(3, shape) - 1).astype(dtype)
+        x[x == 0] = np.where(r.stream("sign").normal(shape) < 0,
+                             -0.0, 0.0)[x == 0]
+        x[r.stream("nan").uniform(shape) < 0.02] = np.nan
+        got = ops.maxpool3d_forward(Tensor(x), k, s).data
+        assert not np.shares_memory(got, x)
+        assert got.tobytes() == copy_first_maxpool(x, k, s).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 7])

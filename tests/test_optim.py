@@ -1,11 +1,12 @@
 import dataclasses
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from volcnn import data, ops, optim
+from volcnn import data, model, ops, optim
 from volcnn.data import LeakageError
 from volcnn.model import (ModelConfig, build, forward, layer_plan,
                           load_checkpoint, tensor_shapes)
@@ -301,6 +302,62 @@ class TestEvaluate:
         assert probs.shape == (len(train), 3) and probs.dtype == np.float32
         alone = [optim.evaluate_samples(net, [s], 1)[1][0] for s in train]
         assert np.allclose(probs, alone, atol=1e-6)
+
+    @staticmethod
+    def forward_sizes(monkeypatch) -> list[int]:
+        """The batch size of each model.forward call made from here on."""
+        sizes = []
+        forward_ = model.forward
+
+        def counted(net, x, *args, **kwargs):
+            sizes.append(len(x.data))
+            return forward_(net, x, *args, **kwargs)
+
+        monkeypatch.setattr(model, "forward", counted)
+        return sizes
+
+    def test_chunks_fill_the_eval_block(self, monkeypatch):
+        # At crop 32 block1's conv output, 2^17 elements a sample, is the
+        # largest, so 16 samples fill EVAL_BLOCK: 40 take 16, 16 and 8, and
+        # at batch size 3 whole batches of 15, 15 and 10
+        samples = data.generate_synthetic(14, 32, Rng(5))[:40]
+        net = small_net()
+        alone = [optim.evaluate_samples(net, [s], 1)[1][0] for s in samples]
+        sizes = self.forward_sizes(monkeypatch)
+        _, probs = optim.evaluate_samples(net, samples, batch_size=4)
+        assert sizes == [16, 16, 8]
+        assert probs.shape == (40, 3)
+        assert np.allclose(probs, alone, atol=1e-6)
+        sizes.clear()
+        optim.evaluate_samples(net, samples, batch_size=3)
+        assert sizes == [15, 15, 10]
+
+    def test_chunk_is_one_batch_past_the_block(self, monkeypatch):
+        # At crop 64 one sample's block1 conv output is 2^20 elements, so
+        # 4 samples already exceed EVAL_BLOCK and a chunk is one batch
+        samples = data.generate_synthetic(14, 64, Rng(5))[:40]
+        net = build(ModelConfig(crop_extent=64), Rng(0))
+        sizes = self.forward_sizes(monkeypatch)
+        optim.evaluate_samples(net, samples, batch_size=4)
+        assert sizes == [4] * 10
+
+    def test_peak_within_eval_block(self):
+        # 40 crop-32 samples peak at 7.23 MiB with chunks of 16 against
+        # EVAL_BLOCK float32 elements, 8 MiB; chunks of one batch of 4 read
+        # 1.85 MiB, and one chunk of all 40 would hold 2.5 times the
+        # activations of a 16-sample chunk
+        samples = data.generate_synthetic(14, 32, Rng(5))[:40]
+        for s in samples:
+            s.zscore  # cached before tracing, as train's check caches it
+        net = small_net()
+        optim.evaluate_samples(net, samples[:1], batch_size=1)
+        tracemalloc.start()
+        try:
+            optim.evaluate_samples(net, samples, batch_size=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= optim.EVAL_BLOCK * 4, peak
 
     def test_runs_tape_free(self, tmp_path, monkeypatch):
         def no_index_pass(*args):
