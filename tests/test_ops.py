@@ -362,11 +362,11 @@ class TestConv:
         (3, 4, (15,) * 3, ops.ConvSpec(k=3, c_out=32, d=2)),        # c32 block2
         (3, 32, (5,) * 3, ops.ConvSpec(k=5, c_out=64, p=2)),        # c32 block3
         (3, 64, (2,) * 3, ops.ConvSpec(k=3, c_out=64, p=1)),        # c32 block4
-        (6, 32, (5,) * 3, ops.ConvSpec(k=5, c_out=64, p=2)),        # slabs once
-        (4, 4, (15,) * 3, ops.ConvSpec(k=3, c_out=32, d=2)),        # slabs once
         (1, 4, (47,) * 3, ops.ConvSpec(k=3, c_out=32, d=2)),        # c96 block2
         (1, 32, (21,) * 3, ops.ConvSpec(k=5, c_out=64, p=2, d=2)),  # c96 block3
         (1, 64, (8,) * 3, ops.ConvSpec(k=3, c_out=64, p=1, d=2)),   # c96 block4
+        (6, 32, (5,) * 3, ops.ConvSpec(k=5, c_out=64, p=2)),        # slabs once
+        (4, 4, (15,) * 3, ops.ConvSpec(k=3, c_out=32, d=2)),        # slabs once
     ])
     def test_forward_equals_slab_forward(self, n, c, shape, spec, inputs,
                                          dtype):
