@@ -27,9 +27,12 @@ operands as a slab copied per tap, so the same bits. A forward that fills
 its run buffer more times than the kernel has taps forms its k weight
 slabs once; any other holds one at a time. The backward copies
 one column slab per tap, 1/k of a full im2col, from one padded sample at a
-time, writes dX's columns into that same slab and adds dX straight into
-the unpadded gradient. A 1x1x1 stride-1 convolution of one input channel
-is a broadcast multiply instead. Max pooling is split in two ops:
+time, writes dX's columns into that same slab and adds their boxes into a
+gradient whose innermost axis is the longer of the channels and the output
+row, so each add runs over long rows. dW is added in its GEMM products'
+[o, k, k*k*C] layout. Each is permuted into its returned layout once, at
+the end. A 1x1x1 stride-1 convolution of one input channel is a broadcast
+multiply instead. Max pooling is split in two ops:
 maxpool3d_forward takes the values from three 1-D maximum passes, and
 maxpool3d_argmax, which only a forward that records a tape for backward
 calls, recovers the key of the first maximal tap by equality. A naive
@@ -263,19 +266,29 @@ def conv3d_backward(grad_out: Tensor, x: Tensor, w: Tensor,
     k, o, p = spec.k, spec.c_out, spec.p
     # Padding goes one sample at a time: each sample is copied into the
     # interior of one zero-bordered buffer, and dX adds only the taps'
-    # positions inside the input, straight into its gradient, in the order
-    # a padded gradient would take them. Unpadded, the windows are x's own.
-    xp = x.data
+    # positions inside the input, in the order a padded gradient would take
+    # them. Unpadded, the windows are x's own.
+    xp = interior = x.data
     if p:
         xp = np.zeros((1, c) + tuple(e + 2 * p for e in spatial), x.dtype)
         interior = xp[0, :, p:-p, p:-p, p:-p]
     win = _windows(xp, spec, outs)
     g = grad_out.data
-    gx = np.zeros_like(x.data)
-    gw = np.zeros_like(w.data)
+    # dX's tap boxes are added into a scratch gradient whose innermost axis
+    # is the longer of the channels and the output row, so each add loops
+    # over long rows; a channel-last scratch is permuted to [N, C, D, H, W]
+    # once, at the end. dW is added in the [o, k, k*k*C] layout of its GEMM
+    # products and permuted once too. Every element still takes the same
+    # terms in the same order.
+    channel_last = c > outs[-1]
+    gx = np.zeros((n,) + tuple(spatial) + (c,) if channel_last else x.shape,
+                  x.dtype)
+    gw = np.zeros((o, k, k * k * c), w.dtype)
     gb = g.sum(axis=(0, 2, 3, 4))
     cols = np.empty((k, k, c) + outs, dtype=x.dtype)
     cols2 = cols.reshape(k * k * c, -1)
+    boxes = cols.transpose(0, 1, 3, 4, 5, 2) if channel_last else cols
+    lead = () if channel_last else (slice(None),)
     # Taps outermost: one weight slab at a time, and each sample's dW and dX
     # still take their terms in tap order. dX's columns go into the column
     # slab once dW's GEMM has read it. Per axis and tap, clips holds the
@@ -289,13 +302,19 @@ def conv3d_backward(grad_out: Tensor, x: Tensor, w: Tensor,
             if p:
                 np.copyto(interior, x.data[ni])
             np.copyto(cols, win[0 if p else ni, i])
-            gw[:, :, i] += (g_n @ cols2.T).reshape(o, k, k, c).transpose(0, 3, 1, 2)
+            gw[:, i] += g_n @ cols2.T
             np.matmul(w_slab_t, g_n, out=cols2)
             for (j, cy), (l, cx) in itertools.product(enumerate(clips[1]),
                                                       enumerate(clips[2])):
                 if cz and cy and cx:
-                    src = cols[j, l][:, cz[0], cy[0], cx[0]]
-                    gx[ni][:, cz[1], cy[1], cx[1]] += src
+                    gx[ni][lead + (cz[1], cy[1], cx[1])] += \
+                        boxes[(j, l) + lead + (cz[0], cy[0], cx[0])]
+    # the slabs and the padded sample go before the permutes copy dX and dW
+    del cols, cols2, boxes, win, xp, interior, w_slab_t
+    if channel_last:
+        gx = np.ascontiguousarray(gx.transpose(0, 4, 1, 2, 3))
+    gw = np.ascontiguousarray(
+        gw.reshape(o, k, k, k, c).transpose(0, 4, 1, 2, 3))
     return Tensor(gx), Tensor(gw), Tensor(gb)
 
 

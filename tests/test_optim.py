@@ -283,16 +283,21 @@ class TestBatchNormHandling:
 
 
 class TestEvaluate:
-    def test_batch_chunking_changes_nothing_beyond_rounding(self):
-        # BLAS blocks differently per matrix shape, so agreement is at
-        # f32 rounding level, not bitwise
-        train, val = synth_sets()
+    def test_batch_chunking_changes_nothing_beyond_rounding(self, monkeypatch):
+        # 18 crop-32 samples take chunks of 15 and 3 at batch size 3, and of
+        # 16 and 2 at batch size 4. BLAS blocks differently per matrix
+        # shape, so agreement is at f32 rounding level, not bitwise
+        train, val = synth_sets(n_per_class=8)
         net = small_net(seed=1)
+        sizes = self.forward_sizes(monkeypatch)
         loss3, probs3 = optim.evaluate_samples(net, train, batch_size=3)
-        loss5, probs5 = optim.evaluate_samples(net, train, batch_size=5)
-        assert abs(loss3 - loss5) < 1e-6
-        assert np.array_equal(probs3.argmax(1), probs5.argmax(1))
-        assert np.allclose(probs3, probs5, atol=1e-6)
+        chunks3 = sizes.copy()
+        sizes.clear()
+        loss4, probs4 = optim.evaluate_samples(net, train, batch_size=4)
+        assert (chunks3, sizes) == ([15, 3], [16, 2])
+        assert abs(loss3 - loss4) < 1e-6
+        assert np.array_equal(probs3.argmax(1), probs4.argmax(1))
+        assert np.allclose(probs3, probs4, atol=1e-6)
 
     def test_records_carry_identity(self):
         # row i is sample i's: the same as evaluating that sample alone
