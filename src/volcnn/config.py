@@ -1,6 +1,6 @@
 """Model and training configuration, and the defaults that CLI keys share
-with library signatures: the one place these defaults live, and the one
-check of the bootstrap keys.
+with library signatures: the one place these defaults live, the one
+check of the bootstrap keys, and the one half-year rounding of ages.
 
 The CLI builds its model and training keys from these fields, and reads
 them before --threads pins the BLAS pool, so this module never imports
@@ -28,6 +28,12 @@ FIRST_LAYER_VARIANTS = {
     "K3S2": (3, 2, 0, 1),
     "K7S4": (7, 4, 3, 1),
 }
+
+
+def round_age(age):
+    """A float or float array to the nearest 0.5 years, halves up; // 1.0
+    is floor for finite values, so this needs no numpy."""
+    return (age * 2.0 + 0.5) // 1.0 / 2.0
 
 
 def check_bootstrap(n_resamples: int, alpha: float) -> None:

@@ -23,8 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import MAX_AGE, SPLITS, SYNTH_NOISE
-from .ops import round_age
+from .config import MAX_AGE, SPLITS, SYNTH_NOISE, round_age
 from .tensor import Rng
 
 LABEL_NAMES = ("CN", "MCI", "AD")
@@ -554,7 +553,7 @@ def generate_synthetic(n_per_class: int, extent: int, rng: Rng,
                     (extent,) * 3).astype(np.float32)
             mean, std = _AGE_STATS[label]
             age = mean + std * float(s.stream("age").normal(()))
-            age = float(round_age(min(max(age, 40.0), 100.0)))
+            age = round_age(min(max(age, 40.0), 100.0))
             split = ("train" if i < n_train
                      else "val" if i < n_train + n_val else "test")
             sid = f"syn-{LABEL_NAMES[label].lower()}-{i:03d}"

@@ -213,7 +213,7 @@ def check_relu(seed: int = 0) -> list[CheckResult]:
         results += check_op(
             f"relu #{i}", rng.stream("r"),
             lambda: (ops.relu(Tensor(x.data.copy())), None),
-            lambda g, _: (ops.relu_backward(g, x.data > 0),), {"x": x})
+            lambda g, _: (ops.relu_backward(g, x.data),), {"x": x})
     return results
 
 

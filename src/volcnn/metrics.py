@@ -102,16 +102,6 @@ def _rank_auc_rows(starts: np.ndarray, weight: np.ndarray,
                         np.nan)
 
 
-def _row_mean(values: np.ndarray, present: np.ndarray) -> np.ndarray:
-    """Mean of each row of `values` over its `present` columns, summed
-    left to right as np.mean sums a short list; a NaN in a present column
-    makes the row NaN."""
-    total = np.zeros(len(values))
-    for col, keep in zip(values.T, present.T):
-        total += np.where(keep, col, 0.0)
-    return total / present.sum(axis=1)
-
-
 def roc_auc(scores, labels) -> tuple[float, list[tuple[float, float, float]]]:
     """Binary AUC plus the ROC polyline.
 
@@ -314,7 +304,7 @@ def build_report(labels, probs, rng: Rng, n_resamples: int = N_RESAMPLES,
         drawn = w @ onehot
         with np.errstate(invalid="ignore"):  # 0 / 0 for an undrawn class
             recall = (w @ hits) / drawn
-        return _row_mean(recall, drawn > 0)
+        return recall.mean(axis=1, where=drawn > 0)
 
     def micro_fn(idx):
         w = counts(idx)
@@ -325,7 +315,7 @@ def build_report(labels, probs, rng: Rng, n_resamples: int = N_RESAMPLES,
     def macro_fn(idx):
         w = counts(idx)
         aucs = np.stack([class_auc(w, c) for c in range(NUM_CLASSES)], 1)
-        return _row_mean(aucs, np.ones(aucs.shape, bool))
+        return aucs.mean(axis=1)
 
     def class_fn(c):
         return lambda idx: class_auc(counts(idx), c)

@@ -171,16 +171,20 @@ def tensor_shapes(config: ModelConfig,
     return shapes
 
 
-def build(config: ModelConfig, rng: Rng, dtype=tensor.F32) -> Model:
-    """The model of tensor_shapes, each tensor initialized by its name: a
-    weight is kaiming-uniform from the substream its name spells, so adding
-    an age head or extra blocks never shifts the backbone initialization;
-    gains and running variances are ones, the rest zeros."""
+def build(config: ModelConfig, rng: Rng | None, dtype=tensor.F32,
+          tensors: dict[str, Tensor] | None = None) -> Model:
+    """The model of tensor_shapes, placing `tensors` (checked ones) if given
+    and drawing nothing. Else each is initialized by its name: a weight is
+    kaiming-uniform from the substream its name spells, so adding an age
+    head or extra blocks never shifts the backbone initialization; gains
+    and running variances are ones, the rest zeros."""
     plan = layer_plan(config)
     params: dict[str, Tensor] = {}
     buffers: dict[str, Tensor] = {}
     for name, shape in tensor_shapes(config, plan).items():
-        if name.endswith(".weight"):
+        if tensors is not None:
+            t = tensors[name]
+        elif name.endswith(".weight"):
             t = tensor.kaiming_uniform(shape, rng.stream(*name.split(".")), dtype)
         elif name.endswith((".gamma", ".running_var")):
             t = Tensor(np.ones(shape, dtype))
@@ -199,7 +203,7 @@ class Tape:
     NormCache, the pool's tap keys or None). The cache's xhat lives in the
     conv output's array, which backward overwrites with dx; block1's cache
     holds none, and backward rebuilds it from the input. No ReLU mask is
-    kept: each is h > 0 of a ReLU output h the tape holds as an input."""
+    kept: relu_backward forms h > 0 from a ReLU output h on the tape."""
     model_version: int
     entries: list
 
@@ -326,10 +330,10 @@ def _backward_entry(model: Model, entries: list, g: Tensor,
                     grads: dict[str, Tensor]) -> Tensor:
     """Backward through the last tape entry, which it pops: adds its
     parameter gradients to `grads` and returns the gradient at its input,
-    or, where that input is a ReLU output h, at the ReLU's input, through
-    the mask h > 0, which relu_backward applies to the fresh input
-    gradient in place. A function of its own, so the entry's state is
-    freed when it returns."""
+    or, where that input is a ReLU output h, at the ReLU's input: the entry
+    hands h to relu_backward, which masks the fresh input gradient in
+    place. A function of its own, so the entry's state is freed when it
+    returns."""
     entry = entries.pop()
     kind = entry[0]
     if kind in ("fc1", "fc2"):
@@ -338,7 +342,7 @@ def _backward_entry(model: Model, entries: list, g: Tensor,
         grads[f"{kind}.weight"], grads[f"{kind}.bias"] = gw, gb
         # fc2's input is the head's ReLU output, fc1's the last block's and
         # a concat mode's age column, whose gradient drop_age_column drops
-        g = ops.relu_backward(g, x.data > 0)
+        g = ops.relu_backward(g, x.data)
     elif kind == "age_head":
         _, ae, ln_cache, a1n = entry
         ga, gw, gb = ops.linear_backward(g, a1n, model.params["age.fc2.weight"])
@@ -361,7 +365,7 @@ def _backward_entry(model: Model, entries: list, g: Tensor,
                                                       bp.pool, taps)
         grads.update(zip(names, block_grads))
         if bp != model.plan.blocks[0]:  # x_in is the block before's h
-            g = ops.relu_backward(g, x_in.data > 0)
+            g = ops.relu_backward(g, x_in.data)
     else:
         raise RuntimeError(f"unknown tape entry {kind!r}")
     return g
@@ -504,14 +508,11 @@ def load_checkpoint(path) -> tuple[Model, dict[str, str]]:
     """Rebuild a model from a checkpoint. Returns (model, extra config
     entries). The file's tensors, an older file's velocity/* records aside,
     must match the config's tensor_shapes exactly, which is checked before
-    any network is built. Every ValueError names the path, once."""
+    the network is built from them. Every ValueError names the path, once."""
     try:
         config, extra, tensors = _read_checkpoint(path)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
-    # Through build, though its tensors are thrown away: the benchmark's
-    # traced eval names its conv blocks from the model build returns.
-    model = build(config, Rng(0))
-    for slot in (model.params, model.buffers):
-        slot.update({name: tensors[name] for name in slot})
-    return model, extra
+    # Through build, which places the file's tensors and draws none: the
+    # benchmark's traced eval names its conv blocks from the model it returns.
+    return build(config, None, tensors=tensors), extra

@@ -12,7 +12,7 @@ through the conv's backward.
 relu_backward writes the input gradient over grad_out's array and returns
 it; norm_backward only reads grad_out and consumes its cache: it writes dx
 over xhat. The state backward reads is kept no wider than backward needs:
-relu_backward takes the bool mask x > 0, maxpool3d_argmax gives uint8 tap
+relu_backward masks by relu's output, maxpool3d_argmax gives uint8 tap
 keys, norm_backward routes a pooled gradient itself, and neither the
 normalizations nor norm_backward hold a full-size scratch buffer, only one
 sample's or part of one. The normalizations subtract the mean once and take
@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import MAX_AGE
+from .config import MAX_AGE, round_age
 from .tensor import Tensor, ShapeError
 
 EPS = 1e-5  # added to the variance of every normalization
@@ -633,7 +633,10 @@ def batch_norm_forward(x: Tensor, gamma: Tensor, beta: Tensor,
     with m = BN_MOMENTUM, the unbiased variance entering the running
     estimate. Eval mode normalizes with the running stats unchanged. Returns
     (y, cache, new_running_mean, new_running_var). With tape=False the
-    cache is None and y is written over x's array.
+    cache is None and y is written over x's array. No block calls it, but
+    it stays the op's face: gradcheck.check_norm checks it by finite
+    differences, and the blocks' streamed batch norm (_batch_stats) is
+    compared with it byte for byte.
     """
     stats = _fixed_stats(running_mean, running_var, mode, x.shape[0])
     y, cache, mean, var = _normalize(x, gamma, beta, (0, 2, 3, 4), 1, tape,
@@ -796,14 +799,14 @@ def relu(x: Tensor) -> Tensor:
     return Tensor(np.maximum(x.data, x.dtype.type(0), out=x.data))
 
 
-def relu_backward(grad_out: Tensor, mask: np.ndarray) -> Tensor:
-    """grad_out where the bool mask x > 0 of relu's input holds, else 0:
-    subgradient 0 at x == 0. Written over grad_out's array, which is
-    returned."""
-    if mask.dtype != np.bool_ or mask.shape != grad_out.shape:
-        raise ShapeError(f"mask {mask.shape} {mask.dtype}, expected a bool "
-                         f"mask of grad_out's shape {grad_out.shape}")
-    return Tensor(np.multiply(grad_out.data, mask, out=grad_out.data))
+def relu_backward(grad_out: Tensor, h: np.ndarray) -> Tensor:
+    """grad_out where h > 0, else 0, for h relu's output or its input: the
+    signs agree, and a NaN passes neither (subgradient 0 at 0). Written over
+    grad_out's array, which is returned."""
+    if h.shape != grad_out.shape:
+        raise ShapeError(f"h {h.shape}, expected grad_out's shape "
+                         f"{grad_out.shape}")
+    return Tensor(np.multiply(grad_out.data, h > 0, out=grad_out.data))
 
 
 def linear_forward(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -857,11 +860,6 @@ def softmax_xent(scores: Tensor, labels,
     grad[np.arange(n), y] -= 1.0
     grad *= (wts / wsum)[:, None]
     return loss, Tensor(grad.astype(scores.dtype)), Tensor(probs.astype(scores.dtype))
-
-
-def round_age(age):
-    """Round to the nearest 0.5 years, halves rounding up, elementwise."""
-    return np.floor(np.asarray(age) * 2.0 + 0.5) / 2.0
 
 
 def age_encode(age, dtype=np.float32) -> Tensor:

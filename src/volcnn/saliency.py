@@ -14,7 +14,6 @@ from pathlib import Path
 import numpy as np
 
 from . import model as network
-from .config import DEFAULT_VIEWS  # re-export
 from .data import NUM_CLASSES, atomic_write, write_native
 from .tensor import ShapeError, Tensor
 

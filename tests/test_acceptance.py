@@ -19,9 +19,10 @@ import pytest
 import volcnn
 from volcnn import data, gradcheck, metrics, ops
 from volcnn.cli import main
+from volcnn.config import DEFAULT_VIEWS
 from volcnn.model import (ModelConfig, activation_pattern, build, forward,
                           infer_shapes)
-from volcnn.saliency import DEFAULT_VIEWS, export_slices, saliency
+from volcnn.saliency import export_slices, saliency
 from volcnn.tensor import Rng, Tensor
 
 from test_metrics import per_draw_ci

@@ -20,6 +20,7 @@ import volcnn.ops
 import volcnn.saliency
 from volcnn import metrics, model, optim
 from volcnn.cli import SCHEMA, format_config, main
+from volcnn.config import DEFAULT_VIEWS
 from volcnn.optim import LOG_HEADER
 from volcnn.tensor import Rng, Tensor
 
@@ -156,7 +157,7 @@ class TestConfigHandling:
                 == SCHEMA["noise"][1])
         views = [(a, int(i)) for a, i in
                  (v.split(":") for v in SCHEMA["views"][1].split(","))]
-        assert views == list(volcnn.saliency.DEFAULT_VIEWS)
+        assert views == list(DEFAULT_VIEWS)
 
     @pytest.mark.parametrize("command", ["eval", "ablate"])
     @pytest.mark.parametrize("option", [("n_resamples", "0"),

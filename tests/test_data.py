@@ -796,6 +796,19 @@ class TestSubsample:
 
 
 class TestSynthetic:
+    def test_import_leaves_ops_unloaded(self, tmp_path):
+        # the data layer rounds ages with config.round_age, not the kernels
+        script = ("import sys\n"
+                  "import volcnn.data\n"
+                  "assert 'volcnn.ops' not in sys.modules, 'ops imported'\n")
+        env = dict(os.environ)
+        src = str(Path(volcnn.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], cwd=tmp_path,
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_balanced_and_split(self):
         samples = data.generate_synthetic(8, 32, Rng(10))
         assert len(samples) == 24

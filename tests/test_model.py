@@ -538,7 +538,7 @@ def whole_batch_step(net, x, ages, mode, labels):
             pool = (ops.maxpool3d_argmax(y, pooled, *bp.pool), *bp.pool,
                     y.shape)
             y = pooled
-        saved.append((bp, h, cache, pool, y.data > 0))
+        saved.append((bp, h, cache, pool, y.data))  # relu writes h over y
         h = ops.relu(y)
     feats = h.data.reshape(n, -1)
     if cfg.age_mode == "concat":
@@ -552,7 +552,6 @@ def whole_batch_step(net, x, ages, mode, labels):
                                                par["age.norm.beta"])
         z.data += ops.linear_forward(a1n, par["age.fc2.weight"],
                                      par["age.fc2.bias"]).data
-    fc1_mask = z.data > 0
     h2 = ops.relu(z)
     logits = ops.linear_forward(h2, par["fc2.weight"], par["fc2.bias"])
 
@@ -560,7 +559,7 @@ def whole_batch_step(net, x, ages, mode, labels):
     _, g, _ = ops.softmax_xent(logits, labels)
     g, grads["fc2.weight"], grads["fc2.bias"] = ops.linear_backward(
         g, h2, par["fc2.weight"])
-    g = ops.relu_backward(g, fc1_mask)
+    g = ops.relu_backward(g, h2.data)
     if cfg.age_mode == "encoded":
         ga, grads["age.fc2.weight"], grads["age.fc2.bias"] = (
             ops.linear_backward(g, a1n, par["age.fc2.weight"]))
@@ -571,8 +570,8 @@ def whole_batch_step(net, x, ages, mode, labels):
     g, grads["fc1.weight"], grads["fc1.bias"] = ops.linear_backward(
         g, Tensor(feats), par["fc1.weight"])
     g = g.data[:, :net.plan.flat_features].reshape(h.shape)
-    for bp, x_in, cache, pool, mask in reversed(saved):
-        g = ops.relu_backward(Tensor(g), mask)
+    for bp, x_in, cache, pool, out in reversed(saved):
+        g = ops.relu_backward(Tensor(g), out)
         if pool is not None:
             g = ops.maxpool3d_backward(g, *pool)
         g, dgamma, dbeta = norm_backward_expression(g.data, cache)
@@ -748,6 +747,27 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded.params[name].data, t.data)
         for name, t in net.buffers.items():
             np.testing.assert_array_equal(loaded.buffers[name].data, t.data)
+
+    def test_load_draws_nothing(self, tmp_path, monkeypatch):
+        # build places the file's tensors, so no weight is drawn and thrown
+        # away
+        _, net, path = self.make_net(tmp_path, norm="batch",
+                                     age_mode="encoded", extra_blocks=1)
+        m.save_checkpoint(path, net)
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("kaiming_uniform drew a weight")
+
+        monkeypatch.setattr(tensor, "kaiming_uniform", no_draw)
+        loaded, _ = m.load_checkpoint(path)
+        _, _, stored = m._read_checkpoint(path)
+        got = {**loaded.params, **loaded.buffers}
+        assert got.keys() == stored.keys()
+        assert list(loaded.params) == list(net.params)
+        assert list(loaded.buffers) == list(net.buffers)
+        for name, t in stored.items():
+            assert got[name].data.dtype == t.data.dtype == np.float32
+            assert got[name].data.tobytes() == t.data.tobytes()
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         _, net, path = self.make_net(tmp_path)

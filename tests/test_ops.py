@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, assume, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from volcnn import gradcheck, ops
+from volcnn import config, gradcheck, ops
 from volcnn.tensor import Rng, Tensor, ShapeError
 
 # an overflow or invalid value in these tests is a failure, not a warning
@@ -668,14 +668,14 @@ class TestBlockTail:
         pooled = ops.maxpool3d_forward(r, k, s)
         key = ops.maxpool3d_argmax(r, pooled, k, s)
         g = ops.maxpool3d_backward(grad, key, k, s, y.shape)
-        return pooled, ops.relu_backward(g, y.data > 0)
+        return pooled, ops.relu_backward(g, y.data)
 
     @staticmethod
     def pool_then_relu(y, grad, k, s):
         pooled = ops.maxpool3d_forward(y, k, s)
         key = ops.maxpool3d_argmax(y, pooled, k, s)
         pooled = ops.relu(pooled)
-        g = ops.relu_backward(Tensor(grad.data.copy()), pooled.data > 0)
+        g = ops.relu_backward(Tensor(grad.data.copy()), pooled.data)
         return pooled, ops.maxpool3d_backward(g, key, k, s, y.shape)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -1271,17 +1271,19 @@ class TestPooledNorm:
 class TestReluLinear:
     def test_relu_zero_subgradient(self):
         x = Tensor(np.array([-1.0, 0.0, 2.0]))
-        g = ops.relu_backward(Tensor(np.ones(3)), x.data > 0)
+        g = ops.relu_backward(Tensor(np.ones(3)), x.data)
         np.testing.assert_array_equal(g.data, [0.0, 0.0, 1.0])
 
-    def test_relu_backward_rejects_bad_mask(self):
-        g = Tensor(np.ones((2, 3)))
-        with pytest.raises(ShapeError, match="bool"):
-            ops.relu_backward(g, np.ones((2, 3)))  # the float input itself
-        with pytest.raises(ShapeError, match="bool"):
-            ops.relu_backward(g, np.ones((3, 2), dtype=bool))
-        with pytest.raises(ShapeError, match="bool"):
-            ops.relu_backward(g, np.ones(6, dtype=bool))
+    def test_relu_backward_rejects_bad_shape(self):
+        # refused before anything is written over grad_out
+        for dtype in (np.float32, np.float64):
+            g0 = np.arange(-3, 3, dtype=dtype).reshape(2, 3)
+            g = Tensor(g0.copy())
+            for h in (np.ones((3, 2), dtype), np.ones(6, dtype),
+                      np.ones((2, 3, 1), dtype)):
+                with pytest.raises(ShapeError, match="shape"):
+                    ops.relu_backward(g, h)
+                assert g.data.tobytes() == g0.tobytes()
 
     def test_relu_out_in_place(self):
         # the result is written over x's own array, with the bytes of the
@@ -1294,16 +1296,22 @@ class TestReluLinear:
 
     def test_relu_backward_out(self):
         # the result is written over grad_out's own array, with the bytes of
-        # the pure product; a bad mask is refused before anything is written
-        g0 = np.array([[-1.5, 0.25, 2.0], [3.0, -0.5, -4.0]], dtype=np.float32)
-        mask = np.array([[True, False, True], [False, True, False]])
-        g = Tensor(g0.copy())
-        with pytest.raises(ShapeError, match="bool"):
-            ops.relu_backward(g, mask.T)
-        assert g.data.tobytes() == g0.tobytes()
-        got = ops.relu_backward(g, mask)
-        assert got.data is g.data
-        assert got.data.tobytes() == np.multiply(g0, mask).tobytes()
+        # g * (h > 0) for h the ReLU's output and for h its input: the signs
+        # agree, and NaN, -0.0 and -inf pass neither
+        special = [np.nan, -0.0, 0.0, np.inf, -np.inf, 1.5, -2.0, 1e-30]
+        for dtype in (np.float32, np.float64):
+            x = np.array([special, special[::-1]], dtype)
+            # finite but for a NaN: inf * 0 would warn
+            g0 = np.array([[0.5, -0.0, np.nan, 3.0, -1.0, 2.0, -4.0, 0.0],
+                           [-0.25, 1.0, 2.5, np.nan, 0.0, -0.0, 7.0, -8.0]],
+                          dtype)
+            relu_out = ops.relu(Tensor(x.copy())).data
+            for h in (relu_out, x):
+                g = Tensor(g0.copy())
+                got = ops.relu_backward(g, h)
+                assert got.data is g.data
+                assert got.data.tobytes() == (g0 * (h > 0)).tobytes()
+            assert (relu_out > 0).tobytes() == (x > 0).tobytes()
 
     def test_linear_known_values(self):
         x = Tensor(np.array([[1.0, 2.0]]))
@@ -1404,6 +1412,23 @@ class TestAgeEncode:
         v = ops.age_encode(raw)
         w = ops.age_encode(rounded)
         np.testing.assert_array_equal(v.data, w.data)
+
+    def test_round_age_equals_floor_formula(self):
+        # config.round_age floors by // 1.0, so config needs no numpy; on
+        # the 0.25 grid of [0, 120] and either side of each point it gives
+        # the bytes of np.floor, for floats and float64 arrays
+        assert ops.round_age is config.round_age
+        grid = np.arange(481) * 0.25
+        ages = np.concatenate([grid, np.nextafter(grid, -1.0),
+                               np.nextafter(grid, 200.0)])
+        want = np.floor(ages * 2.0 + 0.5) / 2.0
+        got = config.round_age(ages)
+        assert got.dtype == np.float64
+        assert got.tobytes() == want.tobytes()
+        for age, w in zip(ages.tolist(), want):
+            r = config.round_age(age)
+            assert type(r) is float
+            assert np.float64(r).tobytes() == w.tobytes()
 
     def test_array_rows_equal_single_ages(self):
         ages = [0.0, 63.0, 76.3, 120.0]

@@ -3,7 +3,7 @@ import pytest
 
 from volcnn import model as network
 from volcnn import saliency
-from volcnn.config import SMOOTH_SIGMA
+from volcnn.config import DEFAULT_VIEWS, SMOOTH_SIGMA
 from volcnn.data import NativeVolume, gaussian_blur
 from volcnn.model import ModelConfig, build
 from volcnn.tensor import F64, Rng, ShapeError, Tensor
@@ -229,7 +229,7 @@ class TestExport:
 
     def test_default_views_on_full_extent_map(self, tmp_path):
         m = self.any_map(extent=96, seed=2)
-        paths = saliency.export_slices(m, saliency.DEFAULT_VIEWS,
+        paths = saliency.export_slices(m, DEFAULT_VIEWS,
                                        tmp_path / "agg")
         assert [p.name for p in paths] == [
             "agg_axial50.pgm", "agg_axial26.pgm", "agg_coronal56.pgm",
